@@ -2,10 +2,10 @@
  * @file
  * Engine scaling: single-thread vs N-thread campaign throughput on
  * the Figure 7.x system circuits (the SCAL ALU datapaths) and the
- * Chapter 3 reference networks. jobs=1 is the serial reference loop;
- * jobs>1 routes through the engine (collapse + shard + merge), so
- * the speedup column folds in both the thread scaling and the
- * equivalence-collapse win. Determinism of the results themselves is
+ * Chapter 3 reference networks. Every jobs count runs the same
+ * pipeline (collapse + plan + chunk + merge); jobs=1 runs its single
+ * chunk on the calling thread, so the speedup column is the thread
+ * scaling alone. Determinism of the results themselves is
  * asserted by tests/test_engine_determinism.cc; this binary measures
  * wall-clock only. Each timing is a warmed-up best/median/stddev over
  * --reps repetitions (bench_stats.hh); alongside the human-readable
@@ -160,12 +160,10 @@ main(int argc, char **argv)
     }
     t.print(std::cout);
     std::cout
-        << "\njobs=1 is the serial reference loop over the full "
-           "fault universe; jobs>1 simulates one representative per "
-           "equivalence class on a worker pool and expands the "
-           "verdicts, so its speedup combines collapse and "
-           "parallelism. On a single-core host only the collapse "
-           "factor remains.\n\n";
+        << "\nEvery jobs count runs the same collapsed fault-parallel "
+           "pipeline; jobs=1 runs it on the calling thread, so the "
+           "speedup is thread scaling alone. On a single-core host it "
+           "stays near 1.\n\n";
 
     emitJson(std::cout, results, reps);
     std::ofstream f(out_path);

@@ -217,7 +217,7 @@ runFaultParallelKernel(const sim::FlatNetlist &flat,
                        int lane_words, sim::SimdTarget target)
 {
     sim::FaultSimulator fs(flat, lane_words, target);
-    sim::BatchClassifier bc(fs, plan, /*batching=*/true);
+    sim::BatchClassifier bc(fs, plan);
     bc.setRange(0, plan.numGroups());
     std::vector<sim::AlternatingMasks> cls(col.representatives.size());
     for (const WideBlock &blk : blocks) {

@@ -9,10 +9,12 @@
  * timing, each hardened circuit must pass the alternating-operation
  * verification — a pipeline that emits non-alternating netlists has
  * no throughput worth measuring. The campaign stage is timed twice:
- * once with the fault-parallel defaults (batching + pruning + CPT)
- * and once with every flag off (`campaign_ref`, the legacy per-fault
- * path), after asserting both produce identical verdict counts; each
- * row reports the resulting `speedup`. Results are emitted as JSON
+ * once through the production pipeline and once through a reference
+ * (`campaign_ref`), after asserting both produce identical verdict
+ * counts; each row reports the resulting `speedup`. The combinational
+ * reference is the per-fault oracle (tests/oracle/: every fault
+ * simulated on its own, one thread, at the run's lanes and SIMD); the
+ * sequential one switches off combinational dominance. Results are emitted as JSON
  * (stdout and --out file) with warmed-up best/median/stddev per
  * stage (bench_stats.hh) so CI can archive the numbers.
  *
@@ -34,6 +36,7 @@
 #include "ingest/harden.hh"
 #include "ingest/import.hh"
 #include "netlist/structure.hh"
+#include "oracle/per_fault_campaign.hh"
 
 using namespace scal;
 
@@ -159,14 +162,9 @@ main(int argc, char **argv)
             fault::CampaignOptions opts;
             opts.maxPatterns = max_patterns;
             opts.jobs = jobs;
-            fault::CampaignOptions ref = opts;
-            ref.faultBatch = false;
-            ref.cpt = false;
-            ref.dominance = false;
             const auto res =
                 fault::runAlternatingCampaign(hard.net, opts);
-            const auto resRef =
-                fault::runAlternatingCampaign(hard.net, ref);
+            const auto resRef = oracle::runPerFaultCampaign(hard.net, opts);
             if (res.numDetected != resRef.numDetected ||
                 res.numUnsafe != resRef.numUnsafe ||
                 res.numUntestable != resRef.numUntestable) {
@@ -185,7 +183,7 @@ main(int argc, char **argv)
                 [&] { fault::runAlternatingCampaign(hard.net, opts); },
                 reps);
             row.campaignRef = bench::timeStats(
-                [&] { fault::runAlternatingCampaign(hard.net, ref); },
+                [&] { oracle::runPerFaultCampaign(hard.net, opts); },
                 reps);
         }
         if (row.campaign.best > 0)

@@ -16,11 +16,12 @@
  * so CI can archive the numbers.
  *
  * The lane-multiplexed fault-batch path (sim/seq_batch_sim) is timed
- * against the per-fault path on every scenario, digest-checked first;
- * the bundled s1488/s5378-class netlists ride through the real
- * import-and-harden pipeline to anchor the batch speedup at realistic
- * scale (their scalar reference and width sweeps are skipped — the
- * per-fault campaign path doubles as the digest oracle there).
+ * against the per-fault oracle (tests/oracle/: every fault replayed on
+ * its own, one thread, no collapsing) on every scenario,
+ * digest-checked first; the bundled s1488/s5378-class netlists ride
+ * through the real import-and-harden pipeline to anchor the batch
+ * speedup at realistic scale (their scalar reference and width sweeps
+ * are skipped — the per-fault oracle is the digest oracle there).
  *
  * Usage: bench_seq_fault_sim [--symbols N] [--lanes N] [--reps N]
  *                            [--circuits DIR] [--out FILE]
@@ -40,6 +41,7 @@
 #include "fault/seq_campaign.hh"
 #include "ingest/harden.hh"
 #include "ingest/import.hh"
+#include "oracle/per_fault_campaign.hh"
 #include "seq/dual_flipflop.hh"
 #include "seq/kohavi.hh"
 #include "seq/registers.hh"
@@ -59,8 +61,8 @@ struct Scenario
     Netlist net;
     fault::SeqCampaignSpec spec;
     /** Time + digest-check the scalar per-lane reference (too slow
-     *  for the imported netlists; the per-fault campaign path is the
-     *  digest oracle there). */
+     *  for the imported netlists; the per-fault oracle is the digest
+     *  oracle there). */
     bool withOracle = true;
     /** Run the jobs and 64/256/512 lane-width sweeps. */
     bool withWidths = true;
@@ -253,7 +255,7 @@ struct Row
     bool hasWidths = false;
     bench::TimingStats scalar;
     bench::TimingStats packed;   // default path: fault batching on
-    bench::TimingStats batchOff; // per-fault path (--no-seq-fault-batch)
+    bench::TimingStats batchOff; // per-fault oracle, no batching
     double seqdomOffSeconds = 0; // batching on, seq dominance off
     std::vector<std::pair<int, double>> jobsSeconds;
     std::vector<WidthRow> widths; // ascending lanes; widths[0] is 64
@@ -405,7 +407,7 @@ main(int argc, char **argv)
     // The bundled s-class netlists through the real import-and-harden
     // pipeline: the machines the fault-batch path was built for. The
     // scalar reference and the width/jobs sweeps are skipped there
-    // (minutes per repetition); the per-fault campaign path is the
+    // (minutes per repetition); the per-fault oracle is the
     // digest oracle.
     for (const char *name : {"s1488-class", "s5378-class"}) {
         const std::string path = dir + "/" + name + ".bench";
@@ -440,16 +442,13 @@ main(int argc, char **argv)
         opts.seed = 7;
         opts.jobs = 1;
 
-        fault::SeqCampaignOptions offOpts = opts;
-        offOpts.faultBatch = false;
-
         // Verdicts must agree before timing means anything: the
-        // per-fault path against the batch path on every scenario,
+        // per-fault oracle against the batch path on every scenario,
         // and both against the scalar per-lane oracle where it runs.
         const auto packed =
             fault::runSequentialCampaign(sc.net, spec, opts);
         const auto perFault =
-            fault::runSequentialCampaign(sc.net, spec, offOpts);
+            oracle::runPerFaultSeqCampaign(sc.net, spec, opts);
         if (digestPacked(perFault) != digestPacked(packed)) {
             std::cerr << "FATAL: batch/per-fault digest mismatch on "
                       << sc.name << "\n";
@@ -488,9 +487,7 @@ main(int argc, char **argv)
             [&] { fault::runSequentialCampaign(sc.net, spec, opts); },
             sreps, swarm);
         row.batchOff = bench::timeStats(
-            [&] {
-                fault::runSequentialCampaign(sc.net, spec, offOpts);
-            },
+            [&] { oracle::runPerFaultSeqCampaign(sc.net, spec, opts); },
             sreps, swarm);
         {
             fault::SeqCampaignOptions dopts = opts;

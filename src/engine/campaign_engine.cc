@@ -4,7 +4,8 @@ namespace scal::engine
 {
 
 CampaignEngine::CampaignEngine(const EngineOptions &opts)
-    : opts_(opts), pool_(resolveJobs(opts.jobs))
+    : opts_(opts), jobs_(resolveJobs(opts.jobs)),
+      pool_(jobs_ > 1 ? std::make_unique<ThreadPool>(jobs_) : nullptr)
 {
 }
 
@@ -25,7 +26,7 @@ CampaignEngine::endCampaign(std::uint64_t total_faults,
     progress_.stopReporter();
     const ProgressSnapshot s = progress_.snapshot();
     CampaignStats st;
-    st.jobs = pool_.size();
+    st.jobs = jobs_;
     st.totalFaults = total_faults;
     st.simulatedFaults = simulated_faults;
     st.patternsApplied = patterns_applied;

@@ -11,12 +11,17 @@
  * order. Callers concatenate or fold those results in chunk order, so
  * the same (netlist, seed, maxPatterns) triple yields a bit-identical
  * campaign result at any thread count.
+ *
+ * One worker is not a separate code path: the engine then spawns no
+ * thread and runs the whole index space as one chunk on the calling
+ * thread, so a jobs=1 campaign is the same pipeline minus the pool.
  */
 
 #ifndef SCAL_ENGINE_CAMPAIGN_ENGINE_HH
 #define SCAL_ENGINE_CAMPAIGN_ENGINE_HH
 
 #include <chrono>
+#include <exception>
 #include <future>
 #include <memory>
 #include <vector>
@@ -32,8 +37,6 @@ struct EngineOptions
 {
     /** Worker threads; <= 0 means hardware_concurrency. */
     int jobs = 0;
-    /** Queue chunks per worker (oversubscription for balance). */
-    int chunksPerWorker = 4;
     /** Lower bound on items per chunk. */
     std::size_t minGrain = 8;
     /**
@@ -54,33 +57,25 @@ class CampaignEngine
   public:
     explicit CampaignEngine(const EngineOptions &opts = {});
 
-    int jobs() const { return pool_.size(); }
+    int jobs() const { return jobs_; }
     ProgressTracker &progress() { return progress_; }
 
     /**
      * Run @p fn(chunk, chunkIndex) over a sharding of [0, n) and
-     * return the per-chunk results in chunk-index order. Exceptions
-     * from any chunk rethrow here after all chunks finish or drain.
+     * return the per-chunk results in chunk-index order. With one
+     * worker the whole range is a single chunk run on the calling
+     * thread, and its exception propagates directly; otherwise the
+     * first chunk exception rethrows here once every chunk has
+     * finished.
      */
     template <typename R, typename Fn>
     std::vector<R>
     mapChunks(std::size_t n, Fn fn)
     {
-        const std::vector<Chunk> chunks =
-            planShards(n, pool_.size(), opts_.chunksPerWorker,
-                       opts_.minGrain);
-        std::vector<std::future<R>> futures;
-        futures.reserve(chunks.size());
-        for (std::size_t c = 0; c < chunks.size(); ++c) {
-            const Chunk chunk = chunks[c];
-            futures.push_back(
-                pool_.submit([fn, chunk, c]() { return fn(chunk, c); }));
-        }
-        std::vector<R> results;
-        results.reserve(futures.size());
-        for (auto &f : futures)
-            results.push_back(f.get());
-        return results;
+        return run<R>(pool_ ? planShards(n, jobs_, kChunksPerWorker,
+                                         opts_.minGrain)
+                            : wholeRange(n),
+                      fn);
     }
 
     /**
@@ -92,20 +87,10 @@ class CampaignEngine
     std::vector<R>
     mapWeightedChunks(const std::vector<std::uint64_t> &weights, Fn fn)
     {
-        const std::vector<Chunk> chunks = planWeightedShards(
-            weights, pool_.size(), opts_.chunksPerWorker);
-        std::vector<std::future<R>> futures;
-        futures.reserve(chunks.size());
-        for (std::size_t c = 0; c < chunks.size(); ++c) {
-            const Chunk chunk = chunks[c];
-            futures.push_back(
-                pool_.submit([fn, chunk, c]() { return fn(chunk, c); }));
-        }
-        std::vector<R> results;
-        results.reserve(futures.size());
-        for (auto &f : futures)
-            results.push_back(f.get());
-        return results;
+        return run<R>(pool_ ? planWeightedShards(weights, jobs_,
+                                                 kChunksPerWorker)
+                            : wholeRange(weights.size()),
+                      fn);
     }
 
     /** Start/stop the periodic reporter per opts_.progressInterval. */
@@ -115,8 +100,53 @@ class CampaignEngine
                               std::uint64_t patterns_applied);
 
   private:
+    /** Queue chunks per worker (oversubscription for balance). */
+    static constexpr int kChunksPerWorker = 4;
+
+    static std::vector<Chunk>
+    wholeRange(std::size_t n)
+    {
+        return n ? std::vector<Chunk>{{0, n}} : std::vector<Chunk>{};
+    }
+
+    template <typename R, typename Fn>
+    std::vector<R>
+    run(const std::vector<Chunk> &chunks, const Fn &fn)
+    {
+        std::vector<R> results;
+        results.reserve(chunks.size());
+        if (!pool_) {
+            for (std::size_t c = 0; c < chunks.size(); ++c)
+                results.push_back(fn(chunks[c], c));
+            return results;
+        }
+        std::vector<std::future<R>> futures;
+        futures.reserve(chunks.size());
+        for (std::size_t c = 0; c < chunks.size(); ++c) {
+            const Chunk chunk = chunks[c];
+            futures.push_back(
+                pool_->submit([fn, chunk, c]() { return fn(chunk, c); }));
+        }
+        // Drain every future before rethrowing: the chunk closures
+        // reference the caller's frame, which must outlive them.
+        std::exception_ptr error;
+        for (auto &f : futures) {
+            try {
+                results.push_back(f.get());
+            } catch (...) {
+                if (!error)
+                    error = std::current_exception();
+            }
+        }
+        if (error)
+            std::rethrow_exception(error);
+        return results;
+    }
+
     EngineOptions opts_;
-    ThreadPool pool_;
+    int jobs_;
+    /** Null at one worker: chunks then run on the calling thread. */
+    std::unique_ptr<ThreadPool> pool_;
     ProgressTracker progress_;
 };
 

@@ -194,6 +194,31 @@ decodeSnapshot(const std::vector<std::uint8_t> &bytes,
     }
 }
 
+SnapshotHeader
+decodeResumeSnapshot(const std::vector<std::uint8_t> &bytes,
+                     const SnapshotHeader &run,
+                     std::vector<std::uint8_t> *payload,
+                     const std::string &name)
+{
+    const SnapshotHeader h = decodeSnapshot(bytes, payload, name);
+    if (h.kind != run.kind)
+        throw SnapshotError(name + ": not a " + run.kind +
+                            " campaign snapshot (kind '" + h.kind + "')");
+    if (h.netHash != run.netHash)
+        throw SnapshotError(name + ": snapshot is for a different circuit");
+    if (h.configKey != run.configKey)
+        throw SnapshotError(name + ": config mismatch (snapshot '" +
+                            h.configKey + "', run '" + run.configKey +
+                            "')");
+    if (h.shard != run.shard)
+        throw SnapshotError(name + ": snapshot is shard " + h.shard.str() +
+                            ", not " + run.shard.str());
+    if (h.shapeKey != run.shapeKey || h.units != run.units)
+        throw SnapshotError(name +
+                            ": work-shape mismatch; rerun without --resume");
+    return h;
+}
+
 void
 writeSnapshotFile(const std::string &path,
                   const std::vector<std::uint8_t> &bytes)

@@ -143,6 +143,20 @@ decodeSnapshot(const std::vector<std::uint8_t> &bytes,
                std::vector<std::uint8_t> *payload,
                const std::string &name = "<memory>");
 
+/**
+ * Decode a resume snapshot and check that it belongs to the run
+ * described by @p run: same kind, netlist hash, config key, shard,
+ * work-shape key and unit count (run.cursor and run.complete are
+ * ignored). Returns the snapshot's header and copies its payload to
+ * @p payload. Throws SnapshotError naming @p name on the first
+ * mismatch, so a foreign checkpoint is refused instead of continued.
+ */
+SnapshotHeader
+decodeResumeSnapshot(const std::vector<std::uint8_t> &bytes,
+                     const SnapshotHeader &run,
+                     std::vector<std::uint8_t> *payload,
+                     const std::string &name);
+
 /** Atomic file write: path + ".tmp", then rename over path. */
 void writeSnapshotFile(const std::string &path,
                        const std::vector<std::uint8_t> &bytes);

@@ -21,7 +21,7 @@ using namespace netlist;
 namespace
 {
 
-/** Per-fault verdict accumulated over the whole pattern space. */
+/** Per-class verdict accumulated over the whole pattern space. */
 struct Verdict
 {
     bool tested = false;
@@ -66,10 +66,9 @@ struct PatternBlock
     }
 };
 
-/** Serial pre-pass: the packed pattern stream. The Rng consumption
- *  order matches the original serial loop exactly (one draw per
- *  sampled pattern, in pattern order, independent of lane_words); the
- *  fault-free values are cached per worker by
+/** Serial pre-pass: the packed pattern stream. The Rng is drawn once
+ *  per sampled pattern, in pattern order, independent of lane_words;
+ *  the fault-free values are cached per worker by
  *  FaultSimulator::setAlternatingBlock. */
 std::vector<PatternBlock>
 buildBlocks(int ni, bool exhaustive, std::uint64_t num_patterns,
@@ -109,14 +108,12 @@ buildBlocks(int ni, bool exhaustive, std::uint64_t num_patterns,
 }
 
 /**
- * Fold one block's lane masks into a fault's running verdict — the
- * single copy of the kernel both the serial and the sharded paths
- * run (it used to be pasted into each).
+ * Fold one block's lane masks into a class's running verdict.
  */
 void
 accumulateVerdict(const sim::WideMasks &m, const PatternBlock &blk,
                   int lane_words, const CampaignOptions &opts,
-                  engine::ProgressTracker *progress, Verdict &v)
+                  engine::ProgressTracker &progress, Verdict &v)
 {
     bool any_err = false, any_unsafe = false;
     for (int w = 0; w < lane_words; ++w) {
@@ -129,8 +126,8 @@ accumulateVerdict(const sim::WideMasks &m, const PatternBlock &blk,
     if (any_err)
         v.tested = true;
     if (any_unsafe) {
-        if (!v.unsafe && progress)
-            progress->addUnsafe(1);
+        if (!v.unsafe)
+            progress.addUnsafe(1);
         v.unsafe = true;
         for (int lane = 0; lane < blk.lanes; ++lane) {
             if (static_cast<int>(v.unsafePatterns.size()) >=
@@ -142,114 +139,18 @@ accumulateVerdict(const sim::WideMasks &m, const PatternBlock &blk,
     }
 }
 
-/**
- * Classify faults[begin, end) over the shared pattern blocks with the
- * cone-restricted simulator. Each call owns its FaultSimulator (and
- * so its memoized cones and scratch); everything else it reads is
- * immutable, so a fault's verdict cannot depend on which chunk
- * simulated it. jobs == 1 runs this same function over the whole
- * fault list.
- */
-std::vector<Verdict>
-classifyChunk(const sim::FlatNetlist &flat,
-              const std::vector<Fault> &faults, std::size_t begin,
-              std::size_t end, const std::vector<PatternBlock> &blocks,
-              const CampaignOptions &opts, int lane_words,
-              engine::ProgressTracker *progress)
+Outcome
+outcomeOf(const Verdict &v)
 {
-    sim::FaultSimulator fs(flat, lane_words, opts.simd);
-
-    std::vector<Verdict> out(end - begin);
-    for (const PatternBlock &blk : blocks) {
-        fs.setAlternatingBlock(blk.in);
-        for (std::size_t k = begin; k < end; ++k) {
-            if (opts.cancel && opts.cancel->stopRequested())
-                throw engine::CampaignCancelled();
-            accumulateVerdict(fs.classifyAlternatingWide(faults[k]), blk,
-                              lane_words, opts, progress,
-                              out[k - begin]);
-        }
-        if (progress)
-            progress->addPatterns(static_cast<std::uint64_t>(blk.lanes));
-    }
-    if (progress)
-        progress->addFaultsDone(end - begin);
-    return out;
+    if (v.unsafe)
+        return Outcome::Unsafe;
+    return v.tested ? Outcome::Detected : Outcome::Untestable;
 }
 
-/** Result of one fault-parallel shard: per-class verdicts for the
- *  positions [plan.classOffset(begin), plan.classOffset(end)) of the
- *  group range, plus the shard's batch count. */
-struct GroupChunkOut
-{
-    std::vector<Verdict> verdicts;
-    std::uint64_t batches = 0;
-};
-
-/**
- * Fault-parallel counterpart of classifyChunk: classify every class
- * of groups [gbegin, gend) of @p plan over the shared pattern blocks
- * with a BatchClassifier. Same isolation contract — each call owns
- * its simulator and classifier, everything shared is immutable.
- */
-GroupChunkOut
-classifyGroupChunk(const sim::FlatNetlist &flat,
-                   const sim::FaultBatchPlan &plan, int gbegin, int gend,
-                   const std::vector<PatternBlock> &blocks,
-                   const CampaignOptions &opts, int lane_words,
-                   engine::ProgressTracker *progress)
-{
-    sim::FaultSimulator fs(flat, lane_words, opts.simd);
-    sim::BatchClassifier classifier(fs, plan, opts.faultBatch);
-    classifier.setRange(gbegin, gend);
-
-    GroupChunkOut out;
-    out.batches = classifier.numBatches();
-    const std::size_t base = plan.classOffset(gbegin);
-    out.verdicts.resize(plan.classOffset(gend) - base);
-    for (const PatternBlock &blk : blocks) {
-        if (opts.cancel && opts.cancel->stopRequested())
-            throw engine::CampaignCancelled();
-        fs.setAlternatingBlock(blk.in);
-        classifier.classifyBlock(
-            [&](std::size_t pos, const sim::WideMasks &m) {
-                accumulateVerdict(m, blk, lane_words, opts, progress,
-                                  out.verdicts[pos - base]);
-            });
-        if (progress)
-            progress->addPatterns(static_cast<std::uint64_t>(blk.lanes));
-    }
-    if (progress)
-        progress->addFaultsDone(out.verdicts.size());
-    return out;
-}
-
-/** Fold expanded per-fault verdicts into the result counters. */
-void
-finalizeResult(CampaignResult &result,
-               const std::vector<Verdict *> &verdictOf)
-{
-    for (std::size_t k = 0; k < result.faults.size(); ++k) {
-        const Verdict &v = *verdictOf[k];
-        Outcome o = Outcome::Untestable;
-        if (v.unsafe)
-            o = Outcome::Unsafe;
-        else if (v.tested)
-            o = Outcome::Detected;
-        result.faults[k].outcome = o;
-        result.faults[k].unsafePatterns = v.unsafePatterns;
-        switch (o) {
-          case Outcome::Untestable: ++result.numUntestable; break;
-          case Outcome::Detected:   ++result.numDetected; break;
-          case Outcome::Unsafe:     ++result.numUnsafe; break;
-        }
-    }
-}
-
-} // namespace
-
-CampaignResult
-runAlternatingCampaign(const Netlist &net, const CampaignOptions &opts)
+/** The campaign preconditions, checked before any work is done;
+ *  returns the target's fault universe. */
+std::vector<Fault>
+checkedFaults(const Netlist &net, const CampaignOptions &opts)
 {
     if (!net.isCombinational())
         throw std::invalid_argument("campaign needs combinational netlist");
@@ -258,193 +159,192 @@ runAlternatingCampaign(const Netlist &net, const CampaignOptions &opts)
         throw std::invalid_argument(
             "campaign target is not an alternating network "
             "(some output is not self-dual)");
-
-    const int ni = net.numInputs();
-    const bool exhaustive =
-        ni < 63 && (std::uint64_t{1} << ni) <= opts.maxPatterns;
-    const std::uint64_t num_patterns =
-        exhaustive ? (std::uint64_t{1} << ni) : opts.maxPatterns;
-
-    // Resolve the packed width and kernel build once, up front, so
-    // every worker runs the same configuration.
     if (opts.lanes != 0 && opts.lanes != 64 && opts.lanes != 256 &&
         opts.lanes != 512)
         throw std::invalid_argument("lanes must be 0 (auto), 64, 256 or 512");
-    const sim::SimdTarget simd = sim::resolveSimdTarget(opts.simd);
-    const int lane_words = opts.lanes == 0
-                               ? sim::defaultLaneWords(simd)
-                               : sim::laneWordsForLanes(opts.lanes);
+    return net.allFaults();
+}
 
-    const std::vector<Fault> faults = net.allFaults();
-    CampaignResult result;
-    result.faults.resize(faults.size());
-    for (std::size_t k = 0; k < faults.size(); ++k)
-        result.faults[k].fault = faults[k];
-    result.patternsApplied = num_patterns;
-    result.lanes = 64 * lane_words;
-    result.simd = simd;
-
-    // Compile the netlist once; the flat image and the pattern blocks
-    // are shared read-only by every worker.
-    const sim::FlatNetlist flat(net);
-    const std::vector<PatternBlock> blocks =
-        buildBlocks(ni, exhaustive, num_patterns, opts.seed, lane_words);
-
-    const int jobs = engine::resolveJobs(opts.jobs);
-
-    // Fault-parallel path: route the collapsed classes through FFR
-    // batching / CPT / dominance pruning (sim/batch_sim.hh). Groups —
-    // not single classes — are the sharding unit, weighted by their
-    // estimated simulation cost, so batches never straddle a chunk
-    // boundary. Verdicts are bit-identical to the legacy path below.
-    if (opts.faultBatch || opts.cpt || opts.dominance) {
-        CollapseOptions copts;
-        copts.constRefine = opts.dominance;
-        copts.dominance = opts.dominance;
-        const CollapseResult col = collapseFaults(net, copts);
-        const sim::FaultBatchPlan plan(flat, faults, col.classOf,
-                                       col.representatives, col.pruned,
-                                       opts.cpt);
-        const sim::BatchPlanStats ps = plan.stats();
-        result.fp.enabled = true;
-        result.fp.totalFaults = col.totalFaults;
-        result.fp.classes = plan.numClasses();
-        result.fp.prunedClasses = ps.prunedClasses;
-        result.fp.prunedFaults = col.prunedFaults;
-        result.fp.flipClasses = ps.flipClasses;
-        result.fp.cptClasses = ps.cptClasses;
-        result.fp.tapClasses = ps.tapClasses;
-        result.fp.simClasses = ps.simClasses;
-
-        std::vector<GroupChunkOut> chunkOuts;
-        if (jobs <= 1) {
-            engine::ProgressTracker progress;
-            progress.start(static_cast<std::uint64_t>(plan.numClasses()));
-            if (opts.progressInterval.count() > 0)
-                progress.startReporter(opts.progressInterval,
-                                       opts.progressCallback);
-            chunkOuts.push_back(classifyGroupChunk(
-                flat, plan, 0, plan.numGroups(), blocks, opts,
-                lane_words, &progress));
-            progress.stopReporter();
-            const auto s = progress.snapshot();
-            result.stats.jobs = 1;
-            result.stats.totalFaults = faults.size();
-            result.stats.simulatedFaults =
-                static_cast<std::uint64_t>(col.simulatedClasses());
-            result.stats.patternsApplied = num_patterns;
-            result.stats.collapseRatio = col.ratio();
-            result.stats.elapsedSeconds = s.elapsedSeconds;
-            result.stats.faultsPerSecond = s.faultsPerSecond();
-            result.stats.patternsPerSecond = s.patternsPerSecond();
-        } else {
-            engine::EngineOptions eopts;
-            eopts.jobs = jobs;
-            eopts.chunksPerWorker = opts.chunksPerWorker;
-            eopts.progressInterval = opts.progressInterval;
-            eopts.progressCallback = opts.progressCallback;
-            engine::CampaignEngine eng(eopts);
-            eng.beginCampaign(static_cast<std::uint64_t>(plan.numClasses()));
-            chunkOuts = eng.mapWeightedChunks<GroupChunkOut>(
-                plan.groupCosts(), [&](engine::Chunk chunk, std::size_t) {
-                    return classifyGroupChunk(
-                        flat, plan, static_cast<int>(chunk.begin),
-                        static_cast<int>(chunk.end), blocks, opts,
-                        lane_words, &eng.progress());
-                });
-            result.stats = eng.endCampaign(
-                faults.size(),
-                static_cast<std::uint64_t>(col.simulatedClasses()),
-                num_patterns);
-        }
-
-        // Deterministic merge: chunk results concatenate back to the
-        // position order of plan.classList(), which maps positions to
-        // class ids; classOf then expands classes over allFaults().
-        std::vector<Verdict *> classVerdict(
-            static_cast<std::size_t>(plan.numClasses()));
-        std::size_t pos = 0;
-        for (GroupChunkOut &co : chunkOuts) {
-            result.fp.batches += co.batches;
-            for (Verdict &v : co.verdicts)
-                classVerdict[static_cast<std::size_t>(
-                    plan.classList()[pos++])] = &v;
-        }
-        std::vector<Verdict *> verdictOf(faults.size());
-        for (std::size_t k = 0; k < faults.size(); ++k)
-            verdictOf[k] = classVerdict[static_cast<std::size_t>(
-                col.classOf[k])];
-        finalizeResult(result, verdictOf);
-        return result;
+/**
+ * Everything a combinational campaign derives before it classifies:
+ * the checked fault universe, the packed width and kernel build
+ * (resolved once, so every worker runs the same configuration), the
+ * compiled netlist, the shared pattern blocks, the const-refined
+ * collapse with dominance pruning, and the fault-parallel plan that
+ * routes its classes through FFR batching, CPT and pruning
+ * (sim/batch_sim.hh). The inline and the shard runner both build one,
+ * so they classify the identical group space. Everything here is
+ * immutable and shared read-only by the workers. Not copyable: the
+ * plan points into flat.
+ */
+struct CombSetup
+{
+    CombSetup(const Netlist &net, const CampaignOptions &opts)
+        : faults(checkedFaults(net, opts)),
+          simd(sim::resolveSimdTarget(opts.simd)),
+          laneWords(opts.lanes == 0 ? sim::defaultLaneWords(simd)
+                                    : sim::laneWordsForLanes(opts.lanes)),
+          exhaustive(net.numInputs() < 63 &&
+                     (std::uint64_t{1} << net.numInputs()) <=
+                         opts.maxPatterns),
+          numPatterns(exhaustive ? std::uint64_t{1} << net.numInputs()
+                                 : opts.maxPatterns),
+          flat(net),
+          blocks(buildBlocks(net.numInputs(), exhaustive, numPatterns,
+                             opts.seed, laneWords)),
+          col(collapseFaults(net, {.constRefine = true, .dominance = true})),
+          plan(flat, faults, col.classOf, col.representatives, col.pruned,
+               /*enable_cpt=*/true)
+    {
     }
+    CombSetup(const CombSetup &) = delete;
+    CombSetup &operator=(const CombSetup &) = delete;
 
-    if (jobs <= 1) {
-        // Serial reference path: every fault simulated individually,
-        // no collapsing, no pool.
-        engine::ProgressTracker progress;
-        progress.start(faults.size());
-        if (opts.progressInterval.count() > 0)
-            progress.startReporter(opts.progressInterval,
-                                   opts.progressCallback);
-        std::vector<Verdict> verdicts =
-            classifyChunk(flat, faults, 0, faults.size(), blocks, opts,
-                          lane_words, &progress);
-        progress.stopReporter();
-        std::vector<Verdict *> verdictOf(faults.size());
-        for (std::size_t k = 0; k < faults.size(); ++k)
-            verdictOf[k] = &verdicts[k];
-        finalizeResult(result, verdictOf);
-        const auto s = progress.snapshot();
-        result.stats.jobs = 1;
-        result.stats.totalFaults = faults.size();
-        result.stats.simulatedFaults = faults.size();
-        result.stats.patternsApplied = num_patterns;
-        result.stats.collapseRatio = 1.0;
-        result.stats.elapsedSeconds = s.elapsedSeconds;
-        result.stats.faultsPerSecond = s.faultsPerSecond();
-        result.stats.patternsPerSecond = s.patternsPerSecond();
-        return result;
+    std::vector<Fault> faults;
+    sim::SimdTarget simd;
+    int laneWords;
+    bool exhaustive;
+    std::uint64_t numPatterns;
+    sim::FlatNetlist flat;
+    std::vector<PatternBlock> blocks;
+    CollapseResult col;
+    sim::FaultBatchPlan plan;
+};
+
+/** Result of one chunk: per-class verdicts for the positions
+ *  [plan.classOffset(begin), plan.classOffset(end)) of its group
+ *  range, plus the chunk's batch count. */
+struct GroupChunkOut
+{
+    std::vector<Verdict> verdicts;
+    std::uint64_t batches = 0;
+};
+
+/**
+ * Classify every class of groups [gbegin, gend) over the shared
+ * pattern blocks with a BatchClassifier — the campaign's one classify
+ * loop. Each call owns its simulator and classifier; everything else
+ * it reads is immutable, so a class verdict cannot depend on which
+ * chunk classified it.
+ */
+GroupChunkOut
+classifyGroupChunk(const CombSetup &s, int gbegin, int gend,
+                   const CampaignOptions &opts,
+                   engine::ProgressTracker &progress)
+{
+    sim::FaultSimulator fs(s.flat, s.laneWords, s.simd);
+    sim::BatchClassifier classifier(fs, s.plan);
+    classifier.setRange(gbegin, gend);
+
+    GroupChunkOut out;
+    out.batches = classifier.numBatches();
+    const std::size_t base = s.plan.classOffset(gbegin);
+    out.verdicts.resize(s.plan.classOffset(gend) - base);
+    for (const PatternBlock &blk : s.blocks) {
+        if (opts.cancel && opts.cancel->stopRequested())
+            throw engine::CampaignCancelled();
+        fs.setAlternatingBlock(blk.in);
+        classifier.classifyBlock(
+            [&](std::size_t pos, const sim::WideMasks &m) {
+                accumulateVerdict(m, blk, s.laneWords, opts, progress,
+                                  out.verdicts[pos - base]);
+            });
+        progress.addPatterns(static_cast<std::uint64_t>(blk.lanes));
     }
+    progress.addFaultsDone(out.verdicts.size());
+    return out;
+}
 
-    // Parallel path: collapse the universe, shard the representative
-    // classes across the pool, then expand class verdicts back over
-    // the full fault list in allFaults() order. Equivalent faults
-    // produce the same faulty global function, so expansion is exact
-    // — the determinism tests cross-check this against jobs == 1.
-    const CollapseResult col = collapseFaults(net);
+/**
+ * Classify groups [g0, g1) of the plan through @p eng. Groups — not
+ * single classes — are the chunking unit, weighted by their estimated
+ * simulation cost, so batches never straddle a chunk boundary. The
+ * chunk results come back in group order: their verdicts concatenate
+ * to the class positions [plan.classOffset(g0), plan.classOffset(g1)).
+ */
+std::vector<GroupChunkOut>
+classifyGroups(const CombSetup &s, const CampaignOptions &opts,
+               engine::CampaignEngine &eng, int g0, int g1)
+{
+    const std::vector<std::uint64_t> &costs = s.plan.groupCosts();
+    return eng.mapWeightedChunks<GroupChunkOut>(
+        std::vector<std::uint64_t>(costs.begin() + g0, costs.begin() + g1),
+        [&](engine::Chunk chunk, std::size_t) {
+            return classifyGroupChunk(s, g0 + static_cast<int>(chunk.begin),
+                                      g0 + static_cast<int>(chunk.end),
+                                      opts, eng.progress());
+        });
+}
 
+engine::EngineOptions
+engineOptions(const CampaignOptions &opts)
+{
     engine::EngineOptions eopts;
-    eopts.jobs = jobs;
-    eopts.chunksPerWorker = opts.chunksPerWorker;
+    eopts.jobs = opts.jobs;
     eopts.progressInterval = opts.progressInterval;
     eopts.progressCallback = opts.progressCallback;
-    engine::CampaignEngine eng(eopts);
-    eng.beginCampaign(col.representatives.size());
+    return eopts;
+}
 
-    auto chunkVerdicts = eng.mapChunks<std::vector<Verdict>>(
-        col.representatives.size(),
-        [&](engine::Chunk chunk, std::size_t) {
-            return classifyChunk(flat, col.representatives, chunk.begin,
-                                 chunk.end, blocks, opts, lane_words,
-                                 &eng.progress());
-        });
+} // namespace
 
-    // Deterministic merge: concatenate chunk results in chunk order,
-    // then map every original fault to its class verdict.
-    std::vector<Verdict *> repVerdict;
-    repVerdict.reserve(col.representatives.size());
-    for (auto &chunk : chunkVerdicts)
-        for (Verdict &v : chunk)
-            repVerdict.push_back(&v);
+CampaignResult
+runAlternatingCampaign(const Netlist &net, const CampaignOptions &opts)
+{
+    const CombSetup s(net, opts);
+    const sim::FaultBatchPlan &plan = s.plan;
 
-    std::vector<Verdict *> verdictOf(faults.size());
-    for (std::size_t k = 0; k < faults.size(); ++k)
-        verdictOf[k] = repVerdict[col.classOf[k]];
-    finalizeResult(result, verdictOf);
+    CampaignResult result;
+    result.faults.resize(s.faults.size());
+    for (std::size_t k = 0; k < s.faults.size(); ++k)
+        result.faults[k].fault = s.faults[k];
+    result.patternsApplied = s.numPatterns;
+    result.lanes = 64 * s.laneWords;
+    result.simd = s.simd;
+    const sim::BatchPlanStats ps = plan.stats();
+    result.fp.totalFaults = s.col.totalFaults;
+    result.fp.classes = plan.numClasses();
+    result.fp.prunedClasses = ps.prunedClasses;
+    result.fp.prunedFaults = s.col.prunedFaults;
+    result.fp.flipClasses = ps.flipClasses;
+    result.fp.cptClasses = ps.cptClasses;
+    result.fp.tapClasses = ps.tapClasses;
+    result.fp.simClasses = ps.simClasses;
 
-    result.stats = eng.endCampaign(faults.size(),
-                                   col.representatives.size(),
-                                   num_patterns);
+    engine::CampaignEngine eng(engineOptions(opts));
+    eng.beginCampaign(static_cast<std::uint64_t>(plan.numClasses()));
+    const std::vector<GroupChunkOut> chunkOuts =
+        classifyGroups(s, opts, eng, 0, plan.numGroups());
+
+    // Deterministic merge: chunk results concatenate back to the
+    // position order of plan.classList(), which maps positions to
+    // class ids; classOf then expands classes over allFaults().
+    std::vector<const Verdict *> classVerdict(
+        static_cast<std::size_t>(plan.numClasses()));
+    std::size_t pos = 0;
+    for (const GroupChunkOut &co : chunkOuts) {
+        result.fp.batches += co.batches;
+        for (const Verdict &v : co.verdicts)
+            classVerdict[static_cast<std::size_t>(
+                plan.classList()[pos++])] = &v;
+    }
+    for (std::size_t k = 0; k < s.faults.size(); ++k) {
+        const Verdict &v =
+            *classVerdict[static_cast<std::size_t>(s.col.classOf[k])];
+        FaultResult &fr = result.faults[k];
+        fr.outcome = outcomeOf(v);
+        fr.unsafePatterns = v.unsafePatterns;
+        switch (fr.outcome) {
+          case Outcome::Untestable: ++result.numUntestable; break;
+          case Outcome::Detected:   ++result.numDetected; break;
+          case Outcome::Unsafe:     ++result.numUnsafe; break;
+        }
+    }
+
+    result.stats = eng.endCampaign(
+        s.faults.size(),
+        static_cast<std::uint64_t>(s.col.simulatedClasses()),
+        s.numPatterns);
     return result;
 }
 
@@ -454,46 +354,14 @@ runAlternatingCampaignShard(const Netlist &net,
                             const engine::ShardSpec &shard,
                             const CheckpointOptions &ckpt)
 {
-    if (!net.isCombinational())
-        throw std::invalid_argument("campaign needs combinational netlist");
-    if (opts.checkAlternating && net.numInputs() <= 20 &&
-        !sim::isAlternatingNetwork(net))
-        throw std::invalid_argument(
-            "campaign target is not an alternating network "
-            "(some output is not self-dual)");
-
-    const int ni = net.numInputs();
-    const bool exhaustive =
-        ni < 63 && (std::uint64_t{1} << ni) <= opts.maxPatterns;
-    const std::uint64_t num_patterns =
-        exhaustive ? (std::uint64_t{1} << ni) : opts.maxPatterns;
-
-    if (opts.lanes != 0 && opts.lanes != 64 && opts.lanes != 256 &&
-        opts.lanes != 512)
-        throw std::invalid_argument("lanes must be 0 (auto), 64, 256 or 512");
-    const sim::SimdTarget simd = sim::resolveSimdTarget(opts.simd);
-    const int lane_words = opts.lanes == 0
-                               ? sim::defaultLaneWords(simd)
-                               : sim::laneWordsForLanes(opts.lanes);
-
     // The shard universe is the fault-parallel plan's *group* space:
     // batches never straddle a group, groups map to contiguous class
-    // positions, and the plan is a pure function of (netlist, knobs),
-    // so every process derives the same split. Class verdicts are
+    // positions, and the plan is a pure function of the netlist, so
+    // every process derives the same split. Class verdicts are
     // batch-composition-independent (the PR 7 equivalence contract),
     // which is what licenses re-planning per shard.
-    const std::vector<Fault> faults = net.allFaults();
-    const sim::FlatNetlist flat(net);
-    const std::vector<PatternBlock> blocks =
-        buildBlocks(ni, exhaustive, num_patterns, opts.seed, lane_words);
-
-    CollapseOptions copts;
-    copts.constRefine = opts.dominance;
-    copts.dominance = opts.dominance;
-    const CollapseResult col = collapseFaults(net, copts);
-    const sim::FaultBatchPlan plan(flat, faults, col.classOf,
-                                   col.representatives, col.pruned,
-                                   opts.cpt);
+    const CombSetup s(net, opts);
+    const sim::FaultBatchPlan &plan = s.plan;
 
     // Cost-weighted split: groups carry the plan's per-group cone
     // costs, so each shard owns ~equal simulation work instead of
@@ -504,19 +372,20 @@ runAlternatingCampaignShard(const Netlist &net,
     const int g0 = static_cast<int>(slice.begin);
     const int g1 = static_cast<int>(slice.end);
 
-    const std::uint64_t net_hash = netlist::contentHash(net);
-    const std::string config_key = canonicalCampaignConfig(opts);
-    std::string shape_key = "comb;fb=";
-    shape_key += opts.faultBatch ? '1' : '0';
-    shape_key += ";cpt=";
-    shape_key += opts.cpt ? '1' : '0';
-    shape_key += ";dom=";
-    shape_key += opts.dominance ? '1' : '0';
-
     ShardOutcome out;
     out.units = slice.size();
     out.shardClasses = static_cast<int>(plan.classOffset(g1) -
                                         plan.classOffset(g0));
+
+    // The run's identity: what a resume snapshot must match, and the
+    // header every snapshot of this run carries.
+    engine::SnapshotHeader id;
+    id.kind = "comb";
+    id.netHash = netlist::contentHash(net);
+    id.configKey = canonicalCampaignConfig(opts);
+    id.shapeKey = "comb";
+    id.shard = shard;
+    id.units = out.units;
 
     // every < 0 = auto cadence: ~16 snapshots across this shard with
     // a 64-class floor. Snapshots are self-contained (all records so
@@ -533,8 +402,8 @@ runAlternatingCampaignShard(const Netlist &net,
     // allFaults()), so record order is a pure function of positions.
     std::vector<std::vector<std::uint32_t>> classFaults(
         static_cast<std::size_t>(plan.numClasses()));
-    for (std::size_t k = 0; k < faults.size(); ++k)
-        classFaults[static_cast<std::size_t>(col.classOf[k])].push_back(
+    for (std::size_t k = 0; k < s.faults.size(); ++k)
+        classFaults[static_cast<std::size_t>(s.col.classOf[k])].push_back(
             static_cast<std::uint32_t>(k));
 
     std::vector<shard_detail::CombRecord> records;
@@ -543,27 +412,8 @@ runAlternatingCampaignShard(const Netlist &net,
 
     if (ckpt.resume) {
         std::vector<std::uint8_t> payload;
-        const engine::SnapshotHeader h = engine::decodeSnapshot(
-            *ckpt.resume, &payload, ckpt.resumeName);
-        if (h.kind != "comb")
-            throw engine::SnapshotError(ckpt.resumeName +
-                                        ": not a comb campaign snapshot");
-        if (h.netHash != net_hash)
-            throw engine::SnapshotError(
-                ckpt.resumeName +
-                ": snapshot is for a different circuit");
-        if (h.configKey != config_key)
-            throw engine::SnapshotError(
-                ckpt.resumeName + ": config mismatch (snapshot '" +
-                h.configKey + "', run '" + config_key + "')");
-        if (h.shapeKey != shape_key || h.units != out.units)
-            throw engine::SnapshotError(
-                ckpt.resumeName +
-                ": work-shape mismatch; rerun without --resume");
-        if (!(h.shard == shard))
-            throw engine::SnapshotError(
-                ckpt.resumeName + ": snapshot is shard " + h.shard.str() +
-                ", not " + shard.str());
+        const engine::SnapshotHeader h = engine::decodeResumeSnapshot(
+            *ckpt.resume, id, &payload, ckpt.resumeName);
         shard_detail::CombPayload p =
             shard_detail::decodeCombPayload(payload, ckpt.resumeName);
         records = std::move(p.records);
@@ -574,18 +424,12 @@ runAlternatingCampaignShard(const Netlist &net,
 
     auto buildSnapshot = [&](std::uint64_t cur, bool complete) {
         shard_detail::CombPayload p;
-        p.patternsApplied = num_patterns;
-        p.lanes = 64 * lane_words;
-        p.simd = sim::simdTargetName(simd);
+        p.patternsApplied = s.numPatterns;
+        p.lanes = 64 * s.laneWords;
+        p.simd = sim::simdTargetName(s.simd);
         p.batches = batches;
         p.records = records;
-        engine::SnapshotHeader h;
-        h.kind = "comb";
-        h.netHash = net_hash;
-        h.configKey = config_key;
-        h.shapeKey = shape_key;
-        h.shard = shard;
-        h.units = out.units;
+        engine::SnapshotHeader h = id;
         h.cursor = cur;
         h.complete = complete;
         return engine::encodeSnapshot(h,
@@ -599,28 +443,8 @@ runAlternatingCampaignShard(const Netlist &net,
             out.partial = std::move(snap);
     };
 
-    const int jobs = engine::resolveJobs(opts.jobs);
-    std::unique_ptr<engine::CampaignEngine> eng;
-    engine::ProgressTracker serialProgress;
-    engine::ProgressTracker *progress = nullptr;
-    if (jobs > 1) {
-        engine::EngineOptions eopts;
-        eopts.jobs = jobs;
-        eopts.chunksPerWorker = opts.chunksPerWorker;
-        eopts.progressInterval = opts.progressInterval;
-        eopts.progressCallback = opts.progressCallback;
-        eng.reset(new engine::CampaignEngine(eopts));
-        eng->beginCampaign(static_cast<std::uint64_t>(out.shardClasses));
-        progress = &eng->progress();
-    } else {
-        serialProgress.start(static_cast<std::uint64_t>(out.shardClasses));
-        if (opts.progressInterval.count() > 0)
-            serialProgress.startReporter(opts.progressInterval,
-                                         opts.progressCallback);
-        progress = &serialProgress;
-    }
-
-    const std::vector<std::uint64_t> &costs = plan.groupCosts();
+    engine::CampaignEngine eng(engineOptions(opts));
+    eng.beginCampaign(static_cast<std::uint64_t>(out.shardClasses));
     while (cursor < out.units) {
         // Advance the block to cover >= `every` classes, always on
         // a group boundary so class positions stay contiguous.
@@ -637,25 +461,10 @@ runAlternatingCampaignShard(const Netlist &net,
 
         std::vector<GroupChunkOut> chunkOuts;
         try {
-            if (eng) {
-                const std::vector<std::uint64_t> wslice(
-                    costs.begin() + gb, costs.begin() + ge);
-                chunkOuts = eng->mapWeightedChunks<GroupChunkOut>(
-                    wslice, [&](engine::Chunk chunk, std::size_t) {
-                        return classifyGroupChunk(
-                            flat, plan,
-                            gb + static_cast<int>(chunk.begin),
-                            gb + static_cast<int>(chunk.end), blocks,
-                            opts, lane_words, progress);
-                    });
-            } else {
-                chunkOuts.push_back(classifyGroupChunk(
-                    flat, plan, gb, ge, blocks, opts, lane_words,
-                    progress));
-            }
+            chunkOuts = classifyGroups(s, opts, eng, gb, ge);
         } catch (const engine::CampaignCancelled &) {
-            // Satellite: an interrupt lands a final checkpoint at the
-            // last completed block instead of discarding the work.
+            // An interrupt lands a final checkpoint at the last
+            // completed block instead of discarding the work.
             if (ckpt.sink)
                 ckpt.sink(buildSnapshot(cursor, false), false);
             throw;
@@ -668,16 +477,11 @@ runAlternatingCampaignShard(const Netlist &net,
             batches += co.batches;
             for (const Verdict &v : co.verdicts) {
                 const int cid = plan.classList()[pos++];
-                Outcome o = Outcome::Untestable;
-                if (v.unsafe)
-                    o = Outcome::Unsafe;
-                else if (v.tested)
-                    o = Outcome::Detected;
                 for (const std::uint32_t k :
                      classFaults[static_cast<std::size_t>(cid)]) {
                     shard_detail::CombRecord rec;
                     rec.faultIndex = k;
-                    rec.outcome = static_cast<std::uint8_t>(o);
+                    rec.outcome = static_cast<std::uint8_t>(outcomeOf(v));
                     rec.unsafePatterns = v.unsafePatterns;
                     records.push_back(std::move(rec));
                 }
@@ -699,23 +503,9 @@ runAlternatingCampaignShard(const Netlist &net,
         emit(0, true); // empty trailing shard still publishes a partial
 
     out.shardFaults = static_cast<int>(records.size());
-    if (eng) {
-        out.stats = eng->endCampaign(
-            static_cast<std::uint64_t>(out.shardFaults),
-            static_cast<std::uint64_t>(out.shardClasses), num_patterns);
-    } else {
-        serialProgress.stopReporter();
-        const auto s = serialProgress.snapshot();
-        out.stats.jobs = 1;
-        out.stats.totalFaults =
-            static_cast<std::uint64_t>(out.shardFaults);
-        out.stats.simulatedFaults =
-            static_cast<std::uint64_t>(out.shardClasses);
-        out.stats.patternsApplied = num_patterns;
-        out.stats.elapsedSeconds = s.elapsedSeconds;
-        out.stats.faultsPerSecond = s.faultsPerSecond();
-        out.stats.patternsPerSecond = s.patternsPerSecond();
-    }
+    out.stats = eng.endCampaign(
+        static_cast<std::uint64_t>(out.shardFaults),
+        static_cast<std::uint64_t>(out.shardClasses), s.numPatterns);
     return out;
 }
 

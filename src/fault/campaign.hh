@@ -5,15 +5,19 @@
  * alternating input pair (X, X̄) and classify the fault per the
  * self-checking definitions of Chapter 2/3.
  *
- * Campaigns route through the parallel engine (src/engine): the fault
- * universe is equivalence-collapsed, sharded into chunks, and each
- * chunk is simulated by a worker with the packed evaluator at 64, 256
- * or 512 lanes per replay (see `lanes`/`simd` below). Results are
- * merged deterministically, and the pattern->lane mapping preserves
- * the global pattern order, so the same (netlist, seed, maxPatterns)
+ * There is one pipeline: the fault universe is collapsed (const-
+ * refined equivalence plus dominance pruning), its classes are routed
+ * through the fault-parallel plan (FFR flip batching, critical-path
+ * tracing, pruning; sim/batch_sim.hh), and the plan's groups are
+ * chunked across the parallel engine (src/engine), each chunk
+ * classified at 64, 256 or 512 lanes per replay (see `lanes`/`simd`
+ * below). jobs == 1 is the same pipeline with the engine's single
+ * chunk run on the calling thread. Results are merged
+ * deterministically, and the pattern->lane mapping preserves the
+ * global pattern order, so the same (netlist, seed, maxPatterns)
  * triple yields a bit-identical CampaignResult at any jobs count, any
- * lane width, and any SIMD dispatch target. jobs == 1 runs the
- * original single-threaded loop.
+ * lane width, and any SIMD dispatch target. The per-fault reference
+ * loop the equivalence suites compare against lives in tests/oracle/.
  */
 
 #ifndef SCAL_FAULT_CAMPAIGN_HH
@@ -47,12 +51,10 @@ struct CampaignOptions
      */
     bool checkAlternating = true;
     /**
-     * Worker threads: 0 = hardware_concurrency, 1 = the serial
-     * reference path (no collapsing, no pool).
+     * Worker threads: 0 = hardware_concurrency, 1 = run on the
+     * calling thread (no pool). Verdicts are identical either way.
      */
     int jobs = 0;
-    /** Oversubscription factor for the engine's shard plan. */
-    int chunksPerWorker = 4;
     /**
      * Period of the engine's stderr progress line; zero (default)
      * disables reporting.
@@ -78,26 +80,6 @@ struct CampaignOptions
      * this callback instead of the default stderr line.
      */
     engine::ProgressTracker::Callback progressCallback;
-    /**
-     * @name Fault-parallel fast paths
-     * Purely performance knobs: any combination yields verdicts
-     * bit-identical to the all-off reference path (asserted by
-     * tests/test_fault_parallel_equiv.cc). With all three off the
-     * campaign runs the legacy per-fault code.
-     */
-    /** @{ */
-    /** Pack fault classes with pairwise-disjoint fanout cones into
-     *  one simulation pass per pattern block. */
-    bool faultBatch = true;
-    /** Critical-path tracing: classify fanout-free-region-interior
-     *  faults from the cached good values plus the region root's flip
-     *  response — no cone replay at all. */
-    bool cpt = true;
-    /** Const-refined equivalence chains plus structural dominance
-     *  pruning (fault/collapse.hh): classes whose faults are forced
-     *  Untestable are skipped instead of simulated. */
-    bool dominance = true;
-    /** @} */
 };
 
 /**
@@ -108,8 +90,6 @@ struct CampaignOptions
  */
 struct FaultParallelStats
 {
-    /** False when the campaign ran the legacy per-fault path. */
-    bool enabled = false;
     int totalFaults = 0;
     /** Equivalence classes after collapsing. */
     int classes = 0;

@@ -121,37 +121,21 @@ runMultiFaultCampaign(const Netlist &net, int multiplicity,
     const std::vector<std::vector<std::uint64_t>> blocks =
         packPatternBlocks(ni);
 
-    // Draw every trial's fault set up front: the Rng stream is the
-    // same one the serial loop consumed, so the sampled fault space
-    // is independent of the jobs count.
+    // Draw every trial's fault set up front from one Rng stream, so
+    // the sampled fault space is independent of the jobs count.
     std::vector<MultiFault> drawn;
     drawn.reserve(static_cast<std::size_t>(std::max(trials, 0)));
     for (int t = 0; t < trials; ++t)
         drawn.push_back(
             randomMultiFault(net, multiplicity, unidirectional, rng));
 
-    MultiFaultCampaignResult res;
-    const int workers = engine::resolveJobs(jobs);
-    if (workers <= 1 || drawn.size() < 2) {
-        sim::FaultSimulator fs(flat);
-        for (const MultiFault &mf : drawn) {
-            ++res.trials;
-            switch (classifyTrial(fs, blocks, patterns, mf)) {
-              case TrialOutcome::Unsafe:   ++res.unsafe; break;
-              case TrialOutcome::Detected: ++res.detected; break;
-              case TrialOutcome::Masked:   ++res.masked; break;
-            }
-        }
-        return res;
-    }
-
     engine::EngineOptions eopts;
-    eopts.jobs = workers;
+    eopts.jobs = jobs;
     eopts.minGrain = 1;
     engine::CampaignEngine eng(eopts);
     eng.beginCampaign(drawn.size());
 
-    auto chunkCounts = eng.mapChunks<MultiFaultCampaignResult>(
+    const auto chunkCounts = eng.mapChunks<MultiFaultCampaignResult>(
         drawn.size(), [&](engine::Chunk chunk, std::size_t) {
             sim::FaultSimulator fs(flat);
             MultiFaultCampaignResult part;
@@ -167,6 +151,7 @@ runMultiFaultCampaign(const Netlist &net, int multiplicity,
             return part;
         });
 
+    MultiFaultCampaignResult res;
     for (const MultiFaultCampaignResult &part : chunkCounts) {
         res.trials += part.trials;
         res.masked += part.masked;

@@ -44,9 +44,9 @@ struct MultiFaultCampaignResult
  * @p multiplicity, each classified over every alternating input pair
  * (exhaustive in the inputs, sampled in the fault space).
  *
- * With @p jobs != 1 the trial fault sets are drawn up front (same Rng
- * stream as the serial loop) and classified in parallel through the
- * campaign engine; the outcome counts are identical at any jobs count
+ * The trial fault sets are drawn up front from one Rng stream and
+ * classified through the campaign engine (on the calling thread at
+ * jobs == 1); the outcome counts are identical at any jobs count
  * because each trial's classification is independent. jobs == 0 means
  * hardware_concurrency.
  * @pre net is combinational with <= 16 inputs and self-dual outputs.

@@ -51,8 +51,6 @@ campaignVerdictJson(const netlist::Netlist &net,
     std::ostringstream os;
     os << "{\n"
        << "  \"patterns_applied\": " << res.patternsApplied << ",\n"
-       << "  \"lanes\": " << res.lanes << ",\n"
-       << "  \"simd\": \"" << sim::simdTargetName(res.simd) << "\",\n"
        << "  \"faults\": " << res.faults.size() << ",\n"
        << "  \"detected\": " << res.numDetected << ",\n"
        << "  \"unsafe\": " << res.numUnsafe << ",\n"
@@ -79,14 +77,16 @@ campaignVerdictJson(const netlist::Netlist &net,
 std::string
 campaignTailJson(const CampaignResult &res)
 {
-    // The fault-parallel breakdown lives in the tail, not the
-    // verdict: `batches` is jobs-dependent and the class counts vary
-    // with the pruning knobs, so putting them in the verdict would
-    // break the byte-stability of cached results across those axes.
+    // Lane width, kernel build and the fault-parallel breakdown live
+    // in the tail, not the verdict: the verdict is identical at every
+    // width and on every host, and `batches` is jobs-dependent, so
+    // putting them in the verdict would give one cache entry
+    // host-dependent bytes.
     std::ostringstream os;
-    os << "  \"fault_parallel\": {\"enabled\": "
-       << (res.fp.enabled ? "true" : "false")
-       << ", \"total_faults\": " << res.fp.totalFaults
+    os << "  \"lanes\": " << res.lanes << ",\n"
+       << "  \"simd\": \"" << sim::simdTargetName(res.simd) << "\",\n"
+       << "  \"fault_parallel\": {\"total_faults\": "
+       << res.fp.totalFaults
        << ", \"classes\": " << res.fp.classes
        << ", \"pruned_classes\": " << res.fp.prunedClasses
        << ", \"pruned_faults\": " << res.fp.prunedFaults
@@ -108,7 +108,6 @@ seqCampaignVerdictJson(const netlist::Netlist &net,
     os << "{\n"
        << "  \"symbols\": " << res.symbols << ",\n"
        << "  \"lanes\": " << res.lanes << ",\n"
-       << "  \"simd\": \"" << sim::simdTargetName(res.simd) << "\",\n"
        << "  \"faults\": " << res.faults.size() << ",\n"
        << "  \"detected\": " << res.numDetected << ",\n"
        << "  \"unsafe\": " << res.numUnsafe << ",\n"
@@ -143,12 +142,13 @@ seqCampaignVerdictJson(const netlist::Netlist &net,
 std::string
 seqCampaignTailJson(const SeqCampaignResult &res)
 {
-    // Like the combinational tail's fault_parallel block: batch and
-    // class counts move with the batching/collapse knobs and the
-    // memo counters with call history, so none of it may enter the
-    // deterministic verdict block.
+    // Like the combinational tail: the kernel build is host-dependent,
+    // batch and class counts move with the batching/collapse knobs
+    // and the memo counters with call history, so none of it may
+    // enter the deterministic verdict block.
     std::ostringstream os;
-    os << "  \"periods_simulated\": " << res.periodsSimulated << ",\n"
+    os << "  \"simd\": \"" << sim::simdTargetName(res.simd) << "\",\n"
+       << "  \"periods_simulated\": " << res.periodsSimulated << ",\n"
        << "  \"periods_skipped\": " << res.periodsSkipped << ",\n"
        << "  \"pruned_classes\": " << res.prunedClasses << ",\n"
        << "  \"pruned_faults\": " << res.prunedFaults << ",\n"
@@ -186,9 +186,7 @@ canonicalCampaignConfig(const CampaignOptions &opts)
     os << "comb;max_patterns=" << opts.maxPatterns
        << ";seed=" << opts.seed
        << ";keep_unsafe=" << opts.keepUnsafeExamples
-       << ";check_alternating=" << (opts.checkAlternating ? 1 : 0)
-       << ";lanes=" << opts.lanes
-       << ";simd=" << sim::simdTargetName(opts.simd);
+       << ";check_alternating=" << (opts.checkAlternating ? 1 : 0);
     return os.str();
 }
 
@@ -198,9 +196,8 @@ canonicalSeqCampaignConfig(const SeqCampaignOptions &opts,
 {
     std::ostringstream os;
     os << "seq;symbols=" << opts.symbols << ";seed=" << opts.seed
-       << ";lanes=" << opts.lanes
-       << ";simd=" << sim::simdTargetName(opts.simd)
-       << ";window=" << opts.faultStart << ":" << opts.faultEnd
+       << ";lanes=" << opts.lanes << ";window=" << opts.faultStart
+       << ":" << opts.faultEnd
        << ";drop=" << (opts.dropDetected ? 1 : 0)
        << ";phi=" << spec.phiInput << ";hold=";
     emitList(os, normalized(spec.holdInputs));

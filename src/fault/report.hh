@@ -5,19 +5,23 @@
  *
  *  - the *verdict* JSON: every deterministic field of a campaign
  *    result. Bit-identical for the same (netlist, config) at any jobs
- *    count, lane width or SIMD target — this is what the daemon's
- *    content-addressed cache stores and what the byte-identity tests
- *    compare.
- *  - the *tail* JSON fields: wall-clock stats and kernel work
- *    counters, explicitly outside the determinism contract. The CLI
- *    splices them into the verdict with withTailFields() for the
- *    traditional `--json` output.
+ *    count and SIMD target, and for combinational campaigns at any
+ *    lane width — this is what the daemon's content-addressed cache
+ *    stores and what the byte-identity tests compare.
+ *  - the *tail* JSON fields: the lane width and SIMD target a run
+ *    resolved to, wall-clock stats and kernel work counters,
+ *    explicitly outside the determinism contract. The CLI splices
+ *    them into the verdict with withTailFields() for the traditional
+ *    `--json` output.
  *  - the canonical *config key*: a stable text encoding of every
  *    verdict-affecting option, used (with netlist::contentHash) as
- *    the verdict cache key. Performance-only knobs (jobs,
- *    chunksPerWorker, progress plumbing) are excluded on purpose:
- *    results are bit-identical across them, so cached verdicts are
- *    shared across those axes.
+ *    the verdict cache key. Options that only change how the work is
+ *    done are excluded on purpose: jobs, the SIMD target, the
+ *    combinational lane width, the sequential batching and collapse
+ *    knobs, and the progress plumbing. Results are bit-identical
+ *    across them, so cached verdicts are shared across those axes.
+ *    Sequential `lanes` stays in the key: it sets the number of
+ *    independent random streams, so it is part of the experiment.
  */
 
 #ifndef SCAL_FAULT_REPORT_HH
@@ -37,15 +41,16 @@ std::string campaignVerdictJson(const netlist::Netlist &net,
                                 const CampaignResult &res);
 
 /** Non-deterministic tail fields for the combinational verdict
- *  (currently just `"stats"`); no surrounding braces or newline. */
+ *  (lanes, simd, the fault-parallel breakdown and `"stats"`); no
+ *  surrounding braces or newline. */
 std::string campaignTailJson(const CampaignResult &res);
 
 /** Deterministic sequential verdict JSON (multi-line, ends "}\n"). */
 std::string seqCampaignVerdictJson(const netlist::Netlist &net,
                                    const SeqCampaignResult &res);
 
-/** Non-deterministic tail fields for the sequential verdict
- *  (periods simulated/skipped and `"stats"`). */
+/** Non-deterministic tail fields for the sequential verdict (simd,
+ *  work counters and `"stats"`). */
 std::string seqCampaignTailJson(const SeqCampaignResult &res);
 
 /**
@@ -57,7 +62,8 @@ std::string seqCampaignTailJson(const SeqCampaignResult &res);
 std::string withTailFields(std::string verdict,
                            const std::string &tailFields);
 
-/** Canonical config key of a combinational campaign (jobs excluded). */
+/** Canonical config key of a combinational campaign (jobs, lanes and
+ *  SIMD target excluded). */
 std::string canonicalCampaignConfig(const CampaignOptions &opts);
 
 /**

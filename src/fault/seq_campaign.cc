@@ -88,8 +88,8 @@ std::vector<RepVerdict>
 classifySeqChunk(const sim::SeqGoodTrace &trace, const ResolvedSpec &rs,
                  const std::vector<Fault> &faults, std::size_t begin,
                  std::size_t end, const SeqCampaignOptions &opts,
-                 engine::ProgressTracker *progress,
-                 const std::uint8_t *pruned = nullptr)
+                 engine::ProgressTracker &progress,
+                 const std::uint8_t *pruned)
 {
     sim::SeqFaultSimulator fsim(trace);
     const int no = trace.flat().numOutputs();
@@ -166,15 +166,12 @@ classifySeqChunk(const sim::SeqGoodTrace &trace, const ResolvedSpec &rs,
         }
         rv.periodsSimulated = fsim.periodsSimulated();
         rv.periodsSkipped = fsim.periodsSkipped();
-        if (progress) {
-            progress->addPatterns(
-                static_cast<std::uint64_t>(fsim.periodsSimulated()));
-            if (rv.outcome == Outcome::Unsafe)
-                progress->addUnsafe(1);
-        }
+        progress.addPatterns(
+            static_cast<std::uint64_t>(fsim.periodsSimulated()));
+        if (rv.outcome == Outcome::Unsafe)
+            progress.addUnsafe(1);
     }
-    if (progress)
-        progress->addFaultsDone(end - begin);
+    progress.addFaultsDone(end - begin);
     return out;
 }
 
@@ -273,6 +270,16 @@ finalizeSeqResult(SeqCampaignResult &result,
             static_cast<double>(result.alarmLaneCount);
 }
 
+engine::EngineOptions
+engineOptions(const SeqCampaignOptions &opts)
+{
+    engine::EngineOptions eopts;
+    eopts.jobs = opts.jobs;
+    eopts.progressInterval = opts.progressInterval;
+    eopts.progressCallback = opts.progressCallback;
+    return eopts;
+}
+
 } // namespace
 
 /**
@@ -356,7 +363,7 @@ BatchChunkOut
 classifySeqBatchChunk(SeqCampaignContext::Impl &cx,
                       const ResolvedSpec &rs, std::size_t begin,
                       std::size_t end, const SeqCampaignOptions &opts,
-                      engine::ProgressTracker *progress, bool memo)
+                      engine::ProgressTracker &progress, bool memo)
 {
     BatchChunkOut out;
     const int Wg = rs.laneWords;
@@ -470,17 +477,15 @@ classifySeqBatchChunk(SeqCampaignContext::Impl &cx,
                     rv.latSum += static_cast<std::uint64_t>(p);
                 }
             }
-            if (progress && rv.outcome == Outcome::Unsafe)
-                progress->addUnsafe(1);
+            if (rv.outcome == Outcome::Unsafe)
+                progress.addUnsafe(1);
             out.verdicts.emplace_back(
                 cx.siteRep[static_cast<std::size_t>(members[i])],
                 std::move(rv));
         }
-        if (progress) {
-            progress->addPatterns(static_cast<std::uint64_t>(
-                bsim.periodsSimulated() - ps0));
-            progress->addFaultsDone(static_cast<std::size_t>(nf));
-        }
+        progress.addPatterns(
+            static_cast<std::uint64_t>(bsim.periodsSimulated() - ps0));
+        progress.addFaultsDone(static_cast<std::size_t>(nf));
     }
     return out;
 }
@@ -634,18 +639,13 @@ runSeqBatchCampaign(const Netlist &net, const SeqCampaignSpec &spec,
     result.batchedClasses = static_cast<int>(cx.sites.size());
     result.batches = static_cast<int>(cx.plan.batches.size());
 
-    engine::EngineOptions eopts;
-    eopts.jobs = engine::resolveJobs(opts.jobs);
-    eopts.chunksPerWorker = opts.chunksPerWorker;
-    eopts.progressInterval = opts.progressInterval;
-    eopts.progressCallback = opts.progressCallback;
-    engine::CampaignEngine eng(eopts);
+    engine::CampaignEngine eng(engineOptions(opts));
     eng.beginCampaign(cx.col.representatives.size());
 
     const auto chunkOuts = eng.mapWeightedChunks<BatchChunkOut>(
         cx.plan.weights, [&](engine::Chunk chunk, std::size_t) {
             return classifySeqBatchChunk(cx, rs, chunk.begin, chunk.end,
-                                         opts, &eng.progress(), memo);
+                                         opts, eng.progress(), memo);
         });
 
     // Pruned classes keep the default (Untestable, no alarms)
@@ -780,37 +780,7 @@ runSequentialCampaign(const Netlist &net, const SeqCampaignSpec &spec,
         static_cast<std::uint64_t>(opts.symbols) *
         static_cast<std::uint64_t>(lanes);
 
-    const int jobs = engine::resolveJobs(opts.jobs);
-    if (jobs <= 1) {
-        // Serial reference path: every fault simulated individually.
-        engine::ProgressTracker progress;
-        progress.start(faults.size());
-        if (opts.progressInterval.count() > 0)
-            progress.startReporter(opts.progressInterval,
-                                   opts.progressCallback);
-        const std::vector<RepVerdict> verdicts = classifySeqChunk(
-            trace, rs, faults, 0, faults.size(), ropts, &progress);
-        progress.stopReporter();
-        std::vector<const RepVerdict *> verdictOf(faults.size());
-        for (std::size_t k = 0; k < faults.size(); ++k) {
-            verdictOf[k] = &verdicts[k];
-            result.periodsSimulated += verdicts[k].periodsSimulated;
-            result.periodsSkipped += verdicts[k].periodsSkipped;
-        }
-        finalizeSeqResult(result, verdictOf);
-        const auto s = progress.snapshot();
-        result.stats.jobs = 1;
-        result.stats.totalFaults = faults.size();
-        result.stats.simulatedFaults = faults.size();
-        result.stats.patternsApplied = lane_symbols;
-        result.stats.collapseRatio = 1.0;
-        result.stats.elapsedSeconds = s.elapsedSeconds;
-        result.stats.faultsPerSecond = s.faultsPerSecond();
-        result.stats.patternsPerSecond = s.patternsPerSecond();
-        return result;
-    }
-
-    // Parallel path: collapse, shard the representatives, merge in
+    // Per-fault route: collapse, shard the representatives, merge in
     // chunk order, expand class verdicts over allFaults() order. The
     // collapsing equivalences are all same-line-function equivalences
     // (Dffs collapse nothing), so they hold per period and therefore
@@ -829,12 +799,7 @@ runSequentialCampaign(const Netlist &net, const SeqCampaignSpec &spec,
     const std::uint8_t *pruned =
         col.pruned.empty() ? nullptr : col.pruned.data();
 
-    engine::EngineOptions eopts;
-    eopts.jobs = jobs;
-    eopts.chunksPerWorker = opts.chunksPerWorker;
-    eopts.progressInterval = opts.progressInterval;
-    eopts.progressCallback = opts.progressCallback;
-    engine::CampaignEngine eng(eopts);
+    engine::CampaignEngine eng(engineOptions(opts));
     eng.beginCampaign(col.representatives.size());
 
     auto chunkVerdicts = eng.mapChunks<std::vector<RepVerdict>>(
@@ -842,7 +807,7 @@ runSequentialCampaign(const Netlist &net, const SeqCampaignSpec &spec,
         [&](engine::Chunk chunk, std::size_t) {
             return classifySeqChunk(trace, rs, col.representatives,
                                     chunk.begin, chunk.end, ropts,
-                                    &eng.progress(), pruned);
+                                    eng.progress(), pruned);
         });
 
     std::vector<const RepVerdict *> repVerdict;
@@ -915,15 +880,21 @@ runSequentialCampaignShard(const Netlist &net,
 
     const bool batchPath = opts.faultBatch && W < sim::kMaxLaneWords;
 
-    const std::uint64_t net_hash = netlist::contentHash(net);
-    const std::string config_key = canonicalSeqCampaignConfig(opts, spec);
+    // The run's identity: what a resume snapshot must match, and the
+    // header every snapshot of this run carries (units is set below,
+    // once the route has sliced its work).
+    engine::SnapshotHeader id;
+    id.kind = "seq";
+    id.netHash = netlist::contentHash(net);
+    id.configKey = canonicalSeqCampaignConfig(opts, spec);
     std::ostringstream sk;
     sk << "seq;fb=" << (batchPath ? 1 : 0)
        << ";dom=" << (ropts.dominance ? 1 : 0)
        << ";seqdom=" << (ropts.seqDominance ? 1 : 0)
        << ";seqtf=" << (colOpts.seqTimeFrame ? 1 : 0)
        << ";lanes=" << lanes;
-    const std::string shape_key = sk.str();
+    id.shapeKey = sk.str();
+    id.shard = shard;
 
     const std::vector<Fault> faults = net.allFaults();
     std::vector<std::vector<std::uint32_t>> classFaults(numClasses);
@@ -992,6 +963,7 @@ runSequentialCampaignShard(const Netlist &net,
         out.units = c1 - c0;
     }
     out.shardClasses = static_cast<int>(c1 - c0);
+    id.units = out.units;
 
     // every < 0 = auto cadence: ~16 snapshots across this shard with
     // a 64-class floor (snapshots are self-contained, so a fixed fine
@@ -1073,27 +1045,8 @@ runSequentialCampaignShard(const Netlist &net,
 
     if (ckpt.resume) {
         std::vector<std::uint8_t> payload;
-        const engine::SnapshotHeader h = engine::decodeSnapshot(
-            *ckpt.resume, &payload, ckpt.resumeName);
-        if (h.kind != "seq")
-            throw engine::SnapshotError(
-                ckpt.resumeName + ": not a seq campaign snapshot");
-        if (h.netHash != net_hash)
-            throw engine::SnapshotError(
-                ckpt.resumeName +
-                ": snapshot is for a different circuit");
-        if (h.configKey != config_key)
-            throw engine::SnapshotError(
-                ckpt.resumeName + ": config mismatch (snapshot '" +
-                h.configKey + "', run '" + config_key + "')");
-        if (h.shapeKey != shape_key || h.units != out.units)
-            throw engine::SnapshotError(
-                ckpt.resumeName +
-                ": work-shape mismatch; rerun without --resume");
-        if (!(h.shard == shard))
-            throw engine::SnapshotError(
-                ckpt.resumeName + ": snapshot is shard " + h.shard.str() +
-                ", not " + shard.str());
+        const engine::SnapshotHeader h = engine::decodeResumeSnapshot(
+            *ckpt.resume, id, &payload, ckpt.resumeName);
         shard_detail::SeqPayload p =
             shard_detail::decodeSeqPayload(payload, ckpt.resumeName);
         records = std::move(p.records);
@@ -1126,13 +1079,7 @@ runSequentialCampaignShard(const Netlist &net,
             batchPath ? static_cast<int>(cx.plan.batches.size()) : 0;
         p.faultBatch = batchPath;
         p.records = records;
-        engine::SnapshotHeader h;
-        h.kind = "seq";
-        h.netHash = net_hash;
-        h.configKey = config_key;
-        h.shapeKey = shape_key;
-        h.shard = shard;
-        h.units = out.units;
+        engine::SnapshotHeader h = id;
         h.cursor = cur;
         h.complete = complete;
         return engine::encodeSnapshot(h,
@@ -1146,27 +1093,8 @@ runSequentialCampaignShard(const Netlist &net,
             out.partial = std::move(snap);
     };
 
-    const int jobs = engine::resolveJobs(opts.jobs);
-    std::unique_ptr<engine::CampaignEngine> eng;
-    engine::ProgressTracker serialProgress;
-    engine::ProgressTracker *progress = nullptr;
-    if (jobs > 1) {
-        engine::EngineOptions eopts;
-        eopts.jobs = jobs;
-        eopts.chunksPerWorker = opts.chunksPerWorker;
-        eopts.progressInterval = opts.progressInterval;
-        eopts.progressCallback = opts.progressCallback;
-        eng.reset(new engine::CampaignEngine(eopts));
-        eng->beginCampaign(static_cast<std::uint64_t>(out.shardClasses));
-        progress = &eng->progress();
-    } else {
-        serialProgress.start(static_cast<std::uint64_t>(out.shardClasses));
-        if (opts.progressInterval.count() > 0)
-            serialProgress.startReporter(opts.progressInterval,
-                                         opts.progressCallback);
-        progress = &serialProgress;
-    }
-
+    engine::CampaignEngine eng(engineOptions(opts));
+    eng.beginCampaign(static_cast<std::uint64_t>(out.shardClasses));
     const std::uint8_t *pruned =
         col.pruned.empty() ? nullptr : col.pruned.data();
     while (cursor < out.units) {
@@ -1185,21 +1113,15 @@ runSequentialCampaignShard(const Netlist &net,
 
             std::vector<BatchChunkOut> chunkOuts;
             try {
-                if (eng) {
-                    const std::vector<std::uint64_t> wslice(
+                chunkOuts = eng.mapWeightedChunks<BatchChunkOut>(
+                    std::vector<std::uint64_t>(
                         cx.plan.weights.begin() + b0,
-                        cx.plan.weights.begin() + b1);
-                    chunkOuts = eng->mapWeightedChunks<BatchChunkOut>(
-                        wslice, [&](engine::Chunk chunk, std::size_t) {
-                            return classifySeqBatchChunk(
-                                cx, rs, b0 + chunk.begin,
-                                b0 + chunk.end, ropts, progress,
-                                false);
-                        });
-                } else {
-                    chunkOuts.push_back(classifySeqBatchChunk(
-                        cx, rs, b0, b1, ropts, progress, false));
-                }
+                        cx.plan.weights.begin() + b1),
+                    [&](engine::Chunk chunk, std::size_t) {
+                        return classifySeqBatchChunk(
+                            cx, rs, b0 + chunk.begin, b0 + chunk.end,
+                            ropts, eng.progress(), false);
+                    });
             } catch (const engine::CampaignCancelled &) {
                 if (ckpt.sink)
                     ckpt.sink(buildSnapshot(cursor, false), false);
@@ -1224,22 +1146,13 @@ runSequentialCampaignShard(const Netlist &net,
 
             std::vector<std::vector<RepVerdict>> chunkOuts;
             try {
-                if (eng) {
-                    chunkOuts =
-                        eng->mapChunks<std::vector<RepVerdict>>(
-                            r1 - r0,
-                            [&](engine::Chunk chunk, std::size_t) {
-                                return classifySeqChunk(
-                                    *narrowTrace, rs,
-                                    col.representatives,
-                                    r0 + chunk.begin, r0 + chunk.end,
-                                    ropts, progress, pruned);
-                            });
-                } else {
-                    chunkOuts.push_back(classifySeqChunk(
-                        *narrowTrace, rs, col.representatives, r0, r1,
-                        ropts, progress, pruned));
-                }
+                chunkOuts = eng.mapChunks<std::vector<RepVerdict>>(
+                    r1 - r0, [&](engine::Chunk chunk, std::size_t) {
+                        return classifySeqChunk(
+                            *narrowTrace, rs, col.representatives,
+                            r0 + chunk.begin, r0 + chunk.end, ropts,
+                            eng.progress(), pruned);
+                    });
             } catch (const engine::CampaignCancelled &) {
                 if (ckpt.sink)
                     ckpt.sink(buildSnapshot(cursor, false), false);
@@ -1270,26 +1183,11 @@ runSequentialCampaignShard(const Netlist &net,
         emit(0, true); // empty trailing shard still publishes a partial
 
     out.shardFaults = static_cast<int>(records.size());
-    const std::uint64_t lane_symbols =
+    out.stats = eng.endCampaign(
+        static_cast<std::uint64_t>(out.shardFaults),
+        static_cast<std::uint64_t>(out.shardClasses),
         static_cast<std::uint64_t>(opts.symbols) *
-        static_cast<std::uint64_t>(lanes);
-    if (eng) {
-        out.stats = eng->endCampaign(
-            static_cast<std::uint64_t>(out.shardFaults),
-            static_cast<std::uint64_t>(out.shardClasses), lane_symbols);
-    } else {
-        serialProgress.stopReporter();
-        const auto s = serialProgress.snapshot();
-        out.stats.jobs = 1;
-        out.stats.totalFaults =
-            static_cast<std::uint64_t>(out.shardFaults);
-        out.stats.simulatedFaults =
-            static_cast<std::uint64_t>(out.shardClasses);
-        out.stats.patternsApplied = lane_symbols;
-        out.stats.elapsedSeconds = s.elapsedSeconds;
-        out.stats.faultsPerSecond = s.faultsPerSecond();
-        out.stats.patternsPerSecond = s.patternsPerSecond();
-    }
+            static_cast<std::uint64_t>(lanes));
     return out;
 }
 

@@ -9,8 +9,9 @@
  *
  * Campaigns route through the parallel engine exactly like the
  * combinational ones: fault collapsing, contiguous sharding,
- * chunk-ordered merge — the same (netlist, spec, options) triple
- * yields a bit-identical SeqCampaignResult at any jobs count
+ * chunk-ordered merge, with jobs == 1 running the engine's single
+ * chunk on the calling thread — the same (netlist, spec, options)
+ * triple yields a bit-identical SeqCampaignResult at any jobs count
  * (tests/test_seq_fault_sim_equiv.cc asserts this and the scalar
  * SeqSimulator oracle equality).
  *
@@ -94,7 +95,7 @@ struct SeqCampaignOptions
     bool dropDetected = true;
     /**
      * Const-refined equivalence collapsing plus structural dominance
-     * pruning on the parallel path: classes whose faults are forced
+     * pruning: classes whose faults are forced
      * Untestable (constant or unobservable line) skip simulation
      * outright. Purely a work saving — a pruned fault's machine is
      * trace-identical to the fault-free one, which the campaign has
@@ -121,8 +122,7 @@ struct SeqCampaignOptions
      * D-pin/output-stem time-frame equivalence. Exact like the
      * combinational rules, so verdicts are bit-identical either way;
      * only the class/pruned counts in the non-deterministic tail
-     * move. Ignored on the serial reference path (jobs == 1 with
-     * faultBatch off), which never collapses.
+     * move.
      */
     bool seqDominance = true;
     /**
@@ -135,9 +135,9 @@ struct SeqCampaignOptions
      * Verdict-neutral either way.
      */
     bool seqDominanceForce = false;
-    /** 0 = hardware_concurrency, 1 = serial (no collapsing). */
+    /** Worker threads: 0 = hardware_concurrency, 1 = run on the
+     *  calling thread (no pool). Verdicts are identical either way. */
     int jobs = 0;
-    int chunksPerWorker = 4;
     std::chrono::milliseconds progressInterval{0};
     /**
      * Cooperative cancellation: workers poll the token between fault
@@ -192,15 +192,14 @@ struct SeqCampaignResult
     /** Mean first-alarm period over those, in periods. */
     double meanAlarmPeriod = 0;
     /**
-     * Kernel work counters. These depend on collapsing (jobs > 1
-     * simulates representatives only), so unlike everything above
-     * they are NOT part of the determinism contract across jobs.
+     * Kernel work counters. These depend on collapsing and batching
+     * (only representatives are simulated), so unlike everything
+     * above they are NOT part of the determinism contract.
      */
     long periodsSimulated = 0;
     long periodsSkipped = 0;
     /** Classes (and the faults they cover) dominance-pruned instead
-     *  of simulated; 0 on the serial path. Non-deterministic across
-     *  jobs like the period counters above. */
+     *  of simulated. Work accounting like the period counters above. */
     int prunedClasses = 0;
     int prunedFaults = 0;
     /** @name Fault-parallel replay breakdown
@@ -208,7 +207,7 @@ struct SeqCampaignResult
      *  non-deterministic tail data like the period counters. */
     /** @{ */
     bool faultBatch = false; ///< the lane-batched path ran
-    int classes = 0;         ///< collapse classes (0 when uncollapsed)
+    int classes = 0;         ///< collapse classes
     int batchedClasses = 0;  ///< classes replayed lane-batched
     int batches = 0;         ///< lane batches formed
     long retiredEarly = 0;   ///< lane groups retired before stream end

@@ -263,10 +263,11 @@ mergeCampaignPartials(const netlist::Netlist &net,
             result.lanes = p.lanes;
             result.simd = parseSimdName(p.simd, name);
             first_payload = false;
-        } else if (p.patternsApplied != result.patternsApplied ||
-                   p.lanes != result.lanes) {
+        } else if (p.patternsApplied != result.patternsApplied) {
+            // Lane width and kernel build are verdict-neutral tail
+            // data, so shards run at different widths still merge.
             throw SnapshotError(name +
-                                ": pattern/lane header disagrees with " +
+                                ": pattern header disagrees with " +
                                 partialName(names, 0));
         }
         result.fp.batches += p.batches;
@@ -299,7 +300,6 @@ mergeCampaignPartials(const netlist::Netlist &net,
           case Outcome::Unsafe:     ++result.numUnsafe; break;
         }
     }
-    result.fp.enabled = true;
     result.fp.totalFaults = static_cast<int>(faults.size());
     return result;
 }
@@ -434,9 +434,6 @@ campaignWorkerArgs(const CampaignOptions &opts)
     pushFlag(&a, "--simd", sim::simdTargetName(opts.simd));
     if (opts.jobs != 0)
         pushFlag(&a, "--jobs", std::to_string(opts.jobs));
-    a.push_back(opts.faultBatch ? "--fault-batch" : "--no-fault-batch");
-    a.push_back(opts.cpt ? "--cpt" : "--no-cpt");
-    a.push_back(opts.dominance ? "--dominance" : "--no-dominance");
     return a;
 }
 

@@ -129,9 +129,9 @@ snapshotHeader(const std::vector<std::uint8_t> &bytes,
 
 /**
  * The scal_cli flag fragment that reproduces @p opts in a worker
- * process — every canonicalCampaignConfig field plus the perf knobs,
- * so a worker parsing these flags computes the identical config key
- * and work shape. Shared by `scal_cli shard-run` and the server's
+ * process — every canonicalCampaignConfig field plus lanes, SIMD
+ * target and jobs, so a worker parsing these flags computes the
+ * identical config key and work shape. Shared by `scal_cli shard-run` and the server's
  * orchestrated big-job path; exe / circuit / shard flags are the
  * caller's to prepend and append.
  */

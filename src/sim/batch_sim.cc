@@ -322,8 +322,8 @@ FaultBatchPlan::stats() const
 }
 
 BatchClassifier::BatchClassifier(FaultSimulator &sim,
-                                 const FaultBatchPlan &plan, bool batching)
-    : sim_(sim), plan_(plan), batching_(batching)
+                                 const FaultBatchPlan &plan)
+    : sim_(sim), plan_(plan)
 {
     const FlatNetlist &flat = plan.flat();
     const std::size_t n = static_cast<std::size_t>(flat.numGates());
@@ -362,12 +362,8 @@ BatchClassifier::setRange(int group_begin, int group_end)
             plan_.groupConeOff_[static_cast<std::size_t>(gi) + 1] -
             plan_.groupConeOff_[gi]);
         std::int32_t b = 0;
-        if (batching_) {
-            for (std::size_t i = 0; i < len; ++i)
-                b = std::max(b, lastBatch_[cone[i]] + 1);
-        } else {
-            b = static_cast<std::int32_t>(flipBatches_.size());
-        }
+        for (std::size_t i = 0; i < len; ++i)
+            b = std::max(b, lastBatch_[cone[i]] + 1);
         if (static_cast<std::size_t>(b) >= flipBatches_.size())
             flipBatches_.emplace_back();
         FlipBatch &fb = flipBatches_[static_cast<std::size_t>(b)];
@@ -391,12 +387,8 @@ BatchClassifier::setRange(int group_begin, int group_end)
             plan_.coneOff_[static_cast<std::size_t>(c) + 1] -
             plan_.coneOff_[c]);
         std::int32_t b = 0;
-        if (batching_) {
-            for (std::size_t i = 0; i < len; ++i)
-                b = std::max(b, lastBatch_[cone[i]] + 1);
-        } else {
-            b = static_cast<std::int32_t>(batches_.size());
-        }
+        for (std::size_t i = 0; i < len; ++i)
+            b = std::max(b, lastBatch_[cone[i]] + 1);
         if (static_cast<std::size_t>(b) >= batches_.size())
             batches_.emplace_back();
         Batch &bt = batches_[static_cast<std::size_t>(b)];

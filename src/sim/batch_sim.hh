@@ -196,11 +196,7 @@ class BatchClassifier
      *  plan.classList() and its verdict masks for the block. */
     using Emit = std::function<void(std::size_t, const WideMasks &)>;
 
-    /** @p batching packs disjoint-cone Sim classes per pass; when
-     *  false every Sim class runs in its own pass (the CPT/pruning
-     *  benefits remain). */
-    BatchClassifier(FaultSimulator &sim, const FaultBatchPlan &plan,
-                    bool batching);
+    BatchClassifier(FaultSimulator &sim, const FaultBatchPlan &plan);
 
     /** Build the batch structures for groups [begin, end). */
     void setRange(int group_begin, int group_end);
@@ -263,7 +259,6 @@ class BatchClassifier
 
     FaultSimulator &sim_;
     const FaultBatchPlan &plan_;
-    bool batching_;
     int g0_ = 0, g1_ = 0;
 
     std::vector<FlipBatch> flipBatches_;

@@ -312,49 +312,49 @@ classifyUncheckedFault(const Workload &wl, AluOp op,
 }
 
 /**
- * Classify every fault with @p fn — serially for jobs <= 1, through
- * the campaign engine otherwise. Each fault's run is an independent
- * CPU instance; per-chunk results concatenate back in fault-list
- * order, so the reduction downstream sees the same sequence at any
- * jobs count.
+ * Classify faults[begin, end) with @p fn, one independent CPU
+ * instance per fault.
+ */
+template <typename Fn>
+std::vector<PerFault>
+classifyRange(const std::vector<Fault> &faults, std::size_t begin,
+              std::size_t end, const engine::CancelToken *cancel,
+              engine::ProgressTracker &progress, const Fn &fn)
+{
+    std::vector<PerFault> out(end - begin);
+    for (std::size_t k = begin; k < end; ++k) {
+        if (cancel && cancel->stopRequested())
+            throw engine::CampaignCancelled();
+        out[k - begin] = fn(faults[k]);
+        progress.addFaultsDone(1);
+    }
+    return out;
+}
+
+/**
+ * Classify every fault with @p fn through the campaign engine. The
+ * per-chunk results concatenate back in fault-list order, so the
+ * reduction downstream sees the same sequence at any jobs count.
  */
 template <typename Fn>
 std::vector<PerFault>
 classifyAllFaults(const std::vector<Fault> &faults,
                   const SystemCampaignOptions &opts, Fn fn)
 {
-    const engine::CancelToken *cancel = opts.cancel;
-    std::vector<PerFault> per(faults.size());
-    const int workers = engine::resolveJobs(opts.jobs);
-    if (workers <= 1 || faults.size() < 2) {
-        for (std::size_t k = 0; k < faults.size(); ++k) {
-            if (cancel && cancel->stopRequested())
-                throw engine::CampaignCancelled();
-            per[k] = fn(faults[k]);
-        }
-        return per;
-    }
-
     engine::EngineOptions eopts;
-    eopts.jobs = workers;
+    eopts.jobs = opts.jobs;
     eopts.minGrain = 1;
     engine::CampaignEngine eng(eopts);
     eng.beginCampaign(faults.size());
-    auto chunks = eng.mapChunks<std::vector<PerFault>>(
+    const auto chunks = eng.mapChunks<std::vector<PerFault>>(
         faults.size(), [&](engine::Chunk chunk, std::size_t) {
-            std::vector<PerFault> out(chunk.size());
-            for (std::size_t k = chunk.begin; k < chunk.end; ++k) {
-                if (cancel && cancel->stopRequested())
-                    throw engine::CampaignCancelled();
-                out[k - chunk.begin] = fn(faults[k]);
-                eng.progress().addFaultsDone(1);
-            }
-            return out;
+            return classifyRange(faults, chunk.begin, chunk.end,
+                                 opts.cancel, eng.progress(), fn);
         });
-    std::size_t at = 0;
+    std::vector<PerFault> per;
+    per.reserve(faults.size());
     for (const auto &chunk : chunks)
-        for (const PerFault &p : chunk)
-            per[at++] = p;
+        per.insert(per.end(), chunk.begin(), chunk.end());
     return per;
 }
 
@@ -492,14 +492,19 @@ runSystemCampaignShard(const Workload &wl, AluOp op, bool checked,
     const engine::Chunk slice =
         engine::shardSlice(faults.size(), shard);
 
-    const std::uint64_t net_hash = netlist::contentHash(alu);
-    const std::string config_key =
-        canonicalSystemConfig(wl.name, op, checked);
-    const std::string shape_key = "system"; // no work-shape knobs
-
     fault::ShardOutcome out;
     out.units = slice.size();
     out.shardClasses = static_cast<int>(slice.size());
+
+    // The run's identity: what a resume snapshot must match, and the
+    // header every snapshot of this run carries.
+    engine::SnapshotHeader id;
+    id.kind = "system";
+    id.netHash = netlist::contentHash(alu);
+    id.configKey = canonicalSystemConfig(wl.name, op, checked);
+    id.shapeKey = "system"; // no work-shape knobs
+    id.shard = shard;
+    id.units = out.units;
 
     std::vector<std::uint32_t> recIdx;
     std::vector<PerFault> recPer;
@@ -507,23 +512,8 @@ runSystemCampaignShard(const Workload &wl, AluOp op, bool checked,
 
     if (ckpt.resume) {
         std::vector<std::uint8_t> payload;
-        const engine::SnapshotHeader h = engine::decodeSnapshot(
-            *ckpt.resume, &payload, ckpt.resumeName);
-        if (h.kind != "system")
-            throw engine::SnapshotError(
-                ckpt.resumeName + ": not a system campaign snapshot");
-        if (h.netHash != net_hash)
-            throw engine::SnapshotError(
-                ckpt.resumeName +
-                ": snapshot is for a different ALU netlist");
-        if (h.configKey != config_key)
-            throw engine::SnapshotError(
-                ckpt.resumeName + ": config mismatch (snapshot '" +
-                h.configKey + "', run '" + config_key + "')");
-        if (h.units != out.units || !(h.shard == shard))
-            throw engine::SnapshotError(
-                ckpt.resumeName +
-                ": shard/work-shape mismatch; rerun without --resume");
+        const engine::SnapshotHeader h = engine::decodeResumeSnapshot(
+            *ckpt.resume, id, &payload, ckpt.resumeName);
         bool snapChecked = false;
         decodeSystemPayload(payload, ckpt.resumeName, &snapChecked,
                             &recIdx, &recPer);
@@ -536,13 +526,7 @@ runSystemCampaignShard(const Workload &wl, AluOp op, bool checked,
     }
 
     auto buildSnapshot = [&](std::uint64_t cur, bool complete) {
-        engine::SnapshotHeader h;
-        h.kind = "system";
-        h.netHash = net_hash;
-        h.configKey = config_key;
-        h.shapeKey = shape_key;
-        h.shard = shard;
-        h.units = out.units;
+        engine::SnapshotHeader h = id;
         h.cursor = cur;
         h.complete = complete;
         return engine::encodeSnapshot(
@@ -561,15 +545,11 @@ runSystemCampaignShard(const Workload &wl, AluOp op, bool checked,
                        : classifyUncheckedFault(wl, op, golden, fault);
     };
 
-    const int jobs = engine::resolveJobs(opts.jobs);
-    std::unique_ptr<engine::CampaignEngine> eng;
-    if (jobs > 1 && slice.size() >= 2) {
-        engine::EngineOptions eopts;
-        eopts.jobs = jobs;
-        eopts.minGrain = 1;
-        eng.reset(new engine::CampaignEngine(eopts));
-        eng->beginCampaign(out.units);
-    }
+    engine::EngineOptions eopts;
+    eopts.jobs = opts.jobs;
+    eopts.minGrain = 1;
+    engine::CampaignEngine eng(eopts);
+    eng.beginCampaign(out.units);
 
     while (cursor < out.units) {
         const std::size_t f0 = slice.begin + cursor;
@@ -580,36 +560,17 @@ runSystemCampaignShard(const Workload &wl, AluOp op, bool checked,
                 : slice.end;
 
         try {
-            if (eng) {
-                const auto chunks =
-                    eng->mapChunks<std::vector<PerFault>>(
-                        f1 - f0, [&](engine::Chunk chunk, std::size_t) {
-                            std::vector<PerFault> o(chunk.size());
-                            for (std::size_t k = chunk.begin;
-                                 k < chunk.end; ++k) {
-                                if (opts.cancel &&
-                                    opts.cancel->stopRequested())
-                                    throw engine::CampaignCancelled();
-                                o[k - chunk.begin] =
-                                    classify(faults[f0 + k]);
-                                eng->progress().addFaultsDone(1);
-                            }
-                            return o;
-                        });
-                std::size_t k = f0;
-                for (const auto &chunk : chunks) {
-                    for (const PerFault &pf : chunk) {
-                        recIdx.push_back(
-                            static_cast<std::uint32_t>(k++));
-                        recPer.push_back(pf);
-                    }
-                }
-            } else {
-                for (std::size_t k = f0; k < f1; ++k) {
-                    if (opts.cancel && opts.cancel->stopRequested())
-                        throw engine::CampaignCancelled();
-                    recIdx.push_back(static_cast<std::uint32_t>(k));
-                    recPer.push_back(classify(faults[k]));
+            const auto chunks = eng.mapChunks<std::vector<PerFault>>(
+                f1 - f0, [&](engine::Chunk chunk, std::size_t) {
+                    return classifyRange(faults, f0 + chunk.begin,
+                                         f0 + chunk.end, opts.cancel,
+                                         eng.progress(), classify);
+                });
+            std::size_t k = f0;
+            for (const auto &chunk : chunks) {
+                for (const PerFault &pf : chunk) {
+                    recIdx.push_back(static_cast<std::uint32_t>(k++));
+                    recPer.push_back(pf);
                 }
             }
         } catch (const engine::CampaignCancelled &) {
@@ -633,13 +594,7 @@ runSystemCampaignShard(const Workload &wl, AluOp op, bool checked,
         emit(0, true);
 
     out.shardFaults = static_cast<int>(recIdx.size());
-    if (eng) {
-        out.stats = eng->endCampaign(out.units, out.units, 0);
-    } else {
-        out.stats.jobs = 1;
-        out.stats.totalFaults = out.units;
-        out.stats.simulatedFaults = out.units;
-    }
+    out.stats = eng.endCampaign(out.units, out.units, 0);
     return out;
 }
 

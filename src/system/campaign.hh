@@ -59,9 +59,9 @@ struct SystemCampaignOptions
 {
     /**
      * Worker threads for the per-fault program runs: 0 =
-     * hardware_concurrency, 1 = serial. Each fault's run is an
-     * independent CPU instance and results are reduced in fault-list
-     * order, so the result is identical at any jobs count.
+     * hardware_concurrency, 1 = the calling thread. Each fault's run
+     * is an independent CPU instance and results are reduced in
+     * fault-list order, so the result is identical at any jobs count.
      */
     int jobs = 0;
     /**

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -19,6 +20,7 @@
 #include "fault/report.hh"
 #include "fault/shard.hh"
 #include "ingest/harden.hh"
+#include "system/campaign.hh"
 #include "test_helpers.hh"
 #include "util/rng.hh"
 
@@ -363,55 +365,140 @@ TEST(Checkpoint, AutoCadenceEmitsBoundedSnapshots)
     }
 }
 
-TEST(Checkpoint, ResumeRejectsForeignOrCorruptSnapshot)
+/**
+ * One campaign kind's shard runner for the resume-rejection table.
+ * Variant 0 is the checkpointed run; variant 1 changes only the
+ * config (the config key moves); variant 2 runs a different netlist.
+ */
+struct ResumeCase
+{
+    const char *kind;
+    std::function<fault::ShardOutcome(int variant,
+                                      const engine::ShardSpec &shard,
+                                      const fault::CheckpointOptions &)>
+        run;
+};
+
+std::vector<ResumeCase>
+resumeCases()
 {
     util::Rng rng(0x5eed02u);
-    const netlist::Netlist net =
+    const netlist::Netlist comb0 =
         ingest::hardenNetlist(testing::randomNetlist(5, 14, rng)).net;
+    const netlist::Netlist comb1 =
+        ingest::hardenNetlist(testing::randomNetlist(5, 15, rng)).net;
+    const auto combRun = [comb0, comb1](int variant,
+                                        const engine::ShardSpec &shard,
+                                        const fault::CheckpointOptions &c) {
+        fault::CampaignOptions opts;
+        opts.maxPatterns = 256;
+        opts.jobs = 1;
+        opts.checkAlternating = false;
+        opts.seed = variant == 1 ? 99 : 1;
+        return fault::runAlternatingCampaignShard(
+            variant == 2 ? comb1 : comb0, opts, shard, c);
+    };
 
-    fault::CampaignOptions opts;
-    opts.maxPatterns = 256;
-    opts.jobs = 1;
-    opts.checkAlternating = false;
+    netlist::Netlist raw;
+    const netlist::GateId a = raw.addInput("a");
+    const netlist::GateId b = raw.addInput("b");
+    const netlist::GateId q = raw.addDff(raw.addConst(false), "q");
+    const netlist::GateId x = raw.addXor({a, q}, "x");
+    raw.replaceFanin(q, 0, x);
+    raw.addOutput(raw.addOr({x, b}, "o"), "o");
+    raw.addOutput(q, "s");
+    const ingest::HardenedCircuit seq0 = ingest::hardenNetlist(raw);
+    raw.addOutput(raw.addAnd({a, b}, "y"), "y");
+    const ingest::HardenedCircuit seq1 = ingest::hardenNetlist(raw);
+    const auto seqRun = [seq0, seq1](int variant,
+                                     const engine::ShardSpec &shard,
+                                     const fault::CheckpointOptions &c) {
+        fault::SeqCampaignOptions opts;
+        opts.symbols = 16;
+        opts.jobs = 1;
+        opts.seed = variant == 1 ? 99 : 1;
+        const ingest::HardenedCircuit &h = variant == 2 ? seq1 : seq0;
+        return fault::runSequentialCampaignShard(h.net, h.campaignSpec(),
+                                                 opts, shard, c);
+    };
 
-    SnapshotLog log;
-    fault::runAlternatingCampaignShard(net, opts, {0, 1},
-                                       log.options(/*every=*/1));
-    ASSERT_GE(log.boundaries.size(), 1u);
-    const std::vector<std::uint8_t> ckpt = log.boundaries.front();
+    system::Workload mul5, fib;
+    for (const system::Workload &w : system::standardWorkloads()) {
+        if (w.name == "mul5")
+            mul5 = w;
+        if (w.name == "fib")
+            fib = w;
+    }
+    // Another workload on the same ALU is another config; the
+    // unchecked CPU's ALU is another netlist.
+    const auto systemRun = [mul5, fib](int variant,
+                                       const engine::ShardSpec &shard,
+                                       const fault::CheckpointOptions &c) {
+        system::SystemCampaignOptions opts;
+        opts.jobs = 1;
+        return system::runSystemCampaignShard(
+            variant == 1 ? fib : mul5, system::AluOp::Shl,
+            /*checked=*/variant != 2, opts, shard, c);
+    };
+    return {{"comb", combRun}, {"seq", seqRun}, {"system", systemRun}};
+}
 
-    // A config change invalidates the checkpoint: the header's config
-    // key no longer matches, so resume must refuse instead of
-    // continuing a different campaign.
-    fault::CampaignOptions other = opts;
-    other.seed = 99;
-    fault::CheckpointOptions resume;
-    resume.resume = &ckpt;
-    resume.resumeName = "stale.ckpt";
-    EXPECT_THROW(fault::runAlternatingCampaignShard(net, other, {0, 1},
-                                                    resume),
-                 SnapshotError);
+TEST(Checkpoint, ResumeRejectsForeignOrCorruptSnapshot)
+{
+    const std::vector<ResumeCase> cases = resumeCases();
 
-    // A different shard of the same split is just as foreign.
-    fault::CheckpointOptions wrong_shard;
-    wrong_shard.resume = &ckpt;
-    EXPECT_THROW(fault::runAlternatingCampaignShard(net, opts, {1, 2},
-                                                    wrong_shard),
-                 SnapshotError);
+    // The first boundary checkpoint of every kind's own run.
+    std::vector<std::vector<std::uint8_t>> ckpts;
+    for (const ResumeCase &rc : cases) {
+        SnapshotLog log;
+        rc.run(0, {0, 1}, log.options(/*every=*/8));
+        ASSERT_GE(log.boundaries.size(), 1u) << rc.kind;
+        ckpts.push_back(log.boundaries.front());
+    }
 
-    // Bit rot in the snapshot itself is caught by the trailer hash.
-    auto corrupt = ckpt;
-    corrupt[corrupt.size() / 3] ^= 0x40;
-    fault::CheckpointOptions bad;
-    bad.resume = &corrupt;
-    bad.resumeName = "rotten.ckpt";
-    try {
-        fault::runAlternatingCampaignShard(net, opts, {0, 1}, bad);
-        FAIL() << "corrupted checkpoint resumed";
-    } catch (const SnapshotError &e) {
-        const std::string what = e.what();
-        EXPECT_NE(what.find("rotten.ckpt"), std::string::npos) << what;
-        EXPECT_NE(what.find("corrupted"), std::string::npos) << what;
+    for (std::size_t i = 0; i < cases.size(); ++i) {
+        const ResumeCase &rc = cases[i];
+        // Each bad resume must be refused with a diagnostic naming the
+        // checkpoint and the identity field that differs.
+        const auto expectRefused = [&](int variant,
+                                       const engine::ShardSpec &shard,
+                                       const std::vector<std::uint8_t> &snap,
+                                       const char *why) {
+            fault::CheckpointOptions resume;
+            resume.resume = &snap;
+            resume.resumeName = "stale.ckpt";
+            try {
+                rc.run(variant, shard, resume);
+                ADD_FAILURE() << rc.kind << ": resumed despite " << why;
+            } catch (const SnapshotError &e) {
+                const std::string what = e.what();
+                EXPECT_NE(what.find("stale.ckpt"), std::string::npos)
+                    << what;
+                EXPECT_NE(what.find(why), std::string::npos)
+                    << rc.kind << ": " << what;
+            }
+        };
+        // A snapshot of another campaign kind.
+        expectRefused(0, {0, 1}, ckpts[(i + 1) % cases.size()],
+                      "campaign snapshot");
+        // The same campaign on a foreign netlist.
+        expectRefused(2, {0, 1}, ckpts[i], "different circuit");
+        // A config change: the header's config key no longer matches,
+        // so resume must refuse instead of continuing a different
+        // campaign.
+        expectRefused(1, {0, 1}, ckpts[i], "config mismatch");
+        // A different shard of the same split is just as foreign.
+        expectRefused(0, {1, 2}, ckpts[i], "snapshot is shard");
+
+        // Bit rot in the snapshot itself is caught by the trailer hash.
+        std::vector<std::uint8_t> corrupt = ckpts[i];
+        corrupt[corrupt.size() / 3] ^= 0x40;
+        expectRefused(0, {0, 1}, corrupt, "corrupted");
+
+        // The untouched checkpoint still resumes.
+        fault::CheckpointOptions good;
+        good.resume = &ckpts[i];
+        EXPECT_NO_THROW(rc.run(0, {0, 1}, good)) << rc.kind;
     }
 }
 

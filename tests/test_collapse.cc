@@ -15,6 +15,7 @@
 #include "ingest/harden.hh"
 #include "netlist/circuits.hh"
 #include "netlist/structure.hh"
+#include "oracle/per_fault_campaign.hh"
 #include "test_helpers.hh"
 #include "util/rng.hh"
 
@@ -111,15 +112,11 @@ checkExactness(const Netlist &net, const char *label,
 {
     fault::CampaignOptions opts;
     opts.maxPatterns = std::uint64_t{1} << 20;
-    opts.jobs = 1;
-    opts.faultBatch = false;
-    opts.cpt = false;
-    opts.dominance = false;
     // Raw random netlists are rarely self-dual; equivalence
     // exactness is a property of the verdicts, not of the
     // alternating precondition.
     opts.checkAlternating = alternating;
-    const auto res = fault::runAlternatingCampaign(net, opts);
+    const auto res = oracle::runPerFaultCampaign(net, opts);
 
     const auto faults = net.allFaults();
     ASSERT_EQ(res.faults.size(), faults.size()) << label;

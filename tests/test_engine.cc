@@ -5,6 +5,7 @@
 #include <chrono>
 #include <stdexcept>
 #include <thread>
+#include <vector>
 
 #include "engine/campaign_engine.hh"
 #include "engine/partition.hh"
@@ -215,6 +216,87 @@ TEST(CampaignEngine, ChunkExceptionRethrows)
                                         return 1;
                                     }),
                  std::runtime_error);
+}
+
+TEST(CampaignEngine, OneWorkerRunsOneChunkOnCallingThread)
+{
+    engine::EngineOptions opts;
+    opts.jobs = 1;
+    opts.minGrain = 1;
+    engine::CampaignEngine eng(opts);
+    EXPECT_EQ(eng.jobs(), 1);
+
+    const std::thread::id caller = std::this_thread::get_id();
+    std::vector<engine::Chunk> seen;
+    std::vector<std::size_t> indices;
+    const auto out = eng.mapChunks<bool>(
+        257, [&](engine::Chunk c, std::size_t index) {
+            seen.push_back(c);
+            indices.push_back(index);
+            return std::this_thread::get_id() == caller;
+        });
+    ASSERT_EQ(out.size(), 1u);
+    EXPECT_TRUE(out[0]) << "the single chunk ran off the calling thread";
+    ASSERT_EQ(seen.size(), 1u);
+    EXPECT_EQ(seen[0], (engine::Chunk{0, 257}));
+    EXPECT_EQ(indices, std::vector<std::size_t>{0});
+
+    // The weighted form is the same single [0, n) chunk.
+    const auto weighted = eng.mapWeightedChunks<engine::Chunk>(
+        {5, 1, 9, 2}, [](engine::Chunk c, std::size_t) { return c; });
+    ASSERT_EQ(weighted.size(), 1u);
+    EXPECT_EQ(weighted[0], (engine::Chunk{0, 4}));
+
+    // An empty index space runs nothing.
+    EXPECT_TRUE(eng.mapChunks<int>(0, [](engine::Chunk, std::size_t) {
+                       return 1;
+                   }).empty());
+
+    eng.beginCampaign(257);
+    EXPECT_EQ(eng.endCampaign(10, 5, 64).jobs, 1);
+}
+
+TEST(CampaignEngine, OneWorkerRethrowsChunkExceptionDirectly)
+{
+    engine::EngineOptions opts;
+    opts.jobs = 1;
+    engine::CampaignEngine eng(opts);
+    const std::thread::id caller = std::this_thread::get_id();
+    std::thread::id thrower;
+    try {
+        eng.mapChunks<int>(16, [&](engine::Chunk, std::size_t) -> int {
+            thrower = std::this_thread::get_id();
+            throw std::runtime_error("chunk boom");
+        });
+        FAIL() << "chunk exception swallowed";
+    } catch (const std::runtime_error &e) {
+        EXPECT_STREQ(e.what(), "chunk boom");
+    }
+    EXPECT_EQ(thrower, caller);
+}
+
+TEST(CampaignEngine, ChunkExceptionWaitsForEveryChunk)
+{
+    // The chunk closures reference the caller's frame, so a failing
+    // chunk may only surface once every other chunk has finished.
+    engine::EngineOptions opts;
+    opts.jobs = 4;
+    opts.minGrain = 1;
+    engine::CampaignEngine eng(opts);
+    std::atomic<int> finished{0};
+    EXPECT_THROW(
+        eng.mapChunks<int>(16,
+                           [&](engine::Chunk c, std::size_t) {
+                               if (c.begin == 0)
+                                   throw std::runtime_error("chunk boom");
+                               std::this_thread::sleep_for(
+                                   std::chrono::milliseconds(2));
+                               return ++finished;
+                           }),
+        std::runtime_error);
+    EXPECT_EQ(finished.load(),
+              static_cast<int>(engine::planShards(16, 4, 4, 1).size()) -
+                  1);
 }
 
 } // namespace

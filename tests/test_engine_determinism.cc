@@ -2,10 +2,11 @@
  * @file
  * The engine's headline guarantee: the same (netlist, seed,
  * maxPatterns) triple yields a bit-identical CampaignResult at any
- * jobs count. jobs == 1 is the original serial loop (every fault
- * simulated, no collapsing); jobs > 1 is the collapse + shard +
- * merge path — so these tests also prove the structural equivalence
- * classes are behaviorally exact on the paper's circuits.
+ * jobs count. Every jobs count runs the collapse + plan + chunk +
+ * merge pipeline (jobs == 1 as one chunk on the calling thread), and
+ * the per-fault oracle (tests/oracle/) simulates every fault on its
+ * own — so these tests also prove the equivalence classes are
+ * behaviorally exact on the paper's circuits.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include "fault/multi.hh"
 #include "netlist/circuits.hh"
 #include "netlist/structure.hh"
+#include "oracle/per_fault_campaign.hh"
 #include "system/alu.hh"
 #include "system/campaign.hh"
 
@@ -50,27 +52,18 @@ void
 checkAcrossJobs(const Netlist &net, const char *label,
                 std::uint64_t max_patterns = std::uint64_t{1} << 20)
 {
-    // Legacy reference: all fault-parallel knobs off, every fault
-    // simulated individually by the original serial loop.
-    fault::CampaignOptions ref_opts;
-    ref_opts.maxPatterns = max_patterns;
-    ref_opts.jobs = 1;
-    ref_opts.faultBatch = false;
-    ref_opts.cpt = false;
-    ref_opts.dominance = false;
-    const auto reference = fault::runAlternatingCampaign(net, ref_opts);
-    EXPECT_FALSE(reference.fp.enabled);
-    EXPECT_EQ(reference.stats.jobs, 1);
-    EXPECT_EQ(reference.stats.simulatedFaults, reference.faults.size());
-
-    // Default options: the fault-parallel path (batching + CPT +
-    // pruning), which simulates collapsed classes only.
+    // Oracle: every fault simulated individually, one thread.
     fault::CampaignOptions opts;
     opts.maxPatterns = max_patterns;
+    const auto reference = oracle::runPerFaultCampaign(net, opts);
+    EXPECT_EQ(reference.stats.simulatedFaults, reference.faults.size());
+
+    // The pipeline (batching + CPT + pruning) on one worker, which
+    // simulates collapsed classes only.
     opts.jobs = 1;
     const auto serial = fault::runAlternatingCampaign(net, opts);
     expectBitIdentical(reference, serial, net, label);
-    EXPECT_TRUE(serial.fp.enabled);
+    EXPECT_GT(serial.fp.classes, 0);
     EXPECT_EQ(serial.stats.jobs, 1);
     EXPECT_LE(serial.stats.simulatedFaults, serial.faults.size());
     EXPECT_GT(serial.stats.simulatedFaults, 0u);
@@ -80,7 +73,7 @@ checkAcrossJobs(const Netlist &net, const char *label,
         const auto parallel = fault::runAlternatingCampaign(net, opts);
         expectBitIdentical(serial, parallel, net, label);
         EXPECT_EQ(parallel.stats.jobs, jobs);
-        // The engine path simulates collapsed classes only.
+        // Every jobs count simulates collapsed classes only.
         EXPECT_LE(parallel.stats.simulatedFaults,
                   parallel.stats.totalFaults);
         EXPECT_GT(parallel.stats.simulatedFaults, 0u);

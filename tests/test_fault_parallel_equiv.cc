@@ -1,10 +1,10 @@
 /**
  * @file
- * Oracle equality for the fault-parallel campaign path: batching +
+ * Oracle equality for the fault-parallel campaign pipeline: batching +
  * dominance pruning + CPT must reproduce the per-fault reference
- * verdicts bit-identically at EVERY point of the jobs x lanes x SIMD
- * grid. This is the soundness contract the campaign server's verdict
- * cache rests on — a cached verdict must not depend on which engine
+ * verdicts (tests/oracle/) bit-identically at EVERY point of the
+ * jobs x lanes x SIMD grid. This is the soundness contract the
+ * campaign server's verdict cache rests on — a cached verdict must not depend on which engine
  * configuration produced it.
  */
 
@@ -14,6 +14,7 @@
 #include "ingest/harden.hh"
 #include "netlist/circuits.hh"
 #include "netlist/structure.hh"
+#include "oracle/per_fault_campaign.hh"
 #include "system/alu.hh"
 #include "test_helpers.hh"
 #include "util/rng.hh"
@@ -51,19 +52,13 @@ void
 checkGrid(const Netlist &net, const char *label,
           std::uint64_t max_patterns, bool check_alternating = true)
 {
-    // Per-fault oracle: every knob off, serial, narrowest portable
-    // engine.
+    // Per-fault oracle at the narrowest portable width.
     fault::CampaignOptions ref;
     ref.maxPatterns = max_patterns;
-    ref.jobs = 1;
     ref.lanes = 64;
     ref.simd = sim::SimdTarget::Portable;
-    ref.faultBatch = false;
-    ref.cpt = false;
-    ref.dominance = false;
     ref.checkAlternating = check_alternating;
-    const auto oracle = fault::runAlternatingCampaign(net, ref);
-    EXPECT_FALSE(oracle.fp.enabled) << label;
+    const auto reference = oracle::runPerFaultCampaign(net, ref);
 
     for (const int jobs : {1, 8})
         for (const int lanes : {64, 512})
@@ -82,8 +77,13 @@ checkGrid(const Netlist &net, const char *label,
                     std::to_string(jobs) +
                     " lanes=" + std::to_string(lanes) + " simd=" +
                     sim::simdTargetName(sim::resolveSimdTarget(simd));
-                EXPECT_TRUE(res.fp.enabled) << pt;
-                expectSameVerdicts(oracle, res, net, pt);
+                EXPECT_EQ(res.fp.classes, res.fp.prunedClasses +
+                                              res.fp.flipClasses +
+                                              res.fp.cptClasses +
+                                              res.fp.tapClasses +
+                                              res.fp.simClasses)
+                    << pt;
+                expectSameVerdicts(reference, res, net, pt);
             }
 
     // The oracle itself must sit at a lanes/SIMD-invariant point too:
@@ -91,7 +91,7 @@ checkGrid(const Netlist &net, const char *label,
     fault::CampaignOptions wide = ref;
     wide.lanes = 512;
     wide.simd = sim::SimdTarget::Auto;
-    expectSameVerdicts(oracle, fault::runAlternatingCampaign(net, wide),
+    expectSameVerdicts(reference, oracle::runPerFaultCampaign(net, wide),
                        net, std::string(label) + " reference@512");
 }
 

@@ -37,6 +37,7 @@
 #include "server/jsonl.hh"
 #include "server/scheduler.hh"
 #include "server/server.hh"
+#include "sim/simd.hh"
 
 namespace scal
 {
@@ -371,6 +372,52 @@ TEST(Scheduler, SeqBatchKnobsStayOutOfCacheKeyAndVerdict)
     EXPECT_EQ(warmInfo.verdict, coldInfo.verdict);
 }
 
+TEST(Scheduler, CombCacheKeyIgnoresLanesAndSimd)
+{
+    // Comb verdicts are bit-identical at every lane width and SIMD
+    // target, so neither may enter the cache key or the verdict bytes:
+    // otherwise one entry would hold host-dependent bytes and equal
+    // work would land under several keys.
+    const netlist::Netlist net = netlist::circuits::rippleCarryAdder(4);
+    fault::CampaignOptions base;
+    base.maxPatterns = 256;
+    base.jobs = 1;
+    const std::string key = fault::canonicalCampaignConfig(base);
+    const std::string verdict = fault::campaignVerdictJson(
+        net, fault::runAlternatingCampaign(net, base));
+    for (const int lanes : {64, 256, 512})
+        for (const sim::SimdTarget simd :
+             {sim::SimdTarget::Portable, sim::SimdTarget::Auto}) {
+            fault::CampaignOptions opts = base;
+            opts.lanes = lanes;
+            opts.simd = simd;
+            const std::string pt = "lanes=" + std::to_string(lanes) +
+                                   " simd=" + sim::simdTargetName(simd);
+            EXPECT_EQ(fault::canonicalCampaignConfig(opts), key) << pt;
+            const fault::CampaignResult res =
+                fault::runAlternatingCampaign(net, opts);
+            EXPECT_EQ(fault::campaignVerdictJson(net, res), verdict) << pt;
+            // The width and kernel build a run resolved to are tail data.
+            EXPECT_NE(fault::campaignTailJson(res).find(
+                          "\"lanes\": " + std::to_string(lanes)),
+                      std::string::npos)
+                << pt;
+        }
+
+    // Seq: the SIMD target is kernel choice, but lanes sets the number
+    // of random streams, so it stays in the key.
+    fault::SeqCampaignOptions sopts;
+    const fault::SeqCampaignSpec spec;
+    fault::SeqCampaignOptions portable = sopts;
+    portable.simd = sim::SimdTarget::Portable;
+    EXPECT_EQ(fault::canonicalSeqCampaignConfig(portable, spec),
+              fault::canonicalSeqCampaignConfig(sopts, spec));
+    fault::SeqCampaignOptions wide = sopts;
+    wide.lanes = 256;
+    EXPECT_NE(fault::canonicalSeqCampaignConfig(wide, spec),
+              fault::canonicalSeqCampaignConfig(sopts, spec));
+}
+
 TEST(Scheduler, FairShareLetsLightClientOvertakeFloodingClient)
 {
     Scheduler sched(schedOpts(1));
@@ -552,10 +599,13 @@ class ServerTest : public ::testing::Test
     }
 
     static jsonl::Value
-    combSubmit(const netlist::Netlist &net, std::uint64_t seed)
+    combSubmit(const netlist::Netlist &net, std::uint64_t seed,
+               int lanes = 0)
     {
         jsonl::Object cfg;
         cfg.emplace_back("seed", jsonl::Value(seed));
+        if (lanes)
+            cfg.emplace_back("lanes", jsonl::Value(lanes));
         jsonl::Object req;
         req.emplace_back("op", jsonl::Value("submit"));
         req.emplace_back("kind", jsonl::Value("comb"));
@@ -603,6 +653,25 @@ TEST_F(ServerTest, SubmitResultAndCacheHitOverTheWire)
     const jsonl::Value list = client.request(
         jsonl::Value(jsonl::Object{{"op", jsonl::Value("list")}}));
     EXPECT_EQ(list.find("jobs")->asArray().size(), 2u);
+}
+
+TEST_F(ServerTest, CombWarmSubmitAtOtherLanesHitsColdEntry)
+{
+    const netlist::Netlist net =
+        roundTripped(netlist::circuits::rippleCarryAdder(4));
+    Client client(path_);
+    const jsonl::Value cold = client.submitAndWait(combSubmit(net, 4, 64));
+    ASSERT_EQ(cold.find("state")->asString(), "done");
+    EXPECT_FALSE(cold.find("cache_hit")->asBool());
+
+    // The lane width is not part of the canonical config, so a
+    // 512-lane request is served from the entry the 64-lane run wrote.
+    Client again(path_);
+    const jsonl::Value warm = again.submitAndWait(combSubmit(net, 4, 512));
+    ASSERT_EQ(warm.find("state")->asString(), "done");
+    EXPECT_TRUE(warm.find("cache_hit")->asBool());
+    EXPECT_EQ(warm.find("verdict")->asString(),
+              cold.find("verdict")->asString());
 }
 
 TEST_F(ServerTest, SeqSubmitMatchesInlineVerdict)

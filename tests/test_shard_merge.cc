@@ -92,29 +92,56 @@ TEST(ShardMerge, CombBitIdenticalAcrossGrid)
     const char *labels[] = {"rca4", "hardened random"};
 
     for (int n = 0; n < 2; ++n) {
-        // Verdicts are jobs-invariant at any lane width, but the
-        // verdict JSON names the width it ran at, so the byte-compare
-        // reference is per-lanes (computed at a different jobs count
-        // than any grid point, which the merge must also erase).
-        for (const int lanes : {64, 512}) {
-            fault::CampaignOptions ref;
-            ref.maxPatterns = 2048;
-            ref.checkAlternating = false;
-            ref.jobs = 2;
-            ref.lanes = lanes;
-            const std::string want = fault::campaignVerdictJson(
-                nets[n], fault::runAlternatingCampaign(nets[n], ref));
+        // The verdict JSON is lanes-, SIMD- and jobs-invariant, so one
+        // reference (at a jobs count no grid point uses, which the
+        // merge must also erase) covers the whole grid.
+        fault::CampaignOptions ref;
+        ref.maxPatterns = 2048;
+        ref.checkAlternating = false;
+        ref.jobs = 2;
+        ref.lanes = 64;
+        const std::string want = fault::campaignVerdictJson(
+            nets[n], fault::runAlternatingCampaign(nets[n], ref));
 
+        for (const int lanes : {64, 512})
             for (const int shards : {2, 4, 8})
                 for (const int jobs : {1, 8}) {
                     fault::CampaignOptions opts = ref;
                     opts.jobs = jobs;
+                    opts.lanes = lanes;
                     EXPECT_EQ(mergedCombVerdict(nets[n], opts, shards),
                               want)
                         << labels[n] << " shards=" << shards
                         << " jobs=" << jobs << " lanes=" << lanes;
                 }
-        }
+    }
+}
+
+TEST(ShardMerge, CombInlineMatchesSingleShardRun)
+{
+    // The inline runner and the shard runner share one setup and one
+    // group classifier; a whole-universe shard (`--shard 1/1`) merged
+    // back must be byte-identical to the inline verdict at one worker
+    // (the calling thread) and at many.
+    util::Rng rng(0x51a6d3u);
+    const netlist::Netlist net =
+        ingest::hardenNetlist(testing::randomNetlist(6, 24, rng)).net;
+    for (const int jobs : {1, 8}) {
+        fault::CampaignOptions opts;
+        opts.maxPatterns = 1024;
+        opts.checkAlternating = false;
+        opts.jobs = jobs;
+        const fault::CampaignResult inl =
+            fault::runAlternatingCampaign(net, opts);
+        const fault::CampaignResult merged =
+            fault::mergeCampaignPartials(
+                net, {fault::runAlternatingCampaignShard(net, opts, {0, 1})
+                          .partial});
+        EXPECT_EQ(fault::campaignVerdictJson(net, merged),
+                  fault::campaignVerdictJson(net, inl))
+            << "jobs=" << jobs;
+        EXPECT_EQ(merged.fp.batches, inl.fp.batches) << "jobs=" << jobs;
+        EXPECT_EQ(inl.stats.jobs, jobs);
     }
 }
 

@@ -28,8 +28,6 @@
  *   scal_cli campaign <netlist|-> [--jobs N] [--json] [--verbose]
  *                     [--seed N] [--max-patterns N] [--progress]
  *                     [--lanes 64|256|512] [--simd portable|avx2|avx512]
- *                     [--[no-]fault-batch] [--[no-]cpt]
- *                     [--[no-]dominance]
  *                                        exhaustive stuck-at campaign
  *   scal_cli seq-campaign <netlist|-> [--symbols N] [--lanes N]
  *                     [--seed N] [--jobs N] [--window S:E] [--no-drop]
@@ -44,16 +42,15 @@
  * --lanes picks patterns/streams per packed replay (0 = widest the
  * resolved target supports), --simd pins the kernel build (default
  * auto: the SCAL_SIMD env var, else the widest the CPU supports).
- * The fault-parallel fast paths (all default on) are performance
- * knobs too: --fault-batch packs disjoint-cone fault classes into one
- * simulation pass, --cpt classifies fanout-free-region-interior
- * faults by critical-path tracing with no replay, and --dominance
- * prunes classes structurally forced Untestable. The sequential
- * campaign has its own pair: --seq-fault-batch multiplexes several
- * faults into disjoint lane groups of one wide sequential replay, and
- * --seq-dominance extends collapsing with sequential constant
- * propagation and time-frame Dff equivalences. Verdicts are
- * bit-identical across lanes, simd, jobs and all of these flags.
+ * The combinational campaign always runs the fault-parallel pipeline
+ * (FFR flip batching, critical-path tracing, dominance pruning). The
+ * sequential campaign keeps two work-saving knobs: --seq-fault-batch
+ * multiplexes several faults into disjoint lane groups of one wide
+ * sequential replay, and --seq-dominance extends collapsing with
+ * sequential constant propagation and time-frame Dff equivalences.
+ * Verdicts are bit-identical across simd, jobs and these flags, and
+ * across --lanes for the combinational campaign (sequential --lanes
+ * sets the number of random streams).
  *   scal_cli tests    <netlist|-> <line> Theorem 3.2 test derivation
  *   scal_cli repair   <netlist|-> <line> [depth]   Figure 3.7 repair
  *   scal_cli convert-minority <netlist|->          Theorem 6.2
@@ -279,7 +276,22 @@ struct ShardSession
     }
 };
 
-std::string jsonEscape(const std::string &s);
+/** Parse @p v as a whole signed number; otherwise throw an error that
+ *  names @p flag. */
+long
+checkedLong(const char *flag, const std::string &v)
+{
+    try {
+        std::size_t pos = 0;
+        const long n = std::stol(v, &pos);
+        if (pos != v.size())
+            throw std::invalid_argument(v);
+        return n;
+    } catch (const std::exception &) {
+        throw std::runtime_error(std::string(flag) +
+                                 " needs a number, got '" + v + "'");
+    }
+}
 
 CommonArgs
 parseCommonArgs(int argc, char **argv)
@@ -660,18 +672,6 @@ parseCampaignFlags(int argc, char **argv, int first)
             flags.opts.lanes = static_cast<int>(number("--lanes"));
         else if (arg == "--simd")
             flags.opts.simd = parseSimdFlag(value("--simd"));
-        else if (arg == "--fault-batch")
-            flags.opts.faultBatch = true;
-        else if (arg == "--no-fault-batch")
-            flags.opts.faultBatch = false;
-        else if (arg == "--cpt")
-            flags.opts.cpt = true;
-        else if (arg == "--no-cpt")
-            flags.opts.cpt = false;
-        else if (arg == "--dominance")
-            flags.opts.dominance = true;
-        else if (arg == "--no-dominance")
-            flags.opts.dominance = false;
         else if (arg == "--keep-unsafe")
             flags.opts.keepUnsafeExamples =
                 static_cast<int>(number("--keep-unsafe"));
@@ -688,9 +688,9 @@ parseCampaignFlags(int argc, char **argv, int first)
         else if (arg == "--checkpoint")
             flags.sh.checkpointPath = value("--checkpoint");
         else if (arg == "--checkpoint-every")
-            // stol, not the unsigned helper: negative = auto cadence.
-            flags.sh.checkpointEvery =
-                static_cast<int>(std::stol(value("--checkpoint-every")));
+            // Signed, not the unsigned helper: negative = auto cadence.
+            flags.sh.checkpointEvery = static_cast<int>(checkedLong(
+                "--checkpoint-every", value("--checkpoint-every")));
         else if (arg == "--resume")
             flags.sh.resumePath = value("--resume");
         else if (arg == "--verdict-only")
@@ -705,18 +705,6 @@ parseCampaignFlags(int argc, char **argv, int first)
             throw std::runtime_error("unknown campaign flag " + arg);
     }
     return flags;
-}
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        out += c;
-    }
-    return out;
 }
 
 int
@@ -750,16 +738,13 @@ printCampaignResult(const Netlist &net,
               << " fault classes simulated (collapse ratio "
               << res.stats.collapseRatio << "), "
               << res.stats.elapsedSeconds << " s\n";
-    if (res.fp.enabled) {
-        std::cout << "fault-parallel: " << res.fp.classes
-                  << " classes = " << res.fp.flipClasses
-                  << " flip-derived + " << res.fp.cptClasses
-                  << " critical-path-traced + " << res.fp.simClasses
-                  << " simulated + " << res.fp.tapClasses
-                  << " output-tap + " << res.fp.prunedClasses
-                  << " pruned (" << res.fp.prunedFaults << " faults); "
-                  << res.fp.batches << " batches\n";
-    }
+    std::cout << "fault-parallel: " << res.fp.classes << " classes = "
+              << res.fp.flipClasses << " flip-derived + "
+              << res.fp.cptClasses << " critical-path-traced + "
+              << res.fp.simClasses << " simulated + " << res.fp.tapClasses
+              << " output-tap + " << res.fp.prunedClasses << " pruned ("
+              << res.fp.prunedFaults << " faults); " << res.fp.batches
+              << " batches\n";
     if (verbose) {
         // The per-fault classification table the campaign computed.
         for (const auto &fr : res.faults) {
@@ -868,19 +853,8 @@ parseSeqCampaignFlags(int argc, char **argv, int first)
                                          " needs a value");
             return std::string(argv[++i]);
         };
-        const auto number = [&](const char *name) -> long {
-            const std::string v = value(name);
-            try {
-                std::size_t pos = 0;
-                const long n = std::stol(v, &pos);
-                if (pos != v.size())
-                    throw std::invalid_argument(v);
-                return n;
-            } catch (const std::exception &) {
-                throw std::runtime_error(std::string(name) +
-                                         " needs a number, got '" + v +
-                                         "'");
-            }
+        const auto number = [&](const char *name) {
+            return checkedLong(name, value(name));
         };
         if (arg == "--symbols")
             flags.opts.symbols = number("--symbols");
@@ -1386,17 +1360,21 @@ cmdShardRun(const CommonArgs &common, const char *argv0)
             return common.rest[i];
         };
         if (arg == "--shards")
-            shards = std::stoi(value("--shards"));
+            shards = static_cast<int>(
+                checkedLong("--shards", value("--shards")));
         else if (arg == "--kind")
             kind = value("--kind");
         else if (arg == "--workdir")
             workdir = value("--workdir");
         else if (arg == "--checkpoint-every")
-            checkpointEvery = std::stoi(value("--checkpoint-every"));
+            checkpointEvery = static_cast<int>(checkedLong(
+                "--checkpoint-every", value("--checkpoint-every")));
         else if (arg == "--max-restarts")
-            maxRestarts = std::stoi(value("--max-restarts"));
+            maxRestarts = static_cast<int>(
+                checkedLong("--max-restarts", value("--max-restarts")));
         else if (arg == "--test-kill")
-            testKill = std::stoi(value("--test-kill"));
+            testKill = static_cast<int>(
+                checkedLong("--test-kill", value("--test-kill")));
         else if (arg == "--json")
             json = true;
         else if (arg == "--verdict-only")
