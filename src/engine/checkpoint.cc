@@ -219,6 +219,82 @@ decodeResumeSnapshot(const std::vector<std::uint8_t> &bytes,
     return h;
 }
 
+PartialSet
+decodePartialSet(const std::string &kind, std::uint64_t netHash,
+                 const std::vector<std::vector<std::uint8_t>> &partials,
+                 const std::vector<std::string> &names)
+{
+    if (partials.empty())
+        throw SnapshotError("merge: no partial files given");
+    PartialSet set;
+    set.payloads.resize(partials.size());
+    SnapshotHeader first;
+    std::vector<bool> seen;
+    for (std::size_t i = 0; i < partials.size(); ++i) {
+        const std::string name = i < names.size()
+                                     ? names[i]
+                                     : "partial " + std::to_string(i + 1);
+        set.names.push_back(name);
+        const SnapshotHeader h =
+            decodeSnapshot(partials[i], &set.payloads[i], name);
+        if (i == 0) {
+            first = h;
+            seen.assign(static_cast<std::size_t>(h.shard.count), false);
+        }
+        if (h.kind != kind)
+            throw SnapshotError(name + ": kind '" + h.kind +
+                                "' does not match campaign kind '" + kind +
+                                "'");
+        if (h.netHash != netHash)
+            throw SnapshotError(name +
+                                ": netlist content hash mismatch (file " +
+                                std::to_string(h.netHash) + ", circuit " +
+                                std::to_string(netHash) + ")");
+        if (!h.complete)
+            throw SnapshotError(
+                name + ": incomplete shard (cursor " +
+                std::to_string(h.cursor) + "/" + std::to_string(h.units) +
+                "); finish or resume it before merging");
+        if (h.configKey != first.configKey)
+            throw SnapshotError(name + ": config '" + h.configKey +
+                                "' does not match " + set.names[0] +
+                                " ('" + first.configKey + "')");
+        if (h.shard.count != first.shard.count)
+            throw SnapshotError(name + ": shard split " + h.shard.str() +
+                                " does not match " + first.shard.str());
+        if (seen[static_cast<std::size_t>(h.shard.index)])
+            throw SnapshotError(name + ": duplicate shard " + h.shard.str());
+        seen[static_cast<std::size_t>(h.shard.index)] = true;
+    }
+    if (static_cast<int>(partials.size()) != first.shard.count)
+        throw SnapshotError(
+            "merge: got " + std::to_string(partials.size()) +
+            " partials for an N=" + std::to_string(first.shard.count) +
+            " split");
+    return set;
+}
+
+void
+FaultCoverage::cover(std::uint64_t index, const std::string &name)
+{
+    if (index >= covered_.size())
+        throw SnapshotError(name + ": fault index " + std::to_string(index) +
+                            " out of range (circuit has " +
+                            std::to_string(covered_.size()) + ")");
+    if (covered_[index]++)
+        throw SnapshotError(name + ": fault index " + std::to_string(index) +
+                            " covered twice");
+}
+
+void
+FaultCoverage::requireAll() const
+{
+    for (std::size_t k = 0; k < covered_.size(); ++k)
+        if (!covered_[k])
+            throw SnapshotError("merge: fault index " + std::to_string(k) +
+                                " covered by no partial (missing shard?)");
+}
+
 void
 writeSnapshotFile(const std::string &path,
                   const std::vector<std::uint8_t> &bytes)

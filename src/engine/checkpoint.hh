@@ -157,6 +157,44 @@ decodeResumeSnapshot(const std::vector<std::uint8_t> &bytes,
                      std::vector<std::uint8_t> *payload,
                      const std::string &name);
 
+/** The partials of one N-way split, checked for merging. */
+struct PartialSet
+{
+    /** Each partial's payload, in input order. */
+    std::vector<std::vector<std::uint8_t>> payloads;
+    /** Each partial's label in diagnostics. */
+    std::vector<std::string> names;
+};
+
+/**
+ * Decode a merge's partials and check they are one whole split: each
+ * has kind @p kind and netlist hash @p netHash, is complete, agrees
+ * with the first on config key and shard count, and each shard index
+ * appears once. @p names labels them (default "partial 1", ...).
+ * Throws SnapshotError naming the first offending partial.
+ */
+PartialSet
+decodePartialSet(const std::string &kind, std::uint64_t netHash,
+                 const std::vector<std::vector<std::uint8_t>> &partials,
+                 const std::vector<std::string> &names);
+
+/** Exactly-once coverage of a campaign's faults by merged records. */
+class FaultCoverage
+{
+  public:
+    explicit FaultCoverage(std::size_t faults) : covered_(faults, 0) {}
+
+    /** Count fault @p index, recorded by partial @p name; throws
+     *  SnapshotError when it is out of range or already counted. */
+    void cover(std::uint64_t index, const std::string &name);
+
+    /** Throws SnapshotError naming the first fault never counted. */
+    void requireAll() const;
+
+  private:
+    std::vector<std::uint8_t> covered_;
+};
+
 /** Atomic file write: path + ".tmp", then rename over path. */
 void writeSnapshotFile(const std::string &path,
                        const std::vector<std::uint8_t> &bytes);

@@ -1,9 +1,9 @@
 #include "fault/report.hh"
 
-#include <algorithm>
 #include <sstream>
 
 #include "fault/collapse.hh"
+#include "fault/options.hh"
 #include "netlist/structure.hh"
 #include "sim/simd.hh"
 
@@ -23,22 +23,6 @@ jsonEscape(const std::string &s)
         out += c;
     }
     return out;
-}
-
-/** Sorted-deduplicated copy, for order-independent spec sets. */
-std::vector<int>
-normalized(std::vector<int> v)
-{
-    std::sort(v.begin(), v.end());
-    v.erase(std::unique(v.begin(), v.end()), v.end());
-    return v;
-}
-
-void
-emitList(std::ostream &os, const std::vector<int> &v)
-{
-    for (std::size_t i = 0; i < v.size(); ++i)
-        os << (i ? "," : "") << v[i];
 }
 
 } // namespace
@@ -182,32 +166,20 @@ withTailFields(std::string verdict, const std::string &tailFields)
 std::string
 canonicalCampaignConfig(const CampaignOptions &opts)
 {
-    std::ostringstream os;
-    os << "comb;max_patterns=" << opts.maxPatterns
-       << ";seed=" << opts.seed
-       << ";keep_unsafe=" << opts.keepUnsafeExamples
-       << ";check_alternating=" << (opts.checkAlternating ? 1 : 0);
-    return os.str();
+    CampaignOptions o = opts;
+    return optionKey("comb", optionRows(o));
 }
 
 std::string
 canonicalSeqCampaignConfig(const SeqCampaignOptions &opts,
                            const SeqCampaignSpec &spec)
 {
-    std::ostringstream os;
-    os << "seq;symbols=" << opts.symbols << ";seed=" << opts.seed
-       << ";lanes=" << opts.lanes << ";window=" << opts.faultStart
-       << ":" << opts.faultEnd
-       << ";drop=" << (opts.dropDetected ? 1 : 0)
-       << ";phi=" << spec.phiInput << ";hold=";
-    emitList(os, normalized(spec.holdInputs));
-    os << ";data=";
-    emitList(os, normalized(spec.dataOutputs));
-    os << ";alt=";
-    emitList(os, normalized(spec.altOutputs));
-    os << ";pairs=";
-    emitList(os, spec.codePairs);
-    return os.str();
+    // The key names the streams a run uses, not the request: lanes 0
+    // resolves per host, and simd (which it resolves through) is not
+    // in the key.
+    SeqCampaignConfig cfg{opts, spec};
+    cfg.opts.lanes = resolveSeqLanes(opts);
+    return optionKey("seq", optionRows(cfg));
 }
 
 } // namespace scal::fault

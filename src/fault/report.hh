@@ -21,7 +21,9 @@
  *    knobs, and the progress plumbing. Results are bit-identical
  *    across them, so cached verdicts are shared across those axes.
  *    Sequential `lanes` stays in the key: it sets the number of
- *    independent random streams, so it is part of the experiment.
+ *    independent random streams, so it is part of the experiment;
+ *    lanes 0 is keyed as the width it resolves to. The fields are the
+ *    key columns of the option tables (fault/options.hh).
  */
 
 #ifndef SCAL_FAULT_REPORT_HH
@@ -67,9 +69,10 @@ std::string withTailFields(std::string verdict,
 std::string canonicalCampaignConfig(const CampaignOptions &opts);
 
 /**
- * Canonical config key of a sequential campaign. The spec's output
- * sets are sorted and deduplicated (alarm/wrong folds are
- * order-independent); code pairs keep their pairing order.
+ * Canonical config key of a sequential campaign, with lanes 0 resolved
+ * (resolveSeqLanes). The spec's output sets are sorted and
+ * deduplicated (alarm/wrong folds are order-independent); code pairs
+ * keep their pairing order.
  */
 std::string canonicalSeqCampaignConfig(const SeqCampaignOptions &opts,
                                        const SeqCampaignSpec &spec);

@@ -697,22 +697,28 @@ buildSymbolWords(int num_inputs, int phi_input, long symbols,
     return words;
 }
 
+int
+resolveSeqLanes(const SeqCampaignOptions &opts)
+{
+    if (opts.lanes < 0 || opts.lanes > 512)
+        throw std::invalid_argument("lanes must be 0 (auto) or 1..512");
+    return opts.lanes == 0
+               ? 64 * sim::defaultLaneWords(sim::resolveSimdTarget(opts.simd))
+               : opts.lanes;
+}
+
 SeqCampaignResult
 runSequentialCampaign(const Netlist &net, const SeqCampaignSpec &spec,
                       const SeqCampaignOptions &opts,
                       SeqCampaignContext *ctx)
 {
-    if (opts.lanes < 0 || opts.lanes > 512)
-        throw std::invalid_argument("lanes must be 0 (auto) or 1..512");
     if (opts.symbols < 1)
         throw std::invalid_argument("need at least one symbol");
 
     // Resolve the packed width and kernel build once, up front, so
     // every worker runs the same configuration.
     const sim::SimdTarget simd = sim::resolveSimdTarget(opts.simd);
-    const int lanes = opts.lanes == 0
-                          ? 64 * sim::defaultLaneWords(simd)
-                          : opts.lanes;
+    const int lanes = resolveSeqLanes(opts);
     const int W = sim::laneWordsForLanes(lanes);
     SeqCampaignOptions ropts = opts;
     ropts.lanes = lanes;
@@ -838,15 +844,11 @@ runSequentialCampaignShard(const Netlist &net,
                            const engine::ShardSpec &shard,
                            const CheckpointOptions &ckpt)
 {
-    if (opts.lanes < 0 || opts.lanes > 512)
-        throw std::invalid_argument("lanes must be 0 (auto) or 1..512");
     if (opts.symbols < 1)
         throw std::invalid_argument("need at least one symbol");
 
     const sim::SimdTarget simd = sim::resolveSimdTarget(opts.simd);
-    const int lanes = opts.lanes == 0
-                          ? 64 * sim::defaultLaneWords(simd)
-                          : opts.lanes;
+    const int lanes = resolveSeqLanes(opts);
     const int W = sim::laneWordsForLanes(lanes);
     SeqCampaignOptions ropts = opts;
     ropts.lanes = lanes;

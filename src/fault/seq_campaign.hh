@@ -407,6 +407,11 @@ runSequentialCampaign(const netlist::Netlist &net,
                       const SeqCampaignOptions &opts = {},
                       SeqCampaignContext *ctx = nullptr);
 
+/** The streams a campaign with @p opts runs: opts.lanes, or for 0 the
+ *  widest block of the resolved SIMD target. Throws
+ *  std::invalid_argument unless opts.lanes is 0..512. */
+int resolveSeqLanes(const SeqCampaignOptions &opts);
+
 } // namespace scal::fault
 
 #endif // SCAL_FAULT_SEQ_CAMPAIGN_HH

@@ -1,5 +1,9 @@
 #include "fault/shard.hh"
 
+#include <filesystem>
+#include <fstream>
+
+#include "fault/options.hh"
 #include "netlist/io.hh"
 #include "sim/simd.hh"
 
@@ -9,7 +13,6 @@ namespace scal::fault
 using engine::ByteReader;
 using engine::ByteWriter;
 using engine::SnapshotError;
-using engine::SnapshotHeader;
 
 namespace shard_detail
 {
@@ -147,77 +150,6 @@ using shard_detail::CombRecord;
 using shard_detail::SeqPayload;
 using shard_detail::SeqRecord;
 
-std::string
-partialName(const std::vector<std::string> &names, std::size_t i)
-{
-    return i < names.size() ? names[i]
-                            : "partial " + std::to_string(i + 1);
-}
-
-/**
- * Shared merge-time validation: decode every snapshot, check kind /
- * net hash / config agreement, completeness, and that the shard
- * indices of one consistent N-way split each appear exactly once.
- */
-std::vector<SnapshotHeader>
-validatePartials(const std::string &kind, std::uint64_t net_hash,
-                 const std::vector<std::vector<std::uint8_t>> &partials,
-                 const std::vector<std::string> &names,
-                 std::vector<std::vector<std::uint8_t>> *payloads)
-{
-    if (partials.empty())
-        throw SnapshotError("merge: no partial files given");
-    std::vector<SnapshotHeader> hdrs;
-    payloads->resize(partials.size());
-    for (std::size_t i = 0; i < partials.size(); ++i) {
-        const std::string name = partialName(names, i);
-        SnapshotHeader h =
-            engine::decodeSnapshot(partials[i], &(*payloads)[i], name);
-        if (h.kind != kind)
-            throw SnapshotError(name + ": kind '" + h.kind +
-                                "' does not match campaign kind '" +
-                                kind + "'");
-        if (h.netHash != net_hash)
-            throw SnapshotError(name +
-                                ": netlist content hash mismatch (file " +
-                                std::to_string(h.netHash) + ", circuit " +
-                                std::to_string(net_hash) + ")");
-        if (!h.complete)
-            throw SnapshotError(
-                name + ": incomplete shard (cursor " +
-                std::to_string(h.cursor) + "/" + std::to_string(h.units) +
-                "); finish or resume it before merging");
-        hdrs.push_back(std::move(h));
-    }
-    const SnapshotHeader &first = hdrs.front();
-    std::vector<bool> seen(static_cast<std::size_t>(first.shard.count),
-                           false);
-    for (std::size_t i = 0; i < hdrs.size(); ++i) {
-        const std::string name = partialName(names, i);
-        if (hdrs[i].configKey != first.configKey)
-            throw SnapshotError(name + ": config '" + hdrs[i].configKey +
-                                "' does not match " +
-                                partialName(names, 0) + " ('" +
-                                first.configKey + "')");
-        if (hdrs[i].shard.count != first.shard.count)
-            throw SnapshotError(name + ": shard split " +
-                                hdrs[i].shard.str() +
-                                " does not match " + first.shard.str());
-        const std::size_t idx =
-            static_cast<std::size_t>(hdrs[i].shard.index);
-        if (seen[idx])
-            throw SnapshotError(name + ": duplicate shard " +
-                                hdrs[i].shard.str());
-        seen[idx] = true;
-    }
-    if (static_cast<int>(hdrs.size()) != first.shard.count)
-        throw SnapshotError(
-            "merge: got " + std::to_string(hdrs.size()) +
-            " partials for an N=" + std::to_string(first.shard.count) +
-            " split");
-    return hdrs;
-}
-
 sim::SimdTarget
 parseSimdName(const std::string &s, const std::string &name)
 {
@@ -225,6 +157,16 @@ parseSimdName(const std::string &s, const std::string &name)
     if (!sim::parseSimdTarget(s.c_str(), &t))
         throw SnapshotError(name + ": unknown SIMD target '" + s + "'");
     return t;
+}
+
+std::vector<std::string>
+withJobs(std::vector<std::string> args, int jobs)
+{
+    if (jobs != 0) {
+        args.push_back("--jobs");
+        args.push_back(std::to_string(jobs));
+    }
+    return args;
 }
 
 } // namespace
@@ -241,9 +183,8 @@ mergeCampaignPartials(const netlist::Netlist &net,
                       const std::vector<std::vector<std::uint8_t>> &partials,
                       const std::vector<std::string> &names)
 {
-    std::vector<std::vector<std::uint8_t>> payloads;
-    validatePartials("comb", netlist::contentHash(net), partials, names,
-                     &payloads);
+    const engine::PartialSet set = engine::decodePartialSet(
+        "comb", netlist::contentHash(net), partials, names);
 
     const std::vector<netlist::Fault> faults = net.allFaults();
     CampaignResult result;
@@ -252,45 +193,31 @@ mergeCampaignPartials(const netlist::Netlist &net,
         result.faults[k].fault = faults[k];
 
     // Fill per-fault verdicts by global index, exactly once.
-    std::vector<std::uint8_t> covered(faults.size(), 0);
-    bool first_payload = true;
+    engine::FaultCoverage coverage(faults.size());
     for (std::size_t i = 0; i < partials.size(); ++i) {
-        const std::string name = partialName(names, i);
+        const std::string &name = set.names[i];
         CombPayload p =
-            shard_detail::decodeCombPayload(payloads[i], name);
-        if (first_payload) {
+            shard_detail::decodeCombPayload(set.payloads[i], name);
+        if (i == 0) {
             result.patternsApplied = p.patternsApplied;
             result.lanes = p.lanes;
             result.simd = parseSimdName(p.simd, name);
-            first_payload = false;
         } else if (p.patternsApplied != result.patternsApplied) {
             // Lane width and kernel build are verdict-neutral tail
             // data, so shards run at different widths still merge.
             throw SnapshotError(name +
                                 ": pattern header disagrees with " +
-                                partialName(names, 0));
+                                set.names[0]);
         }
         result.fp.batches += p.batches;
         for (CombRecord &rec : p.records) {
-            if (rec.faultIndex >= faults.size())
-                throw SnapshotError(name + ": fault index " +
-                                    std::to_string(rec.faultIndex) +
-                                    " out of range (circuit has " +
-                                    std::to_string(faults.size()) + ")");
-            if (covered[rec.faultIndex]++)
-                throw SnapshotError(name + ": fault index " +
-                                    std::to_string(rec.faultIndex) +
-                                    " covered twice");
+            coverage.cover(rec.faultIndex, name);
             FaultResult &fr = result.faults[rec.faultIndex];
             fr.outcome = static_cast<Outcome>(rec.outcome);
             fr.unsafePatterns = std::move(rec.unsafePatterns);
         }
     }
-    for (std::size_t k = 0; k < faults.size(); ++k)
-        if (!covered[k])
-            throw SnapshotError(
-                "merge: fault index " + std::to_string(k) +
-                " covered by no partial (missing shard?)");
+    coverage.requireAll();
 
     // Same fold, same order as the inline runner's finalizeResult.
     for (const FaultResult &fr : result.faults) {
@@ -309,9 +236,8 @@ mergeSeqCampaignPartials(const netlist::Netlist &net,
                          const std::vector<std::vector<std::uint8_t>> &partials,
                          const std::vector<std::string> &names)
 {
-    std::vector<std::vector<std::uint8_t>> payloads;
-    validatePartials("seq", netlist::contentHash(net), partials, names,
-                     &payloads);
+    const engine::PartialSet set = engine::decodePartialSet(
+        "seq", netlist::contentHash(net), partials, names);
 
     const std::vector<netlist::Fault> faults = net.allFaults();
     SeqCampaignResult result;
@@ -323,12 +249,12 @@ mergeSeqCampaignPartials(const netlist::Netlist &net,
     // the same integer accumulators finalizeSeqResult uses, so the
     // histogram / mean double division come out bit-identical.
     std::vector<SeqRecord> recordOf(faults.size());
-    std::vector<std::uint8_t> covered(faults.size(), 0);
-    bool first_payload = true;
+    engine::FaultCoverage coverage(faults.size());
     for (std::size_t i = 0; i < partials.size(); ++i) {
-        const std::string name = partialName(names, i);
-        SeqPayload p = shard_detail::decodeSeqPayload(payloads[i], name);
-        if (first_payload) {
+        const std::string &name = set.names[i];
+        SeqPayload p =
+            shard_detail::decodeSeqPayload(set.payloads[i], name);
+        if (i == 0) {
             result.symbols = p.symbols;
             result.lanes = p.lanes;
             result.simd = parseSimdName(p.simd, name);
@@ -336,12 +262,11 @@ mergeSeqCampaignPartials(const netlist::Netlist &net,
             result.prunedClasses = p.prunedClasses;
             result.prunedFaults = p.prunedFaults;
             result.faultBatch = p.faultBatch;
-            first_payload = false;
         } else if (p.symbols != result.symbols ||
                    p.lanes != result.lanes) {
             throw SnapshotError(name +
                                 ": symbol/lane header disagrees with " +
-                                partialName(names, 0));
+                                set.names[0]);
         }
         result.periodsSimulated += p.periodsSimulated;
         result.periodsSkipped += p.periodsSkipped;
@@ -351,23 +276,11 @@ mergeSeqCampaignPartials(const netlist::Netlist &net,
         result.batchedClasses += p.batchedClasses;
         result.batches += p.batches;
         for (SeqRecord &rec : p.records) {
-            if (rec.faultIndex >= faults.size())
-                throw SnapshotError(name + ": fault index " +
-                                    std::to_string(rec.faultIndex) +
-                                    " out of range (circuit has " +
-                                    std::to_string(faults.size()) + ")");
-            if (covered[rec.faultIndex]++)
-                throw SnapshotError(name + ": fault index " +
-                                    std::to_string(rec.faultIndex) +
-                                    " covered twice");
+            coverage.cover(rec.faultIndex, name);
             recordOf[rec.faultIndex] = rec;
         }
     }
-    for (std::size_t k = 0; k < faults.size(); ++k)
-        if (!covered[k])
-            throw SnapshotError(
-                "merge: fault index " + std::to_string(k) +
-                " covered by no partial (missing shard?)");
+    coverage.requireAll();
 
     std::uint64_t lat_sum = 0;
     for (std::size_t k = 0; k < faults.size(); ++k) {
@@ -395,81 +308,54 @@ mergeSeqCampaignPartials(const netlist::Netlist &net,
     return result;
 }
 
-namespace
-{
-
-void
-pushFlag(std::vector<std::string> *args, const char *flag,
-         const std::string &value)
-{
-    args->push_back(flag);
-    args->push_back(value);
-}
-
-std::string
-joinIndices(const std::vector<int> &v)
-{
-    std::string out;
-    for (std::size_t i = 0; i < v.size(); ++i) {
-        if (i)
-            out += ',';
-        out += std::to_string(v[i]);
-    }
-    return out;
-}
-
-} // namespace
-
 std::vector<std::string>
 campaignWorkerArgs(const CampaignOptions &opts)
 {
-    std::vector<std::string> a;
-    pushFlag(&a, "--max-patterns", std::to_string(opts.maxPatterns));
-    pushFlag(&a, "--seed", std::to_string(opts.seed));
-    pushFlag(&a, "--keep-unsafe",
-             std::to_string(opts.keepUnsafeExamples));
-    if (!opts.checkAlternating)
-        a.push_back("--no-check-alternating");
-    pushFlag(&a, "--lanes", std::to_string(opts.lanes));
-    pushFlag(&a, "--simd", sim::simdTargetName(opts.simd));
-    if (opts.jobs != 0)
-        pushFlag(&a, "--jobs", std::to_string(opts.jobs));
-    return a;
+    CampaignOptions o = opts;
+    return withJobs(optionArgs(optionRows(o)), opts.jobs);
 }
 
 std::vector<std::string>
 seqCampaignWorkerArgs(const SeqCampaignOptions &opts,
                       const SeqCampaignSpec &spec)
 {
-    std::vector<std::string> a;
-    pushFlag(&a, "--symbols", std::to_string(opts.symbols));
-    pushFlag(&a, "--seed", std::to_string(opts.seed));
-    pushFlag(&a, "--lanes", std::to_string(opts.lanes));
-    pushFlag(&a, "--simd", sim::simdTargetName(opts.simd));
-    pushFlag(&a, "--window",
-             std::to_string(opts.faultStart) + ":" +
-                 std::to_string(opts.faultEnd));
-    if (!opts.dropDetected)
-        a.push_back("--no-drop");
-    a.push_back(opts.dominance ? "--dominance" : "--no-dominance");
-    a.push_back(opts.faultBatch ? "--seq-fault-batch"
-                                : "--no-seq-fault-batch");
-    if (!opts.seqDominance)
-        a.push_back("--no-seq-dominance");
-    else if (opts.seqDominanceForce)
-        a.push_back("--seq-dominance");
-    if (opts.jobs != 0)
-        pushFlag(&a, "--jobs", std::to_string(opts.jobs));
-    pushFlag(&a, "--phi-index", std::to_string(spec.phiInput));
-    if (!spec.holdInputs.empty())
-        pushFlag(&a, "--hold", joinIndices(spec.holdInputs));
-    if (!spec.dataOutputs.empty())
-        pushFlag(&a, "--data", joinIndices(spec.dataOutputs));
-    if (!spec.altOutputs.empty())
-        pushFlag(&a, "--alt", joinIndices(spec.altOutputs));
-    if (!spec.codePairs.empty())
-        pushFlag(&a, "--code-pairs", joinIndices(spec.codePairs));
-    return a;
+    SeqCampaignConfig cfg{opts, spec};
+    return withJobs(optionArgs(optionRows(cfg)), opts.jobs);
+}
+
+ShardWorkers
+stageShardWorkers(const netlist::Netlist &net, const std::string &kind,
+                  const std::vector<std::string> &flags,
+                  const std::string &exe, const std::string &dir,
+                  int shards, int checkpointEvery)
+{
+    namespace fs = std::filesystem;
+    fs::create_directories(dir);
+    const std::string circuit = (fs::path(dir) / "circuit.scal").string();
+    {
+        std::ofstream os(circuit);
+        netlist::writeNetlist(os, net);
+        if (!os)
+            throw std::runtime_error("cannot write " + circuit);
+    }
+    ShardWorkers out;
+    for (int k = 0; k < shards; ++k) {
+        const std::string tag = std::to_string(k + 1);
+        engine::WorkerSpec w;
+        w.checkpointPath = (fs::path(dir) / ("ckpt-" + tag + ".snp")).string();
+        out.partials.push_back(
+            (fs::path(dir) / ("part-" + tag + ".snp")).string());
+        w.argv = {exe, kind == "comb" ? "campaign" : "seq-campaign",
+                  "--circuit", circuit, "--format", "scal"};
+        w.argv.insert(w.argv.end(), flags.begin(), flags.end());
+        w.argv.insert(w.argv.end(),
+                      {"--shard", tag + "/" + std::to_string(shards),
+                       "--partial", out.partials.back(), "--checkpoint",
+                       w.checkpointPath, "--checkpoint-every",
+                       std::to_string(checkpointEvery)});
+        out.workers.push_back(std::move(w));
+    }
+    return out;
 }
 
 } // namespace scal::fault

@@ -30,6 +30,7 @@
 #include <functional>
 
 #include "engine/checkpoint.hh"
+#include "engine/orchestrator.hh"
 #include "engine/shard.hh"
 #include "fault/campaign.hh"
 #include "fault/seq_campaign.hh"
@@ -127,21 +128,36 @@ engine::SnapshotHeader
 snapshotHeader(const std::vector<std::uint8_t> &bytes,
                const std::string &name = "<memory>");
 
-/**
- * The scal_cli flag fragment that reproduces @p opts in a worker
- * process — every canonicalCampaignConfig field plus lanes, SIMD
- * target and jobs, so a worker parsing these flags computes the
- * identical config key and work shape. Shared by `scal_cli shard-run` and the server's
- * orchestrated big-job path; exe / circuit / shard flags are the
- * caller's to prepend and append.
- */
+/** The scal_cli flags that reproduce @p opts in a worker process:
+ *  the option table's rows (fault/options.hh) plus --jobs when set. */
 std::vector<std::string> campaignWorkerArgs(const CampaignOptions &opts);
 
-/** Sequential counterpart; @p spec must carry a *resolved* phiInput
- *  (emitted as --phi-index, bypassing the name lookup). */
+/** Sequential counterpart; @p spec's φ travels as --phi-index. */
 std::vector<std::string>
 seqCampaignWorkerArgs(const SeqCampaignOptions &opts,
                       const SeqCampaignSpec &spec);
+
+/** The worker processes of a multi-process campaign. */
+struct ShardWorkers
+{
+    std::vector<engine::WorkerSpec> workers;
+    /** Each worker's partial file, in shard order. */
+    std::vector<std::string> partials;
+};
+
+/**
+ * Stage an N-way multi-process campaign of @p kind ("comb" or "seq")
+ * in @p dir: write @p net to DIR/circuit.scal; worker K = 1..N runs
+ * `EXE campaign|seq-campaign --circuit DIR/circuit.scal --format scal
+ * FLAGS --shard K/N --partial DIR/part-K.snp --checkpoint
+ * DIR/ckpt-K.snp --checkpoint-every EVERY`.
+ */
+ShardWorkers stageShardWorkers(const netlist::Netlist &net,
+                               const std::string &kind,
+                               const std::vector<std::string> &flags,
+                               const std::string &exe,
+                               const std::string &dir, int shards,
+                               int checkpointEvery);
 
 namespace shard_detail
 {

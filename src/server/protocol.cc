@@ -1,12 +1,13 @@
 #include "server/protocol.hh"
 
+#include <algorithm>
 #include <stdexcept>
 
+#include "fault/options.hh"
 #include "fault/report.hh"
 #include "ingest/harden.hh"
 #include "ingest/import.hh"
 #include "netlist/io.hh"
-#include "sim/simd.hh"
 
 namespace scal::server
 {
@@ -24,20 +25,6 @@ optString(const jsonl::Value &req, const char *key,
     if (!v->isString())
         throw std::runtime_error(std::string(key) + " must be a string");
     return v->asString();
-}
-
-std::uint64_t
-optUint(const jsonl::Value &req, const char *key, std::uint64_t dflt)
-{
-    const jsonl::Value *v = req.find(key);
-    if (!v || v->isNull())
-        return dflt;
-    try {
-        return v->asUint64();
-    } catch (const std::exception &) {
-        throw std::runtime_error(std::string(key) +
-                                 " must be a non-negative integer");
-    }
 }
 
 std::int64_t
@@ -65,34 +52,6 @@ optBool(const jsonl::Value &req, const char *key, bool dflt)
     } catch (const std::exception &) {
         throw std::runtime_error(std::string(key) + " must be a bool");
     }
-}
-
-std::vector<int>
-optIndexList(const jsonl::Value &req, const char *key)
-{
-    const jsonl::Value *v = req.find(key);
-    if (!v || v->isNull())
-        return {};
-    try {
-        std::vector<int> out;
-        for (const jsonl::Value &e : v->asArray())
-            out.push_back(static_cast<int>(e.asInt64()));
-        return out;
-    } catch (const std::exception &) {
-        throw std::runtime_error(std::string(key) +
-                                 " must be an array of indices");
-    }
-}
-
-sim::SimdTarget
-parseSimd(const std::string &name)
-{
-    sim::SimdTarget t = sim::SimdTarget::Auto;
-    if (!sim::parseSimdTarget(name.c_str(), &t))
-        throw std::runtime_error(
-            "simd must be auto|portable|avx2|avx512, got '" + name +
-            "'");
-    return t;
 }
 
 netlist::Netlist
@@ -131,68 +90,86 @@ configOf(const jsonl::Value &req)
     return *cfg;
 }
 
-void
-buildCombJob(const jsonl::Value &cfg, JobConfig *job)
+/**
+ * How an option travels in a config object: a bool as a JSON bool,
+ * numbers and index lists as JSON numbers (Int) and arrays, and every
+ * other kind as a string, each holding the CLI spelling of the value.
+ */
+jsonl::Value::Kind
+jsonKind(fault::OptionKind kind)
 {
-    fault::CampaignOptions &o = job->copts;
-    o.maxPatterns = optUint(cfg, "max_patterns", o.maxPatterns);
-    o.seed = optUint(cfg, "seed", o.seed);
-    o.keepUnsafeExamples = static_cast<int>(
-        optInt(cfg, "keep_unsafe", o.keepUnsafeExamples));
-    o.checkAlternating =
-        optBool(cfg, "check_alternating", o.checkAlternating);
-    o.lanes = static_cast<int>(optInt(cfg, "lanes", o.lanes));
-    o.simd = parseSimd(optString(cfg, "simd", "auto"));
-    // Worker-process count: routes through the shard orchestrator
-    // when the daemon has one. Verdict-neutral, so not in configKey.
-    job->shards = static_cast<int>(optInt(cfg, "shards", 0));
-    job->configKey = fault::canonicalCampaignConfig(o);
+    switch (kind) {
+      case fault::OptionKind::Bool:
+        return jsonl::Value::Kind::Bool;
+      case fault::OptionKind::Unsigned:
+      case fault::OptionKind::Signed:
+        return jsonl::Value::Kind::Int;
+      case fault::OptionKind::IndexList:
+      case fault::OptionKind::IndexSet:
+        return jsonl::Value::Kind::Array;
+      default:
+        return jsonl::Value::Kind::String;
+    }
 }
 
-void
-buildSeqJob(const jsonl::Value &cfg, JobConfig *job)
+/** The `config` member called @p key, spelled as a @p kind CLI
+ *  value. */
+std::string
+jsonText(fault::OptionKind kind, const jsonl::Value &v,
+         const std::string &key)
 {
-    fault::SeqCampaignOptions &o = job->sopts;
-    fault::SeqCampaignSpec &spec = job->spec;
-    o.symbols = optInt(cfg, "symbols", o.symbols);
-    o.seed = optUint(cfg, "seed", o.seed);
-    o.lanes = static_cast<int>(optInt(cfg, "lanes", o.lanes));
-    o.simd = parseSimd(optString(cfg, "simd", "auto"));
-    o.dropDetected = optBool(cfg, "drop", o.dropDetected);
-    const std::string window = optString(cfg, "window");
-    if (!window.empty()) {
-        const auto colon = window.find(':');
-        if (colon == std::string::npos)
-            throw std::runtime_error(
-                "window must be \"START:END\" in periods");
-        try {
-            o.faultStart = std::stol(window.substr(0, colon));
-            o.faultEnd = std::stol(window.substr(colon + 1));
-        } catch (const std::exception &) {
-            throw std::runtime_error(
-                "window must be \"START:END\" in periods");
+    using J = jsonl::Value::Kind;
+    const J want = jsonKind(kind);
+    const J got =
+        v.kind() == J::Uint || v.kind() == J::Double ? J::Int : v.kind();
+    if (got != want)
+        throw std::runtime_error(
+            key + " must be " +
+            (want == J::Bool    ? "a bool"
+             : want == J::Int   ? "a number"
+             : want == J::Array ? "an array of indices"
+                                : "a string"));
+    if (want == J::Bool)
+        return v.asBool() ? "1" : "0";
+    const std::string text = v.isString() ? v.asString() : v.dump();
+    return want == J::Array ? text.substr(1, text.size() - 2) : text;
+}
+
+/**
+ * Apply a `config` object through its kind's option @p rows. `shards`
+ * is the one run setting a config may carry; any other key that is
+ * not a row is an error, so a misspelled option cannot silently run
+ * the default.
+ */
+void
+applyConfig(const jsonl::Value &cfg,
+            const std::vector<fault::OptionRow> &rows, JobConfig *job)
+{
+    for (const auto &[key, v] : cfg.asObject()) {
+        if (v.isNull())
+            continue; // null keeps the default
+        if (key == "shards") {
+            // Worker processes: verdict-neutral, so not in the key.
+            job->shards = static_cast<int>(optInt(cfg, "shards", 0));
+            continue;
         }
+        const auto row = std::find_if(
+            rows.begin(), rows.end(),
+            [&](const fault::OptionRow &r) { return key == r.name; });
+        if (row == rows.end())
+            throw std::runtime_error("unknown config key '" + key + "'");
+        fault::setOption(*row, jsonText(row->kind, v, key), job->net, key);
     }
-    // Work-saving knobs: verdicts are knob-invariant, so neither may
-    // enter the canonical config (the cache key must not fragment).
-    o.faultBatch = optBool(cfg, "seq_fault_batch", o.faultBatch);
-    o.seqDominance = optBool(cfg, "seq_dominance", o.seqDominance);
-    spec.holdInputs = optIndexList(cfg, "hold");
-    spec.dataOutputs = optIndexList(cfg, "data");
-    spec.altOutputs = optIndexList(cfg, "alt");
-    spec.codePairs = optIndexList(cfg, "code_pairs");
-    const std::string phiName = optString(cfg, "phi", "phi");
-    spec.phiInput = -1;
-    for (int i = 0; i < job->net.numInputs(); ++i)
-        if (job->net.gate(job->net.inputs()[i]).name == phiName)
-            spec.phiInput = i;
-    job->shards = static_cast<int>(optInt(cfg, "shards", 0));
-    job->configKey = fault::canonicalSeqCampaignConfig(o, spec);
 }
 
 void
 buildSystemJob(const jsonl::Value &cfg, JobConfig *job)
 {
+    for (const auto &member : cfg.asObject())
+        if (member.first != "workload" && member.first != "alu_op" &&
+            member.first != "checked")
+            throw std::runtime_error("unknown config key '" +
+                                     member.first + "'");
     const std::string wlName = optString(cfg, "workload", "sum");
     bool found = false;
     for (scal::system::Workload &wl : scal::system::standardWorkloads())
@@ -225,6 +202,25 @@ buildSystemJob(const jsonl::Value &cfg, JobConfig *job)
 
 } // namespace
 
+jsonl::Value
+configJson(const std::vector<fault::OptionRow> &rows)
+{
+    jsonl::Object o;
+    for (const fault::OptionRow &row : rows) {
+        const std::optional<std::string> text = fault::optionText(row);
+        if (!text)
+            continue;
+        using J = jsonl::Value::Kind;
+        const J form = jsonKind(row.kind);
+        o.emplace_back(row.name, form == J::Bool ? jsonl::Value(*text == "1")
+                                 : form == J::Array
+                                     ? jsonl::parse("[" + *text + "]")
+                                 : form == J::Int ? jsonl::parse(*text)
+                                                  : jsonl::Value(*text));
+    }
+    return jsonl::Value(std::move(o));
+}
+
 JobConfig
 buildJobConfig(const jsonl::Value &req)
 {
@@ -239,10 +235,17 @@ buildJobConfig(const jsonl::Value &req)
     if (job.kind == "comb" || job.kind == "seq") {
         job.net = loadCircuit(req);
         job.netHash = netlist::contentHash(job.net);
-        if (job.kind == "comb")
-            buildCombJob(cfg, &job);
-        else
-            buildSeqJob(cfg, &job);
+        fault::SeqCampaignConfig seq = fault::defaultSeqConfig(job.net);
+        const bool comb = job.kind == "comb";
+        applyConfig(cfg,
+                    comb ? fault::optionRows(job.copts)
+                         : fault::optionRows(seq),
+                    &job);
+        job.sopts = seq.opts;
+        job.spec = seq.spec;
+        job.configKey =
+            comb ? fault::canonicalCampaignConfig(job.copts)
+                 : fault::canonicalSeqCampaignConfig(job.sopts, job.spec);
     } else if (job.kind == "system") {
         buildSystemJob(cfg, &job);
     } else {

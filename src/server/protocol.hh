@@ -15,10 +15,11 @@
  * submit carries the circuit either inline (`circuit`: netlist/bench/
  * blif text, `format` optional) or by path (`circuit_path`), plus
  * `harden` to run the SCAL-hardening pass first, `client`/`priority`
- * for the scheduler, and a `config` object with the campaign options
- * (comb: max_patterns/seed/keep_unsafe/check_alternating/lanes/simd;
- * seq: symbols/seed/lanes/simd/window "S:E"/drop/phi/hold/data/alt/
- * code_pairs; system: workload/alu_op/checked).
+ * for the scheduler, and a `config` object. Its comb and seq keys are
+ * the rows of the option tables in fault/options.hh (the CLI flags
+ * with underscores for dashes), plus `shards` for a multi-process
+ * run; system keys are workload/alu_op/checked. An unknown config key
+ * is an error.
  *
  * Every response carries `ok`; failures carry `error` and the
  * 1-based request line number on this connection.
@@ -31,6 +32,7 @@
 #include <string>
 #include <vector>
 
+#include "fault/options.hh"
 #include "server/jsonl.hh"
 #include "server/scheduler.hh"
 
@@ -44,6 +46,10 @@ namespace scal::server
  * std::runtime_error with a field-specific message on bad requests.
  */
 JobConfig buildJobConfig(const jsonl::Value &req);
+
+/** The `config` object that spells the values of option table @p rows
+ *  (fault::optionRows), which buildJobConfig reads back. */
+jsonl::Value configJson(const std::vector<fault::OptionRow> &rows);
 
 jsonl::Value errorResponse(const std::string &msg, std::uint64_t line);
 jsonl::Value submitResponse(const SubmitOutcome &out);

@@ -2,14 +2,12 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
 #include <utility>
 
 #include "engine/checkpoint.hh"
 #include "engine/orchestrator.hh"
 #include "fault/report.hh"
 #include "fault/shard.hh"
-#include "netlist/io.hh"
 
 namespace scal::server
 {
@@ -436,57 +434,29 @@ Scheduler::runOrchestratedJob(const std::shared_ptr<Job> &job,
     const JobConfig &cfg = job->cfg;
     const fs::path dir = fs::path(opts_.shardWorkDir) /
                          ("scal-job-" + std::to_string(job->id));
-    fs::create_directories(dir);
-    const std::string circuit = (dir / "circuit.scal").string();
-    {
-        std::ofstream os(circuit);
-        netlist::writeNetlist(os, cfg.net);
-        if (!os)
-            throw std::runtime_error("cannot write " + circuit);
-    }
 
     // Workers re-parse these flags into the identical canonical
     // config (fault::*WorkerArgs contract), so their partials merge
     // into the same cache entry an inline run would fill.
-    std::string cmd;
     std::vector<std::string> flags;
     if (cfg.kind == "comb") {
         fault::CampaignOptions o = cfg.copts;
         o.jobs = opts_.jobsPerCampaign;
-        cmd = "campaign";
         flags = fault::campaignWorkerArgs(o);
     } else {
         fault::SeqCampaignOptions o = cfg.sopts;
         o.jobs = opts_.jobsPerCampaign;
-        cmd = "seq-campaign";
         flags = fault::seqCampaignWorkerArgs(o, cfg.spec);
     }
-
-    std::vector<engine::WorkerSpec> workers;
-    std::vector<std::string> partials;
-    for (int k = 0; k < cfg.shards; ++k) {
-        engine::WorkerSpec w;
-        const std::string tag = std::to_string(k + 1);
-        const std::string partial =
-            (dir / ("part-" + tag + ".snp")).string();
-        w.checkpointPath = (dir / ("ckpt-" + tag + ".snp")).string();
-        w.argv = {opts_.shardExec, cmd,        "--circuit",
-                  circuit,         "--format", "scal"};
-        w.argv.insert(w.argv.end(), flags.begin(), flags.end());
-        w.argv.insert(
-            w.argv.end(),
-            {"--shard", tag + "/" + std::to_string(cfg.shards),
-             "--partial", partial, "--checkpoint", w.checkpointPath,
-             "--checkpoint-every",
-             std::to_string(opts_.shardCheckpointEvery)});
-        partials.push_back(partial);
-        workers.push_back(std::move(w));
-    }
+    const fault::ShardWorkers fleet = fault::stageShardWorkers(
+        cfg.net, cfg.kind, flags, opts_.shardExec, dir.string(),
+        cfg.shards, opts_.shardCheckpointEvery);
+    const std::vector<std::string> &partials = fleet.partials;
 
     engine::OrchestratorOptions oo;
     oo.cancel = job->cancel.get();
     const engine::OrchestratorResult orch =
-        engine::runShardWorkers(workers, oo);
+        engine::runShardWorkers(fleet.workers, oo);
     if (orch.cancelled)
         throw engine::CampaignCancelled();
     if (!orch.ok)

@@ -606,85 +606,27 @@ mergeSystemPartials(AluOp op, bool checked,
     const Netlist alu =
         checked ? aluNetlist(op) : aluNetlistUnchecked(op);
     const std::vector<Fault> faults = alu.allFaults();
-    const std::uint64_t net_hash = netlist::contentHash(alu);
-
-    auto nameOf = [&](std::size_t i) {
-        return i < names.size() ? names[i]
-                                : "partial " + std::to_string(i);
-    };
-    if (partials.empty())
-        throw engine::SnapshotError("merge: no partials given");
+    const engine::PartialSet set = engine::decodePartialSet(
+        "system", netlist::contentHash(alu), partials, names);
 
     std::vector<PerFault> per(faults.size());
-    std::vector<std::uint8_t> covered(faults.size(), 0);
-    std::string config;
-    std::vector<std::uint8_t> seen;
-
+    engine::FaultCoverage coverage(faults.size());
     for (std::size_t i = 0; i < partials.size(); ++i) {
-        std::vector<std::uint8_t> payload;
-        const engine::SnapshotHeader h =
-            engine::decodeSnapshot(partials[i], &payload, nameOf(i));
-        if (h.kind != "system")
-            throw engine::SnapshotError(
-                nameOf(i) + ": not a system campaign snapshot");
-        if (!h.complete)
-            throw engine::SnapshotError(
-                nameOf(i) + ": incomplete shard (cursor " +
-                std::to_string(h.cursor) + " of " +
-                std::to_string(h.units) + " units); resume it first");
-        if (h.netHash != net_hash)
-            throw engine::SnapshotError(
-                nameOf(i) + ": snapshot is for a different ALU netlist");
-        if (i == 0) {
-            config = h.configKey;
-            if (h.shard.count != static_cast<int>(partials.size()))
-                throw engine::SnapshotError(
-                    nameOf(i) + ": run has " +
-                    std::to_string(h.shard.count) + " shards but " +
-                    std::to_string(partials.size()) +
-                    " partials were given");
-            seen.assign(static_cast<std::size_t>(h.shard.count), 0);
-        } else if (h.configKey != config) {
-            throw engine::SnapshotError(
-                nameOf(i) + ": config mismatch ('" + h.configKey +
-                "' vs '" + config + "')");
-        }
-        if (h.shard.count != static_cast<int>(seen.size()))
-            throw engine::SnapshotError(
-                nameOf(i) + ": shard count mismatch");
-        // ShardSpec::index is zero-based (the "K/N" CLI form is not).
-        const std::size_t si = static_cast<std::size_t>(h.shard.index);
-        if (seen[si]++)
-            throw engine::SnapshotError(
-                nameOf(i) + ": duplicate shard " + h.shard.str());
-
+        const std::string &name = set.names[i];
         bool snapChecked = false;
         std::vector<std::uint32_t> recIdx;
         std::vector<PerFault> recPer;
-        decodeSystemPayload(payload, nameOf(i), &snapChecked, &recIdx,
+        decodeSystemPayload(set.payloads[i], name, &snapChecked, &recIdx,
                             &recPer);
         if (snapChecked != checked)
             throw engine::SnapshotError(
-                nameOf(i) +
-                ": snapshot is for the other CPU configuration");
+                name + ": snapshot is for the other CPU configuration");
         for (std::size_t r = 0; r < recIdx.size(); ++r) {
-            if (recIdx[r] >= faults.size())
-                throw engine::SnapshotError(
-                    nameOf(i) + ": fault index " +
-                    std::to_string(recIdx[r]) + " out of range");
-            if (covered[recIdx[r]]++)
-                throw engine::SnapshotError(
-                    nameOf(i) + ": fault " +
-                    std::to_string(recIdx[r]) +
-                    " covered by more than one shard");
+            coverage.cover(recIdx[r], name);
             per[recIdx[r]] = recPer[r];
         }
     }
-    for (std::size_t k = 0; k < faults.size(); ++k)
-        if (!covered[k])
-            throw engine::SnapshotError(
-                "merge: fault " + std::to_string(k) +
-                " covered by no shard");
+    coverage.requireAll();
 
     // Identical fold (fault order, double accumulation) to the inline
     // campaigns, so the merged result is field-identical.

@@ -26,6 +26,7 @@
 #include <unistd.h>
 
 #include "fault/campaign.hh"
+#include "fault/options.hh"
 #include "fault/report.hh"
 #include "fault/seq_campaign.hh"
 #include "netlist/circuits.hh"
@@ -35,6 +36,7 @@
 #include "server/cache.hh"
 #include "server/client.hh"
 #include "server/jsonl.hh"
+#include "server/protocol.hh"
 #include "server/scheduler.hh"
 #include "server/server.hh"
 #include "sim/simd.hh"
@@ -720,6 +722,43 @@ TEST_F(ServerTest, SeqSubmitMatchesInlineVerdict)
               fault::seqCampaignVerdictJson(net, inlineRes));
 }
 
+TEST_F(ServerTest, SeqPhiByIndexMatchesInlineVerdict)
+{
+    // scal_cli --server sends the config server::configJson spells. A
+    // φ pinned by index must reach the daemon as that index; sending
+    // only the φ name made the daemon run a different φ than the
+    // inline command.
+    const auto sm = seq::reynoldsDetector();
+    const netlist::Netlist net = roundTripped(sm.net);
+    fault::SeqCampaignConfig cfg = fault::defaultSeqConfig(net);
+    cfg.opts.symbols = 16;
+    cfg.spec = seq::campaignSpec(sm);
+    cfg.spec.phiInput = sm.phiInput == 0 ? 1 : 0;
+
+    jsonl::Object req;
+    req.emplace_back("op", jsonl::Value("submit"));
+    req.emplace_back("kind", jsonl::Value("seq"));
+    req.emplace_back("circuit",
+                     jsonl::Value(netlist::writeNetlistToString(net)));
+    req.emplace_back("config",
+                     server::configJson(fault::optionRows(cfg)));
+    Client client(path_);
+    const jsonl::Value res =
+        client.submitAndWait(jsonl::Value(std::move(req)));
+    ASSERT_EQ(res.find("state")->asString(), "done")
+        << (res.find("error") ? res.find("error")->asString() : "");
+
+    fault::SeqCampaignOptions opts = cfg.opts;
+    opts.jobs = 1;
+    const std::string pinned = fault::seqCampaignVerdictJson(
+        net, fault::runSequentialCampaign(net, cfg.spec, opts));
+    EXPECT_EQ(res.find("verdict")->asString(), pinned);
+    // The pin matters: the machine's own φ gives another verdict.
+    EXPECT_NE(pinned, fault::seqCampaignVerdictJson(
+                          net, fault::runSequentialCampaign(
+                                   net, seq::campaignSpec(sm), opts)));
+}
+
 TEST_F(ServerTest, SeqBatchKnobTogglesHitTheSameCacheEntry)
 {
     const auto sm = seq::reynoldsDetector();
@@ -787,18 +826,30 @@ TEST_F(ServerTest, MalformedRequestsGetLineNumberedErrors)
     ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr *>(&addr),
                         sizeof addr),
               0);
-    const std::string lines = "this is not json\n"
-                              "{\"no_op\":1}\n"
-                              "{\"op\":\"warp\"}\n"
-                              "{\"op\":\"submit\",\"kind\":\"comb\"}\n"
-                              "{\"op\":\"status\",\"id\":42}\n";
+    // A misspelled config key is refused, not run with the default.
+    jsonl::Object misspelled;
+    misspelled.emplace_back("op", jsonl::Value("submit"));
+    misspelled.emplace_back("kind", jsonl::Value("comb"));
+    misspelled.emplace_back(
+        "circuit", jsonl::Value(netlist::writeNetlistToString(
+                       netlist::circuits::rippleCarryAdder(2))));
+    misspelled.emplace_back(
+        "config", jsonl::Value(jsonl::Object{{"max_pattern", jsonl::Value(16)},
+                                             {"seeed", jsonl::Value(3)}}));
+    const std::string lines =
+        "this is not json\n"
+        "{\"no_op\":1}\n"
+        "{\"op\":\"warp\"}\n"
+        "{\"op\":\"submit\",\"kind\":\"comb\"}\n"
+        "{\"op\":\"status\",\"id\":42}\n" +
+        jsonl::Value(std::move(misspelled)).dump() + "\n";
     ASSERT_EQ(::send(fd, lines.data(), lines.size(), 0),
               static_cast<ssize_t>(lines.size()));
 
     jsonl::LineBuffer buf;
     std::vector<jsonl::Value> responses;
     char chunk[4096];
-    while (responses.size() < 5) {
+    while (responses.size() < 6) {
         const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
         ASSERT_GT(n, 0);
         buf.feed(chunk, static_cast<std::size_t>(n));
@@ -808,7 +859,7 @@ TEST_F(ServerTest, MalformedRequestsGetLineNumberedErrors)
     }
     ::close(fd);
 
-    for (std::size_t i = 0; i < 5; ++i) {
+    for (std::size_t i = 0; i < 6; ++i) {
         EXPECT_FALSE(responses[i].find("ok")->asBool()) << i;
         EXPECT_EQ(responses[i].find("line")->asUint64(), i + 1) << i;
     }
@@ -821,6 +872,10 @@ TEST_F(ServerTest, MalformedRequestsGetLineNumberedErrors)
     EXPECT_NE(
         responses[4].find("error")->asString().find("no such job"),
         std::string::npos);
+    EXPECT_NE(responses[5].find("error")->asString().find(
+                  "unknown config key 'max_pattern'"),
+              std::string::npos)
+        << responses[5].find("error")->asString();
 }
 
 TEST_F(ServerTest, ShutdownOpStopsTheDaemon)

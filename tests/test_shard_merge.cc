@@ -274,6 +274,56 @@ TEST(ShardMerge, MergeRejectsBadPartialSets)
             .partial;
     EXPECT_THROW(fault::mergeCampaignPartials(hard.net, {seq_partial}),
                  SnapshotError);
+
+    // System partials go through the same partial-set check.
+    const system::AluOp op = system::AluOp::Add;
+    const auto sysShard = [&](const system::Workload &wl, int k,
+                              const fault::CheckpointOptions &c = {}) {
+        system::SystemCampaignOptions so;
+        so.jobs = 1;
+        return system::runSystemCampaignShard(wl, op, true, so, {k, 2}, c)
+            .partial;
+    };
+    const system::Workload fib = system::standardWorkloads()[1];
+    const std::vector<std::uint8_t> s0 = sysShard(fib, 0);
+    const std::vector<std::uint8_t> s1 = sysShard(fib, 1);
+    EXPECT_NO_THROW(system::mergeSystemPartials(op, true, {s0, s1}));
+    std::vector<std::uint8_t> sysBoundary;
+    fault::CheckpointOptions sysCkpt;
+    sysCkpt.every = 1;
+    sysCkpt.sink = [&sysBoundary](const std::vector<std::uint8_t> &b,
+                                  bool final) {
+        if (!final && sysBoundary.empty())
+            sysBoundary = b;
+    };
+    sysShard(fib, 0, sysCkpt);
+    ASSERT_FALSE(sysBoundary.empty());
+
+    struct Rejected
+    {
+        const char *label;
+        std::vector<std::vector<std::uint8_t>> partials;
+        const char *diagnostic;
+    };
+    const Rejected rejected[] = {
+        {"missing shard", {s0}, "got 1 partials for an N=2 split"},
+        {"duplicate shard", {s0, s0}, "b.snp: duplicate shard"},
+        {"foreign config",
+         {s0, sysShard(system::standardWorkloads()[0], 1)},
+         "b.snp: config"},
+        {"incomplete shard", {sysBoundary, s1}, "a.snp: incomplete shard"},
+    };
+    for (const Rejected &r : rejected) {
+        try {
+            system::mergeSystemPartials(op, true, r.partials,
+                                        {"a.snp", "b.snp"});
+            ADD_FAILURE() << r.label << ": merged";
+        } catch (const SnapshotError &e) {
+            EXPECT_NE(std::string(e.what()).find(r.diagnostic),
+                      std::string::npos)
+                << r.label << ": " << e.what();
+        }
+    }
 }
 
 TEST(ShardMerge, SystemCampaignShardsMerge)

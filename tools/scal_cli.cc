@@ -31,9 +31,9 @@
  *                                        exhaustive stuck-at campaign
  *   scal_cli seq-campaign <netlist|-> [--symbols N] [--lanes N]
  *                     [--seed N] [--jobs N] [--window S:E] [--no-drop]
- *                     [--phi NAME] [--data I,J,..] [--alt I,J,..]
- *                     [--code-pairs P,Q,..] [--hold I,J,..]
- *                     [--simd portable|avx2|avx512] [--[no-]dominance]
+ *                     [--phi NAME | --phi-index I] [--data I,J,..]
+ *                     [--alt I,J,..] [--code-pairs P,Q,..] [--hold I,J,..]
+ *                     [--simd portable|avx2|avx512]
  *                     [--[no-]seq-fault-batch] [--[no-]seq-dominance]
  *                     [--json] [--progress]
  *                                        sequential alternating campaign
@@ -46,11 +46,15 @@
  * (FFR flip batching, critical-path tracing, dominance pruning). The
  * sequential campaign keeps two work-saving knobs: --seq-fault-batch
  * multiplexes several faults into disjoint lane groups of one wide
- * sequential replay, and --seq-dominance extends collapsing with
- * sequential constant propagation and time-frame Dff equivalences.
+ * sequential replay, and --seq-dominance forces sequential constant
+ * propagation and time-frame Dff equivalences into collapsing, even
+ * on hardened realizations where the campaign skips them by default.
  * Verdicts are bit-identical across simd, jobs and these flags, and
  * across --lanes for the combinational campaign (sequential --lanes
- * sets the number of random streams).
+ * sets the number of random streams). The campaign options are the
+ * rows of the option tables in fault/options.hh, which the daemon
+ * protocol and the shard workers share; every bool --name has a
+ * --no-name twin.
  *   scal_cli tests    <netlist|-> <line> Theorem 3.2 test derivation
  *   scal_cli repair   <netlist|-> <line> [depth]   Figure 3.7 repair
  *   scal_cli convert-minority <netlist|->          Theorem 6.2
@@ -133,6 +137,7 @@
 #include "core/test_derivation.hh"
 #include "fault/campaign.hh"
 #include "fault/collapse.hh"
+#include "fault/options.hh"
 #include "fault/report.hh"
 #include "fault/seq_campaign.hh"
 #include "fault/shard.hh"
@@ -142,6 +147,7 @@
 #include "netlist/io.hh"
 #include "netlist/structure.hh"
 #include "server/client.hh"
+#include "server/protocol.hh"
 #include "sim/alternating.hh"
 #include "sim/simd.hh"
 #include "system/alu.hh"
@@ -276,23 +282,6 @@ struct ShardSession
     }
 };
 
-/** Parse @p v as a whole signed number; otherwise throw an error that
- *  names @p flag. */
-long
-checkedLong(const char *flag, const std::string &v)
-{
-    try {
-        std::size_t pos = 0;
-        const long n = std::stol(v, &pos);
-        if (pos != v.size())
-            throw std::invalid_argument(v);
-        return n;
-    } catch (const std::exception &) {
-        throw std::runtime_error(std::string(flag) +
-                                 " needs a number, got '" + v + "'");
-    }
-}
-
 CommonArgs
 parseCommonArgs(int argc, char **argv)
 {
@@ -313,7 +302,8 @@ parseCommonArgs(int argc, char **argv)
         } else if (arg == "--client") {
             common.client = value("--client");
         } else if (arg == "--priority") {
-            common.priority = std::stoi(value("--priority"));
+            common.priority =
+                fault::checkedNumber<int>("--priority", value("--priority"));
         } else if (arg == "--format") {
             const std::string v = value("--format");
             if (!ingest::parseFormatName(v, &common.format))
@@ -468,7 +458,8 @@ cmdPaths(const Netlist &net, const std::vector<std::string> &args)
         else if (arg == "--all")
             all = true;
         else if (arg == "--max")
-            maxPaths = std::stoul(value("--max"));
+            maxPaths =
+                fault::checkedNumber<std::size_t>("--max", value("--max"));
         else
             throw std::runtime_error("unknown paths flag " + arg);
     }
@@ -567,7 +558,8 @@ cmdHarden(const CommonArgs &common)
         } else if (arg == "--budget") {
             if (++i >= common.rest.size())
                 throw std::runtime_error("--budget needs a value");
-            budget = std::stoull(common.rest[i]);
+            budget = fault::checkedNumber<std::uint64_t>("--budget",
+                                                         common.rest[i]);
         } else {
             throw std::runtime_error("unknown harden flag " + arg);
         }
@@ -616,19 +608,15 @@ cmdAnalyze(const Netlist &net)
     return report.selfChecking() ? 0 : 2;
 }
 
-sim::SimdTarget
-parseSimdFlag(const std::string &v)
+/**
+ * A campaign command's arguments: the options of its kind, set by a
+ * walk over the kind's option table (fault/options.hh), plus the run
+ * settings no table holds.
+ */
+template <class T>
+struct CampaignArgs
 {
-    sim::SimdTarget t = sim::SimdTarget::Auto;
-    if (!sim::parseSimdTarget(v.c_str(), &t))
-        throw std::runtime_error(
-            "--simd needs auto|portable|avx2|avx512, got '" + v + "'");
-    return t;
-}
-
-struct CampaignFlags
-{
-    fault::CampaignOptions opts;
+    T cfg;
     ShardArgs sh;
     /** --shards N in --server mode: ask the daemon to orchestrate. */
     int serverShards = 0;
@@ -636,75 +624,69 @@ struct CampaignFlags
     bool verbose = false;
 };
 
-CampaignFlags
-parseCampaignFlags(int argc, char **argv, int first)
+/** The CampaignOptions or SeqCampaignOptions of a campaign config. */
+template <class C>
+auto &
+optsOf(C &cfg)
 {
-    CampaignFlags flags;
-    for (int i = first; i < argc; ++i) {
-        const std::string arg = argv[i];
+    if constexpr (std::is_same_v<std::remove_const_t<C>,
+                                 fault::SeqCampaignConfig>)
+        return cfg.opts;
+    else
+        return cfg;
+}
+
+/** Parse the flags of @p cmd over the defaults @p cfg; φ names
+ *  resolve against @p net. */
+template <class T>
+CampaignArgs<T>
+parseCampaignArgs(const std::string &cmd,
+                  const std::vector<std::string> &args, T cfg,
+                  const Netlist &net)
+{
+    CampaignArgs<T> a;
+    a.cfg = std::move(cfg);
+    for (std::size_t i = 0; i < args.size(); ++i) {
+        if (fault::applyOptionFlag(fault::optionRows(a.cfg), args, &i, net))
+            continue;
+        const std::string &arg = args[i];
         const auto value = [&](const char *name) {
-            if (i + 1 >= argc)
+            if (++i >= args.size())
                 throw std::runtime_error(std::string(name) +
                                          " needs a value");
-            return std::string(argv[++i]);
+            return args[i];
         };
-        const auto number = [&](const char *name) -> std::uint64_t {
-            const std::string v = value(name);
-            try {
-                std::size_t pos = 0;
-                const std::uint64_t n = std::stoull(v, &pos);
-                if (pos != v.size())
-                    throw std::invalid_argument(v);
-                return n;
-            } catch (const std::exception &) {
-                throw std::runtime_error(std::string(name) +
-                                         " needs a number, got '" + v +
-                                         "'");
-            }
+        const auto number = [&](const char *name) {
+            return fault::checkedNumber<int>(name, value(name));
         };
         if (arg == "--jobs")
-            flags.opts.jobs = static_cast<int>(number("--jobs"));
-        else if (arg == "--seed")
-            flags.opts.seed = number("--seed");
-        else if (arg == "--max-patterns")
-            flags.opts.maxPatterns = number("--max-patterns");
-        else if (arg == "--lanes")
-            flags.opts.lanes = static_cast<int>(number("--lanes"));
-        else if (arg == "--simd")
-            flags.opts.simd = parseSimdFlag(value("--simd"));
-        else if (arg == "--keep-unsafe")
-            flags.opts.keepUnsafeExamples =
-                static_cast<int>(number("--keep-unsafe"));
-        else if (arg == "--check-alternating")
-            flags.opts.checkAlternating = true;
-        else if (arg == "--no-check-alternating")
-            flags.opts.checkAlternating = false;
-        else if (arg == "--shard")
-            flags.sh.shard = engine::parseShardSpec(value("--shard"));
-        else if (arg == "--shards")
-            flags.serverShards = static_cast<int>(number("--shards"));
-        else if (arg == "--partial")
-            flags.sh.partialPath = value("--partial");
-        else if (arg == "--checkpoint")
-            flags.sh.checkpointPath = value("--checkpoint");
-        else if (arg == "--checkpoint-every")
-            // Signed, not the unsigned helper: negative = auto cadence.
-            flags.sh.checkpointEvery = static_cast<int>(checkedLong(
-                "--checkpoint-every", value("--checkpoint-every")));
-        else if (arg == "--resume")
-            flags.sh.resumePath = value("--resume");
-        else if (arg == "--verdict-only")
-            flags.sh.verdictOnly = true;
+            optsOf(a.cfg).jobs = number("--jobs");
         else if (arg == "--progress")
-            flags.opts.progressInterval = std::chrono::seconds(1);
+            optsOf(a.cfg).progressInterval = std::chrono::seconds(1);
+        else if (arg == "--shard")
+            a.sh.shard = engine::parseShardSpec(value("--shard"));
+        else if (arg == "--shards")
+            a.serverShards = number("--shards");
+        else if (arg == "--partial")
+            a.sh.partialPath = value("--partial");
+        else if (arg == "--checkpoint")
+            a.sh.checkpointPath = value("--checkpoint");
+        else if (arg == "--checkpoint-every")
+            // A negative cadence means automatic.
+            a.sh.checkpointEvery = number("--checkpoint-every");
+        else if (arg == "--resume")
+            a.sh.resumePath = value("--resume");
+        else if (arg == "--verdict-only")
+            a.sh.verdictOnly = true;
         else if (arg == "--json")
-            flags.json = true;
-        else if (arg == "--verbose")
-            flags.verbose = true;
+            a.json = true;
+        else if (arg == "--verbose" &&
+                 std::is_same_v<T, fault::CampaignOptions>)
+            a.verbose = true;
         else
-            throw std::runtime_error("unknown campaign flag " + arg);
+            throw std::runtime_error("unknown " + cmd + " flag " + arg);
     }
-    return flags;
+    return a;
 }
 
 int
@@ -771,189 +753,6 @@ printCampaignResult(const Netlist &net,
     return res.selfChecking() ? 0 : 2;
 }
 
-/** Shard / checkpoint / resume mode of the combinational campaign. */
-int
-cmdCampaignShard(const Netlist &net, const CampaignFlags &flags)
-{
-    const ShardArgs &sh = flags.sh;
-    ShardSession session(sh);
-    try {
-        const fault::ShardOutcome out = fault::runAlternatingCampaignShard(
-            net, flags.opts, sh.shard, session.ckpt);
-        session.dropCheckpoint();
-        std::cerr << "shard " << sh.shard.str() << ": "
-                  << out.shardClasses << " classes / " << out.shardFaults
-                  << " faults (" << out.units << " units, "
-                  << out.resumedUnits << " resumed)\n";
-        if (!sh.partialPath.empty())
-            std::cerr << "partial written to " << sh.partialPath << "\n";
-        if (sh.shard.active())
-            return 0; // verdict is judged at merge
-        const fault::CampaignResult res =
-            fault::mergeCampaignPartials(net, {out.partial});
-        return printCampaignResult(net, res, flags.json, flags.verbose,
-                                   sh.verdictOnly);
-    } catch (const engine::CampaignCancelled &) {
-        session.printResumeHint();
-        throw;
-    }
-}
-
-int
-cmdCampaign(const Netlist &net, const CampaignFlags &flags)
-{
-    if (flags.sh.enabled())
-        return cmdCampaignShard(net, flags);
-    const auto res = fault::runAlternatingCampaign(net, flags.opts);
-    return printCampaignResult(net, res, flags.json, flags.verbose,
-                               flags.sh.verdictOnly);
-}
-
-struct SeqCampaignFlags
-{
-    fault::SeqCampaignOptions opts;
-    fault::SeqCampaignSpec spec;
-    ShardArgs sh;
-    /** --shards N in --server mode: ask the daemon to orchestrate. */
-    int serverShards = 0;
-    std::string phiName = "phi";
-    bool json = false;
-};
-
-std::vector<int>
-parseIndexList(const std::string &v, const char *name)
-{
-    std::vector<int> out;
-    std::size_t pos = 0;
-    while (pos < v.size()) {
-        std::size_t comma = v.find(',', pos);
-        if (comma == std::string::npos)
-            comma = v.size();
-        try {
-            out.push_back(std::stoi(v.substr(pos, comma - pos)));
-        } catch (const std::exception &) {
-            throw std::runtime_error(
-                std::string(name) +
-                " needs a comma-separated index list, got '" + v + "'");
-        }
-        pos = comma + 1;
-    }
-    return out;
-}
-
-SeqCampaignFlags
-parseSeqCampaignFlags(int argc, char **argv, int first)
-{
-    SeqCampaignFlags flags;
-    for (int i = first; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const auto value = [&](const char *name) {
-            if (i + 1 >= argc)
-                throw std::runtime_error(std::string(name) +
-                                         " needs a value");
-            return std::string(argv[++i]);
-        };
-        const auto number = [&](const char *name) {
-            return checkedLong(name, value(name));
-        };
-        if (arg == "--symbols")
-            flags.opts.symbols = number("--symbols");
-        else if (arg == "--lanes")
-            flags.opts.lanes = static_cast<int>(number("--lanes"));
-        else if (arg == "--seed")
-            flags.opts.seed =
-                static_cast<std::uint64_t>(number("--seed"));
-        else if (arg == "--jobs")
-            flags.opts.jobs = static_cast<int>(number("--jobs"));
-        else if (arg == "--window") {
-            const std::string v = value("--window");
-            const auto colon = v.find(':');
-            if (colon == std::string::npos)
-                throw std::runtime_error(
-                    "--window needs START:END in periods");
-            flags.opts.faultStart = std::stol(v.substr(0, colon));
-            flags.opts.faultEnd = std::stol(v.substr(colon + 1));
-        } else if (arg == "--simd")
-            flags.opts.simd = parseSimdFlag(value("--simd"));
-        else if (arg == "--no-drop")
-            flags.opts.dropDetected = false;
-        else if (arg == "--dominance")
-            flags.opts.dominance = true;
-        else if (arg == "--no-dominance")
-            flags.opts.dominance = false;
-        else if (arg == "--seq-fault-batch")
-            flags.opts.faultBatch = true;
-        else if (arg == "--no-seq-fault-batch")
-            flags.opts.faultBatch = false;
-        else if (arg == "--seq-dominance") {
-            // Also *forces* the pass on netlists the campaign would
-            // auto-skip it for (verified hardened realizations).
-            flags.opts.seqDominance = true;
-            flags.opts.seqDominanceForce = true;
-        } else if (arg == "--no-seq-dominance")
-            flags.opts.seqDominance = false;
-        else if (arg == "--phi")
-            flags.phiName = value("--phi");
-        else if (arg == "--phi-index")
-            flags.spec.phiInput =
-                static_cast<int>(number("--phi-index"));
-        else if (arg == "--data")
-            flags.spec.dataOutputs =
-                parseIndexList(value("--data"), "--data");
-        else if (arg == "--alt")
-            flags.spec.altOutputs =
-                parseIndexList(value("--alt"), "--alt");
-        else if (arg == "--code-pairs")
-            flags.spec.codePairs =
-                parseIndexList(value("--code-pairs"), "--code-pairs");
-        else if (arg == "--hold")
-            flags.spec.holdInputs =
-                parseIndexList(value("--hold"), "--hold");
-        else if (arg == "--shard")
-            flags.sh.shard = engine::parseShardSpec(value("--shard"));
-        else if (arg == "--shards")
-            flags.serverShards = static_cast<int>(number("--shards"));
-        else if (arg == "--partial")
-            flags.sh.partialPath = value("--partial");
-        else if (arg == "--checkpoint")
-            flags.sh.checkpointPath = value("--checkpoint");
-        else if (arg == "--checkpoint-every")
-            flags.sh.checkpointEvery =
-                static_cast<int>(number("--checkpoint-every"));
-        else if (arg == "--resume")
-            flags.sh.resumePath = value("--resume");
-        else if (arg == "--verdict-only")
-            flags.sh.verdictOnly = true;
-        else if (arg == "--progress")
-            flags.opts.progressInterval = std::chrono::seconds(1);
-        else if (arg == "--json")
-            flags.json = true;
-        else
-            throw std::runtime_error("unknown seq-campaign flag " +
-                                     arg);
-    }
-    return flags;
-}
-
-/**
- * The spec a seq campaign actually runs: every output is both a data
- * word and a line that must alternate unless --data/--alt/--code-pairs
- * narrowed it; φ is the input named --phi (default "phi") when the
- * netlist has one, unless --phi-index pinned it already.
- */
-fault::SeqCampaignSpec
-resolvedSeqSpec(const Netlist &net, const SeqCampaignFlags &flags)
-{
-    fault::SeqCampaignSpec spec = flags.spec;
-    if (spec.phiInput < 0) {
-        for (int i = 0; i < net.numInputs(); ++i) {
-            if (net.gate(net.inputs()[i]).name == flags.phiName)
-                spec.phiInput = i;
-        }
-    }
-    return spec;
-}
-
 int
 printSeqCampaignResult(const Netlist &net,
                        const fault::SeqCampaignResult &res, bool json,
@@ -1009,71 +808,52 @@ printSeqCampaignResult(const Netlist &net,
     return res.selfChecking() ? 0 : 2;
 }
 
-/** Shard / checkpoint / resume mode of the sequential campaign. */
+/** Merge comb or seq @p partials and print them as the inline command
+ *  would. */
 int
-cmdSeqCampaignShard(const Netlist &net,
-                    const fault::SeqCampaignSpec &spec,
-                    const SeqCampaignFlags &flags)
+printMerged(const std::string &kind, const Netlist &net,
+            const std::vector<std::vector<std::uint8_t>> &partials,
+            const std::vector<std::string> &names, bool json, bool verbose,
+            bool verdictOnly)
 {
-    const ShardArgs &sh = flags.sh;
-    ShardSession session(sh);
-    try {
-        const fault::ShardOutcome out = fault::runSequentialCampaignShard(
-            net, spec, flags.opts, sh.shard, session.ckpt);
-        session.dropCheckpoint();
-        std::cerr << "shard " << sh.shard.str() << ": "
-                  << out.shardClasses << " classes / " << out.shardFaults
-                  << " faults (" << out.units << " units, "
-                  << out.resumedUnits << " resumed)\n";
-        if (!sh.partialPath.empty())
-            std::cerr << "partial written to " << sh.partialPath << "\n";
-        if (sh.shard.active())
-            return 0; // verdict is judged at merge
-        const fault::SeqCampaignResult res =
-            fault::mergeSeqCampaignPartials(net, {out.partial});
-        return printSeqCampaignResult(net, res, flags.json,
-                                      sh.verdictOnly);
-    } catch (const engine::CampaignCancelled &) {
-        session.printResumeHint();
-        throw;
-    }
-}
-
-int
-cmdSeqCampaign(const Netlist &net, const SeqCampaignFlags &flags)
-{
-    const fault::SeqCampaignSpec spec = resolvedSeqSpec(net, flags);
-    if (flags.sh.enabled())
-        return cmdSeqCampaignShard(net, spec, flags);
-    const auto res = fault::runSequentialCampaign(net, spec, flags.opts);
-    return printSeqCampaignResult(net, res, flags.json,
-                                  flags.sh.verdictOnly);
-}
-
-server::jsonl::Value
-indexListValue(const std::vector<int> &v)
-{
-    server::jsonl::Array arr;
-    for (int i : v)
-        arr.emplace_back(i);
-    return server::jsonl::Value(std::move(arr));
+    if (kind == "comb")
+        return printCampaignResult(
+            net, fault::mergeCampaignPartials(net, partials, names), json,
+            verbose, verdictOnly);
+    return printSeqCampaignResult(
+        net, fault::mergeSeqCampaignPartials(net, partials, names), json,
+        verdictOnly);
 }
 
 /**
  * Client mode: submit the locally loaded (and already hardened, if
- * --harden) circuit to the daemon, optionally stream progress, then
- * print exactly what the inline --json path would have printed — the
- * daemon's cached verdict plus the tail of whichever run computed it.
+ * --harden) circuit with the options in @p flags (spelled by
+ * server::configJson, a walk over the option table) to the daemon,
+ * optionally stream progress, then print exactly what the inline
+ * --json path would have printed — the daemon's cached verdict plus
+ * the tail of whichever run computed it.
  */
+template <class T>
 int
-submitAndPrint(const CommonArgs &common, server::jsonl::Value req,
-               bool streamProgress)
+submitAndPrint(const CommonArgs &common, const Netlist &net,
+               const char *kind, CampaignArgs<T> flags)
 {
     using server::jsonl::Object;
     using server::jsonl::Value;
+    Value cfg = server::configJson(fault::optionRows(flags.cfg));
+    if (flags.serverShards > 0)
+        cfg.set("shards", Value(flags.serverShards));
+    Object req;
+    req.emplace_back("op", Value("submit"));
+    req.emplace_back("kind", Value(kind));
+    req.emplace_back("client", Value(common.client));
+    req.emplace_back("priority", Value(common.priority));
+    req.emplace_back("circuit", Value(writeNetlistToString(net)));
+    req.emplace_back("format", Value("scal"));
+    req.emplace_back("config", std::move(cfg));
     server::Client client(common.server);
 
-    const Value sub = client.request(req);
+    const Value sub = client.request(Value(std::move(req)));
     const Value *ok = sub.find("ok");
     if (!ok || !ok->asBool()) {
         const Value *rej = sub.find("rejected");
@@ -1085,7 +865,7 @@ submitAndPrint(const CommonArgs &common, server::jsonl::Value req,
     }
     const std::uint64_t id = sub.find("id")->asUint64();
 
-    if (streamProgress) {
+    if (optsOf(flags.cfg).progressInterval.count() > 0) {
         // Ctrl-C cancels the job server-side: the handler flips the
         // token, and the event loop (woken at least once per progress
         // period) forwards it as a cancel request. The cancel ack has
@@ -1145,72 +925,65 @@ submitAndPrint(const CommonArgs &common, server::jsonl::Value req,
                : 2;
 }
 
+/**
+ * Run campaign or seq-campaign (over the option defaults @p dflt):
+ * inline, in shard / checkpoint / resume mode, or on the daemon.
+ */
+template <class T>
 int
-cmdServerCampaign(const CommonArgs &common, const Netlist &net,
-                  const CampaignFlags &flags)
+cmdCampaign(const CommonArgs &common, const Netlist &net, T dflt)
 {
-    using server::jsonl::Object;
-    using server::jsonl::Value;
-    Object cfg;
-    cfg.emplace_back("max_patterns", Value(flags.opts.maxPatterns));
-    cfg.emplace_back("seed", Value(flags.opts.seed));
-    cfg.emplace_back("keep_unsafe",
-                     Value(flags.opts.keepUnsafeExamples));
-    cfg.emplace_back("check_alternating",
-                     Value(flags.opts.checkAlternating));
-    cfg.emplace_back("lanes", Value(flags.opts.lanes));
-    cfg.emplace_back("simd",
-                     Value(sim::simdTargetName(flags.opts.simd)));
-    if (flags.serverShards > 0)
-        cfg.emplace_back("shards", Value(flags.serverShards));
-    Object req;
-    req.emplace_back("op", Value("submit"));
-    req.emplace_back("kind", Value("comb"));
-    req.emplace_back("client", Value(common.client));
-    req.emplace_back("priority", Value(common.priority));
-    req.emplace_back("circuit", Value(writeNetlistToString(net)));
-    req.emplace_back("format", Value("scal"));
-    req.emplace_back("config", Value(std::move(cfg)));
-    return submitAndPrint(common, Value(std::move(req)),
-                          flags.opts.progressInterval.count() > 0);
-}
+    constexpr bool comb = std::is_same_v<T, fault::CampaignOptions>;
+    CampaignArgs<T> flags =
+        parseCampaignArgs(common.cmd, common.rest, std::move(dflt), net);
+    if (!common.server.empty())
+        return submitAndPrint(common, net, comb ? "comb" : "seq", flags);
+    std::signal(SIGINT, onInterrupt);
+    std::signal(SIGTERM, onInterrupt);
+    optsOf(flags.cfg).cancel = &g_cancel;
 
-int
-cmdServerSeqCampaign(const CommonArgs &common, const Netlist &net,
-                     const SeqCampaignFlags &flags)
-{
-    using server::jsonl::Object;
-    using server::jsonl::Value;
-    Object cfg;
-    cfg.emplace_back("symbols", Value(flags.opts.symbols));
-    cfg.emplace_back("seed", Value(flags.opts.seed));
-    cfg.emplace_back("lanes", Value(flags.opts.lanes));
-    cfg.emplace_back("simd",
-                     Value(sim::simdTargetName(flags.opts.simd)));
-    cfg.emplace_back("drop", Value(flags.opts.dropDetected));
-    cfg.emplace_back("window",
-                     Value(std::to_string(flags.opts.faultStart) + ":" +
-                           std::to_string(flags.opts.faultEnd)));
-    cfg.emplace_back("seq_fault_batch", Value(flags.opts.faultBatch));
-    cfg.emplace_back("seq_dominance", Value(flags.opts.seqDominance));
-    cfg.emplace_back("phi", Value(flags.phiName));
-    cfg.emplace_back("hold", indexListValue(flags.spec.holdInputs));
-    cfg.emplace_back("data", indexListValue(flags.spec.dataOutputs));
-    cfg.emplace_back("alt", indexListValue(flags.spec.altOutputs));
-    cfg.emplace_back("code_pairs",
-                     indexListValue(flags.spec.codePairs));
-    if (flags.serverShards > 0)
-        cfg.emplace_back("shards", Value(flags.serverShards));
-    Object req;
-    req.emplace_back("op", Value("submit"));
-    req.emplace_back("kind", Value("seq"));
-    req.emplace_back("client", Value(common.client));
-    req.emplace_back("priority", Value(common.priority));
-    req.emplace_back("circuit", Value(writeNetlistToString(net)));
-    req.emplace_back("format", Value("scal"));
-    req.emplace_back("config", Value(std::move(cfg)));
-    return submitAndPrint(common, Value(std::move(req)),
-                          flags.opts.progressInterval.count() > 0);
+    const ShardArgs &sh = flags.sh;
+    const auto print = [&](const auto &res) {
+        if constexpr (comb)
+            return printCampaignResult(net, res, flags.json, flags.verbose,
+                                       sh.verdictOnly);
+        else
+            return printSeqCampaignResult(net, res, flags.json,
+                                          sh.verdictOnly);
+    };
+    if (!sh.enabled()) {
+        if constexpr (comb)
+            return print(fault::runAlternatingCampaign(net, flags.cfg));
+        else
+            return print(fault::runSequentialCampaign(net, flags.cfg.spec,
+                                                      flags.cfg.opts));
+    }
+    ShardSession session(sh);
+    try {
+        fault::ShardOutcome out;
+        if constexpr (comb)
+            out = fault::runAlternatingCampaignShard(net, flags.cfg, sh.shard,
+                                                     session.ckpt);
+        else
+            out = fault::runSequentialCampaignShard(
+                net, flags.cfg.spec, flags.cfg.opts, sh.shard, session.ckpt);
+        session.dropCheckpoint();
+        std::cerr << "shard " << sh.shard.str() << ": "
+                  << out.shardClasses << " classes / " << out.shardFaults
+                  << " faults (" << out.units << " units, "
+                  << out.resumedUnits << " resumed)\n";
+        if (!sh.partialPath.empty())
+            std::cerr << "partial written to " << sh.partialPath << "\n";
+        if (sh.shard.active())
+            return 0; // verdict is judged at merge
+        if constexpr (comb)
+            return print(fault::mergeCampaignPartials(net, {out.partial}));
+        else
+            return print(fault::mergeSeqCampaignPartials(net, {out.partial}));
+    } catch (const engine::CampaignCancelled &) {
+        session.printResumeHint();
+        throw;
+    }
 }
 
 /**
@@ -1259,19 +1032,9 @@ cmdMerge(const CommonArgs &common)
     for (const std::string &f : files)
         partials.push_back(engine::readSnapshotFile(f));
 
-    if (kind == "comb") {
-        const Netlist net = load(common);
-        const fault::CampaignResult res =
-            fault::mergeCampaignPartials(net, partials, files);
-        return printCampaignResult(net, res, json, verbose,
-                                   verdictOnly);
-    }
-    if (kind == "seq") {
-        const Netlist net = load(common);
-        const fault::SeqCampaignResult res =
-            fault::mergeSeqCampaignPartials(net, partials, files);
-        return printSeqCampaignResult(net, res, json, verdictOnly);
-    }
+    if (kind == "comb" || kind == "seq")
+        return printMerged(kind, load(common), partials, files, json,
+                           verbose, verdictOnly);
     if (kind == "system") {
         // The header's canonical config key carries the op and CPU
         // choice: "system;workload=<name>;op=<OP>;checked=<0|1>".
@@ -1340,7 +1103,6 @@ selfExePath(const char *argv0)
 int
 cmdShardRun(const CommonArgs &common, const char *argv0)
 {
-    namespace fs = std::filesystem;
     int shards = 0;
     std::string kind = "comb";
     std::string workdir;
@@ -1360,21 +1122,20 @@ cmdShardRun(const CommonArgs &common, const char *argv0)
             return common.rest[i];
         };
         if (arg == "--shards")
-            shards = static_cast<int>(
-                checkedLong("--shards", value("--shards")));
+            shards = fault::checkedNumber<int>("--shards", value("--shards"));
         else if (arg == "--kind")
             kind = value("--kind");
         else if (arg == "--workdir")
             workdir = value("--workdir");
         else if (arg == "--checkpoint-every")
-            checkpointEvery = static_cast<int>(checkedLong(
-                "--checkpoint-every", value("--checkpoint-every")));
+            checkpointEvery = fault::checkedNumber<int>(
+                "--checkpoint-every", value("--checkpoint-every"));
         else if (arg == "--max-restarts")
-            maxRestarts = static_cast<int>(
-                checkedLong("--max-restarts", value("--max-restarts")));
+            maxRestarts = fault::checkedNumber<int>("--max-restarts",
+                                                    value("--max-restarts"));
         else if (arg == "--test-kill")
-            testKill = static_cast<int>(
-                checkedLong("--test-kill", value("--test-kill")));
+            testKill =
+                fault::checkedNumber<int>("--test-kill", value("--test-kill"));
         else if (arg == "--json")
             json = true;
         else if (arg == "--verdict-only")
@@ -1392,64 +1153,29 @@ cmdShardRun(const CommonArgs &common, const char *argv0)
         throw std::runtime_error("--kind needs comb|seq, got '" + kind +
                                  "'");
 
-    // Re-parse the forwarded flags with the real campaign parsers so
+    // Re-parse the forwarded flags with the real campaign parser so
     // bad flags fail here, not inside N forked workers, and so the
-    // worker argv can be re-serialized from the canonical options.
-    std::vector<char *> fargv;
-    fargv.reserve(fwd.size());
-    for (std::string &s : fwd)
-        fargv.push_back(s.data());
-    const int nf = static_cast<int>(fargv.size());
-
+    // worker argv is re-serialized from the parsed options.
     const Netlist net = load(common);
+    std::vector<std::string> workerFlags;
+    if (kind == "comb") {
+        workerFlags = fault::campaignWorkerArgs(
+            parseCampaignArgs("campaign", fwd, fault::CampaignOptions{}, net)
+                .cfg);
+    } else {
+        const fault::SeqCampaignConfig cfg =
+            parseCampaignArgs("seq-campaign", fwd,
+                              fault::defaultSeqConfig(net), net)
+                .cfg;
+        workerFlags = fault::seqCampaignWorkerArgs(cfg.opts, cfg.spec);
+    }
     if (workdir.empty())
         workdir = "scal-shard-run";
-    fs::create_directories(workdir);
-    const std::string circuitPath =
-        (fs::path(workdir) / "circuit.scal").string();
-    {
-        std::ofstream os(circuitPath);
-        writeNetlist(os, net);
-        if (!os)
-            throw std::runtime_error("cannot write " + circuitPath);
-    }
-
-    std::vector<std::string> workerFlags;
-    std::string workerCmd;
-    if (kind == "comb") {
-        const CampaignFlags flags = parseCampaignFlags(nf, fargv.data(), 0);
-        workerCmd = "campaign";
-        workerFlags = fault::campaignWorkerArgs(flags.opts);
-    } else {
-        const SeqCampaignFlags flags =
-            parseSeqCampaignFlags(nf, fargv.data(), 0);
-        workerCmd = "seq-campaign";
-        workerFlags = fault::seqCampaignWorkerArgs(
-            flags.opts, resolvedSeqSpec(net, flags));
-    }
-
-    const std::string exe = selfExePath(argv0);
-    std::vector<engine::WorkerSpec> workers;
-    std::vector<std::string> partialPaths;
-    for (int k = 0; k < shards; ++k) {
-        engine::WorkerSpec w;
-        const std::string tag = std::to_string(k + 1);
-        const std::string partial =
-            (fs::path(workdir) / ("part-" + tag + ".snp")).string();
-        w.checkpointPath =
-            (fs::path(workdir) / ("ckpt-" + tag + ".snp")).string();
-        w.argv = {exe,        workerCmd, "--circuit",
-                  circuitPath, "--format", "scal"};
-        w.argv.insert(w.argv.end(), workerFlags.begin(),
-                      workerFlags.end());
-        w.argv.insert(w.argv.end(),
-                      {"--shard", tag + "/" + std::to_string(shards),
-                       "--partial", partial, "--checkpoint",
-                       w.checkpointPath, "--checkpoint-every",
-                       std::to_string(checkpointEvery)});
-        partialPaths.push_back(partial);
-        workers.push_back(std::move(w));
-    }
+    const fault::ShardWorkers fleet =
+        fault::stageShardWorkers(net, kind, workerFlags, selfExePath(argv0),
+                                 workdir, shards, checkpointEvery);
+    const std::vector<engine::WorkerSpec> &workers = fleet.workers;
+    const std::vector<std::string> &partialPaths = fleet.partials;
 
     std::signal(SIGINT, onInterrupt);
     std::signal(SIGTERM, onInterrupt);
@@ -1511,14 +1237,8 @@ cmdShardRun(const CommonArgs &common, const char *argv0)
     for (const engine::WorkerSpec &w : workers)
         std::remove(w.checkpointPath.c_str()); // stale after success
 
-    if (kind == "comb") {
-        const fault::CampaignResult res =
-            fault::mergeCampaignPartials(net, partials, partialPaths);
-        return printCampaignResult(net, res, json, verbose, verdictOnly);
-    }
-    const fault::SeqCampaignResult res =
-        fault::mergeSeqCampaignPartials(net, partials, partialPaths);
-    return printSeqCampaignResult(net, res, json, verdictOnly);
+    return printMerged(kind, net, partials, partialPaths, json, verbose,
+                       verdictOnly);
 }
 
 int
@@ -1632,40 +1352,22 @@ main(int argc, char **argv)
 
         // The per-command flag parsers see only the args the common
         // scan did not claim.
-        std::vector<char *> rest;
-        rest.reserve(common.rest.size());
-        for (std::string &s : common.rest)
-            rest.push_back(s.data());
-        const int nrest = static_cast<int>(rest.size());
-
+        const std::vector<std::string> &rest = common.rest;
         const Netlist net = load(common);
         if (common.cmd == "analyze")
             return cmdAnalyze(net);
-        if (common.cmd == "campaign") {
-            CampaignFlags flags =
-                parseCampaignFlags(nrest, rest.data(), 0);
-            if (!common.server.empty())
-                return cmdServerCampaign(common, net, flags);
-            std::signal(SIGINT, onInterrupt);
-            std::signal(SIGTERM, onInterrupt);
-            flags.opts.cancel = &g_cancel;
-            return cmdCampaign(net, flags);
-        }
-        if (common.cmd == "seq-campaign") {
-            SeqCampaignFlags flags =
-                parseSeqCampaignFlags(nrest, rest.data(), 0);
-            if (!common.server.empty())
-                return cmdServerSeqCampaign(common, net, flags);
-            std::signal(SIGINT, onInterrupt);
-            std::signal(SIGTERM, onInterrupt);
-            flags.opts.cancel = &g_cancel;
-            return cmdSeqCampaign(net, flags);
-        }
-        if (common.cmd == "tests" && nrest > 0)
+        if (common.cmd == "campaign")
+            return cmdCampaign(common, net, fault::CampaignOptions{});
+        if (common.cmd == "seq-campaign")
+            return cmdCampaign(common, net, fault::defaultSeqConfig(net));
+        if (common.cmd == "tests" && !rest.empty())
             return cmdTests(net, rest[0]);
-        if (common.cmd == "repair" && nrest > 0)
-            return cmdRepair(net, rest[0],
-                             nrest > 1 ? std::stoi(rest[1]) : 4);
+        if (common.cmd == "repair" && !rest.empty())
+            return cmdRepair(
+                net, rest[0],
+                rest.size() > 1
+                    ? fault::checkedNumber<int>("repair depth", rest[1])
+                    : 4);
         if (common.cmd == "convert-minority")
             return cmdConvertMinority(net);
         if (common.cmd == "paths")
