@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <istream>
 #include <map>
 #include <sstream>
@@ -151,6 +152,25 @@ class Lexer
     std::size_t pos_ = 0;
 };
 
+/** A decimal token (underscores allowed) as an int; a ParseError on
+ *  @p line when it does not fit. */
+int
+checkedInt(const std::string &text, int line)
+{
+    std::string digits;
+    for (const char c : text)
+        if (c != '_')
+            digits += c;
+    int v = 0;
+    const char *end = digits.data() + digits.size();
+    const auto [stop, ec] = std::from_chars(digits.data(), end, v);
+    if (ec == std::errc::result_out_of_range)
+        throw ParseError(line, "number '" + text + "' is out of range");
+    if (ec != std::errc() || stop != end)
+        throw ParseError(line, "bad number '" + text + "'");
+    return v;
+}
+
 /** A sized constant's bits, LSB first. */
 std::vector<bool>
 parseConst(const Token &t)
@@ -160,10 +180,7 @@ parseConst(const Token &t)
         throw ParseError(t.line, "constant '" + t.text +
                                      "' needs a size and base "
                                      "(e.g. 1'b0, 4'hA)");
-    int width = 0;
-    for (std::size_t i = 0; i < tick; ++i)
-        if (t.text[i] != '_')
-            width = width * 10 + (t.text[i] - '0');
+    const int width = checkedInt(t.text.substr(0, tick), t.line);
     if (width <= 0 || width > 64)
         throw ParseError(t.line, "unsupported constant width in '" +
                                      t.text + "'");
@@ -337,7 +354,7 @@ class VerilogParser
             t.text.find('\'') != std::string::npos)
             throw ParseError(t.line, "expected an index, got '" + t.text +
                                          "'");
-        return std::stoi(t.text);
+        return checkedInt(t.text, t.line);
     }
 
     // ---- declarations --------------------------------------------
@@ -361,6 +378,12 @@ class VerilogParser
     {
         auto it = nets_.find(name);
         if (it == nets_.end()) {
+            declaredBits_ += isVec ? std::abs(static_cast<long>(msb) - lsb) + 1
+                                   : 1;
+            if (declaredBits_ > kMaxModuleBits)
+                throw ParseError(line, "module declares more than " +
+                                           std::to_string(kMaxModuleBits) +
+                                           " scalar bits");
             VNet v;
             v.dir = dir;
             v.isVec = isVec;
@@ -912,6 +935,7 @@ class VerilogParser
     Lexer lex_;
     std::string moduleName_;
     std::map<std::string, VNet> nets_;
+    long declaredBits_ = 0; ///< scalar bits of nets_, for kMaxModuleBits
     std::vector<std::string> portOrder_;
     std::map<std::string, int> drivenAt_;
     std::vector<Op> ops_;

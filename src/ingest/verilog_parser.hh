@@ -27,7 +27,9 @@
  *
  * Everything else (expressions, `always`, hierarchy) is rejected with
  * a line-numbered ParseError, as are undeclared nets, width
- * mismatches, multiply-driven nets and unknown primitives.
+ * mismatches, multiply-driven nets, unknown primitives, indices that
+ * do not fit an int and modules declaring more than kMaxModuleBits
+ * scalar bits.
  */
 
 #ifndef SCAL_INGEST_VERILOG_PARSER_HH
@@ -40,6 +42,10 @@
 
 namespace scal::ingest
 {
+
+/** Most scalar bits one module may declare across its ports and
+ *  wires; a larger declaration is a line-numbered ParseError. */
+inline constexpr long kMaxModuleBits = 1L << 20;
 
 /** Parse a structural Verilog stream; throws ParseError on
  *  malformed input. */

@@ -278,8 +278,15 @@ class Parser
         skipWs();
         const char c = peek();
         switch (c) {
-          case '{': return parseObject();
-          case '[': return parseArray();
+          case '{':
+          case '[': {
+            if (depth_ == kMaxDepth)
+                fail("nesting deeper than " + std::to_string(kMaxDepth));
+            ++depth_;
+            Value v = c == '{' ? parseObject() : parseArray();
+            --depth_;
+            return v;
+          }
           case '"': return Value(parseString());
           case 't':
             if (consume("true"))
@@ -459,6 +466,7 @@ class Parser
 
     const std::string &text_;
     std::size_t at_ = 0;
+    int depth_ = 0;
 };
 
 } // namespace

@@ -24,6 +24,15 @@
 namespace scal::server::jsonl
 {
 
+/** Deepest array/object nesting parse() accepts. Requests nest three
+ *  deep; the cap only has to stop a hostile line from exhausting the
+ *  stack. */
+inline constexpr int kMaxDepth = 64;
+
+/** Longest unterminated line a server connection buffers. The largest
+ *  bundled circuit sent inline is well under 1 MiB of JSON. */
+inline constexpr std::size_t kMaxLineBytes = std::size_t{16} << 20;
+
 /** Parse failure, carrying the byte offset of the offending input. */
 struct ParseError : std::runtime_error
 {
@@ -129,18 +138,26 @@ class LineBuffer
     bool
     pop(std::string *line)
     {
-        const std::size_t nl = buf_.find('\n');
-        if (nl == std::string::npos)
+        const std::size_t nl = buf_.find('\n', scanned_);
+        if (nl == std::string::npos) {
+            scanned_ = buf_.size();
             return false;
+        }
         *line = buf_.substr(0, nl);
         if (!line->empty() && line->back() == '\r')
             line->pop_back();
         buf_.erase(0, nl + 1);
+        scanned_ = 0;
         return true;
     }
 
+    /** True when the unterminated tail left after pop() returned
+     *  false is longer than kMaxLineBytes. */
+    bool overlong() const { return buf_.size() > kMaxLineBytes; }
+
   private:
     std::string buf_;
+    std::size_t scanned_ = 0; ///< prefix of buf_ known to hold no '\n'
 };
 
 } // namespace scal::server::jsonl

@@ -61,7 +61,8 @@ loadCircuit(const jsonl::Value &req)
     const std::string fmt = optString(req, "format");
     if (!fmt.empty() && !ingest::parseFormatName(fmt, &format))
         throw std::runtime_error(
-            "format must be auto|bench|blif|scal, got '" + fmt + "'");
+            "format must be auto|bench|blif|scal|verilog, got '" + fmt +
+            "'");
 
     const std::string inlineText = optString(req, "circuit");
     const std::string path = optString(req, "circuit_path");

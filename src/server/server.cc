@@ -164,6 +164,17 @@ Server::serveConnection(const std::shared_ptr<Conn> &conn)
                 continue;
             keepGoing = handleLine(conn, line, ++lineNo);
         }
+        if (keepGoing && buf.overlong()) {
+            // The stream cannot be framed any further: answer and
+            // drop this connection only.
+            sendLine(conn,
+                     errorResponse("request line longer than " +
+                                       std::to_string(jsonl::kMaxLineBytes) +
+                                       " bytes",
+                                   ++lineNo)
+                         .dump());
+            break;
+        }
     }
     std::lock_guard<std::mutex> lock(conn->writeMu);
     conn->open = false;

@@ -167,8 +167,9 @@ FaultBatchPlan::FaultBatchPlan(const FlatNetlist &flat,
             flipNeed_[groupOf_[c]] = 1;
     }
 
-    // Fanout cones (topo-sorted) and owned outputs per Sim class;
-    // root cones and reachable outputs per Flip/Cpt group.
+    // Fanout cones (unordered gate sets, for batch coloring and
+    // costs) and owned outputs per Sim class; root cones and
+    // reachable outputs per Flip/Cpt group.
     std::vector<std::uint8_t> seen(static_cast<std::size_t>(n), 0);
     std::vector<GateId> stack, cone;
     auto build_cone = [&](GateId seed) {
@@ -188,9 +189,6 @@ FaultBatchPlan::FaultBatchPlan(const FlatNetlist &flat,
                 }
             }
         }
-        std::sort(cone.begin(), cone.end(), [&flat](GateId a, GateId b) {
-            return flat.topoPos(a) < flat.topoPos(b);
-        });
         for (GateId g : cone)
             seen[g] = 0;
     };
@@ -369,7 +367,6 @@ BatchClassifier::setRange(int group_begin, int group_end)
         FlipBatch &fb = flipBatches_[static_cast<std::size_t>(b)];
         fb.roots.push_back(plan_.groupRoots_[gi]);
         fb.groups.push_back(gi);
-        fb.work.insert(fb.work.end(), cone, cone + len);
         for (std::size_t i = 0; i < len; ++i)
             lastBatch_[cone[i]] = b;
     }
@@ -394,18 +391,9 @@ BatchClassifier::setRange(int group_begin, int group_end)
         Batch &bt = batches_[static_cast<std::size_t>(b)];
         bt.faults.push_back(plan_.simFault_[c]);
         bt.members.push_back({c, pos});
-        bt.work.insert(bt.work.end(), cone, cone + len);
         for (std::size_t i = 0; i < len; ++i)
             lastBatch_[cone[i]] = b;
     }
-    const FlatNetlist &flat = plan_.flat();
-    const auto topo_less = [&flat](GateId a, GateId b) {
-        return flat.topoPos(a) < flat.topoPos(b);
-    };
-    for (FlipBatch &fb : flipBatches_)
-        std::sort(fb.work.begin(), fb.work.end(), topo_less);
-    for (Batch &bt : batches_)
-        std::sort(bt.work.begin(), bt.work.end(), topo_less);
 }
 
 void
@@ -673,8 +661,7 @@ BatchClassifier::classifyBlock(const Emit &emit)
                                   sim_.goodLines(1).data()};
     for (const FlipBatch &fb : flipBatches_) {
         for (int p = 0; p < 2; ++p) {
-            sim_.replayFlips(fb.roots.data(), fb.roots.size(),
-                             fb.work.data(), fb.work.size(), p);
+            sim_.replayFlips(fb.roots.data(), fb.roots.size(), p);
             for (const int gi : fb.groups) {
                 const std::int32_t t0 = plan_.rootTapOff_[gi];
                 const std::int32_t t1 =
@@ -701,13 +688,9 @@ BatchClassifier::classifyBlock(const Emit &emit)
     // drives (disjointness makes the attribution exact).
     for (const Batch &bt : batches_) {
         const std::uint64_t *f0 =
-            sim_.faultOutputsOver(bt.faults.data(), bt.faults.size(),
-                                  bt.work.data(), bt.work.size(), 0)
-                .data();
+            sim_.faultOutputs(bt.faults.data(), bt.faults.size(), 0).data();
         const std::uint64_t *f1 =
-            sim_.faultOutputsOver(bt.faults.data(), bt.faults.size(),
-                                  bt.work.data(), bt.work.size(), 1)
-                .data();
+            sim_.faultOutputs(bt.faults.data(), bt.faults.size(), 1).data();
         for (const Member &mb : bt.members) {
             WideMasks m;
             const std::int32_t o0 = plan_.ownOff_[mb.cls];

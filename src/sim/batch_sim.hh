@@ -34,8 +34,9 @@
  *    pairwise-disjoint fanout cones are packed into one replay pass
  *    (exact by superposition: a fault's effect never leaves its cone,
  *    so disjoint cones cannot interact) with each member's fold
- *    restricted to the outputs its own cone drives. Batch worklists
- *    are merged and sorted once per shard, not per pass.
+ *    restricted to the outputs its own cone drives. A pass seeds the
+ *    event-driven replay kernel with its members' injection sites
+ *    only; no cone is merged or sorted.
  *  - **CPT.** Inside an FFR the path from any line to the FFR root is
  *    unique, so fault propagation to the root is exact single-path
  *    sensitization: err_root = excitation & criticality, where
@@ -154,7 +155,7 @@ class FaultBatchPlan
     std::vector<netlist::Fault> simFault_;
     std::vector<int> groupOf_;
     std::vector<std::int32_t> coneOff_;     ///< per class + 1 (Sim only)
-    std::vector<netlist::GateId> coneData_; ///< topo-sorted cones
+    std::vector<netlist::GateId> coneData_; ///< fanout cones, unordered
     std::vector<std::int32_t> ownOff_;      ///< per class + 1
     std::vector<std::int32_t> ownData_;     ///< owned output ids
     /** @} */
@@ -167,8 +168,8 @@ class FaultBatchPlan
     std::vector<std::uint64_t> groupCost_;
     std::vector<std::uint8_t> groupCpt_;  ///< has >= 1 Cpt class
     std::vector<std::uint8_t> flipNeed_;  ///< has >= 1 Flip class
-    /** Root fanout cones (topo-sorted) of flip-needing groups: the
-     *  flip pass worklist unit the batcher packs. */
+    /** Root fanout cones (unordered) of flip-needing groups: the
+     *  flip unit the batcher colors. */
     std::vector<std::int32_t> groupConeOff_; ///< per group + 1
     std::vector<netlist::GateId> groupConeData_;
     /** Outputs reachable from the root; doubles as the flip-response
@@ -226,14 +227,12 @@ class BatchClassifier
     struct Batch
     {
         std::vector<netlist::Fault> faults;
-        std::vector<netlist::GateId> work;
         std::vector<Member> members;
     };
     /** One flip replay covering several cone-disjoint group roots. */
     struct FlipBatch
     {
         std::vector<netlist::GateId> roots;
-        std::vector<netlist::GateId> work;
         std::vector<int> groups;
     };
 

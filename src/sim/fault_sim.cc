@@ -24,14 +24,11 @@ FaultSimulator::FaultSimulator(const FlatNetlist &flat, int lane_words,
     faulty_.assign(n * W, 0);
     stamp_.assign(n, 0);
     forced_.assign(n, 0);
-    coneCache_.resize(n);
-    coneBuilt_.assign(n, 0);
-    visitStamp_.assign(n, 0);
+    seeds_.reserve(n);
+    events_.assign(detail::eventWords(flat_), 0);
     ptrScratch_.assign(
         static_cast<std::size_t>(std::max(1, flat_.maxArity())), nullptr);
     inbarScratch_.assign(static_cast<std::size_t>(flat_.numInputs()) * W, 0);
-    stack_.reserve(n);
-    unionCone_.reserve(n);
 }
 
 void
@@ -93,41 +90,9 @@ FaultSimulator::setAlternatingBlock(const std::vector<std::uint64_t> &inputs)
     evalGood(1, inbarScratch_.data(), nullptr);
 }
 
-const std::vector<GateId> &
-FaultSimulator::cone(GateId seed)
-{
-    if (!coneBuilt_[seed]) {
-        if (++visitEpoch_ == 0) {
-            std::fill(visitStamp_.begin(), visitStamp_.end(), 0);
-            visitEpoch_ = 1;
-        }
-        auto &c = coneCache_[seed];
-        stack_.clear();
-        stack_.push_back(seed);
-        visitStamp_[seed] = visitEpoch_;
-        while (!stack_.empty()) {
-            const GateId g = stack_.back();
-            stack_.pop_back();
-            c.push_back(g);
-            const GateId *cs = flat_.consumers(g);
-            for (int k = 0; k < flat_.fanoutDegree(g); ++k) {
-                if (visitStamp_[cs[k]] != visitEpoch_) {
-                    visitStamp_[cs[k]] = visitEpoch_;
-                    stack_.push_back(cs[k]);
-                }
-            }
-        }
-        std::sort(c.begin(), c.end(), [this](GateId a, GateId b) {
-            return flat_.topoPos(a) < flat_.topoPos(b);
-        });
-        coneBuilt_[seed] = 1;
-    }
-    return coneCache_[seed];
-}
-
-FaultSimulator::InjectPrep
-FaultSimulator::prepareInjections(int phase, const Fault *faults,
-                                  std::size_t num_faults)
+void
+FaultSimulator::simulate(int phase, const Fault *faults,
+                         std::size_t num_faults)
 {
     bumpEpoch();
     const std::size_t W = static_cast<std::size_t>(laneWords_);
@@ -135,17 +100,12 @@ FaultSimulator::prepareInjections(int phase, const Fault *faults,
 
     // Sort injections: stems force their line now, branch faults are
     // applied while their consuming gate recomputes, output taps at
-    // output assembly. Stuck-at values are broadcast blocks, so the
-    // injections reference the shared constant groups.
+    // output assembly. Forced lines and branch consumers seed the
+    // replay. Stuck-at values are broadcast blocks, so the injections
+    // reference the shared constant groups.
     branchInj_.clear();
     tapInj_.clear();
-    InjectPrep prep;
-    auto note_seed = [&](GateId s) {
-        if (prep.singleSeed == kNoGate)
-            prep.singleSeed = s;
-        else if (prep.singleSeed != s)
-            prep.multiSeed = true;
-    };
+    seeds_.clear();
     for (std::size_t k = 0; k < num_faults; ++k) {
         const Fault &f = faults[k];
         const std::uint64_t *vg = f.value ? detail::kOnesGroup.data()
@@ -163,9 +123,8 @@ FaultSimulator::prepareInjections(int phase, const Fault *faults,
                 for (std::size_t w = 0; w < W; ++w)
                     fv[w] = vg[w];
                 stamp_[g] = epoch_;
-                prep.frontier += flat_.fanoutDegree(g);
             }
-            note_seed(g);
+            seeds_.push_back(g);
         } else if (f.site.consumer == FaultSite::kOutputTap) {
             tapInj_.push_back({f.site.pin, f.site.driver, vg});
         } else if (flat_.kind(f.site.consumer) != GateKind::Dff) {
@@ -174,28 +133,14 @@ FaultSimulator::prepareInjections(int phase, const Fault *faults,
             // vector), matching the reference evaluators.
             branchInj_.push_back(
                 {f.site.consumer, f.site.driver, f.site.pin, vg});
-            prep.lastBranchPos = std::max(
-                prep.lastBranchPos, flat_.topoPos(f.site.consumer));
-            note_seed(f.site.consumer);
+            seeds_.push_back(f.site.consumer);
         }
     }
-    return prep;
-}
-
-void
-FaultSimulator::replayAndAssemble(int phase, const InjectPrep &prep,
-                                  const GateId *work, std::size_t num_work)
-{
-    const std::size_t W = static_cast<std::size_t>(laneWords_);
-    const std::uint64_t *good = goodLines_[phase].data();
-
-    if (prep.frontier != 0 || !branchInj_.empty()) {
-        kernels_->replayCone(flat_, good, faulty_.data(), stamp_.data(),
-                             forced_.data(), epoch_, work, num_work,
-                             branchInj_.data(), branchInj_.size(), nullptr,
-                             0, prep.lastBranchPos, prep.frontier,
-                             ptrScratch_.data());
-    }
+    kernels_->replayEvents(flat_, good, faulty_.data(), stamp_.data(),
+                           forced_.data(), epoch_, seeds_.data(),
+                           seeds_.size(), branchInj_.data(),
+                           branchInj_.size(), nullptr, 0, events_.data(),
+                           ptrScratch_.data());
 
     // Output assembly (with output-tap overrides, reference order).
     std::uint64_t *out = outBuf_[phase].data();
@@ -212,27 +157,13 @@ FaultSimulator::replayAndAssemble(int phase, const InjectPrep &prep,
     }
 }
 
-const std::vector<std::uint64_t> &
-FaultSimulator::faultOutputsOver(const Fault *faults,
-                                 std::size_t num_faults, const GateId *work,
-                                 std::size_t num_work, int phase)
-{
-    const InjectPrep prep = prepareInjections(phase, faults, num_faults);
-    replayAndAssemble(phase, prep, work, num_work);
-    return outBuf_[phase];
-}
-
 void
 FaultSimulator::replayFlips(const GateId *lines, std::size_t num_lines,
-                            const GateId *work, std::size_t num_work,
                             int phase)
 {
     bumpEpoch();
     const std::size_t W = static_cast<std::size_t>(laneWords_);
     const std::uint64_t *good = goodLines_[phase].data();
-    branchInj_.clear();
-    tapInj_.clear();
-    std::int64_t frontier = 0;
     for (std::size_t k = 0; k < num_lines; ++k) {
         const GateId g = lines[k];
         forced_[g] = epoch_;
@@ -241,69 +172,11 @@ FaultSimulator::replayFlips(const GateId *lines, std::size_t num_lines,
         for (std::size_t w = 0; w < W; ++w)
             fv[w] = ~gd[w];
         stamp_[g] = epoch_;
-        frontier += flat_.fanoutDegree(g);
     }
-    if (frontier != 0)
-        kernels_->replayCone(flat_, good, faulty_.data(), stamp_.data(),
-                             forced_.data(), epoch_, work, num_work,
-                             branchInj_.data(), branchInj_.size(), nullptr,
-                             0, -1, frontier, ptrScratch_.data());
-}
-
-void
-FaultSimulator::simulate(int phase, const Fault *faults,
-                         std::size_t num_faults)
-{
-    const InjectPrep prep = prepareInjections(phase, faults, num_faults);
-
-    const std::vector<GateId> *work = nullptr;
-    if (prep.frontier != 0 || !branchInj_.empty()) {
-        // Worklist: the memoized cone for a single seed, the sorted
-        // union of cones otherwise.
-        if (!prep.multiSeed) {
-            work = &cone(prep.singleSeed);
-        } else {
-            if (++visitEpoch_ == 0) {
-                std::fill(visitStamp_.begin(), visitStamp_.end(), 0);
-                visitEpoch_ = 1;
-            }
-            unionCone_.clear();
-            stack_.clear();
-            for (std::size_t k = 0; k < num_faults; ++k) {
-                const Fault &f = faults[k];
-                GateId s = kNoGate;
-                if (f.site.isStem())
-                    s = f.site.driver;
-                else if (f.site.consumer != FaultSite::kOutputTap &&
-                         flat_.kind(f.site.consumer) != GateKind::Dff)
-                    s = f.site.consumer;
-                if (s != kNoGate && visitStamp_[s] != visitEpoch_) {
-                    visitStamp_[s] = visitEpoch_;
-                    stack_.push_back(s);
-                }
-            }
-            while (!stack_.empty()) {
-                const GateId g = stack_.back();
-                stack_.pop_back();
-                unionCone_.push_back(g);
-                const GateId *cs = flat_.consumers(g);
-                for (int k = 0; k < flat_.fanoutDegree(g); ++k) {
-                    if (visitStamp_[cs[k]] != visitEpoch_) {
-                        visitStamp_[cs[k]] = visitEpoch_;
-                        stack_.push_back(cs[k]);
-                    }
-                }
-            }
-            std::sort(unionCone_.begin(), unionCone_.end(),
-                      [this](GateId a, GateId b) {
-                          return flat_.topoPos(a) < flat_.topoPos(b);
-                      });
-            work = &unionCone_;
-        }
-    }
-
-    replayAndAssemble(phase, prep, work ? work->data() : nullptr,
-                      work ? work->size() : 0);
+    kernels_->replayEvents(flat_, good, faulty_.data(), stamp_.data(),
+                           forced_.data(), epoch_, lines, num_lines,
+                           nullptr, 0, nullptr, 0, events_.data(),
+                           ptrScratch_.data());
 }
 
 AlternatingMasks

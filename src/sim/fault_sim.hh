@@ -1,6 +1,6 @@
 /**
  * @file
- * Cone-restricted incremental fault simulation (single-fault
+ * Event-driven incremental fault simulation (single-fault
  * propagation) over a FlatNetlist.
  *
  * The fault campaigns used to resimulate the whole circuit, with
@@ -10,14 +10,15 @@
  *  1. the fault-free circuit is evaluated ONCE per pattern block and
  *     its line values cached (two phases for alternating campaigns:
  *     the block and its complement),
- *  2. each fault's structural fanout cone is precomputed, sorted in
- *     topological order, and memoized per fault site (stem faults key
- *     on the driver, branch faults on the consuming gate),
- *  3. injecting a fault resimulates cone gates only, reading all
- *     other lines from the cached good values, and short-circuits as
- *     soon as the frontier of differing lane blocks goes empty — for
- *     the common case of an unexcited fault that is a single block
- *     compare.
+ *  2. injecting a fault seeds the replay kernel of sim/wide.hh with
+ *     the forced stem lines and branch consumers only; the kernel
+ *     sweeps a bitset over topological positions and recomputes a
+ *     gate only when one of its fan-ins actually changed (or it
+ *     carries an injection), reading every other line from the
+ *     cached good values,
+ *  3. no fanout cone is built, cached or sorted: an unexcited fault
+ *     costs one block compare, and an excited one touches only the
+ *     gates its effect reaches.
  *
  * Each line carries a lane block of laneWords() uint64 words (1, 4 or
  * 8 words → 64, 256 or 512 packed patterns per replay); the gate
@@ -136,36 +137,20 @@ class FaultSimulator
     }
 
     /**
-     * As faultOutputs(faults, num_faults, phase), but replaying the
-     * caller-supplied worklist @p work (@p num_work gates sorted by
-     * ascending topoPos, covering the union of the faults' fanout
-     * cones) instead of deriving and sorting the cone union per call.
-     * This is the batch-simulation entry point: a fault batcher that
-     * pre-merges member cones once per shard skips the per-pass cone
-     * union entirely. Output-tap faults are still applied at assembly.
-     */
-    const std::vector<std::uint64_t> &
-    faultOutputsOver(const netlist::Fault *faults, std::size_t num_faults,
-                     const netlist::GateId *work, std::size_t num_work,
-                     int phase = 0);
-
-    /**
      * Replay-only flip injection: force each line of @p lines to the
      * complement of its cached @p phase good value and replay the
-     * caller-supplied worklist (ascending topoPos, covering the union
-     * of the lines' fanout cones). No output assembly — read results
-     * with lineValue(). One flip pass carries BOTH stuck-at
-     * polarities of a line: lane-wise, a stuck-at-v fault behaves
-     * exactly like the flip wherever the good value is ~v and has no
-     * effect elsewhere, so err(sa-v) = excitation_v & flip error.
+     * gates the flips reach. No output assembly — read results with
+     * lineValue(). One flip pass carries BOTH stuck-at polarities of a
+     * line: lane-wise, a stuck-at-v fault behaves exactly like the
+     * flip wherever the good value is ~v and has no effect elsewhere,
+     * so err(sa-v) = excitation_v & flip error.
      */
     void replayFlips(const netlist::GateId *lines, std::size_t num_lines,
-                     const netlist::GateId *work, std::size_t num_work,
                      int phase);
 
     /**
      * The value block of line @p g after the immediately preceding
-     * replayFlips()/faultOutputs*() call: the replayed faulty value
+     * replayFlips()/faultOutputs() call: the replayed faulty value
      * where it differs from the @p phase baseline, the cached good
      * value elsewhere. Valid until the next injection call.
      */
@@ -206,25 +191,10 @@ class FaultSimulator
     const FlatNetlist &flat() const { return flat_; }
 
   private:
-    /** Injection sort summary for one simulate() pass. */
-    struct InjectPrep
-    {
-        std::int64_t frontier = 0;
-        int lastBranchPos = -1;
-        netlist::GateId singleSeed = netlist::kNoGate;
-        bool multiSeed = false;
-    };
-
     void evalGood(int phase, const std::uint64_t *inputs,
                   const std::uint64_t *dff_state);
-    InjectPrep prepareInjections(int phase, const netlist::Fault *faults,
-                                 std::size_t num_faults);
-    void replayAndAssemble(int phase, const InjectPrep &prep,
-                           const netlist::GateId *work,
-                           std::size_t num_work);
     void simulate(int phase, const netlist::Fault *faults,
                   std::size_t num_faults);
-    const std::vector<netlist::GateId> &cone(netlist::GateId seed);
     void bumpEpoch();
 
     const FlatNetlist &flat_;
@@ -243,17 +213,14 @@ class FaultSimulator
     std::vector<std::uint32_t> forced_;
     std::uint32_t epoch_ = 0;
 
-    /** Memoized per-site fanout cones, keyed by seed gate. */
-    std::vector<std::vector<netlist::GateId>> coneCache_;
-    std::vector<std::uint8_t> coneBuilt_;
-    std::vector<std::uint32_t> visitStamp_;
-    std::uint32_t visitEpoch_ = 0;
+    /** Replay seeds and the kernel's event bitset (all zero
+     *  between calls). */
+    std::vector<netlist::GateId> seeds_;
+    std::vector<std::uint64_t> events_;
 
     /** Preallocated hot-path scratch. */
     std::vector<const std::uint64_t *> ptrScratch_;
     WordVec inbarScratch_;
-    std::vector<netlist::GateId> stack_;
-    std::vector<netlist::GateId> unionCone_;
 
     struct TapInjection
     {

@@ -75,6 +75,9 @@ FlatNetlist::FlatNetlist(const Netlist &net)
     topoPos_.assign(n_, 0);
     for (int i = 0; i < n_; ++i)
         topoPos_[topo_[i]] = i;
+    consPos_.resize(cons_.size());
+    for (std::size_t e = 0; e < cons_.size(); ++e)
+        consPos_[e] = topoPos_[cons_[e]];
     level_.assign(n_, 0);
     for (GateId g : topo_) {
         if (kinds_[g] == GateKind::Dff)

@@ -8,8 +8,9 @@
  * fault campaigns used to walk for every single fault x pattern-block
  * pair. FlatNetlist freezes one immutable snapshot of the structure:
  *
- *  - kinds[], fanin CSR, consumer CSR (combinational edges only),
- *    per-gate output-tap lists,
+ *  - kinds[], fanin CSR, consumer CSR (combinational edges only,
+ *    each with its consumer's topological position, which the replay
+ *    kernel marks), per-gate output-tap lists,
  *  - the topological order, each gate's position in it, and its
  *    logic level,
  *  - O(1) GateId -> input-index and GateId -> flip-flop-index tables
@@ -71,6 +72,11 @@ class FlatNetlist
     {
         return cons_.data() + consOff_[g];
     }
+    /** topoPos() of each consumers() entry. */
+    const std::int32_t *consumerPositions(netlist::GateId g) const
+    {
+        return consPos_.data() + consOff_[g];
+    }
     /** @} */
 
     /** @name Output taps: primary-output indices driven by g */
@@ -126,6 +132,7 @@ class FlatNetlist
     std::vector<netlist::GateId> fanins_;
     std::vector<std::int32_t> consOff_;
     std::vector<netlist::GateId> cons_;
+    std::vector<std::int32_t> consPos_;
     std::vector<std::int32_t> tapOff_;
     std::vector<std::int32_t> taps_;
     std::vector<netlist::GateId> topo_;

@@ -154,9 +154,6 @@ SeqFaultBatchSimulator::SeqFaultBatchSimulator(const SeqGoodTrace &trace,
     faulty_.assign(n * W, 0);
     stamp_.assign(n, 0);
     forced_.assign(n, 0);
-    coneCache_.resize(n);
-    coneBuilt_.assign(n, 0);
-    visitStamp_.assign(n, 0);
     injVals_.assign(static_cast<std::size_t>(F_) * W, 0);
     injMasks_.assign(static_cast<std::size_t>(F_) * W, 0);
     binj_.reserve(static_cast<std::size_t>(F_));
@@ -172,9 +169,8 @@ SeqFaultBatchSimulator::SeqFaultBatchSimulator(const SeqGoodTrace &trace,
     buf0_.assign(no * W, 0);
     alarmBuf_.assign(W, 0);
     wrongBuf_.assign(W, 0);
-    stack_.reserve(n);
-    unionCone_.reserve(n);
     seeds_.reserve(nff + static_cast<std::size_t>(2 * F_));
+    events_.assign(detail::eventWords(flat_), 0);
     diverged_.reserve(nff);
     divergedNext_.reserve(nff);
 }
@@ -187,44 +183,6 @@ SeqFaultBatchSimulator::bumpEpoch()
         std::fill(forced_.begin(), forced_.end(), 0);
         epoch_ = 1;
     }
-}
-
-void
-SeqFaultBatchSimulator::bumpVisit()
-{
-    if (++visitEpoch_ == 0) {
-        std::fill(visitStamp_.begin(), visitStamp_.end(), 0);
-        visitEpoch_ = 1;
-    }
-}
-
-const std::vector<GateId> &
-SeqFaultBatchSimulator::cone(GateId seed)
-{
-    if (!coneBuilt_[seed]) {
-        bumpVisit();
-        auto &c = coneCache_[seed];
-        stack_.clear();
-        stack_.push_back(seed);
-        visitStamp_[seed] = visitEpoch_;
-        while (!stack_.empty()) {
-            const GateId g = stack_.back();
-            stack_.pop_back();
-            c.push_back(g);
-            const GateId *cs = flat_.consumers(g);
-            for (int k = 0; k < flat_.fanoutDegree(g); ++k) {
-                if (visitStamp_[cs[k]] != visitEpoch_) {
-                    visitStamp_[cs[k]] = visitEpoch_;
-                    stack_.push_back(cs[k]);
-                }
-            }
-        }
-        std::sort(c.begin(), c.end(), [this](GateId a, GateId b) {
-            return flat_.topoPos(a) < flat_.topoPos(b);
-        });
-        coneBuilt_[seed] = 1;
-    }
-    return coneCache_[seed];
 }
 
 bool
@@ -336,8 +294,6 @@ SeqFaultBatchSimulator::stepBatchPeriod(long t)
     }
 
     bumpEpoch();
-    std::int64_t frontier = 0;
-    int last_branch_pos = -1;
     seeds_.clear();
     binj_.clear();
     sinj_.clear();
@@ -355,7 +311,6 @@ SeqFaultBatchSimulator::stepBatchPeriod(long t)
         for (std::size_t w = 0; w < W; ++w)
             fv[w] = fs[w];
         stamp_[g] = epoch_;
-        frontier += flat_.fanoutDegree(g);
         seeds_.push_back(g);
     }
 
@@ -427,10 +382,8 @@ SeqFaultBatchSimulator::stepBatchPeriod(long t)
             if (!blocksEqual(faulty_.data() +
                                  static_cast<std::size_t>(d) * W,
                              good + static_cast<std::size_t>(d) * W,
-                             Wb_)) {
+                             Wb_))
                 stamp_[d] = epoch_;
-                frontier += flat_.fanoutDegree(d);
-            }
             seeds_.push_back(d);
         }
 
@@ -448,15 +401,11 @@ SeqFaultBatchSimulator::stepBatchPeriod(long t)
                 flat_.fanins(c)[s.pin] != s.driver)
                 continue; // kernel-inert combination, as per fault
             std::uint64_t *val = nullptr, *msk = nullptr;
-            bool seen_consumer = false;
             for (std::size_t k = 0; k < binj_.size(); ++k) {
                 const detail::WideBranchInj &bi = binj_[k];
-                if (bi.consumer == c) {
-                    seen_consumer = true;
-                    if (bi.pin == s.pin) {
-                        val = injVals_.data() + k * W;
-                        msk = injMasks_.data() + k * W;
-                    }
+                if (bi.consumer == c && bi.pin == s.pin) {
+                    val = injVals_.data() + k * W;
+                    msk = injMasks_.data() + k * W;
                 }
             }
             if (!val) {
@@ -465,10 +414,7 @@ SeqFaultBatchSimulator::stepBatchPeriod(long t)
                 msk = injMasks_.data() + slot;
                 std::fill_n(msk, W, 0);
                 binj_.push_back({c, s.driver, s.pin, val, msk});
-                if (!seen_consumer)
-                    seeds_.push_back(c);
-                last_branch_pos =
-                    std::max(last_branch_pos, flat_.topoPos(c));
+                seeds_.push_back(c);
             }
             const std::uint64_t bc = s.value ? kAllOnes : 0;
             for (int w = f * Wg_; w < (f + 1) * Wg_; ++w) {
@@ -478,45 +424,11 @@ SeqFaultBatchSimulator::stepBatchPeriod(long t)
         }
     }
 
-    if (frontier != 0 || !binj_.empty()) {
-        const std::vector<GateId> *work;
-        if (seeds_.size() == 1) {
-            work = &cone(seeds_[0]);
-        } else {
-            bumpVisit();
-            unionCone_.clear();
-            stack_.clear();
-            for (const GateId s : seeds_) {
-                if (visitStamp_[s] != visitEpoch_) {
-                    visitStamp_[s] = visitEpoch_;
-                    stack_.push_back(s);
-                }
-            }
-            while (!stack_.empty()) {
-                const GateId g = stack_.back();
-                stack_.pop_back();
-                unionCone_.push_back(g);
-                const GateId *cs = flat_.consumers(g);
-                for (int k = 0; k < flat_.fanoutDegree(g); ++k) {
-                    if (visitStamp_[cs[k]] != visitEpoch_) {
-                        visitStamp_[cs[k]] = visitEpoch_;
-                        stack_.push_back(cs[k]);
-                    }
-                }
-            }
-            std::sort(unionCone_.begin(), unionCone_.end(),
-                      [this](GateId a, GateId b) {
-                          return flat_.topoPos(a) < flat_.topoPos(b);
-                      });
-            work = &unionCone_;
-        }
-        kernels_->replayCone(flat_, good, faulty_.data(), stamp_.data(),
-                             forced_.data(), epoch_, work->data(),
-                             work->size(), binj_.data(), binj_.size(),
-                             sinj_.data(), sinj_.size(),
-                             last_branch_pos, frontier,
-                             ptrScratch_.data());
-    }
+    kernels_->replayEvents(flat_, good, faulty_.data(), stamp_.data(),
+                           forced_.data(), epoch_, seeds_.data(),
+                           seeds_.size(), binj_.data(), binj_.size(),
+                           sinj_.data(), sinj_.size(), events_.data(),
+                           ptrScratch_.data());
 
     // Output assembly; active tap faults override their own lane
     // group only (every other group keeps the assembled value).

@@ -8,7 +8,7 @@
  * f of every trace row is bit-identical to the narrow trace the
  * per-fault path would build — the PR 4 layout guarantee (word w of a
  * wide block evolves exactly as word w of a narrow one) is what makes
- * the whole scheme sound. One cone-restricted replay pass then
+ * the whole scheme sound. One event-driven replay pass then
  * advances up to groupsPerBatch() faults simultaneously; per-group
  * convergence/retire masks let individual faults drop out (verdict
  * settled) while the batch keeps running, and the converged-state +
@@ -22,10 +22,11 @@
  * the live driver block. Another batch member's divergence therefore
  * propagates *through* a pinned line exactly as it would alone, so
  * any faults can share a batch — planSeqBatches only packs sites in
- * topological order of their injection root, which keeps union replay
- * cones overlapping and small. (Dff stem drivers keep the whole-block
- * force: replay never recomputes state sources, and their non-own
- * lanes carry the seeded per-group state, which is already exact.)
+ * topological order of their injection root, so batch-mates' effects
+ * overlap and one pass recomputes each shared gate once. (Dff stem
+ * drivers keep the whole-block force: replay never recomputes state
+ * sources, and their non-own lanes carry the seeded per-group state,
+ * which is already exact.)
  *
  * Verdict folds are delivered per group through a SymbolSink with
  * exactly the per-fault pending/stash discipline of
@@ -176,9 +177,7 @@ class SeqFaultBatchSimulator
     bool flushSymbol(long s, const std::uint64_t *p1row,
                      const FoldSpec &spec, const SymbolSink &sink);
     void retireGroup(int f, long state_row);
-    const std::vector<netlist::GateId> &cone(netlist::GateId seed);
     void bumpEpoch();
-    void bumpVisit();
 
     const SeqGoodTrace &trace_;
     const FlatNetlist &flat_;
@@ -205,12 +204,6 @@ class SeqFaultBatchSimulator
     std::vector<std::uint32_t> forced_;
     std::uint32_t epoch_ = 0;
 
-    /** Memoized per-seed fanout cones (shared across batches). */
-    std::vector<std::vector<netlist::GateId>> coneCache_;
-    std::vector<std::uint8_t> coneBuilt_;
-    std::vector<std::uint32_t> visitStamp_;
-    std::uint32_t visitEpoch_ = 0;
-
     /** Per-period merged injection blocks (rebuilt from live sites). */
     WordVec injVals_, injMasks_;
     std::vector<detail::WideBranchInj> binj_;
@@ -222,9 +215,10 @@ class SeqFaultBatchSimulator
     std::vector<const std::uint64_t *> ptrScratch_;
     std::vector<std::uint64_t> outBuf_;
     std::vector<std::uint64_t> alarmBuf_, wrongBuf_;
-    std::vector<netlist::GateId> stack_;
-    std::vector<netlist::GateId> unionCone_;
+    /** Replay seeds and the kernel's event bitset (all zero
+     *  between calls). */
     std::vector<netlist::GateId> seeds_;
+    std::vector<std::uint64_t> events_;
 
     /** Batch-wide verdict-fold stash (per-fault pending discipline). */
     long pending_ = -1;

@@ -112,15 +112,11 @@ SeqFaultSimulator::SeqFaultSimulator(const SeqGoodTrace &trace)
     faulty_.assign(n * W, 0);
     stamp_.assign(n, 0);
     forced_.assign(n, 0);
-    coneCache_.resize(n);
-    coneBuilt_.assign(n, 0);
-    visitStamp_.assign(n, 0);
+    seeds_.reserve(nff + 1);
+    events_.assign(detail::eventWords(flat_), 0);
     ptrScratch_.assign(
         static_cast<std::size_t>(std::max(1, flat_.maxArity())), nullptr);
     outBuf_.assign(static_cast<std::size_t>(flat_.numOutputs()) * W, 0);
-    stack_.reserve(n);
-    unionCone_.reserve(n);
-    seeds_.reserve(nff + 1);
     diverged_.reserve(nff);
     divergedNext_.reserve(nff);
 }
@@ -135,15 +131,6 @@ SeqFaultSimulator::bumpEpoch()
     }
 }
 
-void
-SeqFaultSimulator::bumpVisit()
-{
-    if (++visitEpoch_ == 0) {
-        std::fill(visitStamp_.begin(), visitStamp_.end(), 0);
-        visitEpoch_ = 1;
-    }
-}
-
 bool
 SeqFaultSimulator::blockIsFaultValue(const std::uint64_t *block) const
 {
@@ -152,35 +139,6 @@ SeqFaultSimulator::blockIsFaultValue(const std::uint64_t *block) const
             return false;
     }
     return true;
-}
-
-const std::vector<GateId> &
-SeqFaultSimulator::cone(GateId seed)
-{
-    if (!coneBuilt_[seed]) {
-        bumpVisit();
-        auto &c = coneCache_[seed];
-        stack_.clear();
-        stack_.push_back(seed);
-        visitStamp_[seed] = visitEpoch_;
-        while (!stack_.empty()) {
-            const GateId g = stack_.back();
-            stack_.pop_back();
-            c.push_back(g);
-            const GateId *cs = flat_.consumers(g);
-            for (int k = 0; k < flat_.fanoutDegree(g); ++k) {
-                if (visitStamp_[cs[k]] != visitEpoch_) {
-                    visitStamp_[cs[k]] = visitEpoch_;
-                    stack_.push_back(cs[k]);
-                }
-            }
-        }
-        std::sort(c.begin(), c.end(), [this](GateId a, GateId b) {
-            return flat_.topoPos(a) < flat_.topoPos(b);
-        });
-        coneBuilt_[seed] = 1;
-    }
-    return coneCache_[seed];
 }
 
 SeqFaultSite
@@ -286,8 +244,6 @@ SeqFaultSimulator::stepFaultPeriod(long t)
     }
 
     bumpEpoch();
-    std::int64_t frontier = 0;
-    int last_branch_pos = -1;
     bool have_branch = false;
     seeds_.clear();
 
@@ -304,14 +260,12 @@ SeqFaultSimulator::stepFaultPeriod(long t)
                 for (std::size_t w = 0; w < W; ++w)
                     fv[w] = faultGroup_[w];
                 stamp_[site_.driver] = epoch_;
-                frontier += flat_.fanoutDegree(site_.driver);
             }
             seeds_.push_back(site_.driver);
             break;
           }
           case SeqFaultSite::Kind::Branch:
             seeds_.push_back(site_.consumer);
-            last_branch_pos = flat_.topoPos(site_.consumer);
             have_branch = true;
             break;
           default: // DffBranch/Tap act outside the combinational pass
@@ -329,49 +283,12 @@ SeqFaultSimulator::stepFaultPeriod(long t)
         for (std::size_t w = 0; w < W; ++w)
             fv[w] = fs[w];
         stamp_[g] = epoch_;
-        frontier += flat_.fanoutDegree(g);
         seeds_.push_back(g);
     }
-
-    if (frontier != 0 || have_branch) {
-        const std::vector<GateId> *work;
-        if (seeds_.size() == 1) {
-            work = &cone(seeds_[0]);
-        } else {
-            bumpVisit();
-            unionCone_.clear();
-            stack_.clear();
-            for (const GateId s : seeds_) {
-                if (visitStamp_[s] != visitEpoch_) {
-                    visitStamp_[s] = visitEpoch_;
-                    stack_.push_back(s);
-                }
-            }
-            while (!stack_.empty()) {
-                const GateId g = stack_.back();
-                stack_.pop_back();
-                unionCone_.push_back(g);
-                const GateId *cs = flat_.consumers(g);
-                for (int k = 0; k < flat_.fanoutDegree(g); ++k) {
-                    if (visitStamp_[cs[k]] != visitEpoch_) {
-                        visitStamp_[cs[k]] = visitEpoch_;
-                        stack_.push_back(cs[k]);
-                    }
-                }
-            }
-            std::sort(unionCone_.begin(), unionCone_.end(),
-                      [this](GateId a, GateId b) {
-                          return flat_.topoPos(a) < flat_.topoPos(b);
-                      });
-            work = &unionCone_;
-        }
-
-        kernels_->replayCone(flat_, good, faulty_.data(), stamp_.data(),
-                             forced_.data(), epoch_, work->data(),
-                             work->size(), &branchInj_,
-                             have_branch ? 1 : 0, nullptr, 0,
-                             last_branch_pos, frontier, ptrScratch_.data());
-    }
+    kernels_->replayEvents(flat_, good, faulty_.data(), stamp_.data(),
+                           forced_.data(), epoch_, seeds_.data(),
+                           seeds_.size(), &branchInj_, have_branch ? 1 : 0,
+                           nullptr, 0, events_.data(), ptrScratch_.data());
 
     // Output assembly (tap override last, as in the oracle).
     std::uint64_t *out = outBuf_.data();

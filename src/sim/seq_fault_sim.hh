@@ -1,6 +1,6 @@
 /**
  * @file
- * Packed, cone-restricted sequential fault simulation (Chapter 4/5
+ * Packed, event-driven sequential fault simulation (Chapter 4/5
  * machines): 64 x laneWords() independent input sequences per lane
  * block, the fault-free machine evaluated once per period, and each
  * fault resimulated only over the gates its effect can reach.
@@ -13,15 +13,16 @@
  *    stream and is shared read-only by all workers of a campaign.
  *
  *  - SeqFaultSimulator replays one fault against a trace. Per period
- *    it seeds a topologically sorted frontier from (a) the fault site,
- *    when the period is inside the fault's activity window, and (b)
- *    every flip-flop whose faulty state block diverged from the good
- *    machine; only the union of those fanout cones is recomputed, all
- *    other lines are read from the trace. Two early exits keep the
- *    common case cheap: an unexcited site with fully converged state
- *    is a single block compare, and once the activity window is behind
- *    and the state blocks reconverge the remaining periods are skipped
- *    outright (they are bit-identical to the good machine).
+ *    it seeds the event-driven replay kernel of sim/wide.hh with (a)
+ *    the fault site, when the period is inside the fault's activity
+ *    window, and (b) every flip-flop whose faulty state block diverged
+ *    from the good machine; only gates with a changed fan-in are
+ *    recomputed, all other lines are read from the trace, and no cone
+ *    is built or sorted. Two early exits keep the common case cheap:
+ *    an unexcited site with fully converged state is a single block
+ *    compare, and once the activity window is behind and the state
+ *    blocks reconverge the remaining periods are skipped outright
+ *    (they are bit-identical to the good machine).
  *
  * Each line carries laneWords() uint64 words (1, 4 or 8 → 64, 256 or
  * 512 packed sequences); the per-period gate loops run through the
@@ -243,9 +244,7 @@ class SeqFaultSimulator
     bool inWindow(long t) const { return t >= wstart_ && t < wend_; }
     /** Simulate period @p t; returns the OR of output diff words. */
     std::uint64_t stepFaultPeriod(long t);
-    const std::vector<netlist::GateId> &cone(netlist::GateId seed);
     void bumpEpoch();
-    void bumpVisit();
     /** True iff all W words of @p block equal the broadcast fault value. */
     bool blockIsFaultValue(const std::uint64_t *block) const;
 
@@ -270,17 +269,13 @@ class SeqFaultSimulator
     std::vector<std::uint32_t> forced_;
     std::uint32_t epoch_ = 0;
 
-    /** Memoized per-seed fanout cones. */
-    std::vector<std::vector<netlist::GateId>> coneCache_;
-    std::vector<std::uint8_t> coneBuilt_;
-    std::vector<std::uint32_t> visitStamp_;
-    std::uint32_t visitEpoch_ = 0;
+    /** Replay seeds and the kernel's event bitset (all zero
+     *  between calls). */
+    std::vector<netlist::GateId> seeds_;
+    std::vector<std::uint64_t> events_;
 
     std::vector<const std::uint64_t *> ptrScratch_;
     std::vector<std::uint64_t> outBuf_;
-    std::vector<netlist::GateId> stack_;
-    std::vector<netlist::GateId> unionCone_;
-    std::vector<netlist::GateId> seeds_;
     detail::WideBranchInj branchInj_;
 
     long periodsSimulated_ = 0, periodsSkipped_ = 0;

@@ -89,6 +89,13 @@ struct WideStemInj
     const std::uint64_t *mask = nullptr;
 };
 
+/** Words of a replayEvents bitset over @p flat's gates. */
+inline std::size_t
+eventWords(const FlatNetlist &flat)
+{
+    return (static_cast<std::size_t>(flat.numGates()) + 63) / 64;
+}
+
 /**
  * Kernel entry points for one (laneWords, target) combination. All
  * pointers are into W-word-per-line buffers as described above.
@@ -106,21 +113,29 @@ struct WideKernels
                       const std::uint64_t *dff_state, int phi_input,
                       std::uint64_t phi_word, std::uint64_t *lines);
 
-    /** Cone replay over the topologically-sorted worklist @p work.
-     *  Recomputes gates whose fan-ins are stamped (stamp[g]==epoch
-     *  means faulty[g*W..] is live), applies branch injections,
-     *  maintains the divergence frontier and exits early once it
-     *  drains past @p last_branch_pos. @p ptr_scratch must hold at
-     *  least maxArity pointers. Gates forced by the caller
-     *  (forced[g]==epoch) and flip-flop state sources are skipped. */
-    void (*replayCone)(const FlatNetlist &flat, const std::uint64_t *good,
-                       std::uint64_t *faulty, std::uint32_t *stamp,
-                       const std::uint32_t *forced, std::uint32_t epoch,
-                       const netlist::GateId *work, std::size_t nwork,
-                       const WideBranchInj *binj, std::size_t nbinj,
-                       const WideStemInj *sinj, std::size_t nsinj,
-                       int last_branch_pos, std::int64_t frontier,
-                       const std::uint64_t **ptr_scratch);
+    /** Event-driven replay from the seed gates @p seeds: every gate
+     *  the caller forced or stamped and every injection target. The
+     *  seeds are marked in @p pending, a bitset over topoOrder()
+     *  positions (eventWords(flat) words, all zero on entry), which
+     *  is swept upward once. Each marked gate that is neither forced
+     *  (forced[g]==epoch) nor a flip-flop is recomputed from its
+     *  fan-ins (faulty[] where stamp[g]==epoch, good[] elsewhere)
+     *  with branch and lane-masked stem injections applied, and
+     *  stamped when it differs from good[]; every gate that ends
+     *  stamped marks its combinational consumers. Consumer edges
+     *  exclude D pins and point forward in topological order, so one
+     *  sweep reaches exactly the gates a fault effect can change.
+     *  Returns with @p pending all zero and the number of gates
+     *  recomputed. @p ptr_scratch must hold at least maxArity
+     *  pointers. */
+    std::size_t (*replayEvents)(
+        const FlatNetlist &flat, const std::uint64_t *good,
+        std::uint64_t *faulty, std::uint32_t *stamp,
+        const std::uint32_t *forced, std::uint32_t epoch,
+        const netlist::GateId *seeds, std::size_t nseeds,
+        const WideBranchInj *binj, std::size_t nbinj,
+        const WideStemInj *sinj, std::size_t nsinj, std::uint64_t *pending,
+        const std::uint64_t **ptr_scratch);
 
     /** Gather output blocks, reading faulty[] where stamped. */
     void (*assembleOutputs)(const FlatNetlist &flat,

@@ -85,53 +85,59 @@ evalLinesImpl(const FlatNetlist &flat, const std::uint64_t *inputs,
 }
 
 template <int W>
-void
-replayConeImpl(const FlatNetlist &flat, const std::uint64_t *good,
-               std::uint64_t *faulty, std::uint32_t *stamp,
-               const std::uint32_t *forced, std::uint32_t epoch,
-               const netlist::GateId *work, std::size_t nwork,
-               const WideBranchInj *binj, std::size_t nbinj,
-               const WideStemInj *sinj, std::size_t nsinj,
-               int last_branch_pos, std::int64_t frontier,
-               const std::uint64_t **ptrs)
+std::size_t
+replayEventsImpl(const FlatNetlist &flat, const std::uint64_t *good,
+                 std::uint64_t *faulty, std::uint32_t *stamp,
+                 const std::uint32_t *forced, std::uint32_t epoch,
+                 const netlist::GateId *seeds, std::size_t nseeds,
+                 const WideBranchInj *binj, std::size_t nbinj,
+                 const WideStemInj *sinj, std::size_t nsinj,
+                 std::uint64_t *pending, const std::uint64_t **ptrs)
 {
     using netlist::GateId;
     using netlist::GateKind;
+    const GateId *topo = flat.topoOrder().data();
+    std::size_t lo = SIZE_MAX, hi = 0;
+    for (std::size_t s = 0; s < nseeds; ++s) {
+        const auto p = static_cast<std::size_t>(flat.topoPos(seeds[s]));
+        pending[p / 64] |= std::uint64_t{1} << (p % 64);
+        lo = p / 64 < lo ? p / 64 : lo;
+        hi = p / 64 > hi ? p / 64 : hi;
+    }
     // Scratch for lane-masked branch pins: one (live & ~mask) |
     // (value & mask) mix per injected pin. The fault-batch caller
     // merges injections per (consumer, pin), so a single gate sees at
     // most one entry per multiplexed lane group.
     constexpr int kMaxMix = static_cast<int>(kMaxLaneWords);
     std::uint64_t mix[kMaxMix][W];
-    for (std::size_t idx = 0; idx < nwork; ++idx) {
-        const GateId g = work[idx];
-        // Flip-flop outputs are period-state sources: inside a replay
-        // they only ever carry seeded values (forced stems, diverged
-        // state), never recomputed ones, and their D input is not a
-        // combinational fan-in edge of this period.
-        if (flat.kind(g) == GateKind::Dff)
-            continue;
-        const GateId *fi = flat.fanins(g);
-        const int a = flat.arity(g);
-        int ndiff = 0;
-        for (int k = 0; k < a; ++k) {
-            if (stamp[fi[k]] == epoch)
-                ++ndiff;
-        }
-        frontier -= ndiff;
-
-        if (forced[g] != epoch) {
-            bool is_branch_target = false;
-            for (std::size_t b = 0; b < nbinj; ++b) {
-                if (binj[b].consumer == g)
-                    is_branch_target = true;
-            }
-            const WideStemInj *stem = nullptr;
-            for (std::size_t s = 0; s < nsinj; ++s) {
-                if (sinj[s].gate == g)
-                    stem = &sinj[s];
-            }
-            if (ndiff != 0 || is_branch_target || stem) {
+    std::size_t recomputed = 0;
+    for (std::size_t word = lo; word <= hi; ++word) {
+        // The word being drained lives in a register. Consumers sit
+        // above their driver, so marks made while it drains land at
+        // higher bits of it or in later words.
+        std::uint64_t bits = pending[word];
+        pending[word] = 0;
+        while (bits != 0) {
+            const int bit = __builtin_ctzll(bits);
+            bits &= bits - 1;
+            const GateId g = topo[word * 64 + static_cast<std::size_t>(bit)];
+            // Flip-flop outputs are period-state sources: inside a
+            // replay they only ever carry seeded values (forced stems,
+            // diverged state), never recomputed ones.
+            if (forced[g] != epoch && flat.kind(g) != GateKind::Dff) {
+                ++recomputed;
+                const GateId *fi = flat.fanins(g);
+                const int a = flat.arity(g);
+                bool is_branch_target = false;
+                for (std::size_t b = 0; b < nbinj; ++b) {
+                    if (binj[b].consumer == g)
+                        is_branch_target = true;
+                }
+                const WideStemInj *stem = nullptr;
+                for (std::size_t s = 0; s < nsinj; ++s) {
+                    if (sinj[s].gate == g)
+                        stem = &sinj[s];
+                }
                 std::uint64_t v[W];
                 if (is_branch_target) {
                     for (int k = 0; k < a; ++k) {
@@ -183,16 +189,26 @@ replayConeImpl(const FlatNetlist &flat, const std::uint64_t *good,
                         faulty + static_cast<std::size_t>(g) * W;
                     for (int w = 0; w < W; ++w)
                         fv[w] = v[w];
-                    if (stamp[g] != epoch) {
-                        stamp[g] = epoch;
-                        frontier += flat.fanoutDegree(g);
+                    stamp[g] = epoch;
+                }
+            }
+            if (stamp[g] == epoch) {
+                const std::int32_t *cp = flat.consumerPositions(g);
+                const int nc = flat.fanoutDegree(g);
+                for (int k = 0; k < nc; ++k) {
+                    const auto p = static_cast<std::size_t>(cp[k]);
+                    const std::uint64_t b = std::uint64_t{1} << (p % 64);
+                    if (p / 64 == word) {
+                        bits |= b;
+                    } else {
+                        pending[p / 64] |= b;
+                        hi = p / 64 > hi ? p / 64 : hi;
                     }
                 }
             }
         }
-        if (frontier == 0 && flat.topoPos(g) >= last_branch_pos)
-            break;
     }
+    return recomputed;
 }
 
 template <int W>
@@ -320,11 +336,11 @@ latchAndTrackImpl(const FlatNetlist &flat, const std::uint8_t *elig,
     template void evalLinesImpl<W>(                                         \
         const FlatNetlist &, const std::uint64_t *, const std::uint64_t *,  \
         int, std::uint64_t, std::uint64_t *);                               \
-    template void replayConeImpl<W>(                                        \
+    template std::size_t replayEventsImpl<W>(                               \
         const FlatNetlist &, const std::uint64_t *, std::uint64_t *,        \
         std::uint32_t *, const std::uint32_t *, std::uint32_t,              \
         const netlist::GateId *, std::size_t, const WideBranchInj *,        \
-        std::size_t, const WideStemInj *, std::size_t, int, std::int64_t,   \
+        std::size_t, const WideStemInj *, std::size_t, std::uint64_t *,     \
         const std::uint64_t **);                                            \
     template void assembleOutputsImpl<W>(                                   \
         const FlatNetlist &, const std::uint64_t *, const std::uint64_t *,  \
@@ -360,7 +376,7 @@ makeKernels(SimdTarget target)
     k.laneWords = W;
     k.target = target;
     k.evalLines = &evalLinesImpl<W>;
-    k.replayCone = &replayConeImpl<W>;
+    k.replayEvents = &replayEventsImpl<W>;
     k.assembleOutputs = &assembleOutputsImpl<W>;
     k.foldAlternating = &foldAlternatingImpl<W>;
     k.diffOr = &diffOrImpl<W>;

@@ -878,6 +878,94 @@ TEST_F(ServerTest, MalformedRequestsGetLineNumberedErrors)
         << responses[5].find("error")->asString();
 }
 
+/** A raw client socket connected to @p path. */
+int
+connectRaw(const std::string &path)
+{
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, path.c_str(), sizeof addr.sun_path - 1);
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    if (fd >= 0 && ::connect(fd, reinterpret_cast<sockaddr *>(&addr),
+                             sizeof addr) != 0) {
+        ::close(fd);
+        return -1;
+    }
+    return fd;
+}
+
+bool
+sendAll(int fd, const std::string &bytes)
+{
+    std::size_t off = 0;
+    while (off < bytes.size()) {
+        const ssize_t n = ::send(fd, bytes.data() + off, bytes.size() - off,
+                                 MSG_NOSIGNAL);
+        if (n <= 0)
+            return false;
+        off += static_cast<std::size_t>(n);
+    }
+    return true;
+}
+
+/** Read up to @p count response lines; fewer when the peer closes. */
+std::vector<jsonl::Value>
+readResponses(int fd, std::size_t count)
+{
+    jsonl::LineBuffer buf;
+    std::vector<jsonl::Value> out;
+    char chunk[4096];
+    while (out.size() < count) {
+        const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
+        if (n <= 0)
+            break;
+        buf.feed(chunk, static_cast<std::size_t>(n));
+        std::string line;
+        while (buf.pop(&line))
+            out.push_back(jsonl::parse(line));
+    }
+    return out;
+}
+
+TEST_F(ServerTest, HostileLinesGetErrorsAndOnlyTheirConnectionCloses)
+{
+    const std::string stats = "{\"op\":\"stats\"}\n";
+
+    // 100,000 '[' on one line: a parse error, and the same connection
+    // goes on serving.
+    const int deep = connectRaw(path_);
+    ASSERT_GE(deep, 0);
+    ASSERT_TRUE(sendAll(deep, std::string(100000, '[') + "\n" + stats));
+    const std::vector<jsonl::Value> r = readResponses(deep, 2);
+    ::close(deep);
+    ASSERT_EQ(r.size(), 2u);
+    EXPECT_FALSE(r[0].find("ok")->asBool());
+    EXPECT_EQ(r[0].find("line")->asUint64(), 1u);
+    EXPECT_NE(r[0].find("error")->asString().find("nesting deeper than"),
+              std::string::npos)
+        << r[0].find("error")->asString();
+    EXPECT_NE(r[1].find("cache"), nullptr);
+
+    // An unterminated line past the cap gets an error, then its
+    // connection closes; a second connection is unaffected.
+    const int bystander = connectRaw(path_);
+    const int hog = connectRaw(path_);
+    ASSERT_GE(bystander, 0);
+    ASSERT_GE(hog, 0);
+    ASSERT_TRUE(sendAll(hog, std::string(jsonl::kMaxLineBytes + 1, ' ')));
+    const std::vector<jsonl::Value> h = readResponses(hog, 2);
+    ::close(hog);
+    ASSERT_EQ(h.size(), 1u); // the error, then end of stream
+    EXPECT_FALSE(h[0].find("ok")->asBool());
+    EXPECT_NE(h[0].find("error")->asString().find("longer than"),
+              std::string::npos);
+    ASSERT_TRUE(sendAll(bystander, stats));
+    const std::vector<jsonl::Value> b = readResponses(bystander, 1);
+    ::close(bystander);
+    ASSERT_EQ(b.size(), 1u);
+    EXPECT_NE(b[0].find("cache"), nullptr);
+}
+
 TEST_F(ServerTest, ShutdownOpStopsTheDaemon)
 {
     Client client(path_);

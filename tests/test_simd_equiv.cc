@@ -139,6 +139,135 @@ TEST(SimdKernels, TablesResolveForEveryWidth)
     EXPECT_THROW(sim::wideKernels(16), std::invalid_argument);
 }
 
+/** The event-driven replay kernel, called directly on a hand-built
+ *  netlist: it recomputes only gates with a changed fan-in or an
+ *  injection, each at most once, never a forced gate or a flip-flop,
+ *  and leaves its event bitset all zero. */
+TEST(SimdKernels, ReplayEventsRecomputesOnlyEventGates)
+{
+    Netlist net;
+    const GateId a = net.addInput("a");
+    const GateId b = net.addInput("b");
+    const GateId x = net.addInput("x");
+    const GateId y = net.addInput("y");
+    const GateId n1 = net.addNot(a, "n1");
+    const GateId n2 = net.addAnd({n1, b}, "n2"); // b = 0 blocks n1
+    const GateId n3 = net.addBuf(n2, "n3");
+    const GateId u = net.addBuf(x, "u");
+    const GateId v = net.addBuf(y, "v");
+    const GateId s = net.addOr({u, v}, "s"); // shared by x and y
+    const GateId t = net.addNot(s, "t");
+    const GateId ff = net.addDff(t, "ff");
+    const GateId q = net.addBuf(ff, "q");
+    net.addOutput(n3, "o1");
+    net.addOutput(t, "o2");
+    net.addOutput(q, "o3");
+    const GateId z = net.addInput("z");
+    constexpr int kChain = 150;
+    std::vector<GateId> chain{z};
+    for (int i = 0; i < kChain; ++i)
+        chain.push_back(net.addBuf(chain.back()));
+    net.addOutput(chain.back(), "o4");
+    const sim::FlatNetlist flat(net);
+    const std::size_t n = static_cast<std::size_t>(flat.numGates());
+    const std::uint64_t kPattern = 0xf0f0f0f00ff00ff0ull;
+
+    for (const int W : kWidths) {
+        for (const sim::SimdTarget target : kTargets) {
+            const sim::detail::WideKernels &k = sim::wideKernels(W, target);
+            SCOPED_TRACE(caseName(W, k.target));
+            const std::size_t Ws = static_cast<std::size_t>(W);
+            // a random, b = x = y = z = 0, flip-flop state 0.
+            std::vector<std::uint64_t> in(5 * Ws, 0);
+            util::Rng rng(0x5eed);
+            for (std::size_t w = 0; w < Ws; ++w)
+                in[w] = rng.next();
+            const std::vector<std::uint64_t> state(Ws, 0);
+            sim::WordVec good(n * Ws), faulty(n * Ws);
+            k.evalLines(flat, in.data(), state.data(), -1, 0, good.data());
+            std::vector<std::uint32_t> stamp(n, 0), forced(n, 0);
+            std::vector<std::uint64_t> events(sim::detail::eventWords(flat),
+                                              0);
+            std::vector<const std::uint64_t *> ptrs(
+                static_cast<std::size_t>(flat.maxArity()));
+            std::uint32_t epoch = 0;
+
+            const auto word = [&](GateId g, std::size_t w) {
+                return (stamp[g] == epoch ? faulty : good)
+                    [static_cast<std::size_t>(g) * Ws + w];
+            };
+            // Force @p g to @p value in every word, stamping it where
+            // that differs from the good line.
+            const auto force = [&](GateId g, std::uint64_t value) {
+                forced[g] = epoch;
+                bool diff = false;
+                for (std::size_t w = 0; w < Ws; ++w) {
+                    faulty[static_cast<std::size_t>(g) * Ws + w] = value;
+                    diff |=
+                        value != good[static_cast<std::size_t>(g) * Ws + w];
+                }
+                if (diff)
+                    stamp[g] = epoch;
+            };
+            const auto replay = [&](const std::vector<GateId> &seeds) {
+                const std::size_t r = k.replayEvents(
+                    flat, good.data(), faulty.data(), stamp.data(),
+                    forced.data(), epoch, seeds.data(), seeds.size(),
+                    nullptr, 0, nullptr, 0, events.data(), ptrs.data());
+                for (const std::uint64_t e : events)
+                    EXPECT_EQ(e, 0u);
+                return r;
+            };
+
+            // A stem fault on n1, blocked in every lane by b = 0 at its
+            // only consumer: n2 is recomputed and nothing is stamped.
+            ++epoch;
+            forced[n1] = stamp[n1] = epoch;
+            for (std::size_t w = 0; w < Ws; ++w)
+                faulty[static_cast<std::size_t>(n1) * Ws + w] =
+                    ~good[static_cast<std::size_t>(n1) * Ws + w];
+            EXPECT_EQ(replay({n1}), 1u);
+            EXPECT_NE(stamp[n2], epoch);
+            EXPECT_NE(stamp[n3], epoch);
+
+            // Two flipped seeds whose cones share s and t: u, v, s and
+            // t are each recomputed once; the flip-flop fed by t and
+            // its consumer q are neither recomputed nor stamped.
+            ++epoch;
+            force(x, ~std::uint64_t{0});
+            force(y, ~std::uint64_t{0});
+            EXPECT_EQ(replay({x, y}), 4u);
+            for (const GateId g : {u, v, s, t})
+                EXPECT_EQ(stamp[g], epoch) << "gate " << g;
+            EXPECT_NE(stamp[ff], epoch);
+            EXPECT_NE(stamp[q], epoch);
+            for (std::size_t w = 0; w < Ws; ++w)
+                EXPECT_EQ(word(t, w), 0u);
+
+            // A forced seed downstream of another: s keeps its forced
+            // value (recomputing it would give all-ones), so only u
+            // and t are recomputed and t reads the forced s.
+            ++epoch;
+            force(x, ~std::uint64_t{0});
+            force(s, kPattern);
+            EXPECT_EQ(replay({x, s}), 2u);
+            for (std::size_t w = 0; w < Ws; ++w) {
+                EXPECT_EQ(word(s, w), kPattern);
+                EXPECT_EQ(word(t, w), ~kPattern);
+            }
+            EXPECT_NE(stamp[v], epoch);
+            EXPECT_NE(stamp[ff], epoch);
+
+            // A flip that crosses several bitset words: every gate of
+            // the buffer chain is recomputed once.
+            ++epoch;
+            force(z, ~std::uint64_t{0});
+            EXPECT_EQ(replay({z}), static_cast<std::size_t>(kChain));
+            EXPECT_EQ(stamp[chain.back()], epoch);
+        }
+    }
+}
+
 /** Fault-free line values: every (width, target) pair must agree with
  *  the portable one-word build word for word, on random netlists over
  *  the full gate alphabet. */

@@ -13,6 +13,8 @@
 #include <gtest/gtest.h>
 #include <map>
 #include <sstream>
+#include <tuple>
+#include <utility>
 
 #include "fault/campaign.hh"
 #include "fault/report.hh"
@@ -245,6 +247,52 @@ TEST(VerilogParser, MalformedDiagnosticsCarryLineNumbers)
     EXPECT_THROW(ingest::readVerilogFromString(
                      "module m(input a, output f); /* oops\n"),
                  ingest::ParseError);
+}
+
+TEST(VerilogParser, OversizedIndicesAndWidthsAreRejected)
+{
+    const auto errorOf = [](const std::string &text) {
+        try {
+            ingest::readVerilogFromString(text);
+        } catch (const ingest::ParseError &e) {
+            return std::make_pair(e.line(), std::string(e.what()));
+        }
+        return std::make_pair(-1, std::string());
+    };
+    // An index that does not fit an int.
+    auto [line, what] = errorOf("module m(input a, output y);\n"
+                                "  buf (y, a);\n"
+                                "  wire [99999999999:0] w;\n"
+                                "endmodule\n");
+    EXPECT_EQ(line, 3);
+    EXPECT_NE(what.find("out of range"), std::string::npos) << what;
+    std::tie(line, what) = errorOf("module m(input [3:0] a, output y);\n"
+                                   "  buf (y, a[4294967296]);\n"
+                                   "endmodule\n");
+    EXPECT_EQ(line, 2);
+    EXPECT_NE(what.find("out of range"), std::string::npos) << what;
+    std::tie(line, what) = errorOf("module m(input a, output y);\n"
+                                   "  wire k;\n"
+                                   "  assign k = 99999999999'b0;\n"
+                                   "  or (y, a, k);\n"
+                                   "endmodule\n");
+    EXPECT_EQ(line, 3);
+    // A 66-byte module declaring 3,000,001 input bits.
+    std::tie(line, what) = errorOf(
+        "module m(input [3000000:0] a, output y); buf(y, a[0]); endmodule");
+    EXPECT_EQ(line, 1);
+    EXPECT_NE(what.find("more than " + std::to_string(ingest::kMaxModuleBits) +
+                        " scalar bits"),
+              std::string::npos)
+        << what;
+    // The bound counts every declaration of the module: a, y and b
+    // reach it exactly, c is one bit over.
+    std::tie(line, what) = errorOf("module m(input [524287:0] a, output y);\n"
+                                   "  buf (y, a[0]);\n"
+                                   "  wire [524286:0] b;\n"
+                                   "  wire c;\n"
+                                   "endmodule\n");
+    EXPECT_EQ(line, 4);
 }
 
 TEST(VerilogParser, ImportRoutesBySniffAndExtension)
