@@ -6,11 +6,13 @@
  *
  * Determinism contract: chunks are contiguous slices produced by
  * engine/partition, each chunk's work is a pure function of its slice
- * (workers share no mutable state), and mapChunks() returns the
- * per-chunk results ordered by chunk index regardless of completion
- * order. Callers concatenate or fold those results in chunk order, so
- * the same (netlist, seed, maxPatterns) triple yields a bit-identical
- * campaign result at any thread count.
+ * (workers share no mutable state), and results reach the caller
+ * ordered by chunk index regardless of completion order. Callers
+ * concatenate or fold those results in chunk order, so the same
+ * (netlist, seed, maxPatterns) triple yields a bit-identical campaign
+ * result at any thread count.
+ * streamChunks() is the one dispatch loop: the caller commits a
+ * finished prefix of chunks while the workers run the rest.
  *
  * One worker is not a separate code path: the engine then spawns no
  * thread and runs the whole index space as one chunk on the calling
@@ -24,6 +26,8 @@
 #include <exception>
 #include <future>
 #include <memory>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "engine/partition.hh"
@@ -72,25 +76,71 @@ class CampaignEngine
     std::vector<R>
     mapChunks(std::size_t n, Fn fn)
     {
-        return run<R>(pool_ ? planShards(n, jobs_, kChunksPerWorker,
-                                         opts_.minGrain)
-                            : wholeRange(n),
-                      fn);
+        return collect<R>(pool_ ? planShards(n, jobs_, kChunksPerWorker,
+                                             opts_.minGrain)
+                                : wholeRange(n),
+                          fn);
     }
 
     /**
-     * As mapChunks(), but sharding [0, weights.size()) into chunks of
-     * roughly equal total weight via planWeightedShards — for index
-     * spaces of cost-uneven items such as fanout-free-region groups.
+     * As mapChunks(), but sharding [0, weights.size()) into
+     * weightedChunks(weights) — for index spaces of cost-uneven items
+     * such as fanout-free-region groups.
      */
     template <typename R, typename Fn>
     std::vector<R>
     mapWeightedChunks(const std::vector<std::uint64_t> &weights, Fn fn)
     {
-        return run<R>(pool_ ? planWeightedShards(weights, jobs_,
-                                                 kChunksPerWorker)
-                            : wholeRange(weights.size()),
-                      fn);
+        return collect<R>(weightedChunks(weights), fn);
+    }
+
+    /** planWeightedShards over the workers; one chunk at one worker. */
+    std::vector<Chunk>
+    weightedChunks(const std::vector<std::uint64_t> &weights) const
+    {
+        return pool_ ? planWeightedShards(weights, jobs_, kChunksPerWorker)
+                     : wholeRange(weights.size());
+    }
+
+    /**
+     * Run @p fn(chunk, chunkIndex) over @p chunks on the workers and
+     * call @p commit(chunk, chunkIndex, R&&) on the calling thread, in
+     * chunk order, once that chunk and all before it are done. The
+     * first exception (from a chunk or a commit) stops the commits
+     * and rethrows once every chunk has finished, as the closures
+     * reference the caller's frame. At one worker fn and commit run
+     * inline, chunk by chunk, and an exception propagates at once.
+     */
+    template <typename Fn, typename Commit>
+    void
+    streamChunks(const std::vector<Chunk> &chunks, Fn fn, Commit commit)
+    {
+        using R = std::invoke_result_t<Fn &, Chunk, std::size_t>;
+        if (!pool_) {
+            for (std::size_t c = 0; c < chunks.size(); ++c)
+                commit(chunks[c], c, fn(chunks[c], c));
+            return;
+        }
+        std::vector<std::future<R>> futures;
+        futures.reserve(chunks.size());
+        for (std::size_t c = 0; c < chunks.size(); ++c) {
+            const Chunk chunk = chunks[c];
+            futures.push_back(
+                pool_->submit([&fn, chunk, c]() { return fn(chunk, c); }));
+        }
+        std::exception_ptr error;
+        for (std::size_t c = 0; c < chunks.size(); ++c) {
+            try {
+                R r = futures[c].get();
+                if (!error)
+                    commit(chunks[c], c, std::move(r));
+            } catch (...) {
+                if (!error)
+                    error = std::current_exception();
+            }
+        }
+        if (error)
+            std::rethrow_exception(error);
     }
 
     /** Start/stop the periodic reporter per opts_.progressInterval. */
@@ -109,37 +159,17 @@ class CampaignEngine
         return n ? std::vector<Chunk>{{0, n}} : std::vector<Chunk>{};
     }
 
+    /** streamChunks() with a commit that appends each result. */
     template <typename R, typename Fn>
     std::vector<R>
-    run(const std::vector<Chunk> &chunks, const Fn &fn)
+    collect(const std::vector<Chunk> &chunks, Fn fn)
     {
         std::vector<R> results;
         results.reserve(chunks.size());
-        if (!pool_) {
-            for (std::size_t c = 0; c < chunks.size(); ++c)
-                results.push_back(fn(chunks[c], c));
-            return results;
-        }
-        std::vector<std::future<R>> futures;
-        futures.reserve(chunks.size());
-        for (std::size_t c = 0; c < chunks.size(); ++c) {
-            const Chunk chunk = chunks[c];
-            futures.push_back(
-                pool_->submit([fn, chunk, c]() { return fn(chunk, c); }));
-        }
-        // Drain every future before rethrowing: the chunk closures
-        // reference the caller's frame, which must outlive them.
-        std::exception_ptr error;
-        for (auto &f : futures) {
-            try {
-                results.push_back(f.get());
-            } catch (...) {
-                if (!error)
-                    error = std::current_exception();
-            }
-        }
-        if (error)
-            std::rethrow_exception(error);
+        streamChunks(chunks, std::move(fn),
+                     [&](Chunk, std::size_t, auto &&r) {
+                         results.emplace_back(std::move(r));
+                     });
         return results;
     }
 

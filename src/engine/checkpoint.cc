@@ -33,30 +33,10 @@ fnv1a64Bytes(const std::uint8_t *data, std::size_t size)
 }
 
 void
-ByteWriter::u32(std::uint32_t v)
-{
-    for (int i = 0; i < 4; ++i)
-        buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void
-ByteWriter::u64(std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void
 ByteWriter::str(const std::string &s)
 {
     u32(static_cast<std::uint32_t>(s.size()));
     raw(reinterpret_cast<const std::uint8_t *>(s.data()), s.size());
-}
-
-void
-ByteWriter::raw(const std::uint8_t *data, std::size_t size)
-{
-    buf_.insert(buf_.end(), data, data + size);
 }
 
 void
@@ -110,6 +90,11 @@ encodeSnapshot(const SnapshotHeader &hdr,
                const std::vector<std::uint8_t> &payload)
 {
     ByteWriter w;
+    // Magic + version, three length-prefixed strings, seven
+    // fixed-width fields (payload size last), payload, trailer.
+    w.reserve(sizeof kMagic + 1 + 3 * 4 + hdr.kind.size() +
+              hdr.configKey.size() + hdr.shapeKey.size() + 8 + 4 + 4 +
+              8 + 8 + 1 + 8 + payload.size() + 8);
     w.raw(reinterpret_cast<const std::uint8_t *>(kMagic), sizeof kMagic);
     w.u8(kVersion);
     w.str(hdr.kind);

@@ -49,22 +49,37 @@ struct SnapshotError : std::runtime_error
 /** FNV-1a 64 over a byte range (the snapshot integrity hash). */
 std::uint64_t fnv1a64Bytes(const std::uint8_t *data, std::size_t size);
 
-/** Little-endian append-only encoder for snapshot payloads. */
+/** Little-endian append-only encoder for snapshot payloads; each
+ *  field is appended as one whole word. */
 class ByteWriter
 {
   public:
     void u8(std::uint8_t v) { buf_.push_back(v); }
-    void u32(std::uint32_t v);
-    void u64(std::uint64_t v);
+    void u32(std::uint32_t v) { word(v); }
+    void u64(std::uint64_t v) { word(v); }
     void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
     /** Length-prefixed string (u32 + raw bytes). */
     void str(const std::string &s);
-    void raw(const std::uint8_t *data, std::size_t size);
+    void raw(const std::uint8_t *data, std::size_t size)
+    {
+        buf_.insert(buf_.end(), data, data + size);
+    }
+    void reserve(std::size_t size) { buf_.reserve(size); }
 
     const std::vector<std::uint8_t> &bytes() const { return buf_; }
     std::vector<std::uint8_t> take() { return std::move(buf_); }
 
   private:
+    template <typename T>
+    void
+    word(T v)
+    {
+        std::uint8_t le[sizeof(T)];
+        for (std::size_t i = 0; i < sizeof(T); ++i)
+            le[i] = static_cast<std::uint8_t>(v >> (8 * i));
+        raw(le, sizeof(T));
+    }
+
     std::vector<std::uint8_t> buf_;
 };
 

@@ -255,27 +255,6 @@ classifyGroupChunk(const CombSetup &s, int gbegin, int gend,
     return out;
 }
 
-/**
- * Classify groups [g0, g1) of the plan through @p eng. Groups — not
- * single classes — are the chunking unit, weighted by their estimated
- * simulation cost, so batches never straddle a chunk boundary. The
- * chunk results come back in group order: their verdicts concatenate
- * to the class positions [plan.classOffset(g0), plan.classOffset(g1)).
- */
-std::vector<GroupChunkOut>
-classifyGroups(const CombSetup &s, const CampaignOptions &opts,
-               engine::CampaignEngine &eng, int g0, int g1)
-{
-    const std::vector<std::uint64_t> &costs = s.plan.groupCosts();
-    return eng.mapWeightedChunks<GroupChunkOut>(
-        std::vector<std::uint64_t>(costs.begin() + g0, costs.begin() + g1),
-        [&](engine::Chunk chunk, std::size_t) {
-            return classifyGroupChunk(s, g0 + static_cast<int>(chunk.begin),
-                                      g0 + static_cast<int>(chunk.end),
-                                      opts, eng.progress());
-        });
-}
-
 engine::EngineOptions
 engineOptions(const CampaignOptions &opts)
 {
@@ -313,8 +292,16 @@ runAlternatingCampaign(const Netlist &net, const CampaignOptions &opts)
 
     engine::CampaignEngine eng(engineOptions(opts));
     eng.beginCampaign(static_cast<std::uint64_t>(plan.numClasses()));
+    // Groups — not single classes — are the chunking unit, weighted
+    // by their estimated simulation cost, so batches never straddle a
+    // chunk boundary.
     const std::vector<GroupChunkOut> chunkOuts =
-        classifyGroups(s, opts, eng, 0, plan.numGroups());
+        eng.mapWeightedChunks<GroupChunkOut>(
+            plan.groupCosts(), [&](engine::Chunk c, std::size_t) {
+                return classifyGroupChunk(s, static_cast<int>(c.begin),
+                                          static_cast<int>(c.end), opts,
+                                          eng.progress());
+            });
 
     // Deterministic merge: chunk results concatenate back to the
     // position order of plan.classList(), which maps positions to
@@ -387,17 +374,6 @@ runAlternatingCampaignShard(const Netlist &net,
     id.shard = shard;
     id.units = out.units;
 
-    // every < 0 = auto cadence: ~16 snapshots across this shard with
-    // a 64-class floor. Snapshots are self-contained (all records so
-    // far), so a fixed fine cadence on a big universe would pay
-    // O(snapshots x records) encode-and-write bytes.
-    const int every =
-        ckpt.every >= 0
-            ? ckpt.every
-            : static_cast<int>(std::max<std::uint64_t>(
-                  64,
-                  static_cast<std::uint64_t>(out.shardClasses) / 16));
-
     // Class -> member faults, in ascending fault order (one pass over
     // allFaults()), so record order is a pure function of positions.
     std::vector<std::vector<std::uint32_t>> classFaults(
@@ -406,103 +382,66 @@ runAlternatingCampaignShard(const Netlist &net,
         classFaults[static_cast<std::size_t>(s.col.classOf[k])].push_back(
             static_cast<std::uint32_t>(k));
 
-    std::vector<shard_detail::CombRecord> records;
-    std::uint64_t batches = 0;
-    std::uint64_t cursor = 0;
+    // Per-fault records, each encoded once when its chunk commits.
+    engine::ByteWriter records;
+    std::uint32_t numRecords = 0;
+    shard_detail::CombPayload tail;
+    tail.patternsApplied = s.numPatterns;
+    tail.lanes = 64 * s.laneWords;
+    tail.simd = sim::simdTargetName(s.simd);
 
     if (ckpt.resume) {
         std::vector<std::uint8_t> payload;
-        const engine::SnapshotHeader h = engine::decodeResumeSnapshot(
-            *ckpt.resume, id, &payload, ckpt.resumeName);
-        shard_detail::CombPayload p =
+        out.resumedUnits = engine::decodeResumeSnapshot(
+            *ckpt.resume, id, &payload, ckpt.resumeName).cursor;
+        const shard_detail::CombPayload p =
             shard_detail::decodeCombPayload(payload, ckpt.resumeName);
-        records = std::move(p.records);
-        batches = p.batches;
-        cursor = h.cursor;
-        out.resumedUnits = cursor;
+        for (const shard_detail::CombRecord &r : p.records)
+            shard_detail::encodeCombRecord(records, r.faultIndex,
+                                           r.outcome, r.unsafePatterns);
+        numRecords = static_cast<std::uint32_t>(p.records.size());
+        tail.batches = p.batches;
     }
 
-    auto buildSnapshot = [&](std::uint64_t cur, bool complete) {
-        shard_detail::CombPayload p;
-        p.patternsApplied = s.numPatterns;
-        p.lanes = 64 * s.laneWords;
-        p.simd = sim::simdTargetName(s.simd);
-        p.batches = batches;
-        p.records = records;
-        engine::SnapshotHeader h = id;
-        h.cursor = cur;
-        h.complete = complete;
-        return engine::encodeSnapshot(h,
-                                      shard_detail::encodeCombPayload(p));
-    };
-    auto emit = [&](std::uint64_t cur, bool complete) {
-        std::vector<std::uint8_t> snap = buildSnapshot(cur, complete);
-        if (ckpt.sink)
-            ckpt.sink(snap, complete);
-        if (complete)
-            out.partial = std::move(snap);
-    };
+    std::vector<std::uint64_t> weights, classes;
+    for (int g = g0; g < g1; ++g) {
+        weights.push_back(plan.groupCosts()[static_cast<std::size_t>(g)]);
+        classes.push_back(plan.classOffset(g + 1) - plan.classOffset(g));
+    }
 
     engine::CampaignEngine eng(engineOptions(opts));
     eng.beginCampaign(static_cast<std::uint64_t>(out.shardClasses));
-    while (cursor < out.units) {
-        // Advance the block to cover >= `every` classes, always on
-        // a group boundary so class positions stay contiguous.
-        const int gb = g0 + static_cast<int>(cursor);
-        int ge = gb;
-        std::size_t block_classes = 0;
-        do {
-            block_classes += plan.classOffset(ge + 1) -
-                             plan.classOffset(ge);
-            ++ge;
-        } while (ge < g1 &&
-                 (every <= 0 ||
-                  block_classes < static_cast<std::size_t>(every)));
+    runCheckpointedShard(
+        eng, ckpt, opts.cancel, id, weights, classes,
+        [&](engine::Chunk c) -> std::function<void()> {
+            const int gb = g0 + static_cast<int>(c.begin);
+            // Commit: expand the chunk's class verdicts to per-fault
+            // records in position order; merge re-sorts nothing.
+            return [&, gb,
+                    co = classifyGroupChunk(s, gb,
+                                            g0 + static_cast<int>(c.end),
+                                            opts, eng.progress())] {
+                tail.batches += co.batches;
+                std::size_t pos = plan.classOffset(gb);
+                for (const Verdict &v : co.verdicts)
+                    for (const std::uint32_t k :
+                         classFaults[static_cast<std::size_t>(
+                             plan.classList()[pos++])]) {
+                        shard_detail::encodeCombRecord(
+                            records, k,
+                            static_cast<std::uint8_t>(outcomeOf(v)),
+                            v.unsafePatterns);
+                        ++numRecords;
+                    }
+            };
+        },
+        records,
+        [&](engine::ByteWriter &w) {
+            shard_detail::encodeCombPrefix(w, tail, numRecords);
+        },
+        out);
 
-        std::vector<GroupChunkOut> chunkOuts;
-        try {
-            chunkOuts = classifyGroups(s, opts, eng, gb, ge);
-        } catch (const engine::CampaignCancelled &) {
-            // An interrupt lands a final checkpoint at the last
-            // completed block instead of discarding the work.
-            if (ckpt.sink)
-                ckpt.sink(buildSnapshot(cursor, false), false);
-            throw;
-        }
-
-        // Expand the block's class verdicts to per-fault records in
-        // position order; merge re-sorts nothing.
-        std::size_t pos = plan.classOffset(gb);
-        for (const GroupChunkOut &co : chunkOuts) {
-            batches += co.batches;
-            for (const Verdict &v : co.verdicts) {
-                const int cid = plan.classList()[pos++];
-                for (const std::uint32_t k :
-                     classFaults[static_cast<std::size_t>(cid)]) {
-                    shard_detail::CombRecord rec;
-                    rec.faultIndex = k;
-                    rec.outcome = static_cast<std::uint8_t>(outcomeOf(v));
-                    rec.unsafePatterns = v.unsafePatterns;
-                    records.push_back(std::move(rec));
-                }
-            }
-        }
-
-        cursor = static_cast<std::uint64_t>(ge - g0);
-        const bool complete = cursor == out.units;
-        if (complete || (ckpt.sink && every > 0))
-            emit(cursor, complete);
-
-        if (!complete && opts.cancel && opts.cancel->stopRequested()) {
-            if (ckpt.sink)
-                ckpt.sink(buildSnapshot(cursor, false), false);
-            throw engine::CampaignCancelled();
-        }
-    }
-    if (out.units == 0)
-        emit(0, true); // empty trailing shard still publishes a partial
-
-    out.shardFaults = static_cast<int>(records.size());
+    out.shardFaults = static_cast<int>(numRecords);
     out.stats = eng.endCampaign(
         static_cast<std::uint64_t>(out.shardFaults),
         static_cast<std::uint64_t>(out.shardClasses), s.numPatterns);

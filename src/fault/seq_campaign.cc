@@ -912,7 +912,9 @@ runSequentialCampaignShard(const Netlist &net,
     // simulation work instead of equal class counts — equal counts
     // leave the fleet's critical path hostage to wherever the big
     // replay cones cluster. A pure function of (netlist, effective
-    // knobs): every process derives the identical split.
+    // knobs): every process derives the identical split. The same
+    // weights balance the per-fault route's chunks.
+    std::vector<std::uint64_t> classWeights;
     const auto applySlice = [&](const sim::FlatNetlist &f) {
         std::vector<sim::SeqFaultSite> sites;
         std::vector<std::size_t> live;
@@ -927,10 +929,11 @@ runSequentialCampaignShard(const Netlist &net,
         }
         const std::vector<std::uint64_t> costs =
             sim::seqSiteCosts(f, sites);
-        std::vector<std::uint64_t> w(numClasses, 1);
+        classWeights.assign(numClasses, 1);
         for (std::size_t i = 0; i < live.size(); ++i)
-            w[live[i]] = costs[i];
-        const engine::Chunk slice = engine::shardSliceWeighted(w, shard);
+            classWeights[live[i]] = costs[i];
+        const engine::Chunk slice =
+            engine::shardSliceWeighted(classWeights, shard);
         c0 = slice.begin;
         c1 = slice.end;
     };
@@ -966,15 +969,6 @@ runSequentialCampaignShard(const Netlist &net,
     }
     out.shardClasses = static_cast<int>(c1 - c0);
     id.units = out.units;
-
-    // every < 0 = auto cadence: ~16 snapshots across this shard with
-    // a 64-class floor (snapshots are self-contained, so a fixed fine
-    // cadence on a big universe pays O(snapshots x records) bytes).
-    const int every =
-        ckpt.every >= 0
-            ? ckpt.every
-            : static_cast<int>(std::max<std::uint64_t>(
-                  64, static_cast<std::uint64_t>(c1 - c0) / 16));
 
     // Build the fault-free trace (full width replicates every lane
     // group, same loop as the inline batch path) and check the
@@ -1027,35 +1021,38 @@ runSequentialCampaignShard(const Netlist &net,
         }
     }
 
-    std::vector<shard_detail::SeqRecord> records;
-    shard_detail::SeqPayload tail; // running non-deterministic counters
-    std::uint64_t cursor = 0;
+    // Per-fault records, each encoded once when its chunk commits, and
+    // the payload prefix with the running non-deterministic counters.
+    engine::ByteWriter records;
+    std::uint32_t numRecords = 0;
+    shard_detail::SeqPayload tail;
 
     auto appendRep = [&](std::size_t rep, const RepVerdict &rv) {
+        shard_detail::SeqRecord rec;
+        rec.outcome = static_cast<std::uint8_t>(rv.outcome);
+        rec.firstAlarm = rv.firstAlarm;
+        rec.firstEscape = rv.firstEscape;
+        rec.alarmLanes = rv.alarmLanes;
+        rec.latSum = rv.latSum;
+        rec.latHist = rv.latHist;
         for (const std::uint32_t k : classFaults[rep]) {
-            shard_detail::SeqRecord rec;
             rec.faultIndex = k;
-            rec.outcome = static_cast<std::uint8_t>(rv.outcome);
-            rec.firstAlarm = rv.firstAlarm;
-            rec.firstEscape = rv.firstEscape;
-            rec.alarmLanes = rv.alarmLanes;
-            rec.latSum = rv.latSum;
-            rec.latHist = rv.latHist;
-            records.push_back(std::move(rec));
+            shard_detail::encodeSeqRecord(records, rec);
+            ++numRecords;
         }
     };
 
     if (ckpt.resume) {
         std::vector<std::uint8_t> payload;
-        const engine::SnapshotHeader h = engine::decodeResumeSnapshot(
-            *ckpt.resume, id, &payload, ckpt.resumeName);
+        out.resumedUnits = engine::decodeResumeSnapshot(
+            *ckpt.resume, id, &payload, ckpt.resumeName).cursor;
         shard_detail::SeqPayload p =
             shard_detail::decodeSeqPayload(payload, ckpt.resumeName);
-        records = std::move(p.records);
+        for (const shard_detail::SeqRecord &rec : p.records)
+            shard_detail::encodeSeqRecord(records, rec);
+        numRecords = static_cast<std::uint32_t>(p.records.size());
         p.records.clear();
         tail = std::move(p);
-        cursor = h.cursor;
-        out.resumedUnits = cursor;
     } else if (batchPath) {
         // Pruned classes never enter the batch plan; their exact
         // default verdict (Untestable, no alarms) is recorded up
@@ -1064,127 +1061,68 @@ runSequentialCampaignShard(const Netlist &net,
             if (!col.pruned.empty() && col.pruned[r])
                 appendRep(r, RepVerdict{});
     }
+    tail.symbols = opts.symbols;
+    tail.lanes = lanes;
+    tail.simd = sim::simdTargetName(
+        batchPath ? sim::wideKernels(W, simd).target
+                  : narrowTrace->simdTarget());
+    tail.classes = static_cast<int>(numClasses);
+    tail.prunedClasses = col.prunedClasses;
+    tail.prunedFaults = col.prunedFaults;
+    tail.batchedClasses = batchPath ? static_cast<int>(cx.sites.size()) : 0;
+    tail.batches = batchPath ? static_cast<int>(cx.plan.batches.size()) : 0;
+    tail.faultBatch = batchPath;
 
-    auto buildSnapshot = [&](std::uint64_t cur, bool complete) {
-        shard_detail::SeqPayload p = tail;
-        p.symbols = opts.symbols;
-        p.lanes = lanes;
-        p.simd = sim::simdTargetName(
-            batchPath ? sim::wideKernels(W, simd).target
-                      : narrowTrace->simdTarget());
-        p.classes = static_cast<int>(numClasses);
-        p.prunedClasses = col.prunedClasses;
-        p.prunedFaults = col.prunedFaults;
-        p.batchedClasses =
-            batchPath ? static_cast<int>(cx.sites.size()) : 0;
-        p.batches =
-            batchPath ? static_cast<int>(cx.plan.batches.size()) : 0;
-        p.faultBatch = batchPath;
-        p.records = records;
-        engine::SnapshotHeader h = id;
-        h.cursor = cur;
-        h.complete = complete;
-        return engine::encodeSnapshot(h,
-                                      shard_detail::encodeSeqPayload(p));
-    };
-    auto emit = [&](std::uint64_t cur, bool complete) {
-        std::vector<std::uint8_t> snap = buildSnapshot(cur, complete);
-        if (ckpt.sink)
-            ckpt.sink(snap, complete);
-        if (complete)
-            out.partial = std::move(snap);
-    };
+    // Unit = one batch of the plan (covering its member classes) or,
+    // on the per-fault route, one representative class of the slice.
+    std::vector<std::uint64_t> weights, classes;
+    if (batchPath) {
+        weights = cx.plan.weights;
+        for (const std::vector<int> &b : cx.plan.batches)
+            classes.push_back(b.size());
+    } else {
+        weights.assign(classWeights.begin() + static_cast<long>(c0),
+                       classWeights.begin() + static_cast<long>(c1));
+        classes.assign(c1 - c0, 1);
+    }
+    const std::uint8_t *pruned =
+        col.pruned.empty() ? nullptr : col.pruned.data();
 
     engine::CampaignEngine eng(engineOptions(opts));
     eng.beginCampaign(static_cast<std::uint64_t>(out.shardClasses));
-    const std::uint8_t *pruned =
-        col.pruned.empty() ? nullptr : col.pruned.data();
-    while (cursor < out.units) {
-        if (batchPath) {
-            // Block = whole batches covering >= `every` classes.
-            const std::size_t b0 = cursor;
-            std::size_t b1 = b0;
-            std::size_t block_classes = 0;
-            do {
-                block_classes += cx.plan.batches[b1].size();
-                ++b1;
-            } while (b1 < out.units &&
-                     (every <= 0 ||
-                      block_classes <
-                          static_cast<std::size_t>(every)));
-
-            std::vector<BatchChunkOut> chunkOuts;
-            try {
-                chunkOuts = eng.mapWeightedChunks<BatchChunkOut>(
-                    std::vector<std::uint64_t>(
-                        cx.plan.weights.begin() + b0,
-                        cx.plan.weights.begin() + b1),
-                    [&](engine::Chunk chunk, std::size_t) {
-                        return classifySeqBatchChunk(
-                            cx, rs, b0 + chunk.begin, b0 + chunk.end,
-                            ropts, eng.progress(), false);
-                    });
-            } catch (const engine::CampaignCancelled &) {
-                if (ckpt.sink)
-                    ckpt.sink(buildSnapshot(cursor, false), false);
-                throw;
-            }
-            for (const BatchChunkOut &o : chunkOuts) {
-                tail.periodsSimulated += o.periodsSimulated;
-                tail.periodsSkipped += o.periodsSkipped;
-                tail.retiredEarly += o.retiredEarly;
-                for (const auto &[rep, rv] : o.verdicts)
-                    appendRep(static_cast<std::size_t>(rep), rv);
-            }
-            cursor = b1;
-        } else {
-            // Block = a contiguous slice of representative classes.
-            const std::size_t r0 = c0 + cursor;
-            const std::size_t r1 =
-                every > 0
-                    ? std::min(c1, r0 + static_cast<std::size_t>(
-                                            every))
-                    : c1;
-
-            std::vector<std::vector<RepVerdict>> chunkOuts;
-            try {
-                chunkOuts = eng.mapChunks<std::vector<RepVerdict>>(
-                    r1 - r0, [&](engine::Chunk chunk, std::size_t) {
-                        return classifySeqChunk(
-                            *narrowTrace, rs, col.representatives,
-                            r0 + chunk.begin, r0 + chunk.end, ropts,
-                            eng.progress(), pruned);
-                    });
-            } catch (const engine::CampaignCancelled &) {
-                if (ckpt.sink)
-                    ckpt.sink(buildSnapshot(cursor, false), false);
-                throw;
-            }
-            std::size_t r = r0;
-            for (const std::vector<RepVerdict> &chunk : chunkOuts) {
-                for (const RepVerdict &rv : chunk) {
+    runCheckpointedShard(
+        eng, ckpt, opts.cancel, id, weights, classes,
+        [&](engine::Chunk c) -> std::function<void()> {
+            if (batchPath)
+                return [&, o = classifySeqBatchChunk(cx, rs, c.begin, c.end,
+                                                     ropts, eng.progress(),
+                                                     false)] {
+                    tail.periodsSimulated += o.periodsSimulated;
+                    tail.periodsSkipped += o.periodsSkipped;
+                    tail.retiredEarly += o.retiredEarly;
+                    for (const auto &[rep, rv] : o.verdicts)
+                        appendRep(static_cast<std::size_t>(rep), rv);
+                };
+            return [&, r0 = c0 + c.begin,
+                    verdicts = classifySeqChunk(
+                        *narrowTrace, rs, col.representatives,
+                        c0 + c.begin, c0 + c.end, ropts, eng.progress(),
+                        pruned)] {
+                std::size_t r = r0;
+                for (const RepVerdict &rv : verdicts) {
                     tail.periodsSimulated += rv.periodsSimulated;
                     tail.periodsSkipped += rv.periodsSkipped;
                     appendRep(r++, rv);
                 }
-            }
-            cursor = r1 - c0;
-        }
+            };
+        },
+        records,
+        [&](engine::ByteWriter &w) {
+            shard_detail::encodeSeqPrefix(w, tail, numRecords);
+        },
+        out);
 
-        const bool complete = cursor == out.units;
-        if (complete || (ckpt.sink && every > 0))
-            emit(cursor, complete);
-
-        if (!complete && opts.cancel && opts.cancel->stopRequested()) {
-            if (ckpt.sink)
-                ckpt.sink(buildSnapshot(cursor, false), false);
-            throw engine::CampaignCancelled();
-        }
-    }
-    if (out.units == 0)
-        emit(0, true); // empty trailing shard still publishes a partial
-
-    out.shardFaults = static_cast<int>(records.size());
+    out.shardFaults = static_cast<int>(numRecords);
     out.stats = eng.endCampaign(
         static_cast<std::uint64_t>(out.shardFaults),
         static_cast<std::uint64_t>(out.shardClasses),

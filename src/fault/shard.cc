@@ -1,5 +1,6 @@
 #include "fault/shard.hh"
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 
@@ -17,23 +18,27 @@ using engine::SnapshotError;
 namespace shard_detail
 {
 
-std::vector<std::uint8_t>
-encodeCombPayload(const CombPayload &p)
+void
+encodeCombPrefix(ByteWriter &w, const CombPayload &p,
+                 std::uint32_t records)
 {
-    ByteWriter w;
     w.u64(p.patternsApplied);
     w.u32(static_cast<std::uint32_t>(p.lanes));
     w.str(p.simd);
     w.u64(p.batches);
-    w.u32(static_cast<std::uint32_t>(p.records.size()));
-    for (const CombRecord &r : p.records) {
-        w.u32(r.faultIndex);
-        w.u8(r.outcome);
-        w.u32(static_cast<std::uint32_t>(r.unsafePatterns.size()));
-        for (const std::uint64_t pat : r.unsafePatterns)
-            w.u64(pat);
-    }
-    return w.take();
+    w.u32(records);
+}
+
+void
+encodeCombRecord(ByteWriter &w, std::uint32_t faultIndex,
+                 std::uint8_t outcome,
+                 const std::vector<std::uint64_t> &unsafePatterns)
+{
+    w.u32(faultIndex);
+    w.u8(outcome);
+    w.u32(static_cast<std::uint32_t>(unsafePatterns.size()));
+    for (const std::uint64_t pat : unsafePatterns)
+        w.u64(pat);
 }
 
 CombPayload
@@ -66,10 +71,9 @@ decodeCombPayload(const std::vector<std::uint8_t> &bytes,
     return p;
 }
 
-std::vector<std::uint8_t>
-encodeSeqPayload(const SeqPayload &p)
+void
+encodeSeqPrefix(ByteWriter &w, const SeqPayload &p, std::uint32_t records)
 {
-    ByteWriter w;
     w.i64(p.symbols);
     w.u32(static_cast<std::uint32_t>(p.lanes));
     w.str(p.simd);
@@ -84,18 +88,20 @@ encodeSeqPayload(const SeqPayload &p)
     w.u32(static_cast<std::uint32_t>(p.batchedClasses));
     w.u32(static_cast<std::uint32_t>(p.batches));
     w.u8(p.faultBatch ? 1 : 0);
-    w.u32(static_cast<std::uint32_t>(p.records.size()));
-    for (const SeqRecord &r : p.records) {
-        w.u32(r.faultIndex);
-        w.u8(r.outcome);
-        w.i64(r.firstAlarm);
-        w.i64(r.firstEscape);
-        w.u64(r.alarmLanes);
-        w.u64(r.latSum);
-        for (const std::uint64_t h : r.latHist)
-            w.u64(h);
-    }
-    return w.take();
+    w.u32(records);
+}
+
+void
+encodeSeqRecord(ByteWriter &w, const SeqRecord &r)
+{
+    w.u32(r.faultIndex);
+    w.u8(r.outcome);
+    w.i64(r.firstAlarm);
+    w.i64(r.firstEscape);
+    w.u64(r.alarmLanes);
+    w.u64(r.latSum);
+    for (const std::uint64_t h : r.latHist)
+        w.u64(h);
 }
 
 SeqPayload
@@ -170,6 +176,80 @@ withJobs(std::vector<std::string> args, int jobs)
 }
 
 } // namespace
+
+void
+runCheckpointedShard(
+    engine::CampaignEngine &eng, const CheckpointOptions &ckpt,
+    const engine::CancelToken *cancel, engine::SnapshotHeader id,
+    const std::vector<std::uint64_t> &weights,
+    const std::vector<std::uint64_t> &classes,
+    const std::function<std::function<void()>(engine::Chunk)> &classify,
+    const engine::ByteWriter &records,
+    const std::function<void(engine::ByteWriter &)> &prefix,
+    ShardOutcome &out)
+{
+    // every < 0 = auto cadence: ~16 self-contained snapshots per
+    // shard, with a 64-class floor. Without a sink only the final
+    // snapshot is built, so the rest of the shard is one block.
+    const int every = !ckpt.sink         ? 0
+                      : ckpt.every >= 0 ? ckpt.every
+                                        : std::max(64, out.shardClasses / 16);
+    // Chunks: the engine's split of the remaining units, cut again at
+    // every block end.
+    std::uint64_t cursor = out.resumedUnits;
+    std::vector<bool> chunkEnd(out.units + 1, false);
+    for (const engine::Chunk &c : eng.weightedChunks(
+             std::vector<std::uint64_t>(weights.begin() + cursor,
+                                        weights.end())))
+        chunkEnd[cursor + c.end] = true;
+    std::vector<bool> blockEnd(out.units + 1, false);
+    std::vector<engine::Chunk> chunks;
+    int blockClasses = 0;
+    for (std::size_t u = cursor + 1; u <= out.units; ++u) {
+        blockClasses += static_cast<int>(classes[u - 1]);
+        blockEnd[u] = u == out.units || (every > 0 && blockClasses >= every);
+        if (blockEnd[u])
+            blockClasses = 0;
+        if (blockEnd[u] || chunkEnd[u])
+            chunks.push_back({chunks.empty() ? cursor : chunks.back().end, u});
+    }
+
+    const auto emit = [&](bool complete) {
+        id.cursor = cursor;
+        id.complete = complete;
+        engine::ByteWriter w;
+        prefix(w);
+        w.raw(records.bytes().data(), records.bytes().size());
+        std::vector<std::uint8_t> snap = engine::encodeSnapshot(id, w.bytes());
+        if (ckpt.sink)
+            ckpt.sink(snap, complete);
+        if (complete)
+            out.partial = std::move(snap);
+    };
+    try {
+        eng.streamChunks(
+            chunks,
+            [&](engine::Chunk c, std::size_t) { return classify(c); },
+            [&](engine::Chunk c, std::size_t,
+                std::function<void()> &&commit) {
+                commit();
+                cursor = c.end;
+                const bool complete = cursor == out.units;
+                if (blockEnd[cursor])
+                    emit(complete);
+                if (!complete && cancel && cancel->stopRequested())
+                    throw engine::CampaignCancelled();
+            });
+    } catch (const engine::CampaignCancelled &) {
+        // A cancel lands a last checkpoint at the committed cursor
+        // instead of discarding the finished work.
+        if (ckpt.sink)
+            emit(false);
+        throw;
+    }
+    if (chunks.empty())
+        emit(true); // nothing left to run: still publish the partial
+}
 
 engine::SnapshotHeader
 snapshotHeader(const std::vector<std::uint8_t> &bytes,

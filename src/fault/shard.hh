@@ -29,6 +29,7 @@
 #include <array>
 #include <functional>
 
+#include "engine/campaign_engine.hh"
 #include "engine/checkpoint.hh"
 #include "engine/orchestrator.hh"
 #include "engine/shard.hh"
@@ -44,13 +45,14 @@ namespace scal::fault
 struct CheckpointOptions
 {
     /**
-     * Checkpoint cadence in fault classes: a snapshot is emitted
-     * after every block of roughly this many classes (rounded up to
-     * the enclosing group/batch boundary). 0 runs one block and
-     * emits only the final snapshot; negative picks an automatic
-     * cadence of max(64, shardClasses / 16) — about 16 snapshots
-     * per shard, so checkpoint bytes stay a small multiple of the
-     * final snapshot regardless of campaign size.
+     * Checkpoint cadence in fault classes, for every campaign kind: a
+     * snapshot is emitted when the committed work reaches the end of
+     * each block of roughly this many classes (rounded up to the
+     * enclosing group/batch boundary), while later blocks already
+     * run. 0 emits only the final snapshot; negative picks an
+     * automatic cadence of max(64, shardClasses / 16) — about 16
+     * snapshots per shard, so checkpoint bytes stay a small multiple
+     * of the final snapshot regardless of campaign size.
      */
     int every = 0;
     /**
@@ -82,6 +84,30 @@ struct ShardOutcome
     /** Wall-clock stats of this shard's engine (non-deterministic). */
     engine::CampaignStats stats;
 };
+
+/**
+ * The block loop of every shard runner: classify the units
+ * [out.resumedUnits, out.units) as one ordered-commit engine pass.
+ * Unit u costs weights[u] (its chunk weight) and covers classes[u]
+ * fault classes. @p classify(chunk) runs on a worker and returns the
+ * chunk's commit step, which runs on the calling thread in unit order
+ * and appends the chunk's encoded records to @p records. Each time
+ * the committed units reach a block end — whole units covering at
+ * least ckpt.every classes — the snapshot of @p id, its payload
+ * @p prefix then @p records, goes to the sink; the final one also to
+ * out.partial. When @p cancel fires, or a chunk throws
+ * engine::CampaignCancelled, the sink gets a last checkpoint at the
+ * committed cursor and CampaignCancelled propagates.
+ */
+void runCheckpointedShard(
+    engine::CampaignEngine &eng, const CheckpointOptions &ckpt,
+    const engine::CancelToken *cancel, engine::SnapshotHeader id,
+    const std::vector<std::uint64_t> &weights,
+    const std::vector<std::uint64_t> &classes,
+    const std::function<std::function<void()>(engine::Chunk)> &classify,
+    const engine::ByteWriter &records,
+    const std::function<void(engine::ByteWriter &)> &prefix,
+    ShardOutcome &out);
 
 /**
  * Run shard @p shard of the combinational campaign. Same
@@ -217,10 +243,19 @@ struct SeqPayload
     std::vector<SeqRecord> records;
 };
 
-std::vector<std::uint8_t> encodeCombPayload(const CombPayload &p);
+/** A payload is its prefix (every field but the records, ending in
+ *  the record count), then the records. Shard runners encode each
+ *  record once and put a fresh prefix before them per snapshot. */
+void encodeCombPrefix(engine::ByteWriter &w, const CombPayload &p,
+                      std::uint32_t records);
+void encodeCombRecord(engine::ByteWriter &w, std::uint32_t faultIndex,
+                      std::uint8_t outcome,
+                      const std::vector<std::uint64_t> &unsafePatterns);
 CombPayload decodeCombPayload(const std::vector<std::uint8_t> &bytes,
                               const std::string &name);
-std::vector<std::uint8_t> encodeSeqPayload(const SeqPayload &p);
+void encodeSeqPrefix(engine::ByteWriter &w, const SeqPayload &p,
+                     std::uint32_t records);
+void encodeSeqRecord(engine::ByteWriter &w, const SeqRecord &r);
 SeqPayload decodeSeqPayload(const std::vector<std::uint8_t> &bytes,
                             const std::string &name);
 

@@ -429,21 +429,16 @@ runUncheckedCampaign(const Workload &wl, AluOp op,
 namespace
 {
 
-/** Per-fault record layout of a "system" snapshot payload. */
-std::vector<std::uint8_t>
-encodeSystemPayload(bool checked, const std::vector<std::uint32_t> &idx,
-                    const std::vector<PerFault> &per)
+/** One fault's record in a "system" snapshot payload, which is a
+ *  u8 checked flag, a u64 record count, then the records. */
+void
+encodeSystemRecord(engine::ByteWriter &w, std::uint32_t faultIndex,
+                   const PerFault &pf)
 {
-    engine::ByteWriter w;
-    w.u8(checked ? 1 : 0);
-    w.u64(idx.size());
-    for (std::size_t i = 0; i < idx.size(); ++i) {
-        w.u32(idx[i]);
-        w.u8(static_cast<std::uint8_t>(per[i].outcome));
-        w.u8(per[i].countsDetectStep ? 1 : 0);
-        w.i64(per[i].detectStep);
-    }
-    return w.take();
+    w.u32(faultIndex);
+    w.u8(static_cast<std::uint8_t>(pf.outcome));
+    w.u8(pf.countsDetectStep ? 1 : 0);
+    w.i64(pf.detectStep);
 }
 
 void
@@ -506,39 +501,27 @@ runSystemCampaignShard(const Workload &wl, AluOp op, bool checked,
     id.shard = shard;
     id.units = out.units;
 
-    std::vector<std::uint32_t> recIdx;
-    std::vector<PerFault> recPer;
-    std::uint64_t cursor = 0;
+    // Per-fault records, each encoded once when its chunk commits.
+    engine::ByteWriter records;
+    std::uint64_t numRecords = 0;
 
     if (ckpt.resume) {
         std::vector<std::uint8_t> payload;
-        const engine::SnapshotHeader h = engine::decodeResumeSnapshot(
-            *ckpt.resume, id, &payload, ckpt.resumeName);
+        out.resumedUnits = engine::decodeResumeSnapshot(
+            *ckpt.resume, id, &payload, ckpt.resumeName).cursor;
         bool snapChecked = false;
+        std::vector<std::uint32_t> recIdx;
+        std::vector<PerFault> recPer;
         decodeSystemPayload(payload, ckpt.resumeName, &snapChecked,
                             &recIdx, &recPer);
         if (snapChecked != checked)
             throw engine::SnapshotError(
                 ckpt.resumeName +
                 ": snapshot is for the other CPU configuration");
-        cursor = h.cursor;
-        out.resumedUnits = cursor;
+        for (std::size_t r = 0; r < recIdx.size(); ++r)
+            encodeSystemRecord(records, recIdx[r], recPer[r]);
+        numRecords = recIdx.size();
     }
-
-    auto buildSnapshot = [&](std::uint64_t cur, bool complete) {
-        engine::SnapshotHeader h = id;
-        h.cursor = cur;
-        h.complete = complete;
-        return engine::encodeSnapshot(
-            h, encodeSystemPayload(checked, recIdx, recPer));
-    };
-    auto emit = [&](std::uint64_t cur, bool complete) {
-        std::vector<std::uint8_t> snap = buildSnapshot(cur, complete);
-        if (ckpt.sink)
-            ckpt.sink(snap, complete);
-        if (complete)
-            out.partial = std::move(snap);
-    };
 
     const auto classify = [&](const Fault &fault) {
         return checked ? classifyScalFault(wl, op, golden, fault)
@@ -550,50 +533,30 @@ runSystemCampaignShard(const Workload &wl, AluOp op, bool checked,
     eopts.minGrain = 1;
     engine::CampaignEngine eng(eopts);
     eng.beginCampaign(out.units);
+    // Unit = one fault: equal weights, one class each.
+    const std::vector<std::uint64_t> ones(out.units, 1);
+    fault::runCheckpointedShard(
+        eng, ckpt, opts.cancel, id, ones, ones,
+        [&](engine::Chunk c) -> std::function<void()> {
+            const std::size_t f0 = slice.begin + c.begin;
+            return [&, f0,
+                    per = classifyRange(faults, f0, slice.begin + c.end,
+                                        opts.cancel, eng.progress(),
+                                        classify)] {
+                for (std::size_t i = 0; i < per.size(); ++i)
+                    encodeSystemRecord(
+                        records, static_cast<std::uint32_t>(f0 + i), per[i]);
+                numRecords += per.size();
+            };
+        },
+        records,
+        [&](engine::ByteWriter &w) {
+            w.u8(checked ? 1 : 0);
+            w.u64(numRecords);
+        },
+        out);
 
-    while (cursor < out.units) {
-        const std::size_t f0 = slice.begin + cursor;
-        const std::size_t f1 =
-            ckpt.every > 0
-                ? std::min(slice.end,
-                           f0 + static_cast<std::size_t>(ckpt.every))
-                : slice.end;
-
-        try {
-            const auto chunks = eng.mapChunks<std::vector<PerFault>>(
-                f1 - f0, [&](engine::Chunk chunk, std::size_t) {
-                    return classifyRange(faults, f0 + chunk.begin,
-                                         f0 + chunk.end, opts.cancel,
-                                         eng.progress(), classify);
-                });
-            std::size_t k = f0;
-            for (const auto &chunk : chunks) {
-                for (const PerFault &pf : chunk) {
-                    recIdx.push_back(static_cast<std::uint32_t>(k++));
-                    recPer.push_back(pf);
-                }
-            }
-        } catch (const engine::CampaignCancelled &) {
-            if (ckpt.sink)
-                ckpt.sink(buildSnapshot(cursor, false), false);
-            throw;
-        }
-
-        cursor = f1 - slice.begin;
-        const bool complete = cursor == out.units;
-        if (complete || (ckpt.sink && ckpt.every > 0))
-            emit(cursor, complete);
-
-        if (!complete && opts.cancel && opts.cancel->stopRequested()) {
-            if (ckpt.sink)
-                ckpt.sink(buildSnapshot(cursor, false), false);
-            throw engine::CampaignCancelled();
-        }
-    }
-    if (out.units == 0)
-        emit(0, true);
-
-    out.shardFaults = static_cast<int>(recIdx.size());
+    out.shardFaults = static_cast<int>(numRecords);
     out.stats = eng.endCampaign(out.units, out.units, 0);
     return out;
 }

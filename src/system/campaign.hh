@@ -102,8 +102,8 @@ SystemCampaignResult runUncheckedCampaign(
  * Run shard @p shard of a system campaign (@p checked selects the
  * SCAL or the unprotected CPU) with the fault/shard.hh checkpoint
  * plumbing: the shard universe is the ALU fault list, records are
- * per-fault outcomes, snapshots land on --checkpoint-every fault
- * boundaries. Merged results are field-identical to the inline run.
+ * per-fault outcomes, one fault counts as one checkpoint class.
+ * Merged results are field-identical to the inline run.
  */
 fault::ShardOutcome
 runSystemCampaignShard(const Workload &wl, AluOp op, bool checked,

@@ -11,7 +11,9 @@
 #include <cstdint>
 #include <filesystem>
 #include <functional>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -314,54 +316,323 @@ TEST(Checkpoint, SeqKillResumeFuzz)
     }
 }
 
+/**
+ * A raw sequential machine of @p stages flip-flops for hardening:
+ * stage i toggles on input a or b and loads only while the previous
+ * stage (or a) is high, and each stage drives an output. Three stages
+ * collapse to 146 fault classes.
+ */
+netlist::Netlist
+rawSeqChain(int stages)
+{
+    netlist::Netlist raw;
+    const netlist::GateId a = raw.addInput("a");
+    const netlist::GateId b = raw.addInput("b");
+    netlist::GateId prev = b;
+    for (int i = 0; i < stages; ++i) {
+        const std::string n = std::to_string(i);
+        const netlist::GateId q = raw.addDff(raw.addConst(false), "q" + n);
+        const netlist::GateId x = raw.addXor({i % 2 ? b : a, q}, "x" + n);
+        raw.replaceFanin(
+            q, 0, raw.addAnd({x, raw.addOr({prev, a}, "p" + n)}, "d" + n));
+        raw.addOutput(raw.addOr({x, prev}, "o" + n), "o" + n);
+        prev = q;
+    }
+    return raw;
+}
+
+/**
+ * One shard runner per campaign kind and route, run over the full
+ * universe ({0, 1}), each with more than 64 fault classes: @p run
+ * takes the jobs count, an optional cancel token and the checkpoint
+ * plumbing; @p verdict is the merged verdict of a complete partial.
+ */
+struct KindCase
+{
+    const char *kind;
+    std::function<fault::ShardOutcome(int jobs,
+                                      const engine::CancelToken *cancel,
+                                      const fault::CheckpointOptions &)>
+        run;
+    std::function<std::string(const std::vector<std::uint8_t> &partial)>
+        verdict;
+};
+
+std::vector<KindCase>
+kindCases()
+{
+    util::Rng rng(0x5eed03u);
+    const netlist::Netlist comb =
+        ingest::hardenNetlist(testing::randomNetlist(5, 16, rng)).net;
+    const auto combRun = [comb](int jobs, const engine::CancelToken *cancel,
+                                const fault::CheckpointOptions &c) {
+        fault::CampaignOptions opts;
+        opts.maxPatterns = 512;
+        opts.lanes = 64;
+        opts.simd = sim::SimdTarget::Portable;
+        opts.jobs = jobs;
+        opts.checkAlternating = false;
+        opts.cancel = cancel;
+        return fault::runAlternatingCampaignShard(comb, opts, {0, 1}, c);
+    };
+    const auto combVerdict = [comb](const std::vector<std::uint8_t> &p) {
+        return fault::campaignVerdictJson(
+            comb, fault::mergeCampaignPartials(comb, {p}));
+    };
+
+    // 64 lanes take the lane-batched route, 512 the per-fault route.
+    const ingest::HardenedCircuit seq = ingest::hardenNetlist(rawSeqChain(3));
+    const auto seqRun = [seq](int lanes) {
+        return [seq, lanes](int jobs, const engine::CancelToken *cancel,
+                            const fault::CheckpointOptions &c) {
+            fault::SeqCampaignOptions opts;
+            opts.symbols = 16;
+            opts.lanes = lanes;
+            opts.simd = sim::SimdTarget::Portable;
+            opts.jobs = jobs;
+            opts.cancel = cancel;
+            return fault::runSequentialCampaignShard(
+                seq.net, seq.campaignSpec(), opts, {0, 1}, c);
+        };
+    };
+    const auto seqVerdict = [seq](const std::vector<std::uint8_t> &p) {
+        return fault::seqCampaignVerdictJson(
+            seq.net, fault::mergeSeqCampaignPartials(seq.net, {p}));
+    };
+
+    system::Workload mul5;
+    for (const system::Workload &w : system::standardWorkloads())
+        if (w.name == "mul5")
+            mul5 = w;
+    const auto systemRun = [mul5](int jobs,
+                                  const engine::CancelToken *cancel,
+                                  const fault::CheckpointOptions &c) {
+        system::SystemCampaignOptions opts;
+        opts.jobs = jobs;
+        opts.cancel = cancel;
+        return system::runSystemCampaignShard(mul5, system::AluOp::Shl,
+                                              /*checked=*/true, opts,
+                                              {0, 1}, c);
+    };
+    const auto systemVerdict = [](const std::vector<std::uint8_t> &p) {
+        return system::systemResultJson(system::mergeSystemPartials(
+            system::AluOp::Shl, /*checked=*/true, {p}));
+    };
+    return {{"comb", combRun, combVerdict},
+            {"seq batch", seqRun(64), seqVerdict},
+            {"seq per-fault", seqRun(512), seqVerdict},
+            {"system", systemRun, systemVerdict}};
+}
+
 TEST(Checkpoint, AutoCadenceEmitsBoundedSnapshots)
 {
-    // every < 0 = automatic cadence max(64, shardClasses / 16): on a
-    // small universe (shardClasses << 64 * 16) that resolves to 64,
-    // so boundary snapshots stay rare but resume still works, and
-    // the verdict is identical to the no-checkpoint run.
-    util::Rng rng(0x5eed03u);
-    const netlist::Netlist net =
-        ingest::hardenNetlist(testing::randomNetlist(5, 16, rng)).net;
+    // every < 0 = automatic cadence max(64, shardClasses / 16), the
+    // same for every kind: on these universes (shardClasses < 64 * 16)
+    // it resolves to 64, so boundary snapshots stay rare but a killed
+    // shard still resumes mid-way, to the no-checkpoint verdict.
+    for (const KindCase &kc : kindCases()) {
+        SnapshotLog autoLog;
+        const fault::ShardOutcome autoOut =
+            kc.run(2, nullptr, autoLog.options(-1));
+        ASSERT_FALSE(autoLog.partial.empty()) << kc.kind;
+        ASSERT_GT(autoOut.shardClasses, 64) << kc.kind;
+        EXPECT_GE(autoLog.boundaries.size(), 1u) << kc.kind;
+        EXPECT_LE(autoLog.boundaries.size(),
+                  static_cast<std::size_t>(autoOut.shardClasses) / 64 + 1)
+            << kc.kind;
 
-    fault::CampaignOptions opts;
-    opts.maxPatterns = 512;
-    opts.checkAlternating = false;
+        const std::string want = kc.verdict(kc.run(2, nullptr, {}).partial);
+        EXPECT_EQ(kc.verdict(autoLog.partial), want) << kc.kind;
+        for (std::size_t k = 0; k < autoLog.boundaries.size(); ++k) {
+            fault::CheckpointOptions resume;
+            resume.resume = &autoLog.boundaries[k];
+            EXPECT_EQ(kc.verdict(kc.run(2, nullptr, resume).partial), want)
+                << kc.kind << ": resume from auto boundary " << k;
+        }
+    }
+}
 
-    SnapshotLog autoLog;
-    const fault::ShardOutcome autoOut =
-        fault::runAlternatingCampaignShard(net, opts, {0, 1},
-                                           autoLog.options(-1));
-    ASSERT_FALSE(autoLog.partial.empty());
-    // Cadence 64 over a few hundred classes: a handful of
-    // boundaries at most, never one per class.
-    EXPECT_LE(
-        autoLog.boundaries.size(),
-        static_cast<std::size_t>(autoOut.shardClasses) / 64 + 1);
+TEST(Checkpoint, CancelMidRunLandsAtCommittedCursor)
+{
+    // A stop requested by the sink at the 2nd boundary (while the
+    // workers already classify later blocks) ends the run with
+    // CampaignCancelled; the last snapshot the sink saw is a
+    // mid-shard checkpoint that resumes to the uninterrupted verdict.
+    for (const KindCase &kc : kindCases()) {
+        const std::string want = kc.verdict(kc.run(1, nullptr, {}).partial);
+        for (const int jobs : {1, 4}) {
+            engine::CancelToken cancel;
+            int boundaries = 0;
+            std::vector<std::uint8_t> last;
+            fault::CheckpointOptions ckpt;
+            ckpt.every = 8;
+            ckpt.sink = [&](const std::vector<std::uint8_t> &bytes,
+                            bool final) {
+                last = bytes;
+                if (!final && ++boundaries == 2)
+                    cancel.requestStop();
+            };
+            EXPECT_THROW(kc.run(jobs, &cancel, ckpt),
+                         engine::CampaignCancelled)
+                << kc.kind << " jobs=" << jobs;
+            ASSERT_FALSE(last.empty()) << kc.kind;
+            const SnapshotHeader hdr = fault::snapshotHeader(last);
+            EXPECT_FALSE(hdr.complete) << kc.kind;
+            EXPECT_GT(hdr.cursor, 0u) << kc.kind << " jobs=" << jobs;
+            EXPECT_LT(hdr.cursor, hdr.units) << kc.kind << " jobs=" << jobs;
 
-    const fault::ShardOutcome plain =
-        fault::runAlternatingCampaignShard(net, opts, {0, 1});
-    EXPECT_EQ(fault::campaignVerdictJson(
-                  net, fault::mergeCampaignPartials(
-                           net, {autoLog.partial})),
-              fault::campaignVerdictJson(
-                  net, fault::mergeCampaignPartials(
-                           net, {plain.partial})));
+            fault::CheckpointOptions resume;
+            resume.resume = &last;
+            const fault::ShardOutcome out = kc.run(jobs, nullptr, resume);
+            EXPECT_EQ(out.resumedUnits, hdr.cursor) << kc.kind;
+            EXPECT_EQ(kc.verdict(out.partial), want)
+                << kc.kind << " jobs=" << jobs;
+        }
+    }
+}
 
-    // Every auto-cadence boundary resumes to the same verdict.
-    for (std::size_t k = 0; k < autoLog.boundaries.size(); ++k) {
-        fault::CheckpointOptions resume;
-        resume.resume = &autoLog.boundaries[k];
-        const fault::ShardOutcome out =
-            fault::runAlternatingCampaignShard(net, opts, {0, 1},
-                                               resume);
-        EXPECT_EQ(fault::campaignVerdictJson(
-                      net, fault::mergeCampaignPartials(
-                               net, {out.partial})),
-                  fault::campaignVerdictJson(
-                      net, fault::mergeCampaignPartials(
-                               net, {plain.partial})))
-            << "resume from auto boundary " << k;
+TEST(Checkpoint, SinkFailureMidRunReachesCaller)
+{
+    // A sink that fails at the 2nd boundary (a full disk, say) gets
+    // its own exception to the caller, once every worker has stopped,
+    // and no snapshot after it.
+    for (const KindCase &kc : kindCases()) {
+        for (const int jobs : {1, 4}) {
+            int calls = 0;
+            fault::CheckpointOptions ckpt;
+            ckpt.every = 8;
+            ckpt.sink = [&](const std::vector<std::uint8_t> &, bool) {
+                if (++calls == 2)
+                    throw std::runtime_error("sink failed");
+            };
+            try {
+                kc.run(jobs, nullptr, ckpt);
+                ADD_FAILURE() << kc.kind << ": sink failure swallowed";
+            } catch (const std::runtime_error &e) {
+                EXPECT_STREQ(e.what(), "sink failed") << kc.kind;
+            }
+            EXPECT_EQ(calls, 2) << kc.kind << " jobs=" << jobs;
+        }
+    }
+}
+
+/** FNV-1a 64 over every snapshot of @p log, in emission order. */
+std::uint64_t
+streamDigest(const SnapshotLog &log)
+{
+    std::vector<std::uint8_t> all;
+    for (const std::vector<std::uint8_t> &b : log.boundaries)
+        all.insert(all.end(), b.begin(), b.end());
+    all.insert(all.end(), log.partial.begin(), log.partial.end());
+    return engine::fnv1a64Bytes(all.data(), all.size());
+}
+
+/** A decoded comb payload, encoded again record by record. */
+std::vector<std::uint8_t>
+encodeComb(const fault::shard_detail::CombPayload &p)
+{
+    engine::ByteWriter w;
+    fault::shard_detail::encodeCombPrefix(
+        w, p, static_cast<std::uint32_t>(p.records.size()));
+    for (const fault::shard_detail::CombRecord &r : p.records)
+        fault::shard_detail::encodeCombRecord(w, r.faultIndex, r.outcome,
+                                              r.unsafePatterns);
+    return w.take();
+}
+
+/** A decoded seq payload, encoded again record by record. */
+std::vector<std::uint8_t>
+encodeSeq(const fault::shard_detail::SeqPayload &p)
+{
+    engine::ByteWriter w;
+    fault::shard_detail::encodeSeqPrefix(
+        w, p, static_cast<std::uint32_t>(p.records.size()));
+    for (const fault::shard_detail::SeqRecord &r : p.records)
+        fault::shard_detail::encodeSeqRecord(w, r);
+    return w.take();
+}
+
+TEST(Checkpoint, SnapshotBytesArePinned)
+{
+    // Checkpoint bytes are a pure function of the run: the same at
+    // every jobs count, and the same as the pinned digests below,
+    // whatever chunking the engine streams the blocks through. Each
+    // payload also equals its decoded records encoded again one by
+    // one behind a fresh prefix, so the runners' kept record bytes
+    // and their per-snapshot prefix line up.
+    const std::vector<KindCase> cases = kindCases();
+    const auto kindCase = [&](const std::string &kind) -> const KindCase & {
+        for (const KindCase &kc : cases)
+            if (kc.kind == kind)
+                return kc;
+        throw std::logic_error("no kind case " + kind);
+    };
+    struct Pin
+    {
+        const char *kind;
+        int every;
+        std::uint64_t digest;
+    };
+    // System shards follow the automatic cadence like every kind: on
+    // mul5's 156 faults it resolves to 64, so its auto stream is the
+    // every = 64 stream.
+    const Pin pins[] = {
+        {"seq batch", 1, 0x5cf52be02d5b0e15ULL},
+        {"seq batch", -1, 0xa36837e3f85ab453ULL},
+        {"seq per-fault", 1, 0x8538081ac36f8d0dULL},
+        {"seq per-fault", -1, 0xdfe5d87fc35b117cULL},
+        {"system", 1, 0x6aadeecdfbc22191ULL},
+        {"system", -1, 0xd1897e23d7115577ULL},
+    };
+    for (const Pin &pin : pins) {
+        const KindCase &kc = kindCase(pin.kind);
+        for (const int jobs : {1, 2, 4}) {
+            SnapshotLog log;
+            kc.run(jobs, nullptr, log.options(pin.every));
+            EXPECT_EQ(streamDigest(log), pin.digest)
+                << kc.kind << " every=" << pin.every << " jobs=" << jobs;
+        }
+    }
+
+    // The comb tail counts chunk-local batches, so only jobs 1 is
+    // pinned; at more jobs the cursors and records match jobs 1.
+    const auto combRecords = [](const std::vector<std::uint8_t> &snap) {
+        std::vector<std::uint8_t> payload;
+        const SnapshotHeader h = engine::decodeSnapshot(snap, &payload);
+        fault::shard_detail::CombPayload p =
+            fault::shard_detail::decodeCombPayload(payload, "comb");
+        EXPECT_EQ(encodeComb(p), payload);
+        p.batches = 0;
+        return std::make_pair(h.cursor, encodeComb(p));
+    };
+    const KindCase &comb = kindCase("comb");
+    for (const int every : {1, -1}) {
+        SnapshotLog one;
+        comb.run(1, nullptr, one.options(every));
+        EXPECT_EQ(streamDigest(one), every == 1 ? 0xa9a434dfd7dd0950ULL
+                                                : 0x24d1241f0b207eefULL)
+            << "comb every=" << every;
+        for (const int jobs : {2, 4}) {
+            SnapshotLog log;
+            comb.run(jobs, nullptr, log.options(every));
+            ASSERT_EQ(log.boundaries.size(), one.boundaries.size());
+            for (std::size_t k = 0; k < log.boundaries.size(); ++k)
+                EXPECT_EQ(combRecords(log.boundaries[k]),
+                          combRecords(one.boundaries[k]))
+                    << "comb every=" << every << " jobs=" << jobs
+                    << " boundary " << k;
+            EXPECT_EQ(combRecords(log.partial), combRecords(one.partial));
+        }
+    }
+
+    SnapshotLog seqLog;
+    kindCase("seq batch").run(4, nullptr, seqLog.options(1));
+    for (const std::vector<std::uint8_t> &snap : seqLog.boundaries) {
+        std::vector<std::uint8_t> payload;
+        engine::decodeSnapshot(snap, &payload);
+        EXPECT_EQ(encodeSeq(fault::shard_detail::decodeSeqPayload(payload,
+                                                                  "seq")),
+                  payload);
     }
 }
 

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -297,6 +298,144 @@ TEST(CampaignEngine, ChunkExceptionWaitsForEveryChunk)
     EXPECT_EQ(finished.load(),
               static_cast<int>(engine::planShards(16, 4, 4, 1).size()) -
                   1);
+}
+
+/** The n single-item chunks [i, i + 1) of [0, n). */
+std::vector<engine::Chunk>
+unitChunks(std::size_t n)
+{
+    std::vector<engine::Chunk> chunks;
+    for (std::size_t i = 0; i < n; ++i)
+        chunks.push_back({i, i + 1});
+    return chunks;
+}
+
+TEST(CampaignEngine, StreamChunksCommitsInOrderOnCallingThread)
+{
+    engine::EngineOptions opts;
+    opts.jobs = 4;
+    engine::CampaignEngine eng(opts);
+    const std::thread::id caller = std::this_thread::get_id();
+
+    // Chunk 0 only finishes after chunk 1 has, so a commit in
+    // completion order would see 1 before 0.
+    std::atomic<bool> oneDone{false};
+    std::atomic<int> finishOrder{0};
+    std::vector<int> finishedAt(8, -1);
+    std::vector<std::size_t> commits;
+    bool offCaller = false;
+    eng.streamChunks(
+        unitChunks(8),
+        [&](engine::Chunk c, std::size_t i) {
+            if (i == 0)
+                while (!oneDone.load())
+                    std::this_thread::yield();
+            finishedAt[i] = finishOrder.fetch_add(1);
+            if (i == 1)
+                oneDone.store(true);
+            return c.begin * 10;
+        },
+        [&](engine::Chunk c, std::size_t i, std::size_t &&r) {
+            offCaller |= std::this_thread::get_id() != caller;
+            EXPECT_EQ(r, c.begin * 10);
+            commits.push_back(i);
+        });
+    EXPECT_LT(finishedAt[1], finishedAt[0]);
+    EXPECT_EQ(commits, (std::vector<std::size_t>{0, 1, 2, 3, 4, 5, 6, 7}));
+    EXPECT_FALSE(offCaller) << "a commit ran off the calling thread";
+}
+
+TEST(CampaignEngine, StreamChunksStopsCommitsAtChunkException)
+{
+    engine::EngineOptions opts;
+    opts.jobs = 4;
+    engine::CampaignEngine eng(opts);
+    std::atomic<int> finished{0};
+    std::vector<std::size_t> commits;
+    try {
+        eng.streamChunks(
+            unitChunks(12),
+            [&](engine::Chunk, std::size_t i) {
+                if (i == 3)
+                    throw std::runtime_error("chunk boom");
+                std::this_thread::sleep_for(std::chrono::milliseconds(2));
+                return ++finished;
+            },
+            [&](engine::Chunk, std::size_t i, int &&) {
+                commits.push_back(i);
+            });
+        FAIL() << "chunk exception swallowed";
+    } catch (const std::runtime_error &e) {
+        EXPECT_STREQ(e.what(), "chunk boom");
+    }
+    // Commits stop at the failed chunk; the rethrow waits for the
+    // other eleven chunks, which all still ran.
+    EXPECT_EQ(commits, (std::vector<std::size_t>{0, 1, 2}));
+    EXPECT_EQ(finished.load(), 11);
+}
+
+TEST(CampaignEngine, StreamChunksStopsCommitsAtCommitException)
+{
+    engine::EngineOptions opts;
+    opts.jobs = 4;
+    engine::CampaignEngine eng(opts);
+    std::atomic<int> finished{0};
+    std::vector<std::size_t> commits;
+    try {
+        eng.streamChunks(
+            unitChunks(12),
+            [&](engine::Chunk, std::size_t) {
+                std::this_thread::sleep_for(std::chrono::milliseconds(2));
+                return ++finished;
+            },
+            [&](engine::Chunk, std::size_t i, int &&) {
+                commits.push_back(i);
+                if (i == 2)
+                    throw std::runtime_error("commit boom");
+            });
+        FAIL() << "commit exception swallowed";
+    } catch (const std::runtime_error &e) {
+        EXPECT_STREQ(e.what(), "commit boom");
+    }
+    EXPECT_EQ(commits, (std::vector<std::size_t>{0, 1, 2}));
+    EXPECT_EQ(finished.load(), 12);
+}
+
+TEST(CampaignEngine, StreamChunksOneWorkerInterleavesInline)
+{
+    engine::EngineOptions opts;
+    opts.jobs = 1;
+    engine::CampaignEngine eng(opts);
+    const std::thread::id caller = std::this_thread::get_id();
+    std::vector<std::string> events;
+    bool offCaller = false;
+    eng.streamChunks(
+        unitChunks(3),
+        [&](engine::Chunk, std::size_t i) {
+            offCaller |= std::this_thread::get_id() != caller;
+            events.push_back("run " + std::to_string(i));
+            return i;
+        },
+        [&](engine::Chunk, std::size_t i, std::size_t &&) {
+            events.push_back("commit " + std::to_string(i));
+        });
+    EXPECT_EQ(events, (std::vector<std::string>{"run 0", "commit 0", "run 1",
+                                                "commit 1", "run 2",
+                                                "commit 2"}));
+    EXPECT_FALSE(offCaller);
+
+    // A commit exception propagates at once: no later chunk runs.
+    EXPECT_THROW(eng.streamChunks(
+                     unitChunks(3),
+                     [&](engine::Chunk, std::size_t i) {
+                         events.push_back("late run " + std::to_string(i));
+                         return i;
+                     },
+                     [](engine::Chunk, std::size_t, std::size_t &&) {
+                         throw std::runtime_error("commit boom");
+                     }),
+                 std::runtime_error);
+    EXPECT_EQ(events.back(), "late run 0");
 }
 
 } // namespace
