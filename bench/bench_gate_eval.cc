@@ -7,9 +7,10 @@
  * (portable, AVX2, AVX-512). Reports gate-words per second — one
  * gate-word is one 64-lane word of one gate's output — so a perfect
  * width scaling shows as flat seconds and Wx gate-word throughput.
- * Line values are digest-checked across all (width, target) pairs
- * before timing. Emits machine-readable JSON (stdout and a file) for
- * the CI bench-results artifact.
+ * Line values are digest-checked before timing: word 0 across every
+ * (width, target) pair, and every word across targets at each width.
+ * Emits machine-readable JSON (stdout and a file) for the CI
+ * bench-results artifact.
  *
  * Usage: bench_gate_eval [--blocks N] [--reps N] [--out FILE]
  */
@@ -64,12 +65,14 @@ buildInputs(int ni, int lane_words, std::uint64_t seed)
     return packed;
 }
 
+/** Fold words [0, @p words) of each of the @p n lines (@p lane_words
+ *  words apart). */
 std::uint64_t
-digestLines(const sim::WordVec &lines, int n, int lane_words)
+digestLines(const sim::WordVec &lines, int n, int lane_words, int words)
 {
     std::uint64_t d = 0;
     for (int g = 0; g < n; ++g)
-        for (int w = 0; w < lane_words; ++w) {
+        for (int w = 0; w < words; ++w) {
             d ^= lines[static_cast<std::size_t>(g) * lane_words + w] *
                  0x9e3779b97f4a7c15ULL;
             d = (d << 7) | (d >> 57);
@@ -128,33 +131,33 @@ main(int argc, char **argv)
         const int ni = flat.numInputs();
 
         // Every (width, target) pair must produce identical lines
-        // (word w of a wide block vs narrow stream w) before timing.
+        // before timing: word 0 (present at every width) across
+        // widths, since word w of a wide block is narrow stream w, and
+        // every word across targets at each width.
         std::uint64_t want = 0;
-        bool have_want = false;
         for (int lw : width_list) {
             const auto in = buildInputs(ni, lw, 0x5eed);
             sim::WordVec lines(static_cast<std::size_t>(n) * lw);
+            std::uint64_t wantFull = 0;
             for (const sim::SimdTarget t : targets) {
                 const auto &k = sim::wideKernels(lw, t);
                 k.evalLines(flat, in.data(), nullptr, -1, 0,
                             lines.data());
-                // Fold only word 0 (present at every width) so the
-                // digest is width-invariant.
-                std::uint64_t d = 0;
-                for (int g = 0; g < n; ++g) {
-                    d ^= lines[static_cast<std::size_t>(g) * lw] *
-                         0x9e3779b97f4a7c15ULL;
-                    d = (d << 7) | (d >> 57);
+                const std::uint64_t d = digestLines(lines, n, lw, 1);
+                const std::uint64_t full = digestLines(lines, n, lw, lw);
+                if (t == targets[0]) {
+                    wantFull = full;
+                    if (lw == width_list[0])
+                        want = d;
                 }
-                if (!have_want) {
-                    want = d;
-                    have_want = true;
-                } else if (d != want) {
+                if (d != want || full != wantFull) {
                     std::cerr << "FATAL: line digest mismatch on "
                               << sc.name << " at " << 64 * lw
                               << " lanes, "
                               << sim::simdTargetName(k.target)
-                              << " kernels\n";
+                              << " kernels ("
+                              << (d != want ? "word 0" : "full line")
+                              << ")\n";
                     return 1;
                 }
             }

@@ -45,7 +45,6 @@ optionRows(SeqCampaignConfig &c)
         {"code_pairs", K::IndexList, "pairs", &c.spec.codePairs},
         // Kernel choice and work savings: verdict-neutral.
         {"simd", K::Simd, nullptr, &c.opts.simd},
-        {"seq_fault_batch", K::Bool, nullptr, &c.opts.faultBatch},
         // On means forced on, even on the hardened realizations the
         // campaign skips the pass for by default.
         {"seq_dominance", K::Bool, nullptr,

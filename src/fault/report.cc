@@ -126,10 +126,10 @@ seqCampaignVerdictJson(const netlist::Netlist &net,
 std::string
 seqCampaignTailJson(const SeqCampaignResult &res)
 {
-    // Like the combinational tail: the kernel build is host-dependent,
-    // batch and class counts move with the batching/collapse knobs
-    // and the memo counters with call history, so none of it may
-    // enter the deterministic verdict block.
+    // Like the combinational tail: the kernel build is host-dependent
+    // and the batch and class counts move with the route and the
+    // collapse knobs, so none of it may enter the deterministic
+    // verdict block.
     std::ostringstream os;
     os << "  \"simd\": \"" << sim::simdTargetName(res.simd) << "\",\n"
        << "  \"periods_simulated\": " << res.periodsSimulated << ",\n"
@@ -144,9 +144,7 @@ seqCampaignTailJson(const SeqCampaignResult &res)
        << ", \"pruned_faults\": " << res.prunedFaults
        << ", \"batched_classes\": " << res.batchedClasses
        << ", \"batches\": " << res.batches
-       << ", \"retired_early\": " << res.retiredEarly
-       << ", \"memo_hits\": " << res.memoHits
-       << ", \"memo_misses\": " << res.memoMisses << "},\n"
+       << ", \"retired_early\": " << res.retiredEarly << "},\n"
        << "  \"stats\": " << res.stats.toJson();
     return os.str();
 }

@@ -1,10 +1,9 @@
 #include "fault/seq_campaign.hh"
 
 #include <algorithm>
-#include <mutex>
 #include <sstream>
 #include <stdexcept>
-#include <unordered_map>
+#include <string>
 
 #include "engine/campaign_engine.hh"
 #include "fault/collapse.hh"
@@ -31,6 +30,9 @@ struct ResolvedSpec
     std::vector<int> dataOutputs;
     std::vector<int> altOutputs;
     std::vector<int> codePairs;
+    /** Per input: 1 = held across both periods of a symbol. */
+    std::vector<std::uint8_t> hold;
+    /** Words per fault lane group (Wg) and the group's lane mask. */
     int laneWords = 1;
     std::array<std::uint64_t, sim::kMaxLaneWords> laneMask{};
 };
@@ -48,141 +50,42 @@ struct RepVerdict
     std::array<std::uint64_t, kLatencyBuckets> latHist{};
     std::uint64_t alarmLanes = 0;
     std::uint64_t latSum = 0;
-    long periodsSimulated = 0;
-    long periodsSkipped = 0;
 };
 
-/** Alarm words of one symbol's two output-block rows (laneWords words
- *  per output, sim/wide.hh layout). */
-void
-alarmWords(const ResolvedSpec &rs, const std::uint64_t *p0,
-           const std::uint64_t *p1, std::uint64_t *alarm)
+RepVerdict
+repVerdict(const SeqVerdictAccumulator &acc, int lanes)
 {
-    const int W = rs.laneWords;
-    for (int w = 0; w < W; ++w)
-        alarm[w] = 0;
-    for (const int j : rs.altOutputs)
-        for (int w = 0; w < W; ++w)
-            alarm[w] |= ~(p0[j * W + w] ^ p1[j * W + w]);
-    for (std::size_t c = 0; c + 1 < rs.codePairs.size(); c += 2) {
-        const int p = rs.codePairs[c], q = rs.codePairs[c + 1];
-        for (int w = 0; w < W; ++w) {
-            alarm[w] |= ~(p0[p * W + w] ^ p0[q * W + w]);
-            alarm[w] |= ~(p1[p * W + w] ^ p1[q * W + w]);
+    RepVerdict rv;
+    rv.outcome = acc.outcome();
+    rv.firstAlarm = acc.firstAlarmPeriod();
+    rv.firstEscape = acc.firstEscapePeriod();
+    for (int l = 0; l < lanes; ++l) {
+        const long p = acc.laneFirstAlarm(l);
+        if (p >= 0) {
+            ++rv.latHist[static_cast<std::size_t>(latencyBucket(p))];
+            ++rv.alarmLanes;
+            rv.latSum += static_cast<std::uint64_t>(p);
         }
     }
+    return rv;
 }
 
-/**
- * Classify faults[begin, end) against the shared trace. Each call
- * owns its SeqFaultSimulator; everything it reads is immutable, so a
- * fault's verdict cannot depend on which chunk simulated it. The
- * packed kernel only reports periods whose outputs differ from the
- * trace; undelivered halves of a symbol are read from the trace
- * (bit-identical by the kernel's contract), and symbols with no
- * delivery at all contribute nothing — valid because the fault-free
- * machine is alarm-free (checked by runSequentialCampaign) and
- * trivially has no wrong data words.
- */
-std::vector<RepVerdict>
-classifySeqChunk(const sim::SeqGoodTrace &trace, const ResolvedSpec &rs,
-                 const std::vector<Fault> &faults, std::size_t begin,
-                 std::size_t end, const SeqCampaignOptions &opts,
-                 engine::ProgressTracker &progress,
-                 const std::uint8_t *pruned)
+/** One chunk's class verdicts, in classification order, plus its
+ *  work counters. */
+struct ChunkOut
 {
-    sim::SeqFaultSimulator fsim(trace);
-    const int no = trace.flat().numOutputs();
-    const int W = rs.laneWords;
-    const std::size_t row = static_cast<std::size_t>(no) * W;
-    std::vector<std::uint64_t> buf0(row);
-    const sim::detail::WideKernels &kernels = trace.kernels();
-    const int npairs = static_cast<int>(rs.codePairs.size()) / 2;
-
-    std::vector<RepVerdict> out(end - begin);
-    for (std::size_t k = begin; k < end; ++k) {
-        if (opts.cancel && opts.cancel->stopRequested())
-            throw engine::CampaignCancelled();
-        // Dominance-pruned class: the faulty machine is
-        // trace-identical to the fault-free one (stuck value equals a
-        // structural constant, or the line reaches no output), so the
-        // default verdict — Untestable, no alarms — is exact.
-        if (pruned && pruned[k])
-            continue;
-        SeqVerdictAccumulator acc(rs.laneMask.data(), W,
-                                  opts.dropDetected);
-        long pending = -1;
-        bool have0 = false;
-
-        // The phase-1 row can be folded straight from the sink's
-        // buffer (the symbol completes inside the callback); only a
-        // phase-0 row has to be stashed until its partner arrives.
-        auto flush = [&](long s, const std::uint64_t *p1row) -> bool {
-            const std::uint64_t *p0 =
-                have0 ? buf0.data() : trace.outputs(2 * s);
-            const std::uint64_t *p1 =
-                p1row ? p1row : trace.outputs(2 * s + 1);
-            std::uint64_t alarm[sim::kMaxLaneWords];
-            std::uint64_t wrong[sim::kMaxLaneWords];
-            kernels.seqAlarmWrong(
-                p0, p1, trace.outputs(2 * s), rs.altOutputs.data(),
-                static_cast<int>(rs.altOutputs.size()),
-                rs.codePairs.data(), npairs, rs.dataOutputs.data(),
-                static_cast<int>(rs.dataOutputs.size()), alarm, wrong);
-            have0 = false;
-            pending = -1;
-            return acc.addSymbol(s, alarm, wrong);
-        };
-
-        fsim.runFault(
-            faults[k],
-            [&](long t, std::uint64_t, const std::uint64_t *outs) {
-                const long s = t / 2;
-                if (pending >= 0 && pending != s &&
-                    !flush(pending, nullptr))
-                    return false;
-                pending = s;
-                if (t & 1)
-                    return flush(s, outs);
-                std::copy(outs, outs + row, buf0.begin());
-                have0 = true;
-                return true;
-            },
-            opts.faultStart, opts.faultEnd);
-        if (pending >= 0)
-            flush(pending, nullptr); // trailing phase-0-only divergence
-
-        RepVerdict &rv = out[k - begin];
-        rv.outcome = acc.outcome();
-        rv.firstAlarm = acc.firstAlarmPeriod();
-        rv.firstEscape = acc.firstEscapePeriod();
-        for (int l = 0; l < opts.lanes; ++l) {
-            const long p = acc.laneFirstAlarm(l);
-            if (p >= 0) {
-                ++rv.latHist[latencyBucket(p)];
-                ++rv.alarmLanes;
-                rv.latSum += static_cast<std::uint64_t>(p);
-            }
-        }
-        rv.periodsSimulated = fsim.periodsSimulated();
-        rv.periodsSkipped = fsim.periodsSkipped();
-        progress.addPatterns(
-            static_cast<std::uint64_t>(fsim.periodsSimulated()));
-        if (rv.outcome == Outcome::Unsafe)
-            progress.addUnsafe(1);
-    }
-    progress.addFaultsDone(end - begin);
-    return out;
-}
+    std::vector<std::pair<std::size_t, RepVerdict>> verdicts;
+    long periodsSimulated = 0;
+    long periodsSkipped = 0;
+    long retiredEarly = 0;
+};
 
 /**
- * Validate the spec against the netlist and resolve its defaults plus
- * the packed lane mask. Shared by the inline campaign and the shard
- * runner so both see the identical checked universe.
+ * Validate the spec against the netlist and resolve its defaults, the
+ * hold set and the packed lane mask of one @p lanes-wide group.
  */
 ResolvedSpec
-resolveSeqSpec(const Netlist &net, const SeqCampaignSpec &spec,
-               int lanes, std::vector<std::uint8_t> *hold)
+resolveSeqSpec(const Netlist &net, const SeqCampaignSpec &spec, int lanes)
 {
     const int ni = net.numInputs();
     const int no = net.numOutputs();
@@ -216,158 +119,313 @@ resolveSeqSpec(const Netlist &net, const SeqCampaignSpec &spec,
         check_output(j);
     for (const int j : rs.codePairs)
         check_output(j);
-    hold->assign(static_cast<std::size_t>(ni), 0);
+    rs.hold.assign(static_cast<std::size_t>(ni), 0);
     for (const int i : spec.holdInputs) {
         if (i < 0 || i >= ni)
             throw std::invalid_argument("hold input index out of range");
-        (*hold)[static_cast<std::size_t>(i)] = 1;
+        rs.hold[static_cast<std::size_t>(i)] = 1;
     }
     return rs;
 }
 
 /**
- * The effective seqDominance knob: the sequential collapse rules
+ * The campaign preconditions on @p opts, checked before any work is
+ * done, and the options every worker runs: lanes and the SIMD target
+ * resolved once, and seqDominance as it takes effect. The sequential
+ * collapse rules
  * provably prune nothing on a verified self-dual hardened realization
  * (EXPERIMENTS E23 — the Yamamoto mux isolates every original line
- * behind φ-gated reconvergence), so skip the pass there unless forced.
- * Verdict-neutral: the rules are exact, only analysis time moves.
+ * behind φ-gated reconvergence), so the pass is skipped there unless
+ * forced. Verdict-neutral: the rules are exact, only analysis time
+ * moves.
  */
-bool
-effectiveSeqDominance(const Netlist &net, const SeqCampaignOptions &opts)
+SeqCampaignOptions
+checkedOptions(const Netlist &net, const SeqCampaignOptions &opts)
 {
-    if (!opts.seqDominance)
-        return false;
-    if (opts.seqDominanceForce)
-        return true;
-    return !netlist::looksSelfDualHardened(net);
+    if (opts.symbols < 1)
+        throw std::invalid_argument("need at least one symbol");
+    // A fault that is never active would get a verdict that means
+    // nothing: the window must overlap the stream's periods.
+    const long periods = 2 * opts.symbols;
+    if (std::max(opts.faultStart, 0L) >= std::min(opts.faultEnd, periods))
+        throw std::invalid_argument(
+            "fault window " + std::to_string(opts.faultStart) + ":" +
+            std::to_string(opts.faultEnd) + " does not overlap the " +
+            std::to_string(periods) + "-period stream 0:" +
+            std::to_string(periods));
+    SeqCampaignOptions r = opts;
+    r.lanes = resolveSeqLanes(opts);
+    r.simd = sim::resolveSimdTarget(opts.simd);
+    r.seqDominance = opts.seqDominance &&
+                     (opts.seqDominanceForce ||
+                      !netlist::looksSelfDualHardened(net));
+    return r;
 }
-
-/** Fold expanded per-fault verdicts into the result. */
-void
-finalizeSeqResult(SeqCampaignResult &result,
-                  const std::vector<const RepVerdict *> &verdictOf)
-{
-    std::uint64_t lat_sum = 0;
-    for (std::size_t k = 0; k < result.faults.size(); ++k) {
-        const RepVerdict &rv = *verdictOf[k];
-        result.faults[k].outcome = rv.outcome;
-        result.faults[k].firstAlarmPeriod = rv.firstAlarm;
-        result.faults[k].firstEscapePeriod = rv.firstEscape;
-        switch (rv.outcome) {
-          case Outcome::Untestable: ++result.numUntestable; break;
-          case Outcome::Detected:   ++result.numDetected; break;
-          case Outcome::Unsafe:     ++result.numUnsafe; break;
-        }
-        for (int b = 0; b < kLatencyBuckets; ++b)
-            result.latencyHistogram[static_cast<std::size_t>(b)] +=
-                rv.latHist[static_cast<std::size_t>(b)];
-        result.alarmLaneCount += rv.alarmLanes;
-        lat_sum += rv.latSum;
-    }
-    if (result.alarmLaneCount)
-        result.meanAlarmPeriod =
-            static_cast<double>(lat_sum) /
-            static_cast<double>(result.alarmLaneCount);
-}
-
-engine::EngineOptions
-engineOptions(const SeqCampaignOptions &opts)
-{
-    engine::EngineOptions eopts;
-    eopts.jobs = opts.jobs;
-    eopts.progressInterval = opts.progressInterval;
-    eopts.progressCallback = opts.progressCallback;
-    return eopts;
-}
-
-} // namespace
 
 /**
- * Cached cross-call state of the lane-batched path. Everything up to
- * the batch plan is a pure function of (netlist content, config minus
- * symbols) — the key — and the trace only ever grows, so a key hit
- * with more symbols extends in place. The snapshot LRU is the hot-
- * state memo: per batch, the replay position + faulty flip-flop state
- * + verdict accumulators at the last stream end.
+ * Const-refined collapsing with dominance pruning, plus the
+ * sequential rules when in effect. The collapsing equivalences are
+ * all same-line-function equivalences (Dffs collapse nothing), so they
+ * hold per period and therefore over any sequence — including the
+ * const-refined chains, whose constant propagation treats Dff outputs
+ * as free variables. The time-frame rules only hold when the fault is
+ * active for the whole stream.
  */
-struct SeqCampaignContext::Impl
+CollapseOptions
+seqCollapseOptions(const SeqCampaignOptions &opts)
 {
-    std::mutex m; ///< guards the snapshot LRU (workers race on it)
-    std::string key;
-    std::unique_ptr<netlist::Netlist> net; ///< owns what flat refs
-    std::unique_ptr<sim::FlatNetlist> flat;
-    std::unique_ptr<sim::SeqGoodTrace> trace; ///< full kernel width
-    long builtSymbols = 0;
-    CollapseResult col;
-    std::vector<sim::SeqFaultSite> sites; ///< per unpruned class
-    std::vector<int> siteRep;             ///< site index -> rep index
-    sim::SeqBatchPlan plan;
+    CollapseOptions c;
+    c.constRefine = opts.dominance;
+    c.dominance = opts.dominance;
+    c.seq = opts.seqDominance;
+    c.seqTimeFrame = opts.seqDominance && opts.faultStart <= 0 &&
+                     opts.faultEnd >= 2 * opts.symbols;
+    return c;
+}
 
-    struct Snap
+/**
+ * Everything a sequential campaign derives before it classifies: the
+ * checked and resolved options, the spec, the compiled netlist, the
+ * collapse, the fault-free trace and the decoded sites of the
+ * unpruned classes with their replay costs. The inline and the shard
+ * runner both build one, so they classify the identical class space.
+ * Everything here is immutable and shared read-only by the workers.
+ * Not copyable: the trace points into flat.
+ *
+ * The lane width picks the route. Up to 256 lanes a fault's lane
+ * group (Wg words) leaves groups free in the widest kernel block, so
+ * batched() replays several faults per pass (sim/seq_batch_sim);
+ * above 256 lanes one fault fills the block and each class replays
+ * on its own (sim/seq_fault_sim). The trace is kMaxLaneWords wide
+ * with the stream replicated into every Wg-word group: group f of
+ * every row is bit-identical to a Wg-wide trace (the sim/wide.hh
+ * per-word layout guarantee), and above 256 lanes the one group is
+ * the stream itself.
+ */
+struct SeqSetup
+{
+    SeqSetup(const Netlist &net, const SeqCampaignSpec &spec,
+             const SeqCampaignOptions &requested)
+        : opts(checkedOptions(net, requested)),
+          rs(resolveSeqSpec(net, spec, opts.lanes)),
+          colOpts(seqCollapseOptions(opts)),
+          flat(net),
+          col(collapseFaults(net, colOpts)),
+          trace(flat, spec.phiInput, sim::kMaxLaneWords, opts.simd)
     {
-        sim::SeqFaultBatchSimulator::BatchState st;
-        std::vector<SeqVerdictAccumulator> accs;
-        std::size_t bytes = 0;
-        std::uint64_t lastUse = 0;
-    };
-    std::unordered_map<int, Snap> snaps; ///< batch index -> snapshot
-    std::size_t snapBytes = 0;
-    std::uint64_t useClock = 0;
-    long hits = 0, misses = 0;
-    static constexpr std::size_t kCapBytes = std::size_t{64} << 20;
+        buildTrace(net.numInputs(), spec.phiInput);
+        for (std::size_t r = 0; r < col.representatives.size(); ++r) {
+            if (!col.pruned.empty() && col.pruned[r])
+                continue;
+            sites.push_back(
+                sim::decodeSeqFaultSite(flat, col.representatives[r]));
+            siteRep.push_back(r);
+        }
+        siteCosts = sim::seqSiteCosts(flat, sites);
+        // Pruned classes weigh only their records.
+        classWeights.assign(col.representatives.size(), 1);
+        for (std::size_t i = 0; i < sites.size(); ++i)
+            classWeights[siteRep[i]] = siteCosts[i];
+    }
+    SeqSetup(const SeqSetup &) = delete;
+    SeqSetup &operator=(const SeqSetup &) = delete;
+
+    bool batched() const { return rs.laneWords < sim::kMaxLaneWords; }
+
+    /** The kernel build of one Wg-wide replay: tail data, the same on
+     *  either route. */
+    sim::SimdTarget
+    groupSimd() const
+    {
+        return sim::wideKernels(rs.laneWords, opts.simd).target;
+    }
+
+    /** Lane batches over sites [s0, s1); members are site indices. */
+    sim::SeqBatchPlan
+    planBatches(std::size_t s0, std::size_t s1) const
+    {
+        sim::SeqBatchPlan plan = sim::planSeqBatches(
+            flat, std::span(sites).subspan(s0, s1 - s0),
+            std::span(siteCosts).subspan(s0, s1 - s0), rs.laneWords,
+            sim::kMaxLaneWords);
+        for (std::vector<int> &batch : plan.batches)
+            for (int &i : batch)
+                i += static_cast<int>(s0);
+        return plan;
+    }
+
+    SeqCampaignOptions opts;
+    ResolvedSpec rs;
+    CollapseOptions colOpts;
+    sim::FlatNetlist flat;
+    CollapseResult col;
+    sim::SeqGoodTrace trace;
+    /** Decoded representative per unpruned class, in class order. */
+    std::vector<sim::SeqFaultSite> sites;
+    std::vector<std::size_t> siteRep; ///< site index -> class
+    std::vector<std::uint64_t> siteCosts; ///< sim::seqSiteCosts
+    /** Per class: its site's replay cost, or 1 when pruned. */
+    std::vector<std::uint64_t> classWeights;
+
+  private:
+    /**
+     * Symbol s drives X in period 2s and X̄ (held inputs and φ
+     * unchanged) in period 2s + 1. The classifiers skip symbols a
+     * fault never touches, which needs a fault-free machine that is
+     * alarm-free on every symbol: checked here, in every lane.
+     */
+    void
+    buildTrace(int ni, int phi)
+    {
+        const int Wg = rs.laneWords;
+        const int Wb = sim::kMaxLaneWords;
+        const auto words =
+            buildSymbolWords(ni, phi, opts.symbols, opts.seed, Wg);
+        trace.reservePeriods(2 * opts.symbols);
+        std::vector<std::uint64_t> in(static_cast<std::size_t>(ni) * Wb);
+        std::vector<std::uint64_t> inbar(in.size());
+        const int npairs = static_cast<int>(rs.codePairs.size()) / 2;
+        for (long s = 0; s < opts.symbols; ++s) {
+            for (int i = 0; i < ni; ++i)
+                for (int w = 0; w < Wb; ++w) {
+                    const std::uint64_t v =
+                        words[static_cast<std::size_t>(s)]
+                             [static_cast<std::size_t>(i) * Wg + w % Wg];
+                    const std::size_t idx =
+                        static_cast<std::size_t>(i) * Wb + w;
+                    in[idx] = v;
+                    inbar[idx] = (i == phi ||
+                                  rs.hold[static_cast<std::size_t>(i)])
+                                     ? v
+                                     : ~v;
+                }
+            trace.stepPeriod(in.data());
+            trace.stepPeriod(inbar.data());
+
+            const std::uint64_t *p0 = trace.outputs(2 * s);
+            std::uint64_t alarm[sim::kMaxLaneWords];
+            std::uint64_t wrong[sim::kMaxLaneWords];
+            trace.kernels().seqAlarmWrong(
+                p0, trace.outputs(2 * s + 1), p0, rs.altOutputs.data(),
+                static_cast<int>(rs.altOutputs.size()),
+                rs.codePairs.data(), npairs, nullptr, 0, alarm, wrong);
+            for (int w = 0; w < Wb; ++w)
+                if (alarm[w] & rs.laneMask[static_cast<std::size_t>(w % Wg)])
+                    throw std::invalid_argument(
+                        "fault-free machine raises an alarm: not an "
+                        "alternating (SCAL) machine under this spec");
+        }
+    }
 };
 
-SeqCampaignContext::SeqCampaignContext() : impl(new Impl) {}
-SeqCampaignContext::~SeqCampaignContext() = default;
-
-long
-SeqCampaignContext::memoHits() const
+/**
+ * Classify classes [begin, end) one replay each. Each call owns its
+ * SeqFaultSimulator; everything it reads is immutable, so a fault's
+ * verdict cannot depend on which chunk simulated it. The packed
+ * kernel only reports periods whose outputs differ from the trace;
+ * undelivered halves of a symbol are read from the trace
+ * (bit-identical by the kernel's contract), and symbols with no
+ * delivery at all contribute nothing — valid because the fault-free
+ * machine is alarm-free (checked by SeqSetup) and trivially has no
+ * wrong data words.
+ */
+ChunkOut
+classifySeqChunk(const SeqSetup &s, std::size_t begin, std::size_t end,
+                 engine::ProgressTracker &progress)
 {
-    return impl->hits;
-}
+    const SeqCampaignOptions &opts = s.opts;
+    const ResolvedSpec &rs = s.rs;
+    const sim::SeqGoodTrace &trace = s.trace;
+    sim::SeqFaultSimulator fsim(trace);
+    const int W = rs.laneWords;
+    const std::size_t row =
+        static_cast<std::size_t>(trace.flat().numOutputs()) * W;
+    std::vector<std::uint64_t> buf0(row);
+    const sim::detail::WideKernels &kernels = trace.kernels();
+    const int npairs = static_cast<int>(rs.codePairs.size()) / 2;
 
-long
-SeqCampaignContext::memoMisses() const
-{
-    return impl->misses;
-}
+    ChunkOut out;
+    out.verdicts.reserve(end - begin);
+    for (std::size_t k = begin; k < end; ++k) {
+        if (opts.cancel && opts.cancel->stopRequested())
+            throw engine::CampaignCancelled();
+        // Dominance-pruned class: the faulty machine is
+        // trace-identical to the fault-free one (stuck value equals a
+        // structural constant, or the line reaches no output), so the
+        // default verdict — Untestable, no alarms — is exact.
+        if (!s.col.pruned.empty() && s.col.pruned[k]) {
+            out.verdicts.emplace_back(k, RepVerdict{});
+            continue;
+        }
+        SeqVerdictAccumulator acc(rs.laneMask.data(), W,
+                                  opts.dropDetected);
+        long pending = -1;
+        bool have0 = false;
 
-namespace
-{
+        // The phase-1 row can be folded straight from the sink's
+        // buffer (the symbol completes inside the callback); only a
+        // phase-0 row has to be stashed until its partner arrives.
+        auto flush = [&](long sym, const std::uint64_t *p1row) -> bool {
+            const std::uint64_t *p0 =
+                have0 ? buf0.data() : trace.outputs(2 * sym);
+            const std::uint64_t *p1 =
+                p1row ? p1row : trace.outputs(2 * sym + 1);
+            std::uint64_t alarm[sim::kMaxLaneWords];
+            std::uint64_t wrong[sim::kMaxLaneWords];
+            kernels.seqAlarmWrong(
+                p0, p1, trace.outputs(2 * sym), rs.altOutputs.data(),
+                static_cast<int>(rs.altOutputs.size()),
+                rs.codePairs.data(), npairs, rs.dataOutputs.data(),
+                static_cast<int>(rs.dataOutputs.size()), alarm, wrong);
+            have0 = false;
+            pending = -1;
+            return acc.addSymbol(sym, alarm, wrong);
+        };
 
-/** Per-chunk result of the lane-batched classifier. */
-struct BatchChunkOut
-{
-    std::vector<std::pair<int, RepVerdict>> verdicts; ///< by rep index
-    long periodsSimulated = 0;
-    long periodsSkipped = 0;
-    long retiredEarly = 0;
-    long hits = 0, misses = 0;
-};
+        fsim.runFault(
+            s.col.representatives[k],
+            [&](long t, std::uint64_t, const std::uint64_t *outs) {
+                const long sym = t / 2;
+                if (pending >= 0 && pending != sym &&
+                    !flush(pending, nullptr))
+                    return false;
+                pending = sym;
+                if (t & 1)
+                    return flush(sym, outs);
+                std::copy(outs, outs + row, buf0.begin());
+                have0 = true;
+                return true;
+            },
+            opts.faultStart, opts.faultEnd);
+        if (pending >= 0)
+            flush(pending, nullptr); // trailing phase-0-only divergence
 
-std::size_t
-snapshotBytes(const SeqCampaignContext::Impl::Snap &s)
-{
-    return s.st.faultyState.size() * 8 + s.st.buf0.size() * 8 +
-           s.st.retired.size() + s.st.diverged.size() * 4 +
-           s.accs.size() * sizeof(SeqVerdictAccumulator) + 64;
+        out.verdicts.emplace_back(k, repVerdict(acc, opts.lanes));
+        out.periodsSimulated += fsim.periodsSimulated();
+        out.periodsSkipped += fsim.periodsSkipped();
+        progress.addPatterns(
+            static_cast<std::uint64_t>(fsim.periodsSimulated()));
+        if (out.verdicts.back().second.outcome == Outcome::Unsafe)
+            progress.addUnsafe(1);
+    }
+    progress.addFaultsDone(end - begin);
+    return out;
 }
 
 /**
- * Replay plan batches [begin, end). Mirrors classifySeqChunk: each
- * call owns its simulator, reads only immutable shared state (plus
- * the mutex-guarded snapshot memo, whose hits and misses produce
- * bit-identical verdicts), and folds through the same accumulator.
+ * Replay the batches [begin, end) of @p plan. Mirrors
+ * classifySeqChunk: each call owns its simulator, reads only immutable
+ * shared state, and folds through the same accumulator.
  */
-BatchChunkOut
-classifySeqBatchChunk(SeqCampaignContext::Impl &cx,
-                      const ResolvedSpec &rs, std::size_t begin,
-                      std::size_t end, const SeqCampaignOptions &opts,
-                      engine::ProgressTracker &progress, bool memo)
+ChunkOut
+classifySeqBatchChunk(const SeqSetup &s, const sim::SeqBatchPlan &plan,
+                      std::size_t begin, std::size_t end,
+                      engine::ProgressTracker &progress)
 {
-    BatchChunkOut out;
+    const SeqCampaignOptions &opts = s.opts;
+    const ResolvedSpec &rs = s.rs;
     const int Wg = rs.laneWords;
-    sim::SeqFaultBatchSimulator bsim(*cx.trace, Wg);
+    sim::SeqFaultBatchSimulator bsim(s.trace, Wg);
     const int F = bsim.groupsPerBatch();
 
     sim::SeqFaultBatchSimulator::FoldSpec fold;
@@ -381,300 +439,58 @@ classifySeqBatchChunk(SeqCampaignContext::Impl &cx,
     std::vector<sim::SeqFaultSite> bs(static_cast<std::size_t>(F));
     std::vector<SeqVerdictAccumulator> accs;
     accs.reserve(static_cast<std::size_t>(F));
+    const auto sink = [&accs](int f, long sym, const std::uint64_t *alarm,
+                              const std::uint64_t *wrong) {
+        return accs[static_cast<std::size_t>(f)].addSymbol(sym, alarm,
+                                                           wrong);
+    };
 
+    ChunkOut out;
     for (std::size_t b = begin; b < end; ++b) {
         if (opts.cancel && opts.cancel->stopRequested())
             throw engine::CampaignCancelled();
-        const std::vector<int> &members = cx.plan.batches[b];
+        const std::vector<int> &members = plan.batches[b];
         const int nf = static_cast<int>(members.size());
-        for (int i = 0; i < nf; ++i)
-            bs[static_cast<std::size_t>(i)] =
-                cx.sites[static_cast<std::size_t>(members[i])];
         accs.clear();
-        for (int i = 0; i < nf; ++i)
-            accs.emplace_back(rs.laneMask.data(), Wg,
-                              opts.dropDetected);
+        for (int i = 0; i < nf; ++i) {
+            bs[static_cast<std::size_t>(i)] =
+                s.sites[static_cast<std::size_t>(members[i])];
+            accs.emplace_back(rs.laneMask.data(), Wg, opts.dropDetected);
+        }
 
         bsim.beginBatch(bs.data(), nf, opts.faultStart, opts.faultEnd);
-        bool restored = false;
-        if (memo) {
-            std::lock_guard<std::mutex> lk(cx.m);
-            const auto it = cx.snaps.find(static_cast<int>(b));
-            if (it != cx.snaps.end() &&
-                it->second.st.t <= 2 * opts.symbols) {
-                bsim.restoreState(it->second.st);
-                accs = it->second.accs;
-                it->second.lastUse = ++cx.useClock;
-                restored = true;
-            }
-            (restored ? out.hits : out.misses) += 1;
-        }
-
-        const long ps0 = bsim.periodsSimulated();
-        const long sk0 = bsim.periodsSkipped();
-        const auto sink = [&accs](int f, long s,
-                                  const std::uint64_t *alarm,
-                                  const std::uint64_t *wrong) {
-            return accs[static_cast<std::size_t>(f)].addSymbol(s, alarm,
-                                                               wrong);
-        };
         bsim.run(fold, sink);
 
-        if (memo) {
-            // Snapshot before the trailing flush: the stash must be
-            // re-deliverable when the stream is extended later.
-            SeqCampaignContext::Impl::Snap snap;
-            bsim.saveState(&snap.st);
-            snap.accs = accs;
-            snap.bytes = snapshotBytes(snap);
-            std::lock_guard<std::mutex> lk(cx.m);
-            if (snap.bytes <= SeqCampaignContext::Impl::kCapBytes) {
-                const auto old = cx.snaps.find(static_cast<int>(b));
-                if (old != cx.snaps.end()) {
-                    cx.snapBytes -= old->second.bytes;
-                    cx.snaps.erase(old);
-                }
-                while (cx.snapBytes + snap.bytes >
-                           SeqCampaignContext::Impl::kCapBytes &&
-                       !cx.snaps.empty()) {
-                    auto lru = cx.snaps.begin();
-                    for (auto it = cx.snaps.begin();
-                         it != cx.snaps.end(); ++it)
-                        if (it->second.lastUse < lru->second.lastUse)
-                            lru = it;
-                    cx.snapBytes -= lru->second.bytes;
-                    cx.snaps.erase(lru);
-                }
-                snap.lastUse = ++cx.useClock;
-                cx.snapBytes += snap.bytes;
-                cx.snaps.emplace(static_cast<int>(b),
-                                 std::move(snap));
-            }
-        }
-        bsim.flushPending(fold, sink);
-
-        out.periodsSimulated += bsim.periodsSimulated() - ps0;
-        out.periodsSkipped += bsim.periodsSkipped() - sk0;
+        out.periodsSimulated += bsim.periodsSimulated();
+        out.periodsSkipped += bsim.periodsSkipped();
         for (int i = 0; i < nf; ++i) {
             if (bsim.retired(i) &&
                 bs[static_cast<std::size_t>(i)].kind !=
                     sim::SeqFaultSite::Kind::Inert)
                 ++out.retiredEarly;
-        }
-
-        for (int i = 0; i < nf; ++i) {
-            const SeqVerdictAccumulator &acc =
-                accs[static_cast<std::size_t>(i)];
-            RepVerdict rv;
-            rv.outcome = acc.outcome();
-            rv.firstAlarm = acc.firstAlarmPeriod();
-            rv.firstEscape = acc.firstEscapePeriod();
-            for (int l = 0; l < opts.lanes; ++l) {
-                const long p = acc.laneFirstAlarm(l);
-                if (p >= 0) {
-                    ++rv.latHist[latencyBucket(p)];
-                    ++rv.alarmLanes;
-                    rv.latSum += static_cast<std::uint64_t>(p);
-                }
-            }
+            RepVerdict rv =
+                repVerdict(accs[static_cast<std::size_t>(i)], opts.lanes);
             if (rv.outcome == Outcome::Unsafe)
                 progress.addUnsafe(1);
             out.verdicts.emplace_back(
-                cx.siteRep[static_cast<std::size_t>(members[i])],
+                s.siteRep[static_cast<std::size_t>(members[i])],
                 std::move(rv));
         }
         progress.addPatterns(
-            static_cast<std::uint64_t>(bsim.periodsSimulated() - ps0));
+            static_cast<std::uint64_t>(bsim.periodsSimulated()));
         progress.addFaultsDone(static_cast<std::size_t>(nf));
     }
     return out;
 }
 
-/**
- * The lane-batched campaign body: one full-width trace with the input
- * stream replicated into every lane group, faults collapsed (with the
- * sequential rules when enabled) and packed into conflict-free lane
- * batches, batches sharded by replay weight across the engine.
- */
-SeqCampaignResult
-runSeqBatchCampaign(const Netlist &net, const SeqCampaignSpec &spec,
-                    const ResolvedSpec &rs,
-                    const std::vector<std::uint8_t> &hold,
-                    const SeqCampaignOptions &opts, sim::SimdTarget simd,
-                    SeqCampaignContext *ctx)
+engine::EngineOptions
+engineOptions(const SeqCampaignOptions &opts)
 {
-    const int Wg = rs.laneWords;
-    const int Wb = sim::kMaxLaneWords;
-    const int ni = net.numInputs();
-    const long total = 2 * opts.symbols;
-    const bool fullWindow =
-        opts.faultStart <= 0 && opts.faultEnd >= total;
-
-    CollapseOptions colOpts;
-    colOpts.constRefine = opts.dominance;
-    colOpts.dominance = opts.dominance;
-    colOpts.seq = opts.seqDominance;
-    colOpts.seqTimeFrame = opts.seqDominance && fullWindow;
-
-    SeqCampaignContext local;
-    SeqCampaignContext::Impl &cx = *(ctx ? ctx : &local)->impl;
-    const bool memo = ctx != nullptr;
-
-    // Everything cached under the key is symbol-count-independent;
-    // shrinking the stream invalidates the grown trace, so a shorter
-    // re-run rebuilds from scratch.
-    std::ostringstream ks;
-    ks << netlist::contentHash(net) << ";lanes=" << opts.lanes
-       << ";seed=" << opts.seed
-       << ";simd=" << sim::simdTargetName(simd)
-       << ";window=" << opts.faultStart << ":" << opts.faultEnd
-       << ";drop=" << (opts.dropDetected ? 1 : 0)
-       << ";dom=" << (opts.dominance ? 1 : 0)
-       << ";seqdom=" << (opts.seqDominance ? 1 : 0)
-       << ";seqtf=" << (colOpts.seqTimeFrame ? 1 : 0)
-       << ";phi=" << spec.phiInput << ";hold=";
-    for (const int i : spec.holdInputs)
-        ks << i << ",";
-    ks << ";data=";
-    for (const int j : rs.dataOutputs)
-        ks << j << ",";
-    ks << ";alt=";
-    for (const int j : rs.altOutputs)
-        ks << j << ",";
-    ks << ";pairs=";
-    for (const int j : rs.codePairs)
-        ks << j << ",";
-    const std::string key = ks.str();
-
-    if (cx.key != key || opts.symbols < cx.builtSymbols) {
-        cx.key = key;
-        cx.net.reset(new Netlist(net));
-        cx.flat.reset(new sim::FlatNetlist(*cx.net));
-        cx.trace.reset(
-            new sim::SeqGoodTrace(*cx.flat, spec.phiInput, Wb, simd));
-        cx.builtSymbols = 0;
-        cx.col = collapseFaults(*cx.net, colOpts);
-        cx.sites.clear();
-        cx.siteRep.clear();
-        for (std::size_t r = 0; r < cx.col.representatives.size();
-             ++r) {
-            if (!cx.col.pruned.empty() && cx.col.pruned[r])
-                continue;
-            cx.sites.push_back(sim::decodeSeqFaultSite(
-                *cx.flat, cx.col.representatives[r]));
-            cx.siteRep.push_back(static_cast<int>(r));
-        }
-        cx.plan = sim::planSeqBatches(*cx.flat, cx.sites, Wg, Wb);
-        cx.snaps.clear();
-        cx.snapBytes = 0;
-    }
-
-    // Extend the trace to the requested stream length; the per-symbol
-    // Rng draw order makes the words a prefix-stable function of the
-    // seed, so appending periods preserves every existing row.
-    if (cx.builtSymbols < opts.symbols) {
-        const auto words = buildSymbolWords(ni, spec.phiInput,
-                                            opts.symbols, opts.seed, Wg);
-        cx.trace->reservePeriods(total);
-        std::vector<std::uint64_t> inw(
-            static_cast<std::size_t>(ni) * Wb);
-        std::vector<std::uint64_t> inbarw(
-            static_cast<std::size_t>(ni) * Wb);
-        for (long s = cx.builtSymbols; s < opts.symbols; ++s) {
-            for (int i = 0; i < ni; ++i)
-                for (int w = 0; w < Wb; ++w) {
-                    const std::uint64_t v =
-                        words[static_cast<std::size_t>(s)]
-                             [static_cast<std::size_t>(i) * Wg +
-                              (w % Wg)];
-                    const std::size_t idx =
-                        static_cast<std::size_t>(i) * Wb + w;
-                    inw[idx] = v;
-                    inbarw[idx] = (i == spec.phiInput || hold[i])
-                                      ? v
-                                      : ~v;
-                }
-            cx.trace->stepPeriod(inw.data());
-            cx.trace->stepPeriod(inbarw.data());
-        }
-        cx.builtSymbols = opts.symbols;
-    }
-
-    // Alarm-free precondition at full width, lane mask replicated
-    // into every group (same contract as the narrow path).
-    ResolvedSpec rsw = rs;
-    rsw.laneWords = Wb;
-    for (int w = 0; w < Wb; ++w)
-        rsw.laneMask[static_cast<std::size_t>(w)] =
-            rs.laneMask[static_cast<std::size_t>(w % Wg)];
-    std::uint64_t alarm[sim::kMaxLaneWords];
-    for (long s = 0; s < opts.symbols; ++s) {
-        alarmWords(rsw, cx.trace->outputs(2 * s),
-                   cx.trace->outputs(2 * s + 1), alarm);
-        for (int w = 0; w < Wb; ++w) {
-            if (alarm[w] & rsw.laneMask[static_cast<std::size_t>(w)]) {
-                throw std::invalid_argument(
-                    "fault-free machine raises an alarm: not an "
-                    "alternating (SCAL) machine under this spec");
-            }
-        }
-    }
-
-    const std::vector<Fault> faults = net.allFaults();
-    SeqCampaignResult result;
-    result.faults.resize(faults.size());
-    for (std::size_t k = 0; k < faults.size(); ++k)
-        result.faults[k].fault = faults[k];
-    result.symbols = opts.symbols;
-    result.lanes = opts.lanes;
-    // Report the kernel build the narrow path would run at this lane
-    // width, not the full-width build — the deterministic verdict
-    // block (and the server cache key derived from it) must not move
-    // with the batching knob.
-    result.simd = sim::wideKernels(Wg, simd).target;
-    result.prunedClasses = cx.col.prunedClasses;
-    result.prunedFaults = cx.col.prunedFaults;
-    result.faultBatch = true;
-    result.classes = static_cast<int>(cx.col.representatives.size());
-    result.batchedClasses = static_cast<int>(cx.sites.size());
-    result.batches = static_cast<int>(cx.plan.batches.size());
-
-    engine::CampaignEngine eng(engineOptions(opts));
-    eng.beginCampaign(cx.col.representatives.size());
-
-    const auto chunkOuts = eng.mapWeightedChunks<BatchChunkOut>(
-        cx.plan.weights, [&](engine::Chunk chunk, std::size_t) {
-            return classifySeqBatchChunk(cx, rs, chunk.begin, chunk.end,
-                                         opts, eng.progress(), memo);
-        });
-
-    // Pruned classes keep the default (Untestable, no alarms)
-    // verdict; batched classes overwrite theirs by rep index.
-    std::vector<RepVerdict> repVerdicts(cx.col.representatives.size());
-    for (const BatchChunkOut &o : chunkOuts) {
-        for (const auto &[rep, rv] : o.verdicts)
-            repVerdicts[static_cast<std::size_t>(rep)] = rv;
-        result.periodsSimulated += o.periodsSimulated;
-        result.periodsSkipped += o.periodsSkipped;
-        result.retiredEarly += o.retiredEarly;
-        result.memoHits += o.hits;
-        result.memoMisses += o.misses;
-    }
-    cx.hits += result.memoHits;
-    cx.misses += result.memoMisses;
-
-    std::vector<const RepVerdict *> verdictOf(faults.size());
-    for (std::size_t k = 0; k < faults.size(); ++k)
-        verdictOf[k] = &repVerdicts[static_cast<std::size_t>(
-            cx.col.classOf[k])];
-    finalizeSeqResult(result, verdictOf);
-
-    result.stats = eng.endCampaign(
-        faults.size(),
-        static_cast<std::uint64_t>(cx.col.simulatedClasses()),
-        static_cast<std::uint64_t>(opts.symbols) *
-            static_cast<std::uint64_t>(opts.lanes));
-    return result;
+    engine::EngineOptions eopts;
+    eopts.jobs = opts.jobs;
+    eopts.progressInterval = opts.progressInterval;
+    eopts.progressCallback = opts.progressCallback;
+    return eopts;
 }
 
 } // namespace
@@ -709,69 +525,10 @@ resolveSeqLanes(const SeqCampaignOptions &opts)
 
 SeqCampaignResult
 runSequentialCampaign(const Netlist &net, const SeqCampaignSpec &spec,
-                      const SeqCampaignOptions &opts,
-                      SeqCampaignContext *ctx)
+                      const SeqCampaignOptions &opts)
 {
-    if (opts.symbols < 1)
-        throw std::invalid_argument("need at least one symbol");
-
-    // Resolve the packed width and kernel build once, up front, so
-    // every worker runs the same configuration.
-    const sim::SimdTarget simd = sim::resolveSimdTarget(opts.simd);
-    const int lanes = resolveSeqLanes(opts);
-    const int W = sim::laneWordsForLanes(lanes);
-    SeqCampaignOptions ropts = opts;
-    ropts.lanes = lanes;
-    ropts.seqDominance = effectiveSeqDominance(net, opts);
-
-    const int ni = net.numInputs();
-    const sim::FlatNetlist flat(net);
-
-    std::vector<std::uint8_t> hold;
-    const ResolvedSpec rs = resolveSeqSpec(net, spec, lanes, &hold);
-
-    // Lane-multiplexed path: when the requested width leaves groups
-    // free in the widest kernel block, carry several faults per
-    // replay. At 512 lanes one fault already fills the block, so the
-    // per-fault path below is the batch path.
-    if (opts.faultBatch && W < sim::kMaxLaneWords)
-        return runSeqBatchCampaign(net, spec, rs, hold, ropts, simd,
-                                   ctx);
-
-    // Serial pre-pass: the per-symbol input words and the fault-free
-    // trace, built exactly once and shared read-only by all workers.
-    const auto words = buildSymbolWords(ni, spec.phiInput, opts.symbols,
-                                        opts.seed, W);
-    sim::SeqGoodTrace trace(flat, spec.phiInput, W, simd);
-    trace.reservePeriods(2 * opts.symbols);
-    std::vector<std::uint64_t> inbar(static_cast<std::size_t>(ni) * W);
-    for (long s = 0; s < opts.symbols; ++s) {
-        trace.stepPeriod(words[s].data());
-        for (int i = 0; i < ni; ++i)
-            for (int w = 0; w < W; ++w) {
-                const std::size_t idx =
-                    static_cast<std::size_t>(i) * W + w;
-                inbar[idx] = (i == spec.phiInput || hold[i])
-                                 ? words[s][idx]
-                                 : ~words[s][idx];
-            }
-        trace.stepPeriod(inbar.data());
-    }
-
-    // Precondition for skipping symbols the fault never touches: the
-    // fault-free machine must be alarm-free on every symbol.
-    std::uint64_t alarm[sim::kMaxLaneWords];
-    for (long s = 0; s < opts.symbols; ++s) {
-        alarmWords(rs, trace.outputs(2 * s), trace.outputs(2 * s + 1),
-                   alarm);
-        for (int w = 0; w < W; ++w) {
-            if (alarm[w] & rs.laneMask[static_cast<std::size_t>(w)]) {
-                throw std::invalid_argument(
-                    "fault-free machine raises an alarm: not an "
-                    "alternating (SCAL) machine under this spec");
-            }
-        }
-    }
+    const SeqSetup s(net, spec, opts);
+    const std::size_t numClasses = s.col.representatives.size();
 
     const std::vector<Fault> faults = net.allFaults();
     SeqCampaignResult result;
@@ -779,61 +536,75 @@ runSequentialCampaign(const Netlist &net, const SeqCampaignSpec &spec,
     for (std::size_t k = 0; k < faults.size(); ++k)
         result.faults[k].fault = faults[k];
     result.symbols = opts.symbols;
-    result.lanes = lanes;
-    result.simd = trace.simdTarget();
-
-    const std::uint64_t lane_symbols =
-        static_cast<std::uint64_t>(opts.symbols) *
-        static_cast<std::uint64_t>(lanes);
-
-    // Per-fault route: collapse, shard the representatives, merge in
-    // chunk order, expand class verdicts over allFaults() order. The
-    // collapsing equivalences are all same-line-function equivalences
-    // (Dffs collapse nothing), so they hold per period and therefore
-    // over any sequence — including the const-refined chains, whose
-    // constant propagation treats Dff outputs as free variables.
-    CollapseOptions colOpts;
-    colOpts.constRefine = opts.dominance;
-    colOpts.dominance = opts.dominance;
-    colOpts.seq = ropts.seqDominance;
-    colOpts.seqTimeFrame = ropts.seqDominance && opts.faultStart <= 0 &&
-                           opts.faultEnd >= 2 * opts.symbols;
-    const CollapseResult col = collapseFaults(net, colOpts);
-    result.classes = static_cast<int>(col.representatives.size());
-    result.prunedClasses = col.prunedClasses;
-    result.prunedFaults = col.prunedFaults;
-    const std::uint8_t *pruned =
-        col.pruned.empty() ? nullptr : col.pruned.data();
+    result.lanes = s.opts.lanes;
+    result.simd = s.groupSimd();
+    result.prunedClasses = s.col.prunedClasses;
+    result.prunedFaults = s.col.prunedFaults;
+    result.faultBatch = s.batched();
+    result.classes = static_cast<int>(numClasses);
 
     engine::CampaignEngine eng(engineOptions(opts));
-    eng.beginCampaign(col.representatives.size());
+    eng.beginCampaign(numClasses);
 
-    auto chunkVerdicts = eng.mapChunks<std::vector<RepVerdict>>(
-        col.representatives.size(),
-        [&](engine::Chunk chunk, std::size_t) {
-            return classifySeqChunk(trace, rs, col.representatives,
-                                    chunk.begin, chunk.end, ropts,
-                                    eng.progress(), pruned);
-        });
-
-    std::vector<const RepVerdict *> repVerdict;
-    repVerdict.reserve(col.representatives.size());
-    for (const auto &chunk : chunkVerdicts) {
-        for (const RepVerdict &v : chunk) {
-            repVerdict.push_back(&v);
-            result.periodsSimulated += v.periodsSimulated;
-            result.periodsSkipped += v.periodsSkipped;
-        }
+    // Batched: the plan's batches, sharded by replay weight. Per
+    // fault: the representatives, sharded evenly.
+    std::vector<ChunkOut> chunkOuts;
+    if (s.batched()) {
+        const sim::SeqBatchPlan plan = s.planBatches(0, s.sites.size());
+        result.batchedClasses = static_cast<int>(s.sites.size());
+        result.batches = static_cast<int>(plan.batches.size());
+        chunkOuts = eng.mapWeightedChunks<ChunkOut>(
+            plan.weights, [&](engine::Chunk c, std::size_t) {
+                return classifySeqBatchChunk(s, plan, c.begin, c.end,
+                                             eng.progress());
+            });
+    } else {
+        chunkOuts = eng.mapChunks<ChunkOut>(
+            numClasses, [&](engine::Chunk c, std::size_t) {
+                return classifySeqChunk(s, c.begin, c.end, eng.progress());
+            });
     }
-    std::vector<const RepVerdict *> verdictOf(faults.size());
-    for (std::size_t k = 0; k < faults.size(); ++k)
-        verdictOf[k] = repVerdict[col.classOf[k]];
-    finalizeSeqResult(result, verdictOf);
+
+    // Classes no chunk reports (pruned, on the batched route) keep the
+    // default verdict: Untestable, no alarms.
+    std::vector<RepVerdict> repVerdicts(numClasses);
+    for (const ChunkOut &o : chunkOuts) {
+        for (const auto &[rep, rv] : o.verdicts)
+            repVerdicts[rep] = rv;
+        result.periodsSimulated += o.periodsSimulated;
+        result.periodsSkipped += o.periodsSkipped;
+        result.retiredEarly += o.retiredEarly;
+    }
+
+    // Expand class verdicts over allFaults() order.
+    std::uint64_t lat_sum = 0;
+    for (std::size_t k = 0; k < faults.size(); ++k) {
+        const RepVerdict &rv =
+            repVerdicts[static_cast<std::size_t>(s.col.classOf[k])];
+        result.faults[k].outcome = rv.outcome;
+        result.faults[k].firstAlarmPeriod = rv.firstAlarm;
+        result.faults[k].firstEscapePeriod = rv.firstEscape;
+        switch (rv.outcome) {
+          case Outcome::Untestable: ++result.numUntestable; break;
+          case Outcome::Detected:   ++result.numDetected; break;
+          case Outcome::Unsafe:     ++result.numUnsafe; break;
+        }
+        for (int b = 0; b < kLatencyBuckets; ++b)
+            result.latencyHistogram[static_cast<std::size_t>(b)] +=
+                rv.latHist[static_cast<std::size_t>(b)];
+        result.alarmLaneCount += rv.alarmLanes;
+        lat_sum += rv.latSum;
+    }
+    if (result.alarmLaneCount)
+        result.meanAlarmPeriod =
+            static_cast<double>(lat_sum) /
+            static_cast<double>(result.alarmLaneCount);
 
     result.stats = eng.endCampaign(
         faults.size(),
-        static_cast<std::uint64_t>(col.simulatedClasses()),
-        lane_symbols);
+        static_cast<std::uint64_t>(s.col.simulatedClasses()),
+        static_cast<std::uint64_t>(opts.symbols) *
+            static_cast<std::uint64_t>(s.opts.lanes));
     return result;
 }
 
@@ -844,182 +615,72 @@ runSequentialCampaignShard(const Netlist &net,
                            const engine::ShardSpec &shard,
                            const CheckpointOptions &ckpt)
 {
-    if (opts.symbols < 1)
-        throw std::invalid_argument("need at least one symbol");
-
-    const sim::SimdTarget simd = sim::resolveSimdTarget(opts.simd);
-    const int lanes = resolveSeqLanes(opts);
-    const int W = sim::laneWordsForLanes(lanes);
-    SeqCampaignOptions ropts = opts;
-    ropts.lanes = lanes;
-    ropts.seqDominance = effectiveSeqDominance(net, opts);
-
-    const int ni = net.numInputs();
-    std::vector<std::uint8_t> hold;
-    const ResolvedSpec rs = resolveSeqSpec(net, spec, lanes, &hold);
-
     // The shard universe is the collapsed class space under the
     // effective knobs — a pure function of (netlist, config), so every
-    // process derives the same contiguous split. Both sub-paths below
-    // re-pack only their slice; verdicts are batch-composition-
-    // independent (the PR 8 equivalence contract), which is what
+    // process derives the same contiguous split. The batched route
+    // re-packs only its slice; verdicts do not depend on who shares a
+    // batch (tests/test_seq_fault_parallel_equiv.cc), which is what
     // licenses per-shard re-planning.
-    const long total = 2 * opts.symbols;
-    const bool fullWindow =
-        opts.faultStart <= 0 && opts.faultEnd >= total;
-    CollapseOptions colOpts;
-    colOpts.constRefine = ropts.dominance;
-    colOpts.dominance = ropts.dominance;
-    colOpts.seq = ropts.seqDominance;
-    colOpts.seqTimeFrame = ropts.seqDominance && fullWindow;
-    const CollapseResult col = collapseFaults(net, colOpts);
-    const std::size_t numClasses = col.representatives.size();
+    const SeqSetup s(net, spec, opts);
+    const std::size_t numClasses = s.col.representatives.size();
+    const bool batched = s.batched();
 
-    // The class slice is cost-weighted — computed below once the
-    // path's FlatNetlist exists.
-    std::size_t c0 = 0;
-    std::size_t c1 = numClasses;
+    // Cost-weighted class slicing, so shards own ~equal simulation
+    // work instead of equal class counts — equal counts leave the
+    // fleet's critical path hostage to wherever the big replay cones
+    // cluster. The slice's unpruned classes are the sites [s0, s1).
+    const engine::Chunk slice =
+        engine::shardSliceWeighted(s.classWeights, shard);
+    const std::size_t c0 = slice.begin;
+    const std::size_t c1 = slice.end;
+    const auto firstSite = [&](std::size_t c) {
+        return static_cast<std::size_t>(
+            std::lower_bound(s.siteRep.begin(), s.siteRep.end(), c) -
+            s.siteRep.begin());
+    };
+    const std::size_t s0 = firstSite(c0);
+    const std::size_t s1 = firstSite(c1);
+    const sim::SeqBatchPlan plan =
+        batched ? s.planBatches(s0, s1) : sim::SeqBatchPlan{};
 
-    const bool batchPath = opts.faultBatch && W < sim::kMaxLaneWords;
+    // Unit = one batch of the plan (covering its member classes) or,
+    // on the per-fault route, one representative class of the slice.
+    std::vector<std::uint64_t> weights, classes;
+    if (batched) {
+        weights = plan.weights;
+        for (const std::vector<int> &b : plan.batches)
+            classes.push_back(b.size());
+    } else {
+        weights.assign(s.classWeights.begin() + static_cast<long>(c0),
+                       s.classWeights.begin() + static_cast<long>(c1));
+        classes.assign(c1 - c0, 1);
+    }
+
+    ShardOutcome out;
+    out.units = weights.size();
+    out.shardClasses = static_cast<int>(c1 - c0);
 
     // The run's identity: what a resume snapshot must match, and the
-    // header every snapshot of this run carries (units is set below,
-    // once the route has sliced its work).
+    // header every snapshot of this run carries.
     engine::SnapshotHeader id;
     id.kind = "seq";
     id.netHash = netlist::contentHash(net);
     id.configKey = canonicalSeqCampaignConfig(opts, spec);
     std::ostringstream sk;
-    sk << "seq;fb=" << (batchPath ? 1 : 0)
-       << ";dom=" << (ropts.dominance ? 1 : 0)
-       << ";seqdom=" << (ropts.seqDominance ? 1 : 0)
-       << ";seqtf=" << (colOpts.seqTimeFrame ? 1 : 0)
-       << ";lanes=" << lanes;
+    sk << "seq;fb=" << (batched ? 1 : 0)
+       << ";dom=" << (s.opts.dominance ? 1 : 0)
+       << ";seqdom=" << (s.opts.seqDominance ? 1 : 0)
+       << ";seqtf=" << (s.colOpts.seqTimeFrame ? 1 : 0)
+       << ";lanes=" << s.opts.lanes;
     id.shapeKey = sk.str();
     id.shard = shard;
+    id.units = out.units;
 
     const std::vector<Fault> faults = net.allFaults();
     std::vector<std::vector<std::uint32_t>> classFaults(numClasses);
     for (std::size_t k = 0; k < faults.size(); ++k)
-        classFaults[static_cast<std::size_t>(col.classOf[k])].push_back(
+        classFaults[static_cast<std::size_t>(s.col.classOf[k])].push_back(
             static_cast<std::uint32_t>(k));
-
-    ShardOutcome out;
-
-    // Cost-weighted class slicing: each unpruned class weighs its
-    // representative's replay-cost estimate (sim::seqSiteCosts),
-    // pruned classes only their records, so shards own ~equal
-    // simulation work instead of equal class counts — equal counts
-    // leave the fleet's critical path hostage to wherever the big
-    // replay cones cluster. A pure function of (netlist, effective
-    // knobs): every process derives the identical split. The same
-    // weights balance the per-fault route's chunks.
-    std::vector<std::uint64_t> classWeights;
-    const auto applySlice = [&](const sim::FlatNetlist &f) {
-        std::vector<sim::SeqFaultSite> sites;
-        std::vector<std::size_t> live;
-        sites.reserve(numClasses);
-        live.reserve(numClasses);
-        for (std::size_t r = 0; r < numClasses; ++r) {
-            if (!col.pruned.empty() && col.pruned[r])
-                continue;
-            sites.push_back(
-                sim::decodeSeqFaultSite(f, col.representatives[r]));
-            live.push_back(r);
-        }
-        const std::vector<std::uint64_t> costs =
-            sim::seqSiteCosts(f, sites);
-        classWeights.assign(numClasses, 1);
-        for (std::size_t i = 0; i < live.size(); ++i)
-            classWeights[live[i]] = costs[i];
-        const engine::Chunk slice =
-            engine::shardSliceWeighted(classWeights, shard);
-        c0 = slice.begin;
-        c1 = slice.end;
-    };
-
-    // Shard-local context for the lane-batched route: the full-width
-    // trace plus a batch plan over only this shard's unpruned classes.
-    SeqCampaignContext local;
-    SeqCampaignContext::Impl &cx = *local.impl;
-    const int Wb = sim::kMaxLaneWords;
-    std::unique_ptr<sim::FlatNetlist> flat;
-    std::unique_ptr<sim::SeqGoodTrace> narrowTrace;
-    if (batchPath) {
-        cx.net.reset(new Netlist(net));
-        cx.flat.reset(new sim::FlatNetlist(*cx.net));
-        cx.trace.reset(
-            new sim::SeqGoodTrace(*cx.flat, spec.phiInput, Wb, simd));
-        applySlice(*cx.flat);
-        for (std::size_t r = c0; r < c1; ++r) {
-            if (!col.pruned.empty() && col.pruned[r])
-                continue;
-            cx.sites.push_back(sim::decodeSeqFaultSite(
-                *cx.flat, col.representatives[r]));
-            cx.siteRep.push_back(static_cast<int>(r));
-        }
-        cx.plan = sim::planSeqBatches(*cx.flat, cx.sites, W, Wb);
-        out.units = cx.plan.batches.size();
-    } else {
-        flat.reset(new sim::FlatNetlist(net));
-        narrowTrace.reset(
-            new sim::SeqGoodTrace(*flat, spec.phiInput, W, simd));
-        applySlice(*flat);
-        out.units = c1 - c0;
-    }
-    out.shardClasses = static_cast<int>(c1 - c0);
-    id.units = out.units;
-
-    // Build the fault-free trace (full width replicates every lane
-    // group, same loop as the inline batch path) and check the
-    // alarm-free precondition on this spec.
-    {
-        sim::SeqGoodTrace &trace = batchPath ? *cx.trace : *narrowTrace;
-        const int Wt = batchPath ? Wb : W;
-        const auto words = buildSymbolWords(ni, spec.phiInput,
-                                            opts.symbols, opts.seed, W);
-        trace.reservePeriods(total);
-        std::vector<std::uint64_t> inw(
-            static_cast<std::size_t>(ni) * Wt);
-        std::vector<std::uint64_t> inbarw(
-            static_cast<std::size_t>(ni) * Wt);
-        for (long s = 0; s < opts.symbols; ++s) {
-            for (int i = 0; i < ni; ++i)
-                for (int w = 0; w < Wt; ++w) {
-                    const std::uint64_t v =
-                        words[static_cast<std::size_t>(s)]
-                             [static_cast<std::size_t>(i) * W + (w % W)];
-                    const std::size_t idx =
-                        static_cast<std::size_t>(i) * Wt + w;
-                    inw[idx] = v;
-                    inbarw[idx] = (i == spec.phiInput ||
-                                   hold[static_cast<std::size_t>(i)])
-                                      ? v
-                                      : ~v;
-                }
-            trace.stepPeriod(inw.data());
-            trace.stepPeriod(inbarw.data());
-        }
-
-        ResolvedSpec rst = rs;
-        rst.laneWords = Wt;
-        for (int w = 0; w < Wt; ++w)
-            rst.laneMask[static_cast<std::size_t>(w)] =
-                rs.laneMask[static_cast<std::size_t>(w % W)];
-        std::uint64_t alarm[sim::kMaxLaneWords];
-        for (long s = 0; s < opts.symbols; ++s) {
-            alarmWords(rst, trace.outputs(2 * s),
-                       trace.outputs(2 * s + 1), alarm);
-            for (int w = 0; w < Wt; ++w) {
-                if (alarm[w] &
-                    rst.laneMask[static_cast<std::size_t>(w)]) {
-                    throw std::invalid_argument(
-                        "fault-free machine raises an alarm: not an "
-                        "alternating (SCAL) machine under this spec");
-                }
-            }
-        }
-    }
 
     // Per-fault records, each encoded once when its chunk commits, and
     // the payload prefix with the running non-deterministic counters.
@@ -1053,67 +714,40 @@ runSequentialCampaignShard(const Netlist &net,
         numRecords = static_cast<std::uint32_t>(p.records.size());
         p.records.clear();
         tail = std::move(p);
-    } else if (batchPath) {
+    } else if (batched) {
         // Pruned classes never enter the batch plan; their exact
         // default verdict (Untestable, no alarms) is recorded up
         // front, so it is part of every snapshot.
         for (std::size_t r = c0; r < c1; ++r)
-            if (!col.pruned.empty() && col.pruned[r])
+            if (!s.col.pruned.empty() && s.col.pruned[r])
                 appendRep(r, RepVerdict{});
     }
     tail.symbols = opts.symbols;
-    tail.lanes = lanes;
-    tail.simd = sim::simdTargetName(
-        batchPath ? sim::wideKernels(W, simd).target
-                  : narrowTrace->simdTarget());
+    tail.lanes = s.opts.lanes;
+    tail.simd = sim::simdTargetName(s.groupSimd());
     tail.classes = static_cast<int>(numClasses);
-    tail.prunedClasses = col.prunedClasses;
-    tail.prunedFaults = col.prunedFaults;
-    tail.batchedClasses = batchPath ? static_cast<int>(cx.sites.size()) : 0;
-    tail.batches = batchPath ? static_cast<int>(cx.plan.batches.size()) : 0;
-    tail.faultBatch = batchPath;
-
-    // Unit = one batch of the plan (covering its member classes) or,
-    // on the per-fault route, one representative class of the slice.
-    std::vector<std::uint64_t> weights, classes;
-    if (batchPath) {
-        weights = cx.plan.weights;
-        for (const std::vector<int> &b : cx.plan.batches)
-            classes.push_back(b.size());
-    } else {
-        weights.assign(classWeights.begin() + static_cast<long>(c0),
-                       classWeights.begin() + static_cast<long>(c1));
-        classes.assign(c1 - c0, 1);
-    }
-    const std::uint8_t *pruned =
-        col.pruned.empty() ? nullptr : col.pruned.data();
+    tail.prunedClasses = s.col.prunedClasses;
+    tail.prunedFaults = s.col.prunedFaults;
+    tail.batchedClasses = batched ? static_cast<int>(s1 - s0) : 0;
+    tail.batches = static_cast<int>(plan.batches.size());
+    tail.faultBatch = batched;
 
     engine::CampaignEngine eng(engineOptions(opts));
     eng.beginCampaign(static_cast<std::uint64_t>(out.shardClasses));
     runCheckpointedShard(
         eng, ckpt, opts.cancel, id, weights, classes,
         [&](engine::Chunk c) -> std::function<void()> {
-            if (batchPath)
-                return [&, o = classifySeqBatchChunk(cx, rs, c.begin, c.end,
-                                                     ropts, eng.progress(),
-                                                     false)] {
-                    tail.periodsSimulated += o.periodsSimulated;
-                    tail.periodsSkipped += o.periodsSkipped;
-                    tail.retiredEarly += o.retiredEarly;
-                    for (const auto &[rep, rv] : o.verdicts)
-                        appendRep(static_cast<std::size_t>(rep), rv);
-                };
-            return [&, r0 = c0 + c.begin,
-                    verdicts = classifySeqChunk(
-                        *narrowTrace, rs, col.representatives,
-                        c0 + c.begin, c0 + c.end, ropts, eng.progress(),
-                        pruned)] {
-                std::size_t r = r0;
-                for (const RepVerdict &rv : verdicts) {
-                    tail.periodsSimulated += rv.periodsSimulated;
-                    tail.periodsSkipped += rv.periodsSkipped;
-                    appendRep(r++, rv);
-                }
+            return [&, o = batched ? classifySeqBatchChunk(
+                                         s, plan, c.begin, c.end,
+                                         eng.progress())
+                                   : classifySeqChunk(s, c0 + c.begin,
+                                                      c0 + c.end,
+                                                      eng.progress())] {
+                tail.periodsSimulated += o.periodsSimulated;
+                tail.periodsSkipped += o.periodsSkipped;
+                tail.retiredEarly += o.retiredEarly;
+                for (const auto &[rep, rv] : o.verdicts)
+                    appendRep(rep, rv);
             };
         },
         records,
@@ -1127,7 +761,7 @@ runSequentialCampaignShard(const Netlist &net,
         static_cast<std::uint64_t>(out.shardFaults),
         static_cast<std::uint64_t>(out.shardClasses),
         static_cast<std::uint64_t>(opts.symbols) *
-            static_cast<std::uint64_t>(lanes));
+            static_cast<std::uint64_t>(s.opts.lanes));
     return out;
 }
 

@@ -1,11 +1,17 @@
 /**
  * @file
  * Sequential alternating-logic fault campaigns (Chapter 4/5): drive a
- * machine with 64 independent random alternating symbol streams at
- * once, replay every stuck-at fault with the packed cone-restricted
- * sequential kernel (sim/seq_fault_sim), and classify each fault by
- * the self-checking definitions — did a wrong data word ever escape
- * without a prior or simultaneous alarm on the checked lines?
+ * machine with independent random alternating symbol streams, one per
+ * lane, replay every collapsed stuck-at fault against the fault-free
+ * trace with the event-driven sequential kernels, and classify each
+ * fault by the self-checking definitions — did a wrong data word ever
+ * escape without a prior or simultaneous alarm on the checked lines?
+ *
+ * The lane width picks the replay route. Up to 256 lanes a fault's
+ * lane group leaves groups free in the widest (512-lane) kernel block,
+ * so several faults share one replay pass (sim/seq_batch_sim); above
+ * 256 lanes one fault fills the block and each class replays on its
+ * own (sim/seq_fault_sim). Verdicts are the same on either route.
  *
  * Campaigns route through the parallel engine exactly like the
  * combinational ones: fault collapsing, contiguous sharding,
@@ -13,7 +19,8 @@
  * chunk on the calling thread — the same (netlist, spec, options)
  * triple yields a bit-identical SeqCampaignResult at any jobs count
  * (tests/test_seq_fault_sim_equiv.cc asserts this and the scalar
- * SeqSimulator oracle equality).
+ * SeqSimulator oracle equality; tests/test_seq_fault_parallel_equiv.cc
+ * diffs both routes against the per-fault oracle in tests/oracle/).
  *
  * On top of the verdicts the campaign reports detection latency: for
  * every (fault, lane) the period of the first non-code symptom,
@@ -28,7 +35,6 @@
 #include <chrono>
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <vector>
 
 #include "engine/cancel.hh"
@@ -76,14 +82,16 @@ struct SeqCampaignOptions
     /**
      * Independent random streams packed per replay (1..512; widths
      * above 64 run the multi-word SIMD kernels). 0 picks the widest
-     * block the resolved SIMD target is designed for.
+     * block the resolved SIMD target is designed for. Up to 256 lanes
+     * the campaign replays several faults per pass; above, one.
      */
     int lanes = 64;
     /** Kernel build per sim/simd.hh policy (Auto = SCAL_SIMD env
      *  override or widest native). */
     sim::SimdTarget simd = sim::SimdTarget::Auto;
     std::uint64_t seed = 1;
-    /** Fault activity window [start, end) in periods (transients). */
+    /** Fault activity window [start, end) in periods (transients).
+     *  It must overlap the stream's 2 * symbols periods. */
     long faultStart = 0;
     long faultEnd = std::numeric_limits<long>::max();
     /**
@@ -103,18 +111,6 @@ struct SeqCampaignOptions
      * either way.
      */
     bool dominance = true;
-    /**
-     * Lane-multiplexed fault batching (sim/seq_batch_sim): pack
-     * several faults into disjoint lane groups of one wide replay so
-     * a single pass over the netlist advances a whole batch. Purely a
-     * work saving — each fault's lane group evolves bit-identically
-     * to its own narrow replay (the sim/wide.hh per-word layout
-     * guarantee), so verdicts, first-alarm periods and latency
-     * histograms are unchanged. Takes effect at any jobs count; a
-     * no-op when the lane width already fills the widest kernel
-     * block (lanes == 512).
-     */
-    bool faultBatch = true;
     /**
      * Sequential extensions to collapsing (CollapseOptions::seq and,
      * when the fault window spans the whole run, seqTimeFrame):
@@ -203,16 +199,14 @@ struct SeqCampaignResult
     int prunedClasses = 0;
     int prunedFaults = 0;
     /** @name Fault-parallel replay breakdown
-     *  Work accounting of the lane-batched path; all of it is
+     *  Work accounting of the lane-batched route; all of it is
      *  non-deterministic tail data like the period counters. */
     /** @{ */
-    bool faultBatch = false; ///< the lane-batched path ran
+    bool faultBatch = false; ///< the lane width picked the batched route
     int classes = 0;         ///< collapse classes
     int batchedClasses = 0;  ///< classes replayed lane-batched
     int batches = 0;         ///< lane batches formed
     long retiredEarly = 0;   ///< lane groups retired before stream end
-    long memoHits = 0;       ///< hot-state memo resumes
-    long memoMisses = 0;     ///< batches replayed from period 0
     /** @} */
     /** Wall-clock stats; explicitly non-deterministic. */
     engine::CampaignStats stats;
@@ -371,41 +365,15 @@ buildSymbolWords(int num_inputs, int phi_input, long symbols,
                  std::uint64_t seed, int lane_words = 1);
 
 /**
- * Optional cross-call campaign state: caches the flattened netlist,
- * the fault-free trace, the collapse and the lane-batch plan keyed by
- * (netlist content, config minus symbol count), plus a bounded LRU of
- * per-batch hot-state snapshots (replay position, faulty flip-flop
- * state, verdict accumulators). Re-running the same campaign with a
- * longer symbol stream then extends the trace and resumes every
- * memoized batch where it left off instead of replaying the prefix —
- * results stay bit-identical (a snapshot is exactly the state a fresh
- * replay reaches at the snapshot period; an evicted snapshot just
- * falls back to the full replay). Only consulted on the lane-batched
- * path. A context must not be shared by concurrent campaigns.
+ * Run the campaign over all stuck-at faults of @p net. Throws
+ * std::invalid_argument on a bad spec or options (no symbols, lanes
+ * outside 0..512, a fault window that misses the stream) and when the
+ * fault-free machine raises an alarm under @p spec.
  */
-class SeqCampaignContext
-{
-  public:
-    SeqCampaignContext();
-    ~SeqCampaignContext();
-    SeqCampaignContext(const SeqCampaignContext &) = delete;
-    SeqCampaignContext &operator=(const SeqCampaignContext &) = delete;
-
-    /** Batches resumed from / replayed despite the memo, lifetime. */
-    long memoHits() const;
-    long memoMisses() const;
-
-    struct Impl; ///< defined in seq_campaign.cc
-    std::unique_ptr<Impl> impl;
-};
-
-/** Run the campaign over all stuck-at faults of @p net. @p ctx, when
- *  given, carries the hot-state memo across calls (see above). */
 SeqCampaignResult
 runSequentialCampaign(const netlist::Netlist &net,
                       const SeqCampaignSpec &spec,
-                      const SeqCampaignOptions &opts = {},
-                      SeqCampaignContext *ctx = nullptr);
+                      const SeqCampaignOptions &opts = {});
 
 /** The streams a campaign with @p opts runs: opts.lanes, or for 0 the
  *  widest block of the resolved SIMD target. Throws

@@ -80,8 +80,8 @@ encodeSeqPrefix(ByteWriter &w, const SeqPayload &p, std::uint32_t records)
     w.i64(p.periodsSimulated);
     w.i64(p.periodsSkipped);
     w.i64(p.retiredEarly);
-    w.i64(p.memoHits);
-    w.i64(p.memoMisses);
+    w.i64(0); // two reserved words, always 0
+    w.i64(0);
     w.u32(static_cast<std::uint32_t>(p.classes));
     w.u32(static_cast<std::uint32_t>(p.prunedClasses));
     w.u32(static_cast<std::uint32_t>(p.prunedFaults));
@@ -116,8 +116,8 @@ decodeSeqPayload(const std::vector<std::uint8_t> &bytes,
     p.periodsSimulated = r.i64();
     p.periodsSkipped = r.i64();
     p.retiredEarly = r.i64();
-    p.memoHits = r.i64();
-    p.memoMisses = r.i64();
+    r.i64(); // two reserved words
+    r.i64();
     p.classes = static_cast<int>(r.u32());
     p.prunedClasses = static_cast<int>(r.u32());
     p.prunedFaults = static_cast<int>(r.u32());
@@ -351,8 +351,6 @@ mergeSeqCampaignPartials(const netlist::Netlist &net,
         result.periodsSimulated += p.periodsSimulated;
         result.periodsSkipped += p.periodsSkipped;
         result.retiredEarly += p.retiredEarly;
-        result.memoHits += p.memoHits;
-        result.memoMisses += p.memoMisses;
         result.batchedClasses += p.batchedClasses;
         result.batches += p.batches;
         for (SeqRecord &rec : p.records) {

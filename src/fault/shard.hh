@@ -223,7 +223,9 @@ struct SeqRecord
 
 /** Seq snapshot payload: stream identity, the non-deterministic tail
  *  counters (globals take-first, work counters summed at merge), and
- *  the per-fault records. */
+ *  the per-fault records. The encoded prefix also holds two reserved
+ *  words after retiredEarly, always written as 0 and skipped when
+ *  read. */
 struct SeqPayload
 {
     std::int64_t symbols = 0;
@@ -232,8 +234,6 @@ struct SeqPayload
     std::int64_t periodsSimulated = 0;
     std::int64_t periodsSkipped = 0;
     std::int64_t retiredEarly = 0;
-    std::int64_t memoHits = 0;
-    std::int64_t memoMisses = 0;
     int classes = 0;
     int prunedClasses = 0;
     int prunedFaults = 0;

@@ -91,8 +91,8 @@ seqSiteCosts(const FlatNetlist &flat,
 }
 
 SeqBatchPlan
-planSeqBatches(const FlatNetlist &flat,
-               const std::vector<SeqFaultSite> &sites, int group_words,
+planSeqBatches(const FlatNetlist &flat, std::span<const SeqFaultSite> sites,
+               std::span<const std::uint64_t> costs, int group_words,
                int batch_words)
 {
     SeqBatchPlan plan;
@@ -103,9 +103,10 @@ planSeqBatches(const FlatNetlist &flat,
     if (F < 1 || group_words * F != batch_words)
         throw std::invalid_argument(
             "group words must divide the batch width");
+    if (costs.size() != sites.size())
+        throw std::invalid_argument("need one cost per site");
 
     const int n = flat.numGates();
-    const std::vector<std::uint64_t> costs = seqSiteCosts(flat, sites);
 
     // Lane-masked injections make any pairing sound (see the header
     // file comment), so packing is pure locality: sites sorted by the
@@ -226,7 +227,6 @@ SeqFaultBatchSimulator::beginBatch(const SeqFaultSite *sites, int nf,
                          Wb_);
     diverged_.clear();
     t_ = 0;
-    synced_ = false;
     pending_ = -1;
     have0_ = false;
     periodsSimulated_ = periodsSkipped_ = 0;
@@ -579,14 +579,10 @@ void
 SeqFaultBatchSimulator::run(const FoldSpec &spec, const SymbolSink &sink)
 {
     const long total = trace_.numPeriods();
-    while (t_ < total) {
-        if (live_ == 0 || synced_)
-            break;
+    while (t_ < total && live_ > 0) {
         if (diverged_.empty() && !inWindow(t_)) {
-            if (t_ >= wend_) {
-                synced_ = true;
-                break;
-            }
+            if (t_ >= wend_)
+                break; // converged for good
             // Quiescent until the window opens: fast-forward.
             periodsSkipped_ += std::min(wstart_, total) - t_;
             t_ = wstart_;
@@ -605,53 +601,8 @@ SeqFaultBatchSimulator::run(const FoldSpec &spec, const SymbolSink &sink)
         if (diff)
             fold(t_ - 1, spec, sink);
     }
-}
-
-void
-SeqFaultBatchSimulator::flushPending(const FoldSpec &spec,
-                                     const SymbolSink &sink)
-{
     if (pending_ >= 0)
         flushSymbol(pending_, nullptr, spec, sink);
-}
-
-void
-SeqFaultBatchSimulator::saveState(BatchState *out) const
-{
-    out->t = t_;
-    out->synced = synced_;
-    out->live = live_;
-    out->periodsSimulated = periodsSimulated_;
-    out->periodsSkipped = periodsSkipped_;
-    out->pending = pending_;
-    out->have0 = have0_;
-    out->retired.assign(retired_.begin(),
-                        retired_.begin() + static_cast<std::size_t>(F_));
-    out->faultyState.assign(faultyState_.begin(), faultyState_.end());
-    out->diverged = diverged_;
-    out->buf0.assign(buf0_.begin(), buf0_.end());
-}
-
-void
-SeqFaultBatchSimulator::restoreState(const BatchState &in)
-{
-    if (in.retired.size() != static_cast<std::size_t>(F_) ||
-        in.faultyState.size() != faultyState_.size() ||
-        in.buf0.size() != buf0_.size())
-        throw std::invalid_argument(
-            "batch snapshot does not match this batch shape");
-    t_ = in.t;
-    synced_ = in.synced;
-    live_ = in.live;
-    periodsSimulated_ = in.periodsSimulated;
-    periodsSkipped_ = in.periodsSkipped;
-    pending_ = in.pending;
-    have0_ = in.have0;
-    std::copy(in.retired.begin(), in.retired.end(), retired_.begin());
-    std::copy(in.faultyState.begin(), in.faultyState.end(),
-              faultyState_.begin());
-    diverged_ = in.diverged;
-    std::copy(in.buf0.begin(), in.buf0.end(), buf0_.begin());
 }
 
 } // namespace scal::sim

@@ -33,11 +33,6 @@
  * fault/seq_campaign.cc's classifier, so campaign verdicts,
  * first-alarm periods and latency histograms stay bit-identical to
  * the per-fault path (tests/test_seq_fault_parallel_equiv.cc).
- *
- * saveState()/restoreState() snapshot the replay mid-stream (position,
- * retire masks, faulty flip-flop state, fold stash) so a campaign
- * context can memoize hot batch state and resume a re-simulated
- * window against an extended trace instead of replaying the prefix.
  */
 
 #ifndef SCAL_SIM_SEQ_BATCH_SIM_HH
@@ -45,6 +40,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "sim/seq_fault_sim.hh"
@@ -64,25 +60,28 @@ struct SeqBatchPlan
 };
 
 /**
- * Pack @p sites into full lane batches of
- * @p batch_words / @p group_words faults each, in topological order
- * of each site's injection root so batch-mates share replay cones.
- * Deterministic: depends only on the netlist and the site order.
- */
-SeqBatchPlan planSeqBatches(const FlatNetlist &flat,
-                            const std::vector<SeqFaultSite> &sites,
-                            int group_words, int batch_words);
-
-/**
  * Per-site replay-cost estimate: 1 + the fanout-cone gate count of
- * the site's injection root (1 for inert sites). Exactly the weights
- * planSeqBatches folds per batch, exposed so multi-process sharding
- * can cost-balance contiguous class slices. Deterministic — a pure
+ * the site's injection root (1 for inert sites). The weights
+ * planSeqBatches folds per batch, and what multi-process sharding
+ * cost-balances contiguous class slices by. Deterministic — a pure
  * function of the netlist and site list.
  */
 std::vector<std::uint64_t>
 seqSiteCosts(const FlatNetlist &flat,
              const std::vector<SeqFaultSite> &sites);
+
+/**
+ * Pack @p sites into full lane batches of
+ * @p batch_words / @p group_words faults each, in topological order
+ * of each site's injection root so batch-mates share replay cones.
+ * @p costs holds each site's seqSiteCosts() estimate; a batch weighs
+ * the sum of its members'. Deterministic: depends only on the netlist
+ * and the site order.
+ */
+SeqBatchPlan planSeqBatches(const FlatNetlist &flat,
+                            std::span<const SeqFaultSite> sites,
+                            std::span<const std::uint64_t> costs,
+                            int group_words, int batch_words);
 
 class SeqFaultBatchSimulator
 {
@@ -110,21 +109,6 @@ class SeqFaultBatchSimulator
         int group, long symbol, const std::uint64_t *alarm,
         const std::uint64_t *wrong)>;
 
-    /** Mid-run snapshot for the campaign-context hot-state memo. */
-    struct BatchState
-    {
-        long t = 0;
-        bool synced = false;
-        int live = 0;
-        long periodsSimulated = 0, periodsSkipped = 0;
-        long pending = -1;
-        bool have0 = false;
-        std::vector<std::uint8_t> retired;
-        std::vector<std::uint64_t> faultyState;
-        std::vector<std::int32_t> diverged;
-        std::vector<std::uint64_t> buf0;
-    };
-
     /**
      * @param trace full-width good trace (laneWords() must be a
      *        multiple of @p group_words)
@@ -142,17 +126,11 @@ class SeqFaultBatchSimulator
     void beginBatch(const SeqFaultSite *sites, int nf, long ws, long we);
 
     /**
-     * Replay from the current position to the end of the trace (or
-     * until every group is retired / re-synced), folding verdict
-     * symbols through @p sink. Resumable: extending the trace and
-     * calling run() again continues where the last call stopped.
-     * Does NOT deliver a trailing half-flushed symbol — call
-     * flushPending() when the stream is complete.
+     * Replay the batch to the end of the trace (or until every group
+     * is retired / re-synced), folding verdict symbols, the trailing
+     * half-delivered one included, through @p sink.
      */
     void run(const FoldSpec &spec, const SymbolSink &sink);
-
-    /** Deliver the stashed trailing symbol, if any. */
-    void flushPending(const FoldSpec &spec, const SymbolSink &sink);
 
     bool retired(int f) const { return retired_[f] != 0; }
     int liveGroups() const { return live_; }
@@ -162,10 +140,6 @@ class SeqFaultBatchSimulator
     long periodsSimulated() const { return periodsSimulated_; }
     long periodsSkipped() const { return periodsSkipped_; }
     /** @} */
-
-    void saveState(BatchState *out) const;
-    /** Restore a snapshot taken for the same batch + trace stream. */
-    void restoreState(const BatchState &in);
 
   private:
     bool inWindow(long t) const { return t >= wstart_ && t < wend_; }
@@ -192,7 +166,6 @@ class SeqFaultBatchSimulator
     std::vector<std::uint8_t> retired_;
     int live_ = 0;
     long t_ = 0;
-    bool synced_ = false;
 
     /** Faulty machine state and its divergence from the trace. */
     WordVec faultyState_;

@@ -12,8 +12,10 @@
  *    (exhaustive when 2^numInputs fits under maxPatterns, otherwise
  *    one Rng draw per pattern in pattern order).
  *  - runPerFaultSeqCampaign is the sequential counterpart: the
- *    per-fault replay the lane-batched path of fault/seq_campaign.hh
- *    is timed and digest-checked against in bench_seq_fault_sim.
+ *    oracle test_seq_fault_parallel_equiv diffs both routes of
+ *    fault/seq_campaign.hh against, and the per-fault arm that
+ *    bench_seq_fault_sim and bench_ingest_campaign time and check
+ *    the campaign against.
  *
  * Neither shares code with the pipelines above the simulators. The
  * library lives under tests/ and the program libraries never link it.
@@ -44,7 +46,7 @@ fault::CampaignResult runPerFaultCampaign(const netlist::Netlist &net,
  * Replay every fault of @p net one at a time against the fault-free
  * trace of @p spec. Honors the verdict options of @p opts (symbols,
  * lanes, seed, fault window, dropDetected) at its SIMD target; jobs,
- * the batching/collapse knobs, progress and cancellation are ignored,
+ * the collapse knobs, progress and cancellation are ignored,
  * and the fault-free machine is not re-checked for alarms. The result
  * carries the verdicts, latency aggregates and period counters; the
  * class and batch counters stay zero.

@@ -133,10 +133,11 @@ checkExactness(const Netlist &net, const char *label,
         EXPECT_EQ(verdict[static_cast<std::size_t>(c)], o)
             << label << " class " << c << " splits at "
             << faultToString(net, faults[i]);
-        if (alternating && col.pruned[static_cast<std::size_t>(c)])
+        if (alternating && col.pruned[static_cast<std::size_t>(c)]) {
             EXPECT_EQ(res.faults[i].outcome, fault::Outcome::Untestable)
                 << label << " pruned class " << c << " detectable at "
                 << faultToString(net, faults[i]);
+        }
     }
 }
 

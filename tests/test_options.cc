@@ -121,7 +121,6 @@ expectSame(const SeqCampaignConfig &got, const SeqCampaignConfig &want,
     EXPECT_EQ(got.opts.faultStart, want.opts.faultStart) << where;
     EXPECT_EQ(got.opts.faultEnd, want.opts.faultEnd) << where;
     EXPECT_EQ(got.opts.dropDetected, want.opts.dropDetected) << where;
-    EXPECT_EQ(got.opts.faultBatch, want.opts.faultBatch) << where;
     EXPECT_EQ(got.opts.seqDominance, want.opts.seqDominance) << where;
     EXPECT_EQ(got.opts.seqDominanceForce, want.opts.seqDominanceForce)
         << where;
@@ -206,7 +205,7 @@ TEST(OptionTable, SeqSurfacesAgreeAndKeysArePinned)
          {"--symbols", "64", "--seed", "9", "--lanes", "256", "--window",
           "3:40", "--no-drop", "--phi-index", "1", "--hold", "0", "--data",
           "1", "--alt", "0", "--code-pairs", "0,1", "--simd", "portable",
-          "--no-seq-fault-batch", "--seq-dominance"},
+          "--seq-dominance"},
          seqWith(1,
                  [](SeqCampaignConfig &c) {
                      c.opts.symbols = 64;
@@ -216,7 +215,6 @@ TEST(OptionTable, SeqSurfacesAgreeAndKeysArePinned)
                      c.opts.faultStart = 3;
                      c.opts.faultEnd = 40;
                      c.opts.dropDetected = false;
-                     c.opts.faultBatch = false;
                      c.opts.seqDominanceForce = true;
                      c.spec.holdInputs = {0};
                      c.spec.dataOutputs = {1};
@@ -244,8 +242,7 @@ TEST(OptionTable, SeqSurfacesAgreeAndKeysArePinned)
          "seq;symbols=256;seed=1;lanes=64;window=0:9223372036854775807;"
          "drop=1;phi=0;hold=;data=;alt=;pairs="},
         {"window, no-drop, seq dominance off",
-         {"--window", "5:9", "--no-drop", "--no-seq-dominance",
-          "--seq-fault-batch"},
+         {"--window", "5:9", "--no-drop", "--no-seq-dominance"},
          seqWith(2,
                  [](SeqCampaignConfig &c) {
                      c.opts.faultStart = 5;
@@ -335,6 +332,15 @@ TEST(OptionTable, BadValuesNameTheirOption)
               "--simd needs auto|portable|avx2|avx512, got 'sse9'");
     EXPECT_EQ(cliError({"--symbols"}), "--symbols needs a value");
 
+    // The lane width picks the replay route; no flag or key does.
+    SeqCampaignConfig seq = fault::defaultSeqConfig(net);
+    for (const char *retired : {"--seq-fault-batch", "--no-seq-fault-batch"}) {
+        std::size_t i = 0;
+        EXPECT_FALSE(fault::applyOptionFlag(fault::optionRows(seq),
+                                            {retired}, &i, net))
+            << retired;
+    }
+
     const auto protocolError = [&](const char *kind, const char *key,
                                    server::jsonl::Value v) {
         server::jsonl::Object cfg;
@@ -363,6 +369,8 @@ TEST(OptionTable, BadValuesNameTheirOption)
     EXPECT_EQ(protocolError("seq", "phi", Value(2)), "phi must be a string");
     EXPECT_EQ(protocolError("comb", "symbols", Value(8)),
               "unknown config key 'symbols'");
+    EXPECT_EQ(protocolError("seq", "seq_fault_batch", Value(false)),
+              "unknown config key 'seq_fault_batch'");
     EXPECT_EQ(protocolError("system", "seed", Value(8)),
               "unknown config key 'seed'");
 }

@@ -1,21 +1,25 @@
 /**
  * @file
- * The lane-multiplexed fault-batch campaign path against the
- * per-fault path: bit-identity of verdicts, first-alarm/escape
- * periods, latency histograms and lane counters across jobs counts,
- * lane widths, SIMD targets, transient windows and hold inputs; the
- * raw (non-hardened) fallback spec; knob invariance of the verdict
- * under the sequential-dominance toggle; and the hot-state memo
- * context (cold miss, warm resume, trace-shrink rebuild).
+ * The sequential campaign pipeline against the per-fault oracle
+ * (tests/oracle/): bit-identity of verdicts, first-alarm/escape
+ * periods, latency histograms and lane counters on both replay routes
+ * the lane width picks — lane-batched up to 256 lanes, per-fault
+ * above — across jobs counts, SIMD targets, transient windows and
+ * hold inputs; the raw (non-hardened) fallback spec; invariance of
+ * the verdict under the sequential-dominance toggle; and the fault
+ * window check both runners share.
  */
 
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "fault/seq_campaign.hh"
+#include "fault/shard.hh"
 #include "netlist/netlist.hh"
+#include "oracle/per_fault_campaign.hh"
 #include "seq/dual_flipflop.hh"
 #include "seq/kohavi.hh"
 #include "seq/registers.hh"
@@ -38,7 +42,7 @@ struct Case
  * PhiRise/PhiFall latches, a held input, and a single buffered data
  * input serving as the only alternating output so the fault-free
  * precondition passes. Exercises the fallback spec (explicit alt
- * set, hold set, default data set) on the batch path.
+ * set, hold set, default data set).
  */
 Case
 rawCase()
@@ -90,7 +94,7 @@ cases()
 }
 
 /** Everything the deterministic verdict block is built from. The
- *  breakdown/periods counters are knob- and jobs-dependent by design
+ *  breakdown/periods counters are route- and jobs-dependent by design
  *  and deliberately NOT compared. */
 void
 expectIdentical(const fault::SeqCampaignResult &a,
@@ -117,22 +121,25 @@ expectIdentical(const fault::SeqCampaignResult &a,
     EXPECT_EQ(a.meanAlarmPeriod, b.meanAlarmPeriod);
     EXPECT_EQ(a.symbols, b.symbols);
     EXPECT_EQ(a.lanes, b.lanes);
-    if (compare_simd)
+    if (compare_simd) {
         EXPECT_EQ(a.simd, b.simd);
+    }
 }
 
+/** The pipeline's result, after checking it against the oracle. */
 fault::SeqCampaignResult
-runWith(const Case &c, fault::SeqCampaignOptions opts, bool batch,
-        fault::SeqCampaignContext *ctx = nullptr)
+checkedRun(const Case &c, const fault::SeqCampaignOptions &opts)
 {
-    opts.faultBatch = batch;
-    return fault::runSequentialCampaign(c.net, c.spec, opts, ctx);
+    const fault::SeqCampaignResult got =
+        fault::runSequentialCampaign(c.net, c.spec, opts);
+    expectIdentical(got, oracle::runPerFaultSeqCampaign(c.net, c.spec, opts));
+    return got;
 }
 
 TEST(SeqFaultParallelEquiv, MatchesPerFaultPathAcrossJobsAndLanes)
 {
     for (const auto &c : cases()) {
-        for (int lanes : {64, 256}) {
+        for (int lanes : {64, 256, 512}) {
             for (int jobs : {1, 2, 8}) {
                 SCOPED_TRACE(c.name + " lanes=" +
                              std::to_string(lanes) +
@@ -142,11 +149,9 @@ TEST(SeqFaultParallelEquiv, MatchesPerFaultPathAcrossJobsAndLanes)
                 opts.lanes = lanes;
                 opts.seed = 7;
                 opts.jobs = jobs;
-                const auto on = runWith(c, opts, true);
-                const auto off = runWith(c, opts, false);
-                EXPECT_TRUE(on.faultBatch);
-                EXPECT_FALSE(off.faultBatch);
-                expectIdentical(on, off);
+                // Up to 256 lanes a fault's group leaves room in the
+                // 512-lane block for batch-mates; at 512 it does not.
+                EXPECT_EQ(checkedRun(c, opts).faultBatch, lanes <= 256);
             }
         }
     }
@@ -165,14 +170,12 @@ TEST(SeqFaultParallelEquiv, PortableSimdMatches)
             opts.seed = 11;
             opts.jobs = 2;
             opts.simd = sim::SimdTarget::Portable;
-            const auto on = runWith(c, opts, true);
-            const auto off = runWith(c, opts, false);
-            expectIdentical(on, off);
+            const auto portable = checkedRun(c, opts);
 
             // Verdicts are also invariant across kernel builds.
             opts.simd = sim::SimdTarget::Auto;
-            const auto native = runWith(c, opts, true);
-            expectIdentical(on, native, /*compare_simd=*/false);
+            expectIdentical(portable, checkedRun(c, opts),
+                            /*compare_simd=*/false);
         }
     }
 }
@@ -180,23 +183,24 @@ TEST(SeqFaultParallelEquiv, PortableSimdMatches)
 TEST(SeqFaultParallelEquiv, TransientWindowMatches)
 {
     // A non-full window also gates off the time-frame dominance
-    // rules; the batch path must agree with the per-fault path on
-    // faults that come and go mid-stream.
+    // rules; the pipeline must agree with the oracle on faults that
+    // come and go mid-stream.
     for (const auto &c : cases()) {
         if (c.name != "reynolds" && c.name != "raw")
             continue;
-        for (int jobs : {1, 8}) {
-            SCOPED_TRACE(c.name + " jobs=" + std::to_string(jobs));
-            fault::SeqCampaignOptions opts;
-            opts.symbols = 24;
-            opts.lanes = 64;
-            opts.seed = 13;
-            opts.jobs = jobs;
-            opts.faultStart = 5;
-            opts.faultEnd = 13;
-            const auto on = runWith(c, opts, true);
-            const auto off = runWith(c, opts, false);
-            expectIdentical(on, off);
+        for (int lanes : {64, 512}) {
+            for (int jobs : {1, 8}) {
+                SCOPED_TRACE(c.name + " lanes=" + std::to_string(lanes) +
+                             " jobs=" + std::to_string(jobs));
+                fault::SeqCampaignOptions opts;
+                opts.symbols = 24;
+                opts.lanes = lanes;
+                opts.seed = 13;
+                opts.jobs = jobs;
+                opts.faultStart = 5;
+                opts.faultEnd = 13;
+                checkedRun(c, opts);
+            }
         }
     }
 }
@@ -204,7 +208,7 @@ TEST(SeqFaultParallelEquiv, TransientWindowMatches)
 TEST(SeqFaultParallelEquiv, Lanes512TakesPerFaultPath)
 {
     // At the full SIMD block width there are no spare lanes to
-    // multiplex into; the knob must fall through untouched.
+    // multiplex into; the campaign must replay fault by fault.
     const auto cs = cases();
     const Case &c = cs[1]; // translator
     fault::SeqCampaignOptions opts;
@@ -212,75 +216,83 @@ TEST(SeqFaultParallelEquiv, Lanes512TakesPerFaultPath)
     opts.lanes = 512;
     opts.seed = 17;
     opts.jobs = 2;
-    const auto on = runWith(c, opts, true);
-    const auto off = runWith(c, opts, false);
-    EXPECT_FALSE(on.faultBatch);
-    expectIdentical(on, off);
+    EXPECT_FALSE(checkedRun(c, opts).faultBatch);
 }
 
 TEST(SeqFaultParallelEquiv, SeqDominanceKnobInvariant)
 {
     // The sequential collapse rules are a pure work saving: toggling
-    // them must not move a single verdict, on either path.
+    // them must not move a single verdict, on either route.
     for (const auto &c : cases()) {
         if (c.name != "translator" && c.name != "raw")
             continue;
-        SCOPED_TRACE(c.name);
-        fault::SeqCampaignOptions opts;
-        opts.symbols = 24;
-        opts.lanes = 64;
-        opts.seed = 19;
-        opts.jobs = 2;
-        for (bool batch : {true, false}) {
-            opts.seqDominance = true;
-            const auto with = runWith(c, opts, batch);
-            opts.seqDominance = false;
-            const auto without = runWith(c, opts, batch);
-            expectIdentical(with, without);
+        for (int lanes : {64, 512}) {
+            SCOPED_TRACE(c.name + " lanes=" + std::to_string(lanes));
+            fault::SeqCampaignOptions opts;
+            opts.symbols = 24;
+            opts.lanes = lanes;
+            opts.seed = 19;
+            opts.jobs = 2;
+            for (bool seqdom : {true, false}) {
+                opts.seqDominance = seqdom;
+                checkedRun(c, opts);
+            }
         }
     }
 }
 
-TEST(SeqFaultParallelEquiv, ContextMemoResume)
+TEST(SeqFaultParallelEquiv, WindowMustOverlapTheStream)
 {
+    // 16 symbols are 32 periods. A window that misses [0, 32) leaves
+    // every fault inactive, and its all-Untestable verdict would mean
+    // nothing: the inline run and every shard refuse it alike.
     const auto cs = cases();
     const Case &c = cs[1]; // translator
     fault::SeqCampaignOptions opts;
     opts.symbols = 16;
+    opts.jobs = 1;
+    const struct
+    {
+        long start, end;
+    } missing[] = {{5, 3}, {7, 7}, {-4, -1}, {40, 50}};
+    for (const auto &w : missing) {
+        const std::string window =
+            std::to_string(w.start) + ":" + std::to_string(w.end);
+        SCOPED_TRACE(window);
+        opts.faultStart = w.start;
+        opts.faultEnd = w.end;
+        const std::string want = "fault window " + window +
+                                 " does not overlap the 32-period "
+                                 "stream 0:32";
+        for (int lanes : {64, 512}) {
+            opts.lanes = lanes;
+            try {
+                fault::runSequentialCampaign(c.net, c.spec, opts);
+                ADD_FAILURE() << "inline run accepted the window";
+            } catch (const std::invalid_argument &e) {
+                EXPECT_EQ(e.what(), want);
+            }
+            try {
+                fault::runSequentialCampaignShard(c.net, c.spec, opts,
+                                                  {0, 2});
+                ADD_FAILURE() << "shard run accepted the window";
+            } catch (const std::invalid_argument &e) {
+                EXPECT_EQ(e.what(), want);
+            }
+        }
+    }
+
+    // A window that overlaps the stream, and the default one, run.
     opts.lanes = 64;
-    opts.seed = 23;
-    opts.jobs = 2;
-
-    fault::SeqCampaignContext ctx;
-    const auto r16 = runWith(c, opts, true, &ctx);
-    const auto f16 = runWith(c, opts, true);
-    expectIdentical(r16, f16);
-    EXPECT_EQ(ctx.memoHits(), 0);
-    EXPECT_GT(ctx.memoMisses(), 0);
-    EXPECT_EQ(r16.memoMisses, ctx.memoMisses());
-
-    // Extending the stream resumes every batch from its snapshot and
-    // still lands bit-identical to a cold full-length run.
-    opts.symbols = 32;
-    const auto r32 = runWith(c, opts, true, &ctx);
-    const auto f32 = runWith(c, opts, true);
-    expectIdentical(r32, f32);
-    EXPECT_GT(ctx.memoHits(), 0);
-    EXPECT_GT(r32.memoHits, 0);
-
-    // Shrinking the stream cannot reuse the longer trace: the context
-    // rebuilds and the shorter campaign still matches the cold run.
-    opts.symbols = 16;
-    const auto r16b = runWith(c, opts, true, &ctx);
-    expectIdentical(r16b, f16);
-
-    // A changed option that enters the memo key also forces a
-    // rebuild rather than a stale resume.
-    opts.symbols = 16;
-    opts.seed = 29;
-    const auto rs = runWith(c, opts, true, &ctx);
-    const auto fs = runWith(c, opts, true);
-    expectIdentical(rs, fs);
+    opts.faultStart = 0;
+    opts.faultEnd = 5;
+    checkedRun(c, opts);
+    EXPECT_NO_THROW(
+        fault::runSequentialCampaignShard(c.net, c.spec, opts, {1, 2}));
+    fault::SeqCampaignOptions dflt;
+    dflt.symbols = 16;
+    dflt.jobs = 1;
+    checkedRun(c, dflt);
 }
 
 } // namespace

@@ -340,16 +340,14 @@ TEST(Scheduler, SeqBatchKnobsStayOutOfCacheKeyAndVerdict)
     opts.symbols = 48;
     opts.seed = 7;
 
-    // The batching/collapse knobs are verdict-invariant work savings,
-    // so the canonical config (the cache key) must not mention them:
-    // a client toggling them keeps hitting the same entry.
+    // The collapse knob is a verdict-invariant work saving, so the
+    // canonical config (the cache key) must not mention it: a client
+    // toggling it keeps hitting the same entry.
     const std::string key =
         fault::canonicalSeqCampaignConfig(opts, spec);
     fault::SeqCampaignOptions toggled = opts;
-    toggled.faultBatch = !toggled.faultBatch;
     toggled.seqDominance = !toggled.seqDominance;
     EXPECT_EQ(key, fault::canonicalSeqCampaignConfig(toggled, spec));
-    EXPECT_EQ(key.find("batch"), std::string::npos);
     EXPECT_EQ(key.find("dominance"), std::string::npos);
 
     Scheduler sched(schedOpts(1));
@@ -361,7 +359,7 @@ TEST(Scheduler, SeqBatchKnobsStayOutOfCacheKeyAndVerdict)
     ASSERT_TRUE(sched.wait(cold.id, &coldInfo));
     ASSERT_EQ(coldInfo.state, JobState::Done) << coldInfo.error;
 
-    // Warm submit with the opposite knob settings: same key, served
+    // Warm submit with the opposite knob setting: same key, served
     // from cache, byte-identical verdict.
     const SubmitOutcome warm =
         sched.submit(seqJob(net, spec, "a", toggled));
@@ -759,6 +757,36 @@ TEST_F(ServerTest, SeqPhiByIndexMatchesInlineVerdict)
                                    net, seq::campaignSpec(sm), opts)));
 }
 
+TEST_F(ServerTest, SeqWindowOutsideTheStreamFails)
+{
+    // The daemon runs the campaign's own window check: a window past
+    // the stream's 32 periods fails the job with the campaign's
+    // message instead of returning an all-Untestable verdict.
+    const auto sm = seq::reynoldsDetector();
+    const netlist::Netlist net = roundTripped(sm.net);
+    fault::SeqCampaignConfig cfg = fault::defaultSeqConfig(net);
+    cfg.spec = seq::campaignSpec(sm);
+    cfg.opts.symbols = 16;
+    cfg.opts.faultStart = 40;
+    cfg.opts.faultEnd = 50;
+
+    jsonl::Object req;
+    req.emplace_back("op", jsonl::Value("submit"));
+    req.emplace_back("kind", jsonl::Value("seq"));
+    req.emplace_back("circuit",
+                     jsonl::Value(netlist::writeNetlistToString(net)));
+    req.emplace_back("config",
+                     server::configJson(fault::optionRows(cfg)));
+    Client client(path_);
+    const jsonl::Value res =
+        client.submitAndWait(jsonl::Value(std::move(req)));
+    EXPECT_EQ(res.find("state")->asString(), "failed");
+    ASSERT_NE(res.find("error"), nullptr);
+    EXPECT_EQ(res.find("error")->asString(),
+              "fault window 40:50 does not overlap the 32-period stream "
+              "0:32");
+}
+
 TEST_F(ServerTest, SeqBatchKnobTogglesHitTheSameCacheEntry)
 {
     const auto sm = seq::reynoldsDetector();
@@ -769,7 +797,7 @@ TEST_F(ServerTest, SeqBatchKnobTogglesHitTheSameCacheEntry)
             .name;
     const std::string circuit = netlist::writeNetlistToString(net);
 
-    const auto seqSubmit = [&](bool batch, bool seqdom) {
+    const auto seqSubmit = [&](bool seqdom) {
         const auto listValue = [](const std::vector<int> &v) {
             jsonl::Array arr;
             for (int i : v)
@@ -779,7 +807,6 @@ TEST_F(ServerTest, SeqBatchKnobTogglesHitTheSameCacheEntry)
         jsonl::Object cfg;
         cfg.emplace_back("symbols", jsonl::Value(48));
         cfg.emplace_back("seed", jsonl::Value(9));
-        cfg.emplace_back("seq_fault_batch", jsonl::Value(batch));
         cfg.emplace_back("seq_dominance", jsonl::Value(seqdom));
         cfg.emplace_back("phi", jsonl::Value(phiName));
         cfg.emplace_back("hold", listValue(spec.holdInputs));
@@ -796,17 +823,17 @@ TEST_F(ServerTest, SeqBatchKnobTogglesHitTheSameCacheEntry)
 
     Client client(path_);
     const jsonl::Value cold =
-        client.submitAndWait(seqSubmit(true, true));
+        client.submitAndWait(seqSubmit(true));
     ASSERT_EQ(cold.find("state")->asString(), "done")
         << (cold.find("error") ? cold.find("error")->asString() : "");
     EXPECT_FALSE(cold.find("cache_hit")->asBool());
 
-    // Opposite knob settings from a fresh connection: the knobs are
+    // The opposite knob setting from a fresh connection: the knob is
     // not part of the canonical config, so this is a cache hit with
     // the identical verdict bytes.
     Client again(path_);
     const jsonl::Value warm =
-        again.submitAndWait(seqSubmit(false, false));
+        again.submitAndWait(seqSubmit(false));
     ASSERT_EQ(warm.find("state")->asString(), "done");
     EXPECT_TRUE(warm.find("cache_hit")->asBool());
     EXPECT_EQ(warm.find("verdict")->asString(),

@@ -33,8 +33,7 @@
  *                     [--seed N] [--jobs N] [--window S:E] [--no-drop]
  *                     [--phi NAME | --phi-index I] [--data I,J,..]
  *                     [--alt I,J,..] [--code-pairs P,Q,..] [--hold I,J,..]
- *                     [--simd portable|avx2|avx512]
- *                     [--[no-]seq-fault-batch] [--[no-]seq-dominance]
+ *                     [--simd portable|avx2|avx512] [--[no-]seq-dominance]
  *                     [--json] [--progress]
  *                                        sequential alternating campaign
  *
@@ -44,14 +43,16 @@
  * auto: the SCAL_SIMD env var, else the widest the CPU supports).
  * The combinational campaign always runs the fault-parallel pipeline
  * (FFR flip batching, critical-path tracing, dominance pruning). The
- * sequential campaign keeps two work-saving knobs: --seq-fault-batch
- * multiplexes several faults into disjoint lane groups of one wide
- * sequential replay, and --seq-dominance forces sequential constant
- * propagation and time-frame Dff equivalences into collapsing, even
- * on hardened realizations where the campaign skips them by default.
- * Verdicts are bit-identical across simd, jobs and these flags, and
- * across --lanes for the combinational campaign (sequential --lanes
- * sets the number of random streams). The campaign options are the
+ * sequential campaign multiplexes several faults into disjoint lane
+ * groups of one wide replay up to --lanes 256 and replays one fault
+ * per pass above that; its one work-saving knob, --seq-dominance,
+ * forces sequential constant propagation and time-frame Dff
+ * equivalences into collapsing, even on hardened realizations where
+ * the campaign skips them by default. Verdicts are bit-identical
+ * across simd, jobs and that flag, and across --lanes for the
+ * combinational campaign (sequential --lanes sets the number of
+ * random streams). A --window that misses the stream's 2 * symbols
+ * periods is an error. The campaign options are the
  * rows of the option tables in fault/options.hh, which the daemon
  * protocol and the shard workers share; every bool --name has a
  * --no-name twin.
