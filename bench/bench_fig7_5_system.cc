@@ -36,8 +36,8 @@ main()
     int wi = 0;
     for (const Workload &wl : standardWorkloads()) {
         const AluOp op = attack[wi++];
-        const auto scal_res = runScalCampaign(wl, op);
-        const auto raw_res = runUncheckedCampaign(wl, op);
+        const auto scal_res = runSystemCampaign(wl, op, true);
+        const auto raw_res = runSystemCampaign(wl, op, false);
         t.addRow({wl.name, aluOpName(op), "unchecked CPU",
                   util::Table::num((long long)raw_res.total),
                   util::Table::num((long long)raw_res.masked), "0",

@@ -6,6 +6,7 @@
 
 #include "analysis/report.hh"
 #include "netlist/structure.hh"
+#include "util/json.hh"
 
 namespace scal::analysis
 {
@@ -191,8 +192,8 @@ HardenDiff::toJson() const
         << "  \"output_depths\": [";
     for (std::size_t i = 0; i < outputDepths.size(); ++i) {
         const OutputDepth &od = outputDepths[i];
-        out << (i ? ", " : "") << "{\"name\": \"" << od.name
-            << "\", \"before\": " << od.before
+        out << (i ? ", " : "") << "{\"name\": \""
+            << util::jsonEscape(od.name) << "\", \"before\": " << od.before
             << ", \"after\": " << od.after << "}";
     }
     out << "]\n"

@@ -8,6 +8,7 @@
 #include "analysis/cycle_detector.hh"
 #include "netlist/io.hh"
 #include "netlist/structure.hh"
+#include "util/json.hh"
 
 namespace scal::analysis
 {
@@ -88,29 +89,6 @@ computeStats(const Netlist &net)
     return s;
 }
 
-namespace
-{
-
-std::string
-escape(const std::string &s)
-{
-    std::string out;
-    for (const char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        if (static_cast<unsigned char>(c) < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof buf, "\\u%04x", c);
-            out += buf;
-            continue;
-        }
-        out += c;
-    }
-    return out;
-}
-
-} // namespace
-
 std::string
 statsJson(const NetlistStats &stats, const std::string &name,
           const std::string &format)
@@ -120,8 +98,8 @@ statsJson(const NetlistStats &stats, const std::string &name,
                   static_cast<unsigned long long>(stats.contentHash));
     std::ostringstream out;
     out << "{\n"
-        << "  \"name\": \"" << escape(name) << "\",\n"
-        << "  \"format\": \"" << escape(format) << "\",\n"
+        << "  \"name\": \"" << util::jsonEscape(name) << "\",\n"
+        << "  \"format\": \"" << util::jsonEscape(format) << "\",\n"
         << "  \"content_hash\": \"" << hash << "\",\n"
         << "  \"inputs\": " << stats.inputs << ",\n"
         << "  \"outputs\": " << stats.outputs << ",\n"

@@ -11,6 +11,14 @@
  * concatenate or fold those results in chunk order, so the same
  * (netlist, seed, maxPatterns) triple yields a bit-identical campaign
  * result at any thread count.
+ *
+ * chunks() is the one in-process plan: equal item counts, four chunks
+ * per worker. Items may differ in cost (fault groups, lane batches);
+ * the pool's shared queue over the oversubscribed chunks balances
+ * them, and cost-weighted chunks measured no better except where the
+ * grain leaves fewer chunks than workers (EXPERIMENTS.md E29). Cost
+ * estimates only cut --shard process slices (engine/shard.hh), which
+ * share no queue.
  * streamChunks() is the one dispatch loop: the caller commits a
  * finished prefix of chunks while the workers run the rest.
  *
@@ -41,7 +49,8 @@ struct EngineOptions
 {
     /** Worker threads; <= 0 means hardware_concurrency. */
     int jobs = 0;
-    /** Lower bound on items per chunk. */
+    /** Lower bound on items per chunk (1 where one item is a whole
+     *  program run or trial: system and multi-fault campaigns). */
     std::size_t minGrain = 8;
     /**
      * Period of the stderr progress report; zero disables it (the
@@ -65,41 +74,29 @@ class CampaignEngine
     ProgressTracker &progress() { return progress_; }
 
     /**
-     * Run @p fn(chunk, chunkIndex) over a sharding of [0, n) and
-     * return the per-chunk results in chunk-index order. With one
-     * worker the whole range is a single chunk run on the calling
-     * thread, and its exception propagates directly; otherwise the
-     * first chunk exception rethrows here once every chunk has
-     * finished.
+     * The one in-process plan of [0, n): planShards over the workers
+     * (four chunks per worker, equal counts, at least minGrain items
+     * each); at one worker the whole range as one chunk.
+     */
+    std::vector<Chunk>
+    chunks(std::size_t n) const
+    {
+        return pool_ ? planShards(n, jobs_, kChunksPerWorker, opts_.minGrain)
+                     : wholeRange(n);
+    }
+
+    /**
+     * Run @p fn(chunk, chunkIndex) over chunks(n) and return the
+     * per-chunk results in chunk-index order. With one worker the
+     * whole range is a single chunk run on the calling thread, and
+     * its exception propagates directly; otherwise the first chunk
+     * exception rethrows here once every chunk has finished.
      */
     template <typename R, typename Fn>
     std::vector<R>
     mapChunks(std::size_t n, Fn fn)
     {
-        return collect<R>(pool_ ? planShards(n, jobs_, kChunksPerWorker,
-                                             opts_.minGrain)
-                                : wholeRange(n),
-                          fn);
-    }
-
-    /**
-     * As mapChunks(), but sharding [0, weights.size()) into
-     * weightedChunks(weights) — for index spaces of cost-uneven items
-     * such as fanout-free-region groups.
-     */
-    template <typename R, typename Fn>
-    std::vector<R>
-    mapWeightedChunks(const std::vector<std::uint64_t> &weights, Fn fn)
-    {
-        return collect<R>(weightedChunks(weights), fn);
-    }
-
-    /** planWeightedShards over the workers; one chunk at one worker. */
-    std::vector<Chunk>
-    weightedChunks(const std::vector<std::uint64_t> &weights) const
-    {
-        return pool_ ? planWeightedShards(weights, jobs_, kChunksPerWorker)
-                     : wholeRange(weights.size());
+        return collect<R>(chunks(n), fn);
     }
 
     /**

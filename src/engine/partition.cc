@@ -39,38 +39,6 @@ planShards(std::size_t n, int workers, int chunksPerWorker,
     return partitionRange(n, static_cast<int>(parts));
 }
 
-std::vector<Chunk>
-planWeightedShards(const std::vector<std::uint64_t> &weights, int workers,
-                   int chunksPerWorker)
-{
-    const std::size_t n = weights.size();
-    if (n == 0)
-        return {};
-    std::uint64_t total = 0;
-    for (std::uint64_t w : weights)
-        total += w;
-    const std::size_t parts =
-        static_cast<std::size_t>(std::max(workers, 1)) *
-        static_cast<std::size_t>(std::max(chunksPerWorker, 1));
-    const std::uint64_t target =
-        std::max<std::uint64_t>((total + parts - 1) / parts, 1);
-
-    std::vector<Chunk> chunks;
-    std::size_t begin = 0;
-    std::uint64_t acc = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-        acc += weights[i];
-        if (acc >= target) {
-            chunks.push_back({begin, i + 1});
-            begin = i + 1;
-            acc = 0;
-        }
-    }
-    if (begin < n)
-        chunks.push_back({begin, n});
-    return chunks;
-}
-
 std::vector<std::size_t>
 weightedBoundaries(const std::vector<std::uint64_t> &weights, int parts)
 {

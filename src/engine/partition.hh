@@ -6,7 +6,9 @@
  * — per-chunk result vectors concatenate back in index order — and
  * oversubscription (more chunks than workers) lets the pool's shared
  * queue balance uneven chunk costs, which is what makes the simple
- * pool behave like a work-stealing scheduler.
+ * pool behave like a work-stealing scheduler. In-process chunks are
+ * therefore equal counts (planShards); cost weights cut only the
+ * slices of separate processes (weightedBoundaries).
  */
 
 #ifndef SCAL_ENGINE_PARTITION_HH
@@ -49,27 +51,16 @@ std::vector<Chunk> planShards(std::size_t n, int workers,
                               std::size_t minGrain = 8);
 
 /**
- * Weighted sharding: split [0, weights.size()) into contiguous chunks
- * of roughly equal total weight (at most workers * chunksPerWorker of
- * them, never splitting an item). Used when items are cost-uneven
- * groups — e.g. fanout-free-region batches whose simulation cost
- * scales with their member cone sizes — where equal-count chunks
- * would leave workers idle. Deterministic for a given weight vector.
- */
-std::vector<Chunk>
-planWeightedShards(const std::vector<std::uint64_t> &weights, int workers,
-                   int chunksPerWorker = 4);
-
-/**
  * Exactly @p parts contiguous slices of [0, weights.size()) with
  * nearly equal total weight: boundary k sits at the prefix sum
  * nearest to total * k / parts. Returns the parts+1 boundary indices
  * (boundaries[0] == 0, boundaries[parts] == weights.size(); empty
- * slices are possible and legal). Unlike planWeightedShards this
- * never merges away a slice — multi-process sharding needs one slice
- * per shard index — and it is deterministic for a given weight
- * vector, which is what lets N independent processes derive the same
- * split. All-zero weights degrade to equal-count slices.
+ * slices are possible and legal). It never merges away a slice —
+ * multi-process sharding needs one slice per shard index — and it is
+ * deterministic for a given weight vector, which is what lets N
+ * independent processes derive the same split. All-zero weights
+ * degrade to equal-count slices. Only process slices are weighted:
+ * separate processes share no queue to even out their costs.
  */
 std::vector<std::size_t>
 weightedBoundaries(const std::vector<std::uint64_t> &weights, int parts);

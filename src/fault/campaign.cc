@@ -292,12 +292,13 @@ runAlternatingCampaign(const Netlist &net, const CampaignOptions &opts)
 
     engine::CampaignEngine eng(engineOptions(opts));
     eng.beginCampaign(static_cast<std::uint64_t>(plan.numClasses()));
-    // Groups — not single classes — are the chunking unit, weighted
-    // by their estimated simulation cost, so batches never straddle a
-    // chunk boundary.
+    // Groups — not single classes — are the chunking unit, so batches
+    // never straddle a chunk boundary; the pool's queue over the
+    // engine's equal-count chunks balances their uneven costs.
     const std::vector<GroupChunkOut> chunkOuts =
-        eng.mapWeightedChunks<GroupChunkOut>(
-            plan.groupCosts(), [&](engine::Chunk c, std::size_t) {
+        eng.mapChunks<GroupChunkOut>(
+            static_cast<std::size_t>(plan.numGroups()),
+            [&](engine::Chunk c, std::size_t) {
                 return classifyGroupChunk(s, static_cast<int>(c.begin),
                                           static_cast<int>(c.end), opts,
                                           eng.progress());
@@ -403,16 +404,14 @@ runAlternatingCampaignShard(const Netlist &net,
         tail.batches = p.batches;
     }
 
-    std::vector<std::uint64_t> weights, classes;
-    for (int g = g0; g < g1; ++g) {
-        weights.push_back(plan.groupCosts()[static_cast<std::size_t>(g)]);
+    std::vector<std::uint64_t> classes;
+    for (int g = g0; g < g1; ++g)
         classes.push_back(plan.classOffset(g + 1) - plan.classOffset(g));
-    }
 
     engine::CampaignEngine eng(engineOptions(opts));
     eng.beginCampaign(static_cast<std::uint64_t>(out.shardClasses));
     runCheckpointedShard(
-        eng, ckpt, opts.cancel, id, weights, classes,
+        eng, ckpt, opts.cancel, id, classes,
         [&](engine::Chunk c) -> std::function<void()> {
             const int gb = g0 + static_cast<int>(c.begin);
             // Commit: expand the chunk's class verdicts to per-fault

@@ -6,26 +6,10 @@
 #include "fault/options.hh"
 #include "netlist/structure.hh"
 #include "sim/simd.hh"
+#include "util/json.hh"
 
 namespace scal::fault
 {
-
-namespace
-{
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        out += c;
-    }
-    return out;
-}
-
-} // namespace
 
 std::string
 campaignVerdictJson(const netlist::Netlist &net,
@@ -50,7 +34,7 @@ campaignVerdictJson(const netlist::Netlist &net,
         if (fr.outcome != Outcome::Unsafe)
             continue;
         os << (first ? "" : ", ") << "\""
-           << jsonEscape(netlist::faultToString(net, fr.fault)) << "\"";
+           << util::jsonEscape(netlist::faultToString(net, fr.fault)) << "\"";
         first = false;
     }
     os << "]\n"
@@ -115,7 +99,7 @@ seqCampaignVerdictJson(const netlist::Netlist &net,
         if (fv.outcome != Outcome::Unsafe)
             continue;
         os << (first ? "" : ", ") << "\""
-           << jsonEscape(netlist::faultToString(net, fv.fault)) << "\"";
+           << util::jsonEscape(netlist::faultToString(net, fv.fault)) << "\"";
         first = false;
     }
     os << "]\n"

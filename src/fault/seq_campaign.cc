@@ -187,8 +187,8 @@ seqCollapseOptions(const SeqCampaignOptions &opts)
  * Everything a sequential campaign derives before it classifies: the
  * checked and resolved options, the spec, the compiled netlist, the
  * collapse, the fault-free trace and the decoded sites of the
- * unpruned classes with their replay costs. The inline and the shard
- * runner both build one, so they classify the identical class space.
+ * unpruned classes. The inline and the shard runner both build one,
+ * so they classify the identical class space.
  * Everything here is immutable and shared read-only by the workers.
  * Not copyable: the trace points into flat.
  *
@@ -221,11 +221,6 @@ struct SeqSetup
                 sim::decodeSeqFaultSite(flat, col.representatives[r]));
             siteRep.push_back(r);
         }
-        siteCosts = sim::seqSiteCosts(flat, sites);
-        // Pruned classes weigh only their records.
-        classWeights.assign(col.representatives.size(), 1);
-        for (std::size_t i = 0; i < sites.size(); ++i)
-            classWeights[siteRep[i]] = siteCosts[i];
     }
     SeqSetup(const SeqSetup &) = delete;
     SeqSetup &operator=(const SeqSetup &) = delete;
@@ -245,8 +240,7 @@ struct SeqSetup
     planBatches(std::size_t s0, std::size_t s1) const
     {
         sim::SeqBatchPlan plan = sim::planSeqBatches(
-            flat, std::span(sites).subspan(s0, s1 - s0),
-            std::span(siteCosts).subspan(s0, s1 - s0), rs.laneWords,
+            flat, std::span(sites).subspan(s0, s1 - s0), rs.laneWords,
             sim::kMaxLaneWords);
         for (std::vector<int> &batch : plan.batches)
             for (int &i : batch)
@@ -263,9 +257,6 @@ struct SeqSetup
     /** Decoded representative per unpruned class, in class order. */
     std::vector<sim::SeqFaultSite> sites;
     std::vector<std::size_t> siteRep; ///< site index -> class
-    std::vector<std::uint64_t> siteCosts; ///< sim::seqSiteCosts
-    /** Per class: its site's replay cost, or 1 when pruned. */
-    std::vector<std::uint64_t> classWeights;
 
   private:
     /**
@@ -546,15 +537,15 @@ runSequentialCampaign(const Netlist &net, const SeqCampaignSpec &spec,
     engine::CampaignEngine eng(engineOptions(opts));
     eng.beginCampaign(numClasses);
 
-    // Batched: the plan's batches, sharded by replay weight. Per
-    // fault: the representatives, sharded evenly.
+    // Both routes chunk by count: the plan's batches when batched,
+    // the representatives per fault.
     std::vector<ChunkOut> chunkOuts;
     if (s.batched()) {
         const sim::SeqBatchPlan plan = s.planBatches(0, s.sites.size());
         result.batchedClasses = static_cast<int>(s.sites.size());
         result.batches = static_cast<int>(plan.batches.size());
-        chunkOuts = eng.mapWeightedChunks<ChunkOut>(
-            plan.weights, [&](engine::Chunk c, std::size_t) {
+        chunkOuts = eng.mapChunks<ChunkOut>(
+            plan.batches.size(), [&](engine::Chunk c, std::size_t) {
                 return classifySeqBatchChunk(s, plan, c.begin, c.end,
                                              eng.progress());
             });
@@ -628,9 +619,16 @@ runSequentialCampaignShard(const Netlist &net,
     // Cost-weighted class slicing, so shards own ~equal simulation
     // work instead of equal class counts — equal counts leave the
     // fleet's critical path hostage to wherever the big replay cones
-    // cluster. The slice's unpruned classes are the sites [s0, s1).
+    // cluster. A class weighs its site's replay cost; pruned classes
+    // weigh only their records. The slice's unpruned classes are the
+    // sites [s0, s1).
+    std::vector<std::uint64_t> classWeights(numClasses, 1);
+    const std::vector<std::uint64_t> siteCosts =
+        sim::seqSiteCosts(s.flat, s.sites);
+    for (std::size_t i = 0; i < s.sites.size(); ++i)
+        classWeights[s.siteRep[i]] = siteCosts[i];
     const engine::Chunk slice =
-        engine::shardSliceWeighted(s.classWeights, shard);
+        engine::shardSliceWeighted(classWeights, shard);
     const std::size_t c0 = slice.begin;
     const std::size_t c1 = slice.end;
     const auto firstSite = [&](std::size_t c) {
@@ -645,19 +643,15 @@ runSequentialCampaignShard(const Netlist &net,
 
     // Unit = one batch of the plan (covering its member classes) or,
     // on the per-fault route, one representative class of the slice.
-    std::vector<std::uint64_t> weights, classes;
-    if (batched) {
-        weights = plan.weights;
+    std::vector<std::uint64_t> classes;
+    if (batched)
         for (const std::vector<int> &b : plan.batches)
             classes.push_back(b.size());
-    } else {
-        weights.assign(s.classWeights.begin() + static_cast<long>(c0),
-                       s.classWeights.begin() + static_cast<long>(c1));
+    else
         classes.assign(c1 - c0, 1);
-    }
 
     ShardOutcome out;
-    out.units = weights.size();
+    out.units = classes.size();
     out.shardClasses = static_cast<int>(c1 - c0);
 
     // The run's identity: what a resume snapshot must match, and the
@@ -735,7 +729,7 @@ runSequentialCampaignShard(const Netlist &net,
     engine::CampaignEngine eng(engineOptions(opts));
     eng.beginCampaign(static_cast<std::uint64_t>(out.shardClasses));
     runCheckpointedShard(
-        eng, ckpt, opts.cancel, id, weights, classes,
+        eng, ckpt, opts.cancel, id, classes,
         [&](engine::Chunk c) -> std::function<void()> {
             return [&, o = batched ? classifySeqBatchChunk(
                                          s, plan, c.begin, c.end,

@@ -181,7 +181,6 @@ void
 runCheckpointedShard(
     engine::CampaignEngine &eng, const CheckpointOptions &ckpt,
     const engine::CancelToken *cancel, engine::SnapshotHeader id,
-    const std::vector<std::uint64_t> &weights,
     const std::vector<std::uint64_t> &classes,
     const std::function<std::function<void()>(engine::Chunk)> &classify,
     const engine::ByteWriter &records,
@@ -194,13 +193,11 @@ runCheckpointedShard(
     const int every = !ckpt.sink         ? 0
                       : ckpt.every >= 0 ? ckpt.every
                                         : std::max(64, out.shardClasses / 16);
-    // Chunks: the engine's split of the remaining units, cut again at
-    // every block end.
+    // Chunks: the engine's plan of the remaining units — the one an
+    // inline run of the same units uses — cut again at every block end.
     std::uint64_t cursor = out.resumedUnits;
     std::vector<bool> chunkEnd(out.units + 1, false);
-    for (const engine::Chunk &c : eng.weightedChunks(
-             std::vector<std::uint64_t>(weights.begin() + cursor,
-                                        weights.end())))
+    for (const engine::Chunk &c : eng.chunks(out.units - cursor))
         chunkEnd[cursor + c.end] = true;
     std::vector<bool> blockEnd(out.units + 1, false);
     std::vector<engine::Chunk> chunks;

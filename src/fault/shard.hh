@@ -87,22 +87,22 @@ struct ShardOutcome
 
 /**
  * The block loop of every shard runner: classify the units
- * [out.resumedUnits, out.units) as one ordered-commit engine pass.
- * Unit u costs weights[u] (its chunk weight) and covers classes[u]
- * fault classes. @p classify(chunk) runs on a worker and returns the
- * chunk's commit step, which runs on the calling thread in unit order
- * and appends the chunk's encoded records to @p records. Each time
- * the committed units reach a block end — whole units covering at
- * least ckpt.every classes — the snapshot of @p id, its payload
- * @p prefix then @p records, goes to the sink; the final one also to
- * out.partial. When @p cancel fires, or a chunk throws
- * engine::CampaignCancelled, the sink gets a last checkpoint at the
- * committed cursor and CampaignCancelled propagates.
+ * [out.resumedUnits, out.units) as one ordered-commit engine pass
+ * over the engine's chunks() of that range, cut again at every block
+ * end. Unit u covers classes[u] fault classes. @p classify(chunk)
+ * runs on a worker and returns the chunk's commit step, which runs on
+ * the calling thread in unit order and appends the chunk's encoded
+ * records to @p records. Each time the committed units reach a block
+ * end — whole units covering at least ckpt.every classes — the
+ * snapshot of @p id, its payload @p prefix then @p records, goes to
+ * the sink; the final one also to out.partial. When @p cancel fires,
+ * or a chunk throws engine::CampaignCancelled, the sink gets a last
+ * checkpoint at the committed cursor and CampaignCancelled
+ * propagates.
  */
 void runCheckpointedShard(
     engine::CampaignEngine &eng, const CheckpointOptions &ckpt,
     const engine::CancelToken *cancel, engine::SnapshotHeader id,
-    const std::vector<std::uint64_t> &weights,
     const std::vector<std::uint64_t> &classes,
     const std::function<std::function<void()>(engine::Chunk)> &classify,
     const engine::ByteWriter &records,

@@ -5,6 +5,8 @@
 #include <cmath>
 #include <cstdio>
 
+#include "util/json.hh"
+
 namespace scal::server::jsonl
 {
 
@@ -118,34 +120,6 @@ Value::set(const std::string &key, Value v)
     object_.emplace_back(key, std::move(v));
 }
 
-std::string
-escape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 8);
-    for (const char c : s) {
-        switch (c) {
-          case '"':  out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\r': out += "\\r"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x",
-                              static_cast<unsigned>(
-                                  static_cast<unsigned char>(c)));
-                out += buf;
-            } else {
-                out += c;
-            }
-            break;
-        }
-    }
-    return out;
-}
-
 void
 Value::dumpTo(std::string &out) const
 {
@@ -170,7 +144,7 @@ Value::dumpTo(std::string &out) const
       }
       case Kind::String:
         out += '"';
-        out += escape(string_);
+        out += util::jsonEscape(string_);
         out += '"';
         break;
       case Kind::Array: {
@@ -193,7 +167,7 @@ Value::dumpTo(std::string &out) const
                 out += ',';
             first = false;
             out += '"';
-            out += escape(m.first);
+            out += util::jsonEscape(m.first);
             out += "\":";
             m.second.dumpTo(out);
         }

@@ -123,9 +123,6 @@ class Value
 /** Parse exactly one JSON document (trailing whitespace allowed). */
 Value parse(const std::string &text);
 
-/** Escape a string for embedding inside a JSON document. */
-std::string escape(const std::string &s);
-
 /**
  * Incremental newline framing over a byte stream: feed() raw reads,
  * pop() complete lines (without the terminator) as they arrive.

@@ -171,30 +171,10 @@ buildSystemJob(const jsonl::Value &cfg, JobConfig *job)
             member.first != "checked")
             throw std::runtime_error("unknown config key '" +
                                      member.first + "'");
-    const std::string wlName = optString(cfg, "workload", "sum");
-    bool found = false;
-    for (scal::system::Workload &wl : scal::system::standardWorkloads())
-        if (wl.name == wlName) {
-            job->workload = std::move(wl);
-            found = true;
-            break;
-        }
-    if (!found)
-        throw std::runtime_error("unknown workload '" + wlName + "'");
-
-    const std::string opName = optString(cfg, "alu_op", "add");
-    found = false;
-    for (int i = 0; i < scal::system::kNumAluOps; ++i) {
-        const auto op = static_cast<scal::system::AluOp>(i);
-        if (opName == scal::system::aluOpName(op)) {
-            job->aluOp = op;
-            found = true;
-            break;
-        }
-    }
-    if (!found)
-        throw std::runtime_error("unknown alu_op '" + opName + "'");
-
+    const std::string wlName = optString(cfg, "workload", "sum8");
+    job->workload = scal::system::findWorkload(wlName);
+    job->aluOp =
+        scal::system::parseAluOp(optString(cfg, "alu_op", "ADD"));
     job->checkedCpu = optBool(cfg, "checked", true);
     job->netHash = netlist::fnv1a64(wlName);
     job->configKey = scal::system::canonicalSystemConfig(

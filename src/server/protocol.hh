@@ -18,8 +18,10 @@
  * for the scheduler, and a `config` object. Its comb and seq keys are
  * the rows of the option tables in fault/options.hh (the CLI flags
  * with underscores for dashes), plus `shards` for a multi-process
- * run; system keys are workload/alu_op/checked. An unknown config key
- * is an error.
+ * run. System keys are `workload` (sum8, fib12, mul5, logicmix,
+ * copycheck or arraysum; default sum8), `alu_op` (ADD, SUB, AND, OR,
+ * XOR, SHL, SHR or PASSB; default ADD) and `checked` (default true:
+ * the SCAL CPU). An unknown config key, workload or op is an error.
  *
  * Every response carries `ok`; failures carry `error` and the
  * 1-based request line number on this connection.

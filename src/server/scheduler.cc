@@ -393,13 +393,10 @@ Scheduler::runJob(const std::shared_ptr<Job> &job)
             scal::system::SystemCampaignOptions sysopts;
             sysopts.jobs = opts_.jobsPerCampaign;
             sysopts.cancel = job->cancel.get();
-            const scal::system::SystemCampaignResult res =
-                job->cfg.checkedCpu
-                    ? scal::system::runScalCampaign(
-                          job->cfg.workload, job->cfg.aluOp, sysopts)
-                    : scal::system::runUncheckedCampaign(
-                          job->cfg.workload, job->cfg.aluOp, sysopts);
-            verdict = scal::system::systemResultJson(res);
+            verdict = scal::system::systemResultJson(
+                scal::system::runSystemCampaign(
+                    job->cfg.workload, job->cfg.aluOp,
+                    job->cfg.checkedCpu, sysopts));
         } else {
             throw std::runtime_error("unknown job kind: " +
                                      job->cfg.kind);

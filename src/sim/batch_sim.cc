@@ -259,8 +259,8 @@ FaultBatchPlan::FaultBatchPlan(const FlatNetlist &flat,
 
     // Heuristic per-group cost: replay work for the flip unit and Sim
     // classes, fold work for the analytic routes, two backtrace
-    // passes per Cpt group. Only relative magnitudes matter (weighted
-    // sharding).
+    // passes per Cpt group. Only relative magnitudes matter (the
+    // cost-balanced --shard slices).
     groupCost_.assign(static_cast<std::size_t>(ng), 0);
     for (int c = 0; c < nc; ++c) {
         const int gi = groupOf_[c];

@@ -118,7 +118,8 @@ class FaultBatchPlan
     }
     int numClasses() const { return static_cast<int>(route_.size()); }
 
-    /** Heuristic per-group simulation cost, for weighted sharding. */
+    /** Heuristic per-group simulation cost: the weights of the
+     *  cost-balanced --shard slices (engine/shard.hh). */
     const std::vector<std::uint64_t> &groupCosts() const
     {
         return groupCost_;

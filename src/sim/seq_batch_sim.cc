@@ -92,8 +92,7 @@ seqSiteCosts(const FlatNetlist &flat,
 
 SeqBatchPlan
 planSeqBatches(const FlatNetlist &flat, std::span<const SeqFaultSite> sites,
-               std::span<const std::uint64_t> costs, int group_words,
-               int batch_words)
+               int group_words, int batch_words)
 {
     SeqBatchPlan plan;
     plan.groupWords = group_words;
@@ -103,8 +102,6 @@ planSeqBatches(const FlatNetlist &flat, std::span<const SeqFaultSite> sites,
     if (F < 1 || group_words * F != batch_words)
         throw std::invalid_argument(
             "group words must divide the batch width");
-    if (costs.size() != sites.size())
-        throw std::invalid_argument("need one cost per site");
 
     const int n = flat.numGates();
 
@@ -124,13 +121,9 @@ planSeqBatches(const FlatNetlist &flat, std::span<const SeqFaultSite> sites,
                      [&](int a, int b) { return keyOf(a) < keyOf(b); });
 
     for (std::size_t k = 0; k < order.size(); ++k) {
-        if (k % static_cast<std::size_t>(F) == 0) {
+        if (k % static_cast<std::size_t>(F) == 0)
             plan.batches.emplace_back();
-            plan.weights.push_back(0);
-        }
-        const int i = order[k];
-        plan.batches.back().push_back(i);
-        plan.weights.back() += costs[static_cast<std::size_t>(i)];
+        plan.batches.back().push_back(order[k]);
     }
     return plan;
 }

@@ -55,16 +55,14 @@ struct SeqBatchPlan
     int groupsPerBatch = 0; ///< F: fault slots per batch
     /** batches[b] = indices into the planner's site array. */
     std::vector<std::vector<int>> batches;
-    /** Per-batch shard weight: Σ members (1 + root cone gates). */
-    std::vector<std::uint64_t> weights;
 };
 
 /**
  * Per-site replay-cost estimate: 1 + the fanout-cone gate count of
- * the site's injection root (1 for inert sites). The weights
- * planSeqBatches folds per batch, and what multi-process sharding
- * cost-balances contiguous class slices by. Deterministic — a pure
- * function of the netlist and site list.
+ * the site's injection root (1 for inert sites). It feeds only the
+ * cost-balanced --shard slices of the class space; in-process chunks
+ * are equal counts. Deterministic — a pure function of the netlist
+ * and site list.
  */
 std::vector<std::uint64_t>
 seqSiteCosts(const FlatNetlist &flat,
@@ -74,13 +72,10 @@ seqSiteCosts(const FlatNetlist &flat,
  * Pack @p sites into full lane batches of
  * @p batch_words / @p group_words faults each, in topological order
  * of each site's injection root so batch-mates share replay cones.
- * @p costs holds each site's seqSiteCosts() estimate; a batch weighs
- * the sum of its members'. Deterministic: depends only on the netlist
- * and the site order.
+ * Deterministic: depends only on the netlist and the site order.
  */
 SeqBatchPlan planSeqBatches(const FlatNetlist &flat,
                             std::span<const SeqFaultSite> sites,
-                            std::span<const std::uint64_t> costs,
                             int group_words, int batch_words);
 
 class SeqFaultBatchSimulator

@@ -28,6 +28,20 @@ aluOpName(AluOp op)
     return "?";
 }
 
+AluOp
+parseAluOp(const std::string &name)
+{
+    std::string known;
+    for (int i = 0; i < kNumAluOps; ++i) {
+        const auto op = static_cast<AluOp>(i);
+        if (name == aluOpName(op))
+            return op;
+        known += std::string(i ? ", " : "") + aluOpName(op);
+    }
+    throw std::invalid_argument("unknown ALU op '" + name +
+                                "' (known: " + known + ")");
+}
+
 namespace
 {
 

@@ -15,6 +15,7 @@
 #define SCAL_SYSTEM_ALU_HH
 
 #include <cstdint>
+#include <string>
 
 #include "netlist/netlist.hh"
 
@@ -35,6 +36,10 @@ enum class AluOp : std::uint8_t
 
 const char *aluOpName(AluOp op);
 constexpr int kNumAluOps = 8;
+
+/** The op whose aluOpName() is @p name; throws std::invalid_argument
+ *  listing the known names otherwise. */
+AluOp parseAluOp(const std::string &name);
 
 /**
  * Build the self-dual datapath for one operation.

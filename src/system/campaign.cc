@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 
 #include "engine/campaign_engine.hh"
 #include "netlist/io.hh"
@@ -10,6 +11,7 @@
 #include "sim/fault_sim.hh"
 #include "sim/flat.hh"
 #include "system/assembler.hh"
+#include "util/json.hh"
 
 namespace scal::system
 {
@@ -173,6 +175,19 @@ standardWorkloads()
     return wls;
 }
 
+Workload
+findWorkload(const std::string &name)
+{
+    std::string known;
+    for (Workload &wl : standardWorkloads()) {
+        if (wl.name == name)
+            return std::move(wl);
+        known += (known.empty() ? "" : ", ") + wl.name;
+    }
+    throw std::invalid_argument("unknown workload '" + name +
+                                "' (known: " + known + ")");
+}
+
 std::vector<std::uint8_t>
 goldenOutput(const Workload &wl)
 {
@@ -311,69 +326,56 @@ classifyUncheckedFault(const Workload &wl, AluOp op,
     return pf;
 }
 
+/** The ALU datapath whose faults a campaign injects. */
+Netlist
+campaignAlu(AluOp op, bool checked)
+{
+    return checked ? aluNetlist(op) : aluNetlistUnchecked(op);
+}
+
 /**
- * Classify faults[begin, end) with @p fn, one independent CPU
- * instance per fault.
+ * Classify faults[begin, end), one independent CPU instance per fault:
+ * the SCAL CPU when @p checked, else the unprotected one.
  */
-template <typename Fn>
 std::vector<PerFault>
-classifyRange(const std::vector<Fault> &faults, std::size_t begin,
+classifyRange(const Workload &wl, AluOp op, bool checked,
+              const std::vector<std::uint8_t> &golden,
+              const std::vector<Fault> &faults, std::size_t begin,
               std::size_t end, const engine::CancelToken *cancel,
-              engine::ProgressTracker &progress, const Fn &fn)
+              engine::ProgressTracker &progress)
 {
     std::vector<PerFault> out(end - begin);
     for (std::size_t k = begin; k < end; ++k) {
         if (cancel && cancel->stopRequested())
             throw engine::CampaignCancelled();
-        out[k - begin] = fn(faults[k]);
+        out[k - begin] =
+            checked ? classifyScalFault(wl, op, golden, faults[k])
+                    : classifyUncheckedFault(wl, op, golden, faults[k]);
         progress.addFaultsDone(1);
     }
     return out;
 }
 
-/**
- * Classify every fault with @p fn through the campaign engine. The
- * per-chunk results concatenate back in fault-list order, so the
- * reduction downstream sees the same sequence at any jobs count.
- */
-template <typename Fn>
-std::vector<PerFault>
-classifyAllFaults(const std::vector<Fault> &faults,
-                  const SystemCampaignOptions &opts, Fn fn)
+/** One fault is one program run: chunks may hold a single fault. */
+engine::EngineOptions
+engineOptions(const SystemCampaignOptions &opts)
 {
     engine::EngineOptions eopts;
     eopts.jobs = opts.jobs;
     eopts.minGrain = 1;
-    engine::CampaignEngine eng(eopts);
-    eng.beginCampaign(faults.size());
-    const auto chunks = eng.mapChunks<std::vector<PerFault>>(
-        faults.size(), [&](engine::Chunk chunk, std::size_t) {
-            return classifyRange(faults, chunk.begin, chunk.end,
-                                 opts.cancel, eng.progress(), fn);
-        });
-    std::vector<PerFault> per;
-    per.reserve(faults.size());
-    for (const auto &chunk : chunks)
-        per.insert(per.end(), chunk.begin(), chunk.end());
-    return per;
+    return eopts;
 }
 
-} // namespace
-
+/**
+ * The one fold of per-fault verdicts into a result (fault order,
+ * double accumulation), shared by the inline run and the merge, so
+ * both are field-identical. The unprotected CPU never reports
+ * Detected, so its counts need no fold of their own.
+ */
 SystemCampaignResult
-runScalCampaign(const Workload &wl, AluOp op,
-                const SystemCampaignOptions &opts)
+foldResult(const Netlist &alu, const std::vector<Fault> &faults,
+           const std::vector<PerFault> &per)
 {
-    const auto golden = goldenOutput(wl);
-    const Netlist alu = aluNetlist(op);
-    const std::vector<Fault> faults = alu.allFaults();
-
-    const auto classify = [&](const Fault &fault) {
-        return classifyScalFault(wl, op, golden, fault);
-    };
-    const std::vector<PerFault> per =
-        classifyAllFaults(faults, opts, classify);
-
     SystemCampaignResult res;
     double detect_steps = 0;
     for (std::size_t k = 0; k < faults.size(); ++k) {
@@ -398,36 +400,6 @@ runScalCampaign(const Workload &wl, AluOp op,
         res.meanDetectStep = detect_steps / res.detected;
     return res;
 }
-
-SystemCampaignResult
-runUncheckedCampaign(const Workload &wl, AluOp op,
-                     const SystemCampaignOptions &opts)
-{
-    const auto golden = goldenOutput(wl);
-    const Netlist alu = aluNetlistUnchecked(op);
-    const std::vector<Fault> faults = alu.allFaults();
-
-    const auto classify = [&](const Fault &fault) {
-        return classifyUncheckedFault(wl, op, golden, fault);
-    };
-    const std::vector<PerFault> per =
-        classifyAllFaults(faults, opts, classify);
-
-    SystemCampaignResult res;
-    for (std::size_t k = 0; k < faults.size(); ++k) {
-        ++res.total;
-        if (per[k].outcome == SystemOutcome::Masked) {
-            ++res.masked;
-        } else {
-            ++res.silent;
-            res.silentFaults.push_back(faultToString(alu, faults[k]));
-        }
-    }
-    return res;
-}
-
-namespace
-{
 
 /** One fault's record in a "system" snapshot payload, which is a
  *  u8 checked flag, a u64 record count, then the records. */
@@ -474,6 +446,30 @@ decodeSystemPayload(const std::vector<std::uint8_t> &bytes,
 
 } // namespace
 
+SystemCampaignResult
+runSystemCampaign(const Workload &wl, AluOp op, bool checked,
+                  const SystemCampaignOptions &opts)
+{
+    const auto golden = goldenOutput(wl);
+    const Netlist alu = campaignAlu(op, checked);
+    const std::vector<Fault> faults = alu.allFaults();
+
+    // Per-chunk results concatenate back in fault-list order, so the
+    // fold sees the same sequence at any jobs count.
+    engine::CampaignEngine eng(engineOptions(opts));
+    eng.beginCampaign(faults.size());
+    const auto chunks = eng.mapChunks<std::vector<PerFault>>(
+        faults.size(), [&](engine::Chunk c, std::size_t) {
+            return classifyRange(wl, op, checked, golden, faults, c.begin,
+                                 c.end, opts.cancel, eng.progress());
+        });
+    std::vector<PerFault> per;
+    per.reserve(faults.size());
+    for (const auto &chunk : chunks)
+        per.insert(per.end(), chunk.begin(), chunk.end());
+    return foldResult(alu, faults, per);
+}
+
 fault::ShardOutcome
 runSystemCampaignShard(const Workload &wl, AluOp op, bool checked,
                        const SystemCampaignOptions &opts,
@@ -481,8 +477,7 @@ runSystemCampaignShard(const Workload &wl, AluOp op, bool checked,
                        const fault::CheckpointOptions &ckpt)
 {
     const auto golden = goldenOutput(wl);
-    const Netlist alu =
-        checked ? aluNetlist(op) : aluNetlistUnchecked(op);
+    const Netlist alu = campaignAlu(op, checked);
     const std::vector<Fault> faults = alu.allFaults();
     const engine::Chunk slice =
         engine::shardSlice(faults.size(), shard);
@@ -523,26 +518,18 @@ runSystemCampaignShard(const Workload &wl, AluOp op, bool checked,
         numRecords = recIdx.size();
     }
 
-    const auto classify = [&](const Fault &fault) {
-        return checked ? classifyScalFault(wl, op, golden, fault)
-                       : classifyUncheckedFault(wl, op, golden, fault);
-    };
-
-    engine::EngineOptions eopts;
-    eopts.jobs = opts.jobs;
-    eopts.minGrain = 1;
-    engine::CampaignEngine eng(eopts);
+    engine::CampaignEngine eng(engineOptions(opts));
     eng.beginCampaign(out.units);
-    // Unit = one fault: equal weights, one class each.
-    const std::vector<std::uint64_t> ones(out.units, 1);
+    // Unit = one fault, one class.
     fault::runCheckpointedShard(
-        eng, ckpt, opts.cancel, id, ones, ones,
+        eng, ckpt, opts.cancel, id,
+        std::vector<std::uint64_t>(out.units, 1),
         [&](engine::Chunk c) -> std::function<void()> {
             const std::size_t f0 = slice.begin + c.begin;
             return [&, f0,
-                    per = classifyRange(faults, f0, slice.begin + c.end,
-                                        opts.cancel, eng.progress(),
-                                        classify)] {
+                    per = classifyRange(wl, op, checked, golden, faults, f0,
+                                        slice.begin + c.end, opts.cancel,
+                                        eng.progress())] {
                 for (std::size_t i = 0; i < per.size(); ++i)
                     encodeSystemRecord(
                         records, static_cast<std::uint32_t>(f0 + i), per[i]);
@@ -566,8 +553,7 @@ mergeSystemPartials(AluOp op, bool checked,
                     const std::vector<std::vector<std::uint8_t>> &partials,
                     const std::vector<std::string> &names)
 {
-    const Netlist alu =
-        checked ? aluNetlist(op) : aluNetlistUnchecked(op);
+    const Netlist alu = campaignAlu(op, checked);
     const std::vector<Fault> faults = alu.allFaults();
     const engine::PartialSet set = engine::decodePartialSet(
         "system", netlist::contentHash(alu), partials, names);
@@ -590,32 +576,7 @@ mergeSystemPartials(AluOp op, bool checked,
         }
     }
     coverage.requireAll();
-
-    // Identical fold (fault order, double accumulation) to the inline
-    // campaigns, so the merged result is field-identical.
-    SystemCampaignResult res;
-    double detect_steps = 0;
-    for (std::size_t k = 0; k < faults.size(); ++k) {
-        const PerFault &pf = per[k];
-        if (pf.countsDetectStep)
-            detect_steps += static_cast<double>(pf.detectStep);
-        ++res.total;
-        switch (pf.outcome) {
-          case SystemOutcome::Masked:
-            ++res.masked;
-            break;
-          case SystemOutcome::Detected:
-            ++res.detected;
-            break;
-          case SystemOutcome::SilentCorruption:
-            ++res.silent;
-            res.silentFaults.push_back(faultToString(alu, faults[k]));
-            break;
-        }
-    }
-    if (res.detected)
-        res.meanDetectStep = detect_steps / res.detected;
-    return res;
+    return foldResult(alu, faults, per);
 }
 
 std::string
@@ -639,15 +600,9 @@ systemResultJson(const SystemCampaignResult &res)
        << "  \"silent\": " << res.silent << ",\n"
        << "  \"mean_detect_step\": " << res.meanDetectStep << ",\n"
        << "  \"silent_faults\": [";
-    for (std::size_t i = 0; i < res.silentFaults.size(); ++i) {
-        os << (i ? ", " : "") << "\"";
-        for (char c : res.silentFaults[i]) {
-            if (c == '"' || c == '\\')
-                os << '\\';
-            os << c;
-        }
-        os << "\"";
-    }
+    for (std::size_t i = 0; i < res.silentFaults.size(); ++i)
+        os << (i ? ", " : "") << "\""
+           << util::jsonEscape(res.silentFaults[i]) << "\"";
     os << "]\n"
        << "}\n";
     return os.str();

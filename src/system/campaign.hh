@@ -49,8 +49,13 @@ struct Workload
     long maxSteps = 200000;
 };
 
-/** The standard benchmark programs (sum, fib, mul, memcpy, checksum). */
+/** The standard benchmark programs: sum8, fib12, mul5, logicmix,
+ *  copycheck and arraysum. */
 std::vector<Workload> standardWorkloads();
+
+/** The standard workload named @p name; throws std::invalid_argument
+ *  listing the known names otherwise. */
+Workload findWorkload(const std::string &name);
 
 /** Golden output of a workload. */
 std::vector<std::uint8_t> goldenOutput(const Workload &wl);
@@ -83,20 +88,16 @@ std::string canonicalSystemConfig(const std::string &workload, AluOp op,
 std::string systemResultJson(const SystemCampaignResult &res);
 
 /**
- * Inject every stuck-at fault of the SCAL ALU for @p op and classify
- * each via the SCAL CPU's on-line checks against the golden run.
+ * Inject every stuck-at fault of the ALU datapath for @p op and
+ * classify each fault's end-to-end effect against the golden run.
+ * @p checked selects the SCAL CPU, whose on-line checks flag errors,
+ * or the unprotected baseline: a CPU with the conventional gate-level
+ * datapath and no checking at all (single-period evaluation, no
+ * parity, no alternation), whose faults are only masked or silent.
  */
-SystemCampaignResult runScalCampaign(const Workload &wl, AluOp op,
-                                     const SystemCampaignOptions &opts = {});
-
-/**
- * The unprotected baseline: same faults applied to a CPU that uses
- * the same gate-level datapath but no checking at all (single-period
- * evaluation, no parity, no alternation).
- */
-SystemCampaignResult runUncheckedCampaign(
-    const Workload &wl, AluOp op,
-    const SystemCampaignOptions &opts = {});
+SystemCampaignResult runSystemCampaign(const Workload &wl, AluOp op,
+                                       bool checked,
+                                       const SystemCampaignOptions &opts = {});
 
 /**
  * Run shard @p shard of a system campaign (@p checked selects the

@@ -400,10 +400,7 @@ kindCases()
             seq.net, fault::mergeSeqCampaignPartials(seq.net, {p}));
     };
 
-    system::Workload mul5;
-    for (const system::Workload &w : system::standardWorkloads())
-        if (w.name == "mul5")
-            mul5 = w;
+    const system::Workload mul5 = system::findWorkload("mul5");
     const auto systemRun = [mul5](int jobs,
                                   const engine::CancelToken *cancel,
                                   const fault::CheckpointOptions &c) {
@@ -693,13 +690,8 @@ resumeCases()
                                                  opts, shard, c);
     };
 
-    system::Workload mul5, fib;
-    for (const system::Workload &w : system::standardWorkloads()) {
-        if (w.name == "mul5")
-            mul5 = w;
-        if (w.name == "fib")
-            fib = w;
-    }
+    const system::Workload mul5 = system::findWorkload("mul5");
+    const system::Workload fib = system::findWorkload("fib12");
     // Another workload on the same ALU is another config; the
     // unchecked CPU's ALU is another netlist.
     const auto systemRun = [mul5, fib](int variant,

@@ -242,11 +242,10 @@ TEST(CampaignEngine, OneWorkerRunsOneChunkOnCallingThread)
     EXPECT_EQ(seen[0], (engine::Chunk{0, 257}));
     EXPECT_EQ(indices, std::vector<std::size_t>{0});
 
-    // The weighted form is the same single [0, n) chunk.
-    const auto weighted = eng.mapWeightedChunks<engine::Chunk>(
-        {5, 1, 9, 2}, [](engine::Chunk c, std::size_t) { return c; });
-    ASSERT_EQ(weighted.size(), 1u);
-    EXPECT_EQ(weighted[0], (engine::Chunk{0, 4}));
+    // The plan mapChunks and every shard runner use is that same
+    // single [0, n) chunk.
+    EXPECT_EQ(eng.chunks(257), (std::vector<engine::Chunk>{{0, 257}}));
+    EXPECT_TRUE(eng.chunks(0).empty());
 
     // An empty index space runs nothing.
     EXPECT_TRUE(eng.mapChunks<int>(0, [](engine::Chunk, std::size_t) {

@@ -73,6 +73,15 @@ checkAcrossJobs(const Netlist &net, const char *label,
         const auto parallel = fault::runAlternatingCampaign(net, opts);
         expectBitIdentical(serial, parallel, net, label);
         EXPECT_EQ(parallel.stats.jobs, jobs);
+        // The route counts are properties of the plan, not of the
+        // chunks (fp.batches follows the chunk plan and is left out).
+        EXPECT_EQ(parallel.fp.classes, serial.fp.classes) << label;
+        EXPECT_EQ(parallel.fp.prunedClasses, serial.fp.prunedClasses)
+            << label;
+        EXPECT_EQ(parallel.fp.flipClasses, serial.fp.flipClasses) << label;
+        EXPECT_EQ(parallel.fp.cptClasses, serial.fp.cptClasses) << label;
+        EXPECT_EQ(parallel.fp.tapClasses, serial.fp.tapClasses) << label;
+        EXPECT_EQ(parallel.fp.simClasses, serial.fp.simClasses) << label;
         // Every jobs count simulates collapsed classes only.
         EXPECT_LE(parallel.stats.simulatedFaults,
                   parallel.stats.totalFaults);
@@ -147,20 +156,16 @@ TEST(EngineDeterminism, MultiFaultCountsMatchAcrossJobs)
 TEST(EngineDeterminism, SystemCampaignMatchesAcrossJobs)
 {
     // Shortest standard workload (mul5) against its own datapath.
-    system::Workload wl;
-    for (const auto &w : system::standardWorkloads())
-        if (w.name == "mul5")
-            wl = w;
-    ASSERT_FALSE(wl.name.empty());
+    const system::Workload wl = system::findWorkload("mul5");
 
     system::SystemCampaignOptions serial_opts;
     serial_opts.jobs = 1;
-    const auto serial =
-        runScalCampaign(wl, system::AluOp::Shl, serial_opts);
+    const auto serial = runSystemCampaign(wl, system::AluOp::Shl,
+                                          /*checked=*/true, serial_opts);
     system::SystemCampaignOptions par_opts;
     par_opts.jobs = 4;
-    const auto parallel =
-        runScalCampaign(wl, system::AluOp::Shl, par_opts);
+    const auto parallel = runSystemCampaign(wl, system::AluOp::Shl,
+                                            /*checked=*/true, par_opts);
 
     EXPECT_EQ(parallel.total, serial.total);
     EXPECT_EQ(parallel.masked, serial.masked);

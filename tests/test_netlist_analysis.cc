@@ -20,6 +20,7 @@
 #include "netlist/dot.hh"
 #include "netlist/io.hh"
 #include "netlist/structure.hh"
+#include "server/jsonl.hh"
 
 namespace scal
 {
@@ -262,6 +263,13 @@ TEST(Report, JsonEncoderCarriesTheSharedSchema)
     const std::string weird = analysis::statsJson(
         analysis::computeStats(net), "a\"b\\c", "scal");
     EXPECT_NE(weird.find("a\\\"b\\\\c"), std::string::npos);
+
+    // So must control bytes, which JSON forbids raw in a string.
+    const std::string ctrl = analysis::statsJson(
+        analysis::computeStats(net), "a\001b\tc", "scal");
+    EXPECT_NE(ctrl.find("a\\u0001b\\tc"), std::string::npos);
+    EXPECT_EQ(server::jsonl::parse(ctrl).find("name")->asString(),
+              "a\001b\tc");
 }
 
 TEST(Report, FindNetResolvesGatesInputsAndOutputs)
@@ -299,6 +307,21 @@ TEST(HardenDiff, MeasuresMuxesAndDualCone)
     const std::string json = diff.toJson();
     EXPECT_NE(json.find("\"mux_count\": 2"), std::string::npos);
     EXPECT_NE(json.find("\"dual_cone_share\""), std::string::npos);
+
+    // Output names come from files: one holding a quote still gives
+    // JSON that parses back to that name.
+    Netlist quoted;
+    const GateId qa = quoted.addInput("a");
+    const GateId qb = quoted.addInput("b");
+    quoted.addOutput(quoted.addAnd({qa, qb}, "g"), "q\"x");
+    const ingest::HardenedCircuit qhard = ingest::hardenNetlist(quoted);
+    const server::jsonl::Value parsed = server::jsonl::parse(
+        analysis::diffHardened(quoted, qhard.net, qhard.phiInput)
+            .toJson());
+    const server::jsonl::Array &depths =
+        parsed.find("output_depths")->asArray();
+    ASSERT_EQ(depths.size(), 1u);
+    EXPECT_EQ(depths[0].find("name")->asString(), "q\"x");
 
     // An unhardened net has no muxes and no dual cone.
     const analysis::HardenDiff none =

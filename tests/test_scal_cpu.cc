@@ -65,7 +65,8 @@ TEST(ScalCpu, CampaignHasNoSilentCorruption)
     // fault in the ADD datapath, the SCAL CPU never emits a wrong
     // output without first flagging an error.
     const Workload wl = standardWorkloads()[1]; // fib12
-    const SystemCampaignResult res = runScalCampaign(wl, AluOp::Add);
+    const SystemCampaignResult res =
+        runSystemCampaign(wl, AluOp::Add, /*checked=*/true);
     EXPECT_EQ(res.silent, 0)
         << (res.silentFaults.empty() ? std::string()
                                      : res.silentFaults[0]);
@@ -77,7 +78,7 @@ TEST(ScalCpu, CampaignCoversEveryWorkloadOnOneOp)
 {
     for (const Workload &wl : standardWorkloads()) {
         const SystemCampaignResult res =
-            runScalCampaign(wl, AluOp::PassB);
+            runSystemCampaign(wl, AluOp::PassB, /*checked=*/true);
         EXPECT_EQ(res.silent, 0) << wl.name;
     }
 }
@@ -86,7 +87,7 @@ TEST(ScalCpu, UncheckedBaselineSuffersSilentCorruption)
 {
     const Workload wl = standardWorkloads()[1];
     const SystemCampaignResult res =
-        runUncheckedCampaign(wl, AluOp::Add);
+        runSystemCampaign(wl, AluOp::Add, /*checked=*/false);
     EXPECT_EQ(res.detected, 0); // it has no checker at all
     EXPECT_GT(res.silent, 0);
     EXPECT_GT(res.silent, res.masked);
@@ -97,7 +98,8 @@ TEST(ScalCpu, DetectionIsPrompt)
     // Errors are caught within the very instruction that first
     // touches the faulty hardware: mean detect step is small.
     const Workload wl = standardWorkloads()[1];
-    const SystemCampaignResult res = runScalCampaign(wl, AluOp::Add);
+    const SystemCampaignResult res =
+        runSystemCampaign(wl, AluOp::Add, /*checked=*/true);
     EXPECT_GT(res.meanDetectStep, 0);
     EXPECT_LT(res.meanDetectStep, 200);
 }
@@ -106,7 +108,8 @@ TEST(ScalCpu, PointerWorkloadCampaignSilentFree)
 {
     const Workload wl = standardWorkloads().back(); // arraysum
     ASSERT_EQ(wl.name, "arraysum");
-    const SystemCampaignResult res = runScalCampaign(wl, AluOp::Add);
+    const SystemCampaignResult res =
+        runSystemCampaign(wl, AluOp::Add, /*checked=*/true);
     EXPECT_EQ(res.silent, 0);
     EXPECT_GT(res.detected, 0);
 }

@@ -391,37 +391,50 @@ TEST(SeqCampaign, TransientWindowMatchesScalarOracle)
 
 TEST(SeqCampaign, BitIdenticalAcrossJobs)
 {
-    for (auto &c : campaignCases()) {
-        SCOPED_TRACE(c.name);
-        fault::SeqCampaignOptions opts;
-        opts.symbols = 32;
-        opts.lanes = 64;
-        opts.seed = 3;
+    // 64 lanes take the lane-batched route, 512 the per-fault route.
+    // Verdicts and the work counters must not depend on the chunk
+    // plan, which changes with the jobs count.
+    for (const int lanes : {64, 512}) {
+        for (auto &c : campaignCases()) {
+            SCOPED_TRACE(c.name + " lanes=" + std::to_string(lanes));
+            fault::SeqCampaignOptions opts;
+            opts.symbols = 32;
+            opts.lanes = lanes;
+            opts.seed = 3;
 
-        std::vector<fault::SeqCampaignResult> results;
-        for (int jobs : {1, 2, 8}) {
-            opts.jobs = jobs;
-            results.push_back(
-                fault::runSequentialCampaign(c.net, c.spec, opts));
-        }
-        const auto &ref = results[0];
-        for (std::size_t r = 1; r < results.size(); ++r) {
-            const auto &res = results[r];
-            ASSERT_EQ(res.faults.size(), ref.faults.size());
-            for (std::size_t k = 0; k < ref.faults.size(); ++k) {
-                ASSERT_EQ(res.faults[k].fault, ref.faults[k].fault);
-                ASSERT_EQ(res.faults[k].outcome, ref.faults[k].outcome);
-                ASSERT_EQ(res.faults[k].firstAlarmPeriod,
-                          ref.faults[k].firstAlarmPeriod);
-                ASSERT_EQ(res.faults[k].firstEscapePeriod,
-                          ref.faults[k].firstEscapePeriod);
+            std::vector<fault::SeqCampaignResult> results;
+            for (int jobs : {1, 2, 8}) {
+                opts.jobs = jobs;
+                results.push_back(
+                    fault::runSequentialCampaign(c.net, c.spec, opts));
             }
-            EXPECT_EQ(res.numDetected, ref.numDetected);
-            EXPECT_EQ(res.numUnsafe, ref.numUnsafe);
-            EXPECT_EQ(res.numUntestable, ref.numUntestable);
-            EXPECT_EQ(res.latencyHistogram, ref.latencyHistogram);
-            EXPECT_EQ(res.alarmLaneCount, ref.alarmLaneCount);
-            EXPECT_EQ(res.meanAlarmPeriod, ref.meanAlarmPeriod);
+            const auto &ref = results[0];
+            EXPECT_EQ(ref.faultBatch, lanes == 64);
+            for (std::size_t r = 1; r < results.size(); ++r) {
+                const auto &res = results[r];
+                EXPECT_EQ(res.periodsSimulated, ref.periodsSimulated);
+                EXPECT_EQ(res.periodsSkipped, ref.periodsSkipped);
+                EXPECT_EQ(res.retiredEarly, ref.retiredEarly);
+                EXPECT_EQ(res.batches, ref.batches);
+                EXPECT_EQ(res.batchedClasses, ref.batchedClasses);
+                EXPECT_EQ(res.classes, ref.classes);
+                EXPECT_EQ(res.prunedClasses, ref.prunedClasses);
+                ASSERT_EQ(res.faults.size(), ref.faults.size());
+                for (std::size_t k = 0; k < ref.faults.size(); ++k) {
+                    ASSERT_EQ(res.faults[k].fault, ref.faults[k].fault);
+                    ASSERT_EQ(res.faults[k].outcome, ref.faults[k].outcome);
+                    ASSERT_EQ(res.faults[k].firstAlarmPeriod,
+                              ref.faults[k].firstAlarmPeriod);
+                    ASSERT_EQ(res.faults[k].firstEscapePeriod,
+                              ref.faults[k].firstEscapePeriod);
+                }
+                EXPECT_EQ(res.numDetected, ref.numDetected);
+                EXPECT_EQ(res.numUnsafe, ref.numUnsafe);
+                EXPECT_EQ(res.numUntestable, ref.numUntestable);
+                EXPECT_EQ(res.latencyHistogram, ref.latencyHistogram);
+                EXPECT_EQ(res.alarmLaneCount, ref.alarmLaneCount);
+                EXPECT_EQ(res.meanAlarmPeriod, ref.meanAlarmPeriod);
+            }
         }
     }
 }

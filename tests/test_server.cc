@@ -40,6 +40,7 @@
 #include "server/scheduler.hh"
 #include "server/server.hh"
 #include "sim/simd.hh"
+#include "system/campaign.hh"
 
 namespace scal
 {
@@ -785,6 +786,46 @@ TEST_F(ServerTest, SeqWindowOutsideTheStreamFails)
     EXPECT_EQ(res.find("error")->asString(),
               "fault window 40:50 does not overlap the 32-period stream "
               "0:32");
+}
+
+TEST_F(ServerTest, SystemSubmitRunsItsDefaults)
+{
+    // No config at all: the sum8 workload, the ADD datapath, the SCAL
+    // CPU — the same verdict as the inline campaign.
+    Client client(path_);
+    const jsonl::Value res = client.submitAndWait(jsonl::Value(
+        jsonl::Object{{"op", jsonl::Value("submit")},
+                      {"kind", jsonl::Value("system")}}));
+    EXPECT_EQ(res.find("state")->asString(), "done");
+    system::SystemCampaignOptions opts;
+    opts.jobs = 1;
+    EXPECT_EQ(res.find("verdict")->asString(),
+              system::systemResultJson(system::runSystemCampaign(
+                  system::findWorkload("sum8"), system::AluOp::Add,
+                  /*checked=*/true, opts)));
+}
+
+TEST_F(ServerTest, SystemSubmitRefusesUnknownWorkloadAndOp)
+{
+    // The refusal names what would have been accepted.
+    Client client(path_);
+    const auto submit = [&](const char *key, const char *value) {
+        return client.request(jsonl::Value(jsonl::Object{
+            {"op", jsonl::Value("submit")},
+            {"kind", jsonl::Value("system")},
+            {"config",
+             jsonl::Value(jsonl::Object{{key, jsonl::Value(value)}})}}));
+    };
+    const jsonl::Value wl = submit("workload", "sum");
+    EXPECT_FALSE(wl.find("ok")->asBool());
+    EXPECT_EQ(wl.find("error")->asString(),
+              "unknown workload 'sum' (known: sum8, fib12, mul5, "
+              "logicmix, copycheck, arraysum)");
+    const jsonl::Value op = submit("alu_op", "add");
+    EXPECT_FALSE(op.find("ok")->asBool());
+    EXPECT_EQ(op.find("error")->asString(),
+              "unknown ALU op 'add' (known: ADD, SUB, AND, OR, XOR, SHL, "
+              "SHR, PASSB)");
 }
 
 TEST_F(ServerTest, SeqBatchKnobTogglesHitTheSameCacheEntry)

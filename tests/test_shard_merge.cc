@@ -333,7 +333,7 @@ TEST(ShardMerge, SystemCampaignShardsMerge)
     system::SystemCampaignOptions opts;
     opts.jobs = 2;
     const system::SystemCampaignResult ref =
-        system::runScalCampaign(wl, op, opts);
+        system::runSystemCampaign(wl, op, /*checked=*/true, opts);
     const std::string want = system::systemResultJson(ref);
 
     std::vector<std::vector<std::uint8_t>> partials;

@@ -1053,19 +1053,10 @@ cmdMerge(const CommonArgs &common)
                 from, hdr.configKey.find(';', from) - from);
         };
         const std::string opName = field("op");
-        int op = -1;
-        for (int i = 0; i < scal::system::kNumAluOps; ++i)
-            if (opName ==
-                scal::system::aluOpName(
-                    static_cast<scal::system::AluOp>(i)))
-                op = i;
-        if (op < 0)
-            throw std::runtime_error("merge: unknown ALU op '" +
-                                     opName + "' in " + files.front());
         const bool checked = field("checked") == "1";
         const scal::system::SystemCampaignResult res =
             scal::system::mergeSystemPartials(
-                static_cast<scal::system::AluOp>(op), checked, partials,
+                scal::system::parseAluOp(opName), checked, partials,
                 files);
         if (json || verdictOnly) {
             std::cout << scal::system::systemResultJson(res);
