@@ -15,10 +15,10 @@
  * chunks() is the one in-process plan: equal item counts, four chunks
  * per worker. Items may differ in cost (fault groups, lane batches);
  * the pool's shared queue over the oversubscribed chunks balances
- * them, and cost-weighted chunks measured no better except where the
- * grain leaves fewer chunks than workers (EXPERIMENTS.md E29). Cost
- * estimates only cut --shard process slices (engine/shard.hh), which
- * share no queue.
+ * them. Cost-weighted chunks measured no better (EXPERIMENTS.md E29),
+ * nor did a one-item grain where the default one leaves fewer chunks
+ * than workers (E30). Cost estimates only cut --shard process slices
+ * (engine/shard.hh), which share no queue.
  * streamChunks() is the one dispatch loop: the caller commits a
  * finished prefix of chunks while the workers run the rest.
  *

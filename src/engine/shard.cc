@@ -28,8 +28,9 @@ parseShardSpec(const std::string &text)
     const long n = std::strtol(nstart, &end, 10);
     if (*end != '\0')
         throw std::invalid_argument("bad shard count in '" + text + "'");
-    if (n < 1 || n > 4096)
-        throw std::invalid_argument("shard count must be 1..4096, got '" +
+    if (n < 1 || n > kMaxShards)
+        throw std::invalid_argument("shard count must be 1.." +
+                                    std::to_string(kMaxShards) + ", got '" +
                                     text + "'");
     if (k < 1 || k > n)
         throw std::invalid_argument("shard index must be 1..N in '" +

@@ -19,6 +19,11 @@
 namespace scal::engine
 {
 
+/** The most shards one campaign may be split into, on the CLI and in
+ *  the daemon's `shards` key: a multi-process run forks one worker per
+ *  shard at once. */
+inline constexpr int kMaxShards = 4096;
+
 /**
  * One shard of an N-way campaign split. The user-facing syntax is
  * "K/N" with K in 1..N; internally the index is zero-based. The
@@ -40,8 +45,8 @@ struct ShardSpec
 };
 
 /**
- * Parse "K/N" (1 <= K <= N, N <= 4096). Throws std::invalid_argument
- * with the offending text on anything else.
+ * Parse "K/N" (1 <= K <= N, N <= kMaxShards). Throws
+ * std::invalid_argument with the offending text on anything else.
  */
 ShardSpec parseShardSpec(const std::string &text);
 

@@ -111,7 +111,7 @@ std::string
 seqCampaignTailJson(const SeqCampaignResult &res)
 {
     // Like the combinational tail: the kernel build is host-dependent
-    // and the batch and class counts move with the route and the
+    // and the batch and class counts move with the lane width and the
     // collapse knobs, so none of it may enter the deterministic
     // verdict block.
     std::ostringstream os;
@@ -120,9 +120,8 @@ seqCampaignTailJson(const SeqCampaignResult &res)
        << "  \"periods_skipped\": " << res.periodsSkipped << ",\n"
        << "  \"pruned_classes\": " << res.prunedClasses << ",\n"
        << "  \"pruned_faults\": " << res.prunedFaults << ",\n"
-       << "  \"seq_fault_parallel\": {\"enabled\": "
-       << (res.faultBatch ? "true" : "false")
-       << ", \"total_faults\": " << res.faults.size()
+       << "  \"seq_fault_parallel\": {\"total_faults\": "
+       << res.faults.size()
        << ", \"classes\": " << res.classes
        << ", \"pruned_classes\": " << res.prunedClasses
        << ", \"pruned_faults\": " << res.prunedFaults

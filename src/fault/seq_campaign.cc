@@ -13,7 +13,6 @@
 #include "netlist/structure.hh"
 #include "sim/flat.hh"
 #include "sim/seq_batch_sim.hh"
-#include "sim/seq_fault_sim.hh"
 #include "util/rng.hh"
 
 namespace scal::fault
@@ -37,44 +36,29 @@ struct ResolvedSpec
     std::array<std::uint64_t, sim::kMaxLaneWords> laneMask{};
 };
 
-/** Per-representative verdict payload, merged deterministically. The
- *  per-lane first-alarm times are pre-bucketed here rather than
- *  carried as a lanes-long vector: at 512 lanes the flat vector is
- *  the dominant per-fault bookkeeping cost and the campaign result
- *  only ever consumes the aggregate. */
-struct RepVerdict
+SeqClassVerdict
+classVerdict(const SeqVerdictAccumulator &acc, int lanes)
 {
-    Outcome outcome = Outcome::Untestable;
-    long firstAlarm = -1;
-    long firstEscape = -1;
-    std::array<std::uint64_t, kLatencyBuckets> latHist{};
-    std::uint64_t alarmLanes = 0;
-    std::uint64_t latSum = 0;
-};
-
-RepVerdict
-repVerdict(const SeqVerdictAccumulator &acc, int lanes)
-{
-    RepVerdict rv;
-    rv.outcome = acc.outcome();
-    rv.firstAlarm = acc.firstAlarmPeriod();
-    rv.firstEscape = acc.firstEscapePeriod();
+    SeqClassVerdict v;
+    v.outcome = acc.outcome();
+    v.firstAlarm = acc.firstAlarmPeriod();
+    v.firstEscape = acc.firstEscapePeriod();
     for (int l = 0; l < lanes; ++l) {
         const long p = acc.laneFirstAlarm(l);
         if (p >= 0) {
-            ++rv.latHist[static_cast<std::size_t>(latencyBucket(p))];
-            ++rv.alarmLanes;
-            rv.latSum += static_cast<std::uint64_t>(p);
+            ++v.latHist[static_cast<std::size_t>(latencyBucket(p))];
+            ++v.alarmLanes;
+            v.latSum += static_cast<std::uint64_t>(p);
         }
     }
-    return rv;
+    return v;
 }
 
 /** One chunk's class verdicts, in classification order, plus its
  *  work counters. */
 struct ChunkOut
 {
-    std::vector<std::pair<std::size_t, RepVerdict>> verdicts;
+    std::vector<std::pair<std::size_t, SeqClassVerdict>> verdicts;
     long periodsSimulated = 0;
     long periodsSkipped = 0;
     long retiredEarly = 0;
@@ -192,15 +176,11 @@ seqCollapseOptions(const SeqCampaignOptions &opts)
  * Everything here is immutable and shared read-only by the workers.
  * Not copyable: the trace points into flat.
  *
- * The lane width picks the route. Up to 256 lanes a fault's lane
- * group (Wg words) leaves groups free in the widest kernel block, so
- * batched() replays several faults per pass (sim/seq_batch_sim);
- * above 256 lanes one fault fills the block and each class replays
- * on its own (sim/seq_fault_sim). The trace is kMaxLaneWords wide
- * with the stream replicated into every Wg-word group: group f of
- * every row is bit-identical to a Wg-wide trace (the sim/wide.hh
- * per-word layout guarantee), and above 256 lanes the one group is
- * the stream itself.
+ * The trace is kMaxLaneWords wide with the stream replicated into
+ * every Wg-word lane group, one group per fault of a lane batch:
+ * group f of every row is bit-identical to a Wg-wide trace (the
+ * sim/wide.hh per-word layout guarantee), and above 256 lanes the one
+ * group is the stream itself.
  */
 struct SeqSetup
 {
@@ -225,10 +205,7 @@ struct SeqSetup
     SeqSetup(const SeqSetup &) = delete;
     SeqSetup &operator=(const SeqSetup &) = delete;
 
-    bool batched() const { return rs.laneWords < sim::kMaxLaneWords; }
-
-    /** The kernel build of one Wg-wide replay: tail data, the same on
-     *  either route. */
+    /** The kernel build of one Wg-wide replay: tail data. */
     sim::SimdTarget
     groupSimd() const
     {
@@ -261,7 +238,7 @@ struct SeqSetup
   private:
     /**
      * Symbol s drives X in period 2s and X̄ (held inputs and φ
-     * unchanged) in period 2s + 1. The classifiers skip symbols a
+     * unchanged) in period 2s + 1. The classifier skips symbols a
      * fault never touches, which needs a fault-free machine that is
      * alarm-free on every symbol: checked here, in every lane.
      */
@@ -310,103 +287,13 @@ struct SeqSetup
 };
 
 /**
- * Classify classes [begin, end) one replay each. Each call owns its
- * SeqFaultSimulator; everything it reads is immutable, so a fault's
- * verdict cannot depend on which chunk simulated it. The packed
- * kernel only reports periods whose outputs differ from the trace;
- * undelivered halves of a symbol are read from the trace
- * (bit-identical by the kernel's contract), and symbols with no
- * delivery at all contribute nothing — valid because the fault-free
- * machine is alarm-free (checked by SeqSetup) and trivially has no
- * wrong data words.
- */
-ChunkOut
-classifySeqChunk(const SeqSetup &s, std::size_t begin, std::size_t end,
-                 engine::ProgressTracker &progress)
-{
-    const SeqCampaignOptions &opts = s.opts;
-    const ResolvedSpec &rs = s.rs;
-    const sim::SeqGoodTrace &trace = s.trace;
-    sim::SeqFaultSimulator fsim(trace);
-    const int W = rs.laneWords;
-    const std::size_t row =
-        static_cast<std::size_t>(trace.flat().numOutputs()) * W;
-    std::vector<std::uint64_t> buf0(row);
-    const sim::detail::WideKernels &kernels = trace.kernels();
-    const int npairs = static_cast<int>(rs.codePairs.size()) / 2;
-
-    ChunkOut out;
-    out.verdicts.reserve(end - begin);
-    for (std::size_t k = begin; k < end; ++k) {
-        if (opts.cancel && opts.cancel->stopRequested())
-            throw engine::CampaignCancelled();
-        // Dominance-pruned class: the faulty machine is
-        // trace-identical to the fault-free one (stuck value equals a
-        // structural constant, or the line reaches no output), so the
-        // default verdict — Untestable, no alarms — is exact.
-        if (!s.col.pruned.empty() && s.col.pruned[k]) {
-            out.verdicts.emplace_back(k, RepVerdict{});
-            continue;
-        }
-        SeqVerdictAccumulator acc(rs.laneMask.data(), W,
-                                  opts.dropDetected);
-        long pending = -1;
-        bool have0 = false;
-
-        // The phase-1 row can be folded straight from the sink's
-        // buffer (the symbol completes inside the callback); only a
-        // phase-0 row has to be stashed until its partner arrives.
-        auto flush = [&](long sym, const std::uint64_t *p1row) -> bool {
-            const std::uint64_t *p0 =
-                have0 ? buf0.data() : trace.outputs(2 * sym);
-            const std::uint64_t *p1 =
-                p1row ? p1row : trace.outputs(2 * sym + 1);
-            std::uint64_t alarm[sim::kMaxLaneWords];
-            std::uint64_t wrong[sim::kMaxLaneWords];
-            kernels.seqAlarmWrong(
-                p0, p1, trace.outputs(2 * sym), rs.altOutputs.data(),
-                static_cast<int>(rs.altOutputs.size()),
-                rs.codePairs.data(), npairs, rs.dataOutputs.data(),
-                static_cast<int>(rs.dataOutputs.size()), alarm, wrong);
-            have0 = false;
-            pending = -1;
-            return acc.addSymbol(sym, alarm, wrong);
-        };
-
-        fsim.runFault(
-            s.col.representatives[k],
-            [&](long t, std::uint64_t, const std::uint64_t *outs) {
-                const long sym = t / 2;
-                if (pending >= 0 && pending != sym &&
-                    !flush(pending, nullptr))
-                    return false;
-                pending = sym;
-                if (t & 1)
-                    return flush(sym, outs);
-                std::copy(outs, outs + row, buf0.begin());
-                have0 = true;
-                return true;
-            },
-            opts.faultStart, opts.faultEnd);
-        if (pending >= 0)
-            flush(pending, nullptr); // trailing phase-0-only divergence
-
-        out.verdicts.emplace_back(k, repVerdict(acc, opts.lanes));
-        out.periodsSimulated += fsim.periodsSimulated();
-        out.periodsSkipped += fsim.periodsSkipped();
-        progress.addPatterns(
-            static_cast<std::uint64_t>(fsim.periodsSimulated()));
-        if (out.verdicts.back().second.outcome == Outcome::Unsafe)
-            progress.addUnsafe(1);
-    }
-    progress.addFaultsDone(end - begin);
-    return out;
-}
-
-/**
- * Replay the batches [begin, end) of @p plan. Mirrors
- * classifySeqChunk: each call owns its simulator, reads only immutable
- * shared state, and folds through the same accumulator.
+ * Replay the batches [begin, end) of @p plan and fold each member's
+ * verdict. Each call owns its simulator and reads only immutable
+ * shared state, so a fault's verdict cannot depend on which chunk
+ * replayed it or who shared its batch. The kernel folds only the
+ * symbols a batch member touches; the rest contribute nothing, which
+ * is exact because the fault-free machine is alarm-free (checked by
+ * SeqSetup) and has no wrong data words.
  */
 ChunkOut
 classifySeqBatchChunk(const SeqSetup &s, const sim::SeqBatchPlan &plan,
@@ -459,13 +346,13 @@ classifySeqBatchChunk(const SeqSetup &s, const sim::SeqBatchPlan &plan,
                 bs[static_cast<std::size_t>(i)].kind !=
                     sim::SeqFaultSite::Kind::Inert)
                 ++out.retiredEarly;
-            RepVerdict rv =
-                repVerdict(accs[static_cast<std::size_t>(i)], opts.lanes);
-            if (rv.outcome == Outcome::Unsafe)
+            SeqClassVerdict v =
+                classVerdict(accs[static_cast<std::size_t>(i)], opts.lanes);
+            if (v.outcome == Outcome::Unsafe)
                 progress.addUnsafe(1);
             out.verdicts.emplace_back(
                 s.siteRep[static_cast<std::size_t>(members[i])],
-                std::move(rv));
+                std::move(v));
         }
         progress.addPatterns(
             static_cast<std::uint64_t>(bsim.periodsSimulated()));
@@ -514,82 +401,80 @@ resolveSeqLanes(const SeqCampaignOptions &opts)
                : opts.lanes;
 }
 
-SeqCampaignResult
-runSequentialCampaign(const Netlist &net, const SeqCampaignSpec &spec,
-                      const SeqCampaignOptions &opts)
+void
+foldSeqVerdicts(const std::vector<Fault> &faults,
+                const std::vector<SeqClassVerdict> &verdicts,
+                SeqCampaignResult &result)
 {
-    const SeqSetup s(net, spec, opts);
-    const std::size_t numClasses = s.col.representatives.size();
-
-    const std::vector<Fault> faults = net.allFaults();
-    SeqCampaignResult result;
     result.faults.resize(faults.size());
-    for (std::size_t k = 0; k < faults.size(); ++k)
-        result.faults[k].fault = faults[k];
-    result.symbols = opts.symbols;
-    result.lanes = s.opts.lanes;
-    result.simd = s.groupSimd();
-    result.prunedClasses = s.col.prunedClasses;
-    result.prunedFaults = s.col.prunedFaults;
-    result.faultBatch = s.batched();
-    result.classes = static_cast<int>(numClasses);
-
-    engine::CampaignEngine eng(engineOptions(opts));
-    eng.beginCampaign(numClasses);
-
-    // Both routes chunk by count: the plan's batches when batched,
-    // the representatives per fault.
-    std::vector<ChunkOut> chunkOuts;
-    if (s.batched()) {
-        const sim::SeqBatchPlan plan = s.planBatches(0, s.sites.size());
-        result.batchedClasses = static_cast<int>(s.sites.size());
-        result.batches = static_cast<int>(plan.batches.size());
-        chunkOuts = eng.mapChunks<ChunkOut>(
-            plan.batches.size(), [&](engine::Chunk c, std::size_t) {
-                return classifySeqBatchChunk(s, plan, c.begin, c.end,
-                                             eng.progress());
-            });
-    } else {
-        chunkOuts = eng.mapChunks<ChunkOut>(
-            numClasses, [&](engine::Chunk c, std::size_t) {
-                return classifySeqChunk(s, c.begin, c.end, eng.progress());
-            });
-    }
-
-    // Classes no chunk reports (pruned, on the batched route) keep the
-    // default verdict: Untestable, no alarms.
-    std::vector<RepVerdict> repVerdicts(numClasses);
-    for (const ChunkOut &o : chunkOuts) {
-        for (const auto &[rep, rv] : o.verdicts)
-            repVerdicts[rep] = rv;
-        result.periodsSimulated += o.periodsSimulated;
-        result.periodsSkipped += o.periodsSkipped;
-        result.retiredEarly += o.retiredEarly;
-    }
-
-    // Expand class verdicts over allFaults() order.
     std::uint64_t lat_sum = 0;
     for (std::size_t k = 0; k < faults.size(); ++k) {
-        const RepVerdict &rv =
-            repVerdicts[static_cast<std::size_t>(s.col.classOf[k])];
-        result.faults[k].outcome = rv.outcome;
-        result.faults[k].firstAlarmPeriod = rv.firstAlarm;
-        result.faults[k].firstEscapePeriod = rv.firstEscape;
-        switch (rv.outcome) {
+        const SeqClassVerdict &v = verdicts[k];
+        result.faults[k] = {faults[k], v.outcome, v.firstAlarm,
+                            v.firstEscape};
+        switch (v.outcome) {
           case Outcome::Untestable: ++result.numUntestable; break;
           case Outcome::Detected:   ++result.numDetected; break;
           case Outcome::Unsafe:     ++result.numUnsafe; break;
         }
         for (int b = 0; b < kLatencyBuckets; ++b)
             result.latencyHistogram[static_cast<std::size_t>(b)] +=
-                rv.latHist[static_cast<std::size_t>(b)];
-        result.alarmLaneCount += rv.alarmLanes;
-        lat_sum += rv.latSum;
+                v.latHist[static_cast<std::size_t>(b)];
+        result.alarmLaneCount += v.alarmLanes;
+        lat_sum += v.latSum;
     }
     if (result.alarmLaneCount)
         result.meanAlarmPeriod =
             static_cast<double>(lat_sum) /
             static_cast<double>(result.alarmLaneCount);
+}
+
+SeqCampaignResult
+runSequentialCampaign(const Netlist &net, const SeqCampaignSpec &spec,
+                      const SeqCampaignOptions &opts)
+{
+    const SeqSetup s(net, spec, opts);
+    const std::size_t numClasses = s.col.representatives.size();
+    const sim::SeqBatchPlan plan = s.planBatches(0, s.sites.size());
+
+    engine::CampaignEngine eng(engineOptions(opts));
+    eng.beginCampaign(numClasses);
+    // Pruned classes never enter the plan: their verdict is final now.
+    eng.progress().addFaultsDone(numClasses - s.sites.size());
+    const std::vector<ChunkOut> chunkOuts = eng.mapChunks<ChunkOut>(
+        plan.batches.size(), [&](engine::Chunk c, std::size_t) {
+            return classifySeqBatchChunk(s, plan, c.begin, c.end,
+                                         eng.progress());
+        });
+
+    SeqCampaignResult result;
+    result.symbols = opts.symbols;
+    result.lanes = s.opts.lanes;
+    result.simd = s.groupSimd();
+    result.prunedClasses = s.col.prunedClasses;
+    result.prunedFaults = s.col.prunedFaults;
+    result.classes = static_cast<int>(numClasses);
+    result.batchedClasses = static_cast<int>(s.sites.size());
+    result.batches = static_cast<int>(plan.batches.size());
+
+    // Pruned classes keep the default verdict: the faulty machine is
+    // trace-identical to the fault-free one (stuck value equals a
+    // structural constant, or the line reaches no output), so
+    // Untestable with no alarms is exact.
+    std::vector<SeqClassVerdict> classVerdicts(numClasses);
+    for (const ChunkOut &o : chunkOuts) {
+        for (const auto &[rep, v] : o.verdicts)
+            classVerdicts[rep] = v;
+        result.periodsSimulated += o.periodsSimulated;
+        result.periodsSkipped += o.periodsSkipped;
+        result.retiredEarly += o.retiredEarly;
+    }
+    const std::vector<Fault> faults = net.allFaults();
+    std::vector<SeqClassVerdict> verdicts(faults.size());
+    for (std::size_t k = 0; k < faults.size(); ++k)
+        verdicts[k] =
+            classVerdicts[static_cast<std::size_t>(s.col.classOf[k])];
+    foldSeqVerdicts(faults, verdicts, result);
 
     result.stats = eng.endCampaign(
         faults.size(),
@@ -608,13 +493,12 @@ runSequentialCampaignShard(const Netlist &net,
 {
     // The shard universe is the collapsed class space under the
     // effective knobs — a pure function of (netlist, config), so every
-    // process derives the same contiguous split. The batched route
-    // re-packs only its slice; verdicts do not depend on who shares a
-    // batch (tests/test_seq_fault_parallel_equiv.cc), which is what
+    // process derives the same contiguous split. Each shard re-packs
+    // only its slice; verdicts do not depend on who shares a batch
+    // (tests/test_seq_fault_parallel_equiv.cc), which is what
     // licenses per-shard re-planning.
     const SeqSetup s(net, spec, opts);
     const std::size_t numClasses = s.col.representatives.size();
-    const bool batched = s.batched();
 
     // Cost-weighted class slicing, so shards own ~equal simulation
     // work instead of equal class counts — equal counts leave the
@@ -638,30 +522,26 @@ runSequentialCampaignShard(const Netlist &net,
     };
     const std::size_t s0 = firstSite(c0);
     const std::size_t s1 = firstSite(c1);
-    const sim::SeqBatchPlan plan =
-        batched ? s.planBatches(s0, s1) : sim::SeqBatchPlan{};
+    const sim::SeqBatchPlan plan = s.planBatches(s0, s1);
 
-    // Unit = one batch of the plan (covering its member classes) or,
-    // on the per-fault route, one representative class of the slice.
+    // Unit = one batch of the plan, covering its member classes.
     std::vector<std::uint64_t> classes;
-    if (batched)
-        for (const std::vector<int> &b : plan.batches)
-            classes.push_back(b.size());
-    else
-        classes.assign(c1 - c0, 1);
+    for (const std::vector<int> &b : plan.batches)
+        classes.push_back(b.size());
 
     ShardOutcome out;
     out.units = classes.size();
     out.shardClasses = static_cast<int>(c1 - c0);
 
     // The run's identity: what a resume snapshot must match, and the
-    // header every snapshot of this run carries.
+    // header every snapshot of this run carries. fb=1 is the batch
+    // unit kind; a snapshot of the retired per-fault units said fb=0.
     engine::SnapshotHeader id;
     id.kind = "seq";
     id.netHash = netlist::contentHash(net);
     id.configKey = canonicalSeqCampaignConfig(opts, spec);
     std::ostringstream sk;
-    sk << "seq;fb=" << (batched ? 1 : 0)
+    sk << "seq;fb=1"
        << ";dom=" << (s.opts.dominance ? 1 : 0)
        << ";seqdom=" << (s.opts.seqDominance ? 1 : 0)
        << ";seqtf=" << (s.colOpts.seqTimeFrame ? 1 : 0)
@@ -682,17 +562,9 @@ runSequentialCampaignShard(const Netlist &net,
     std::uint32_t numRecords = 0;
     shard_detail::SeqPayload tail;
 
-    auto appendRep = [&](std::size_t rep, const RepVerdict &rv) {
-        shard_detail::SeqRecord rec;
-        rec.outcome = static_cast<std::uint8_t>(rv.outcome);
-        rec.firstAlarm = rv.firstAlarm;
-        rec.firstEscape = rv.firstEscape;
-        rec.alarmLanes = rv.alarmLanes;
-        rec.latSum = rv.latSum;
-        rec.latHist = rv.latHist;
+    auto appendClass = [&](std::size_t rep, const SeqClassVerdict &v) {
         for (const std::uint32_t k : classFaults[rep]) {
-            rec.faultIndex = k;
-            shard_detail::encodeSeqRecord(records, rec);
+            shard_detail::encodeSeqRecord(records, {k, v});
             ++numRecords;
         }
     };
@@ -708,13 +580,13 @@ runSequentialCampaignShard(const Netlist &net,
         numRecords = static_cast<std::uint32_t>(p.records.size());
         p.records.clear();
         tail = std::move(p);
-    } else if (batched) {
+    } else {
         // Pruned classes never enter the batch plan; their exact
         // default verdict (Untestable, no alarms) is recorded up
         // front, so it is part of every snapshot.
         for (std::size_t r = c0; r < c1; ++r)
             if (!s.col.pruned.empty() && s.col.pruned[r])
-                appendRep(r, RepVerdict{});
+                appendClass(r, SeqClassVerdict{});
     }
     tail.symbols = opts.symbols;
     tail.lanes = s.opts.lanes;
@@ -722,26 +594,22 @@ runSequentialCampaignShard(const Netlist &net,
     tail.classes = static_cast<int>(numClasses);
     tail.prunedClasses = s.col.prunedClasses;
     tail.prunedFaults = s.col.prunedFaults;
-    tail.batchedClasses = batched ? static_cast<int>(s1 - s0) : 0;
+    tail.batchedClasses = static_cast<int>(s1 - s0);
     tail.batches = static_cast<int>(plan.batches.size());
-    tail.faultBatch = batched;
 
     engine::CampaignEngine eng(engineOptions(opts));
     eng.beginCampaign(static_cast<std::uint64_t>(out.shardClasses));
+    eng.progress().addFaultsDone(c1 - c0 - (s1 - s0));
     runCheckpointedShard(
         eng, ckpt, opts.cancel, id, classes,
         [&](engine::Chunk c) -> std::function<void()> {
-            return [&, o = batched ? classifySeqBatchChunk(
-                                         s, plan, c.begin, c.end,
-                                         eng.progress())
-                                   : classifySeqChunk(s, c0 + c.begin,
-                                                      c0 + c.end,
-                                                      eng.progress())] {
+            return [&, o = classifySeqBatchChunk(s, plan, c.begin, c.end,
+                                                 eng.progress())] {
                 tail.periodsSimulated += o.periodsSimulated;
                 tail.periodsSkipped += o.periodsSkipped;
                 tail.retiredEarly += o.retiredEarly;
-                for (const auto &[rep, rv] : o.verdicts)
-                    appendRep(rep, rv);
+                for (const auto &[rep, v] : o.verdicts)
+                    appendClass(rep, v);
             };
         },
         records,

@@ -7,11 +7,10 @@
  * fault by the self-checking definitions — did a wrong data word ever
  * escape without a prior or simultaneous alarm on the checked lines?
  *
- * The lane width picks the replay route. Up to 256 lanes a fault's
- * lane group leaves groups free in the widest (512-lane) kernel block,
- * so several faults share one replay pass (sim/seq_batch_sim); above
- * 256 lanes one fault fills the block and each class replays on its
- * own (sim/seq_fault_sim). Verdicts are the same on either route.
+ * Every lane width replays through lane batches (sim/seq_batch_sim):
+ * each fault owns one lane group of the widest (512-lane) kernel
+ * block, so a pass replays 8, 2 or 1 faults at up to 64, 256 or 512
+ * lanes.
  *
  * Campaigns route through the parallel engine exactly like the
  * combinational ones: fault collapsing, contiguous sharding,
@@ -20,7 +19,7 @@
  * triple yields a bit-identical SeqCampaignResult at any jobs count
  * (tests/test_seq_fault_sim_equiv.cc asserts this and the scalar
  * SeqSimulator oracle equality; tests/test_seq_fault_parallel_equiv.cc
- * diffs both routes against the per-fault oracle in tests/oracle/).
+ * diffs the campaign against the per-fault oracle in tests/oracle/).
  *
  * On top of the verdicts the campaign reports detection latency: for
  * every (fault, lane) the period of the first non-code symptom,
@@ -82,8 +81,8 @@ struct SeqCampaignOptions
     /**
      * Independent random streams packed per replay (1..512; widths
      * above 64 run the multi-word SIMD kernels). 0 picks the widest
-     * block the resolved SIMD target is designed for. Up to 256 lanes
-     * the campaign replays several faults per pass; above, one.
+     * block the resolved SIMD target is designed for. The width also
+     * sets how many faults share a replay pass: 512 / the group width.
      */
     int lanes = 64;
     /** Kernel build per sim/simd.hh policy (Auto = SCAL_SIMD env
@@ -199,14 +198,13 @@ struct SeqCampaignResult
     int prunedClasses = 0;
     int prunedFaults = 0;
     /** @name Fault-parallel replay breakdown
-     *  Work accounting of the lane-batched route; all of it is
+     *  Work accounting of the lane batches; all of it is
      *  non-deterministic tail data like the period counters. */
     /** @{ */
-    bool faultBatch = false; ///< the lane width picked the batched route
-    int classes = 0;         ///< collapse classes
-    int batchedClasses = 0;  ///< classes replayed lane-batched
-    int batches = 0;         ///< lane batches formed
-    long retiredEarly = 0;   ///< lane groups retired before stream end
+    int classes = 0;        ///< collapse classes
+    int batchedClasses = 0; ///< classes replayed lane-batched
+    int batches = 0;        ///< lane batches formed
+    long retiredEarly = 0;  ///< lane groups retired before stream end
     /** @} */
     /** Wall-clock stats; explicitly non-deterministic. */
     engine::CampaignStats stats;
@@ -217,6 +215,38 @@ struct SeqCampaignResult
         return numUnsafe == 0 && numUntestable == 0;
     }
 };
+
+/**
+ * One fault class's verdict, which every member fault shares. The
+ * per-lane first-alarm periods are pre-bucketed rather than carried
+ * as a lanes-long vector: at 512 lanes the flat vector would be the
+ * dominant per-fault bookkeeping cost, and a result only consumes the
+ * aggregate. The classifier yields one per class, a shard partial
+ * carries one per fault (fault/shard.hh), and foldSeqVerdicts turns
+ * them into a result.
+ */
+struct SeqClassVerdict
+{
+    Outcome outcome = Outcome::Untestable;
+    long firstAlarm = -1;
+    long firstEscape = -1;
+    std::array<std::uint64_t, kLatencyBuckets> latHist{};
+    std::uint64_t alarmLanes = 0;
+    std::uint64_t latSum = 0;
+};
+
+/**
+ * The one fold of per-fault verdicts into @p result: @p verdicts[k] is
+ * the verdict of @p faults[k] (allFaults() order). Sets the fault
+ * vector, the outcome counts and the latency aggregate, summed in
+ * fault order with one closing double division, and leaves the stream
+ * identity and work counters to the caller. runSequentialCampaign and
+ * mergeSeqCampaignPartials both fold through it, so the inline and the
+ * merged result agree field for field.
+ */
+void foldSeqVerdicts(const std::vector<netlist::Fault> &faults,
+                     const std::vector<SeqClassVerdict> &verdicts,
+                     SeqCampaignResult &result);
 
 /**
  * The shared verdict state machine, fed one symbol at a time with the

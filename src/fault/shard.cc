@@ -87,20 +87,21 @@ encodeSeqPrefix(ByteWriter &w, const SeqPayload &p, std::uint32_t records)
     w.u32(static_cast<std::uint32_t>(p.prunedFaults));
     w.u32(static_cast<std::uint32_t>(p.batchedClasses));
     w.u32(static_cast<std::uint32_t>(p.batches));
-    w.u8(p.faultBatch ? 1 : 0);
+    w.u8(1); // route byte: lane batches, the only route
     w.u32(records);
 }
 
 void
 encodeSeqRecord(ByteWriter &w, const SeqRecord &r)
 {
+    const SeqClassVerdict &v = r.verdict;
     w.u32(r.faultIndex);
-    w.u8(r.outcome);
-    w.i64(r.firstAlarm);
-    w.i64(r.firstEscape);
-    w.u64(r.alarmLanes);
-    w.u64(r.latSum);
-    for (const std::uint64_t h : r.latHist)
+    w.u8(static_cast<std::uint8_t>(v.outcome));
+    w.i64(v.firstAlarm);
+    w.i64(v.firstEscape);
+    w.u64(v.alarmLanes);
+    w.u64(v.latSum);
+    for (const std::uint64_t h : v.latHist)
         w.u64(h);
 }
 
@@ -123,22 +124,24 @@ decodeSeqPayload(const std::vector<std::uint8_t> &bytes,
     p.prunedFaults = static_cast<int>(r.u32());
     p.batchedClasses = static_cast<int>(r.u32());
     p.batches = static_cast<int>(r.u32());
-    p.faultBatch = r.u8() != 0;
+    r.u8(); // route byte
     const std::uint32_t n = r.u32();
     p.records.resize(n);
     for (std::uint32_t i = 0; i < n; ++i) {
         SeqRecord &rec = p.records[i];
+        SeqClassVerdict &v = rec.verdict;
         rec.faultIndex = r.u32();
-        rec.outcome = r.u8();
-        rec.firstAlarm = r.i64();
-        rec.firstEscape = r.i64();
-        rec.alarmLanes = r.u64();
-        rec.latSum = r.u64();
-        for (auto &h : rec.latHist)
-            h = r.u64();
-        if (rec.outcome > 2)
+        const std::uint8_t outcome = r.u8();
+        if (outcome > 2)
             throw SnapshotError(name + ": bad outcome byte at record " +
                                 std::to_string(i));
+        v.outcome = static_cast<Outcome>(outcome);
+        v.firstAlarm = r.i64();
+        v.firstEscape = r.i64();
+        v.alarmLanes = r.u64();
+        v.latSum = r.u64();
+        for (auto &h : v.latHist)
+            h = r.u64();
     }
     if (!r.atEnd())
         throw SnapshotError(name + ": trailing payload bytes at byte " +
@@ -296,7 +299,7 @@ mergeCampaignPartials(const netlist::Netlist &net,
     }
     coverage.requireAll();
 
-    // Same fold, same order as the inline runner's finalizeResult.
+    // Same count, same order as runAlternatingCampaign's expansion.
     for (const FaultResult &fr : result.faults) {
         switch (fr.outcome) {
           case Outcome::Untestable: ++result.numUntestable; break;
@@ -316,20 +319,15 @@ mergeSeqCampaignPartials(const netlist::Netlist &net,
     const engine::PartialSet set = engine::decodePartialSet(
         "seq", netlist::contentHash(net), partials, names);
 
-    const std::vector<netlist::Fault> faults = net.allFaults();
     SeqCampaignResult result;
-    result.faults.resize(faults.size());
-    for (std::size_t k = 0; k < faults.size(); ++k)
-        result.faults[k].fault = faults[k];
-
-    // Per-fault latency partials, folded below in fault order with
-    // the same integer accumulators finalizeSeqResult uses, so the
-    // histogram / mean double division come out bit-identical.
-    std::vector<SeqRecord> recordOf(faults.size());
+    // Per-fault verdicts by global index, exactly once, folded below
+    // by the inline run's own fold.
+    const std::vector<netlist::Fault> faults = net.allFaults();
+    std::vector<SeqClassVerdict> verdicts(faults.size());
     engine::FaultCoverage coverage(faults.size());
     for (std::size_t i = 0; i < partials.size(); ++i) {
         const std::string &name = set.names[i];
-        SeqPayload p =
+        const SeqPayload p =
             shard_detail::decodeSeqPayload(set.payloads[i], name);
         if (i == 0) {
             result.symbols = p.symbols;
@@ -338,7 +336,6 @@ mergeSeqCampaignPartials(const netlist::Netlist &net,
             result.classes = p.classes;
             result.prunedClasses = p.prunedClasses;
             result.prunedFaults = p.prunedFaults;
-            result.faultBatch = p.faultBatch;
         } else if (p.symbols != result.symbols ||
                    p.lanes != result.lanes) {
             throw SnapshotError(name +
@@ -350,36 +347,13 @@ mergeSeqCampaignPartials(const netlist::Netlist &net,
         result.retiredEarly += p.retiredEarly;
         result.batchedClasses += p.batchedClasses;
         result.batches += p.batches;
-        for (SeqRecord &rec : p.records) {
+        for (const SeqRecord &rec : p.records) {
             coverage.cover(rec.faultIndex, name);
-            recordOf[rec.faultIndex] = rec;
+            verdicts[rec.faultIndex] = rec.verdict;
         }
     }
     coverage.requireAll();
-
-    std::uint64_t lat_sum = 0;
-    for (std::size_t k = 0; k < faults.size(); ++k) {
-        const SeqRecord &rec = recordOf[k];
-        result.faults[k].outcome = static_cast<Outcome>(rec.outcome);
-        result.faults[k].firstAlarmPeriod =
-            static_cast<long>(rec.firstAlarm);
-        result.faults[k].firstEscapePeriod =
-            static_cast<long>(rec.firstEscape);
-        switch (result.faults[k].outcome) {
-          case Outcome::Untestable: ++result.numUntestable; break;
-          case Outcome::Detected:   ++result.numDetected; break;
-          case Outcome::Unsafe:     ++result.numUnsafe; break;
-        }
-        for (int b = 0; b < kLatencyBuckets; ++b)
-            result.latencyHistogram[static_cast<std::size_t>(b)] +=
-                rec.latHist[static_cast<std::size_t>(b)];
-        result.alarmLaneCount += rec.alarmLanes;
-        lat_sum += rec.latSum;
-    }
-    if (result.alarmLaneCount)
-        result.meanAlarmPeriod =
-            static_cast<double>(lat_sum) /
-            static_cast<double>(result.alarmLaneCount);
+    foldSeqVerdicts(faults, verdicts, result);
     return result;
 }
 

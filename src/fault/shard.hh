@@ -9,10 +9,10 @@
  * compose independently of how any shard collapsed, batched or
  * chunked its slice, which is what makes the merged result
  * bit-identical to a single-process run: merge fills the fault vector
- * by index, re-derives the counters with the same fold the inline
- * runner uses (fault order, same integer/double accumulation), and
- * every per-class verdict is already chunk-invariant by the engine's
- * determinism contract.
+ * by index, re-derives the counters in fault order as the inline
+ * runner does (a sequential merge calls the inline runner's own fold,
+ * foldSeqVerdicts), and every per-class verdict is already
+ * chunk-invariant by the engine's determinism contract.
  *
  * The same snapshot doubles as the checkpoint: cursor < units marks
  * an interrupted shard whose records cover exactly the first cursor
@@ -26,7 +26,6 @@
 #ifndef SCAL_FAULT_SHARD_HH
 #define SCAL_FAULT_SHARD_HH
 
-#include <array>
 #include <functional>
 
 #include "engine/campaign_engine.hh"
@@ -207,25 +206,20 @@ struct CombPayload
     std::vector<CombRecord> records;
 };
 
-/** One original fault's expanded verdict in a sequential partial.
- *  Summing latHist/alarmLanes/latSum over records reproduces
- *  finalizeSeqResult's per-member-fault accumulation exactly. */
+/** One original fault's expanded verdict in a sequential partial:
+ *  its class's verdict, which the merge folds with foldSeqVerdicts. */
 struct SeqRecord
 {
     std::uint32_t faultIndex = 0;
-    std::uint8_t outcome = 0;
-    std::int64_t firstAlarm = -1;
-    std::int64_t firstEscape = -1;
-    std::uint64_t alarmLanes = 0;
-    std::uint64_t latSum = 0;
-    std::array<std::uint64_t, kLatencyBuckets> latHist{};
+    SeqClassVerdict verdict;
 };
 
 /** Seq snapshot payload: stream identity, the non-deterministic tail
  *  counters (globals take-first, work counters summed at merge), and
  *  the per-fault records. The encoded prefix also holds two reserved
- *  words after retiredEarly, always written as 0 and skipped when
- *  read. */
+ *  words after retiredEarly, always written as 0, and a route byte
+ *  before the record count, always written as 1 (lane batches); all
+ *  three are skipped when read. */
 struct SeqPayload
 {
     std::int64_t symbols = 0;
@@ -239,7 +233,6 @@ struct SeqPayload
     int prunedFaults = 0;
     int batchedClasses = 0;
     int batches = 0;
-    bool faultBatch = false;
     std::vector<SeqRecord> records;
 };
 

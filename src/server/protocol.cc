@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "engine/shard.hh"
 #include "fault/options.hh"
 #include "fault/report.hh"
 #include "ingest/harden.hh"
@@ -150,8 +151,15 @@ applyConfig(const jsonl::Value &cfg,
         if (v.isNull())
             continue; // null keeps the default
         if (key == "shards") {
-            // Worker processes: verdict-neutral, so not in the key.
-            job->shards = static_cast<int>(optInt(cfg, "shards", 0));
+            // Worker processes: verdict-neutral, so not in the key. 0
+            // and 1 run inline; more fork one worker per shard at once.
+            const std::int64_t n = optInt(cfg, "shards", 0);
+            if (n < 0 || n > engine::kMaxShards)
+                throw std::runtime_error(
+                    "shards must be 0.." +
+                    std::to_string(engine::kMaxShards) + ", got " +
+                    std::to_string(n));
+            job->shards = static_cast<int>(n);
             continue;
         }
         const auto row = std::find_if(

@@ -17,11 +17,12 @@
  * `harden` to run the SCAL-hardening pass first, `client`/`priority`
  * for the scheduler, and a `config` object. Its comb and seq keys are
  * the rows of the option tables in fault/options.hh (the CLI flags
- * with underscores for dashes), plus `shards` for a multi-process
- * run. System keys are `workload` (sum8, fib12, mul5, logicmix,
- * copycheck or arraysum; default sum8), `alu_op` (ADD, SUB, AND, OR,
- * XOR, SHL, SHR or PASSB; default ADD) and `checked` (default true:
- * the SCAL CPU). An unknown config key, workload or op is an error.
+ * with underscores for dashes), plus `shards` (0..engine::kMaxShards)
+ * for a multi-process run. System keys are `workload` (sum8, fib12,
+ * mul5, logicmix, copycheck or arraysum; default sum8), `alu_op`
+ * (ADD, SUB, AND, OR, XOR, SHL, SHR or PASSB; default ADD) and
+ * `checked` (default true: the SCAL CPU). An unknown config key,
+ * workload or op is an error.
  *
  * Every response carries `ok`; failures carry `error` and the
  * 1-based request line number on this connection.

@@ -95,10 +95,7 @@ planSeqBatches(const FlatNetlist &flat, std::span<const SeqFaultSite> sites,
                int group_words, int batch_words)
 {
     SeqBatchPlan plan;
-    plan.groupWords = group_words;
-    plan.groupsPerBatch =
-        group_words > 0 ? batch_words / group_words : 0;
-    const int F = plan.groupsPerBatch;
+    const int F = group_words > 0 ? batch_words / group_words : 0;
     if (F < 1 || group_words * F != batch_words)
         throw std::invalid_argument(
             "group words must divide the batch width");
@@ -308,12 +305,12 @@ SeqFaultBatchSimulator::stepBatchPeriod(long t)
     }
 
     if (active) {
-        // (2) Stem injections. A Dff driver keeps the whole-block
-        // force of the per-fault path: replay never recomputes state
-        // sources, and its non-own lanes already carry the exact
-        // per-group seeded state (or good values). Any other driver
-        // becomes a lane-masked WideStemInj: replay recomputes the
-        // gate and re-applies only the fault's own lane group, so
+        // (2) Stem injections. Where no batch-mate can see through
+        // the pin, the driver keeps the whole-block force of a
+        // one-fault replay; a Dff's non-own lanes already carry the
+        // exact per-group seeded state (or good values). Any other
+        // driver becomes a lane-masked WideStemInj: replay recomputes
+        // the gate and re-applies only the fault's own lane group, so
         // batch-mates' divergence propagates through the pinned line.
         for (int f = 0; f < nf_; ++f) {
             if (retired_[static_cast<std::size_t>(f)])
@@ -325,12 +322,14 @@ SeqFaultBatchSimulator::stepBatchPeriod(long t)
             std::uint64_t *fv =
                 faulty_.data() + static_cast<std::size_t>(d) * W;
             const std::uint64_t bc = s.value ? kAllOnes : 0;
-            // Dffs are state sources replay never recomputes, and a
+            // Dffs are state sources replay never recomputes, a
             // fanin-less gate (input, constant) has no combinational
-            // evaluation and can receive no batch-mate divergence:
-            // both keep the forced whole-block pin. Everything else
-            // becomes a lane-masked dynamic injection.
-            if (flat_.kind(d) == GateKind::Dff || flat_.arity(d) == 0) {
+            // evaluation and can receive no batch-mate divergence, and
+            // a fault whose lane group is the whole block has no
+            // batch-mate: all three keep the forced whole-block pin.
+            // Everything else becomes a lane-masked dynamic injection.
+            if (flat_.kind(d) == GateKind::Dff || flat_.arity(d) == 0 ||
+                Wg_ == Wb_) {
                 if (forced_[d] != epoch_) {
                     forced_[d] = epoch_;
                     const std::uint64_t *gd =

@@ -5,15 +5,15 @@
  * different patterns. The trace is built at the full kernel width
  * (kMaxLaneWords words per line) with the campaign's input stream
  * replicated into every lane *group* of groupWords() words, so group
- * f of every trace row is bit-identical to the narrow trace the
- * per-fault path would build — the PR 4 layout guarantee (word w of a
- * wide block evolves exactly as word w of a narrow one) is what makes
- * the whole scheme sound. One event-driven replay pass then
- * advances up to groupsPerBatch() faults simultaneously; per-group
+ * f of every trace row is bit-identical to the narrow trace a
+ * one-fault replay (SeqFaultSimulator) would build — the layout
+ * guarantee of sim/wide.hh (word w of a wide block evolves exactly as
+ * word w of a narrow one) is what makes the whole scheme sound. One
+ * event-driven replay pass then advances up to groupsPerBatch()
+ * faults simultaneously (one, when a group fills the block); per-group
  * convergence/retire masks let individual faults drop out (verdict
- * settled) while the batch keeps running, and the converged-state +
- * window fast-forward fast paths of the per-fault kernel apply
- * batch-wide.
+ * settled) while the batch keeps running, and SeqFaultSimulator's
+ * converged-state + window fast-forward fast paths apply batch-wide.
  *
  * Injections are *lane-masked* (detail::WideStemInj and the mask
  * field of detail::WideBranchInj): a pinned stem gate is still
@@ -26,13 +26,16 @@
  * overlap and one pass recomputes each shared gate once. (Dff stem
  * drivers keep the whole-block force: replay never recomputes state
  * sources, and their non-own lanes carry the seeded per-group state,
- * which is already exact.)
+ * which is already exact. So does any stem of a fault whose lane
+ * group is the whole block: with no batch-mate, recomputing the
+ * pinned gate would be wasted work.)
  *
  * Verdict folds are delivered per group through a SymbolSink with
- * exactly the per-fault pending/stash discipline of
- * fault/seq_campaign.cc's classifier, so campaign verdicts,
- * first-alarm periods and latency histograms stay bit-identical to
- * the per-fault path (tests/test_seq_fault_parallel_equiv.cc).
+ * exactly the pending/stash discipline of a one-fault replay (the
+ * per-fault reference campaign in tests/oracle/ folds SeqFaultSimulator
+ * that way), so campaign verdicts, first-alarm periods and latency
+ * histograms stay bit-identical to replaying each fault on its own
+ * (tests/test_seq_fault_parallel_equiv.cc).
  */
 
 #ifndef SCAL_SIM_SEQ_BATCH_SIM_HH
@@ -51,8 +54,6 @@ namespace scal::sim
 /** Lane-batch assignment of decoded fault sites. */
 struct SeqBatchPlan
 {
-    int groupWords = 0;     ///< Wg: words per fault lane group
-    int groupsPerBatch = 0; ///< F: fault slots per batch
     /** batches[b] = indices into the planner's site array. */
     std::vector<std::vector<int>> batches;
 };
@@ -128,7 +129,6 @@ class SeqFaultBatchSimulator
     void run(const FoldSpec &spec, const SymbolSink &sink);
 
     bool retired(int f) const { return retired_[f] != 0; }
-    int liveGroups() const { return live_; }
 
     /** @name Work counters (reset by beginBatch) */
     /** @{ */

@@ -22,7 +22,10 @@
  *    an unexcited site with fully converged state is a single block
  *    compare, and once the activity window is behind and the state
  *    blocks reconverge the remaining periods are skipped outright
- *    (they are bit-identical to the good machine).
+ *    (they are bit-identical to the good machine). Campaigns replay
+ *    lane batches instead (sim/seq_batch_sim.hh); this one-fault
+ *    replay serves seq::runAlternating and the per-fault reference
+ *    campaign in tests/oracle/.
  *
  * Each line carries laneWords() uint64 words (1, 4 or 8 → 64, 256 or
  * 512 packed sequences); the per-period gate loops run through the
@@ -149,14 +152,6 @@ class SeqGoodTrace
     std::vector<std::uint8_t> elig_[2];
 };
 
-/** How a fault's replay over a trace ended. */
-enum class SeqRunStatus
-{
-    RanToEnd,    ///< simulated through the final period
-    SyncedToEnd, ///< window closed and state reconverged: tail skipped
-    Stopped,     ///< the sink returned false (fault dropped)
-};
-
 /**
  * A netlist::Fault decoded against a FlatNetlist into the site
  * category the sequential replay kernels act on. Shared by the
@@ -206,7 +201,7 @@ class SeqFaultSimulator
      * sink call are bit-identical to the good machine.
      */
     template <typename Sink>
-    SeqRunStatus
+    void
     runFault(const netlist::Fault &fault, Sink &&sink,
              long window_start = 0, long window_end = kForever)
     {
@@ -216,7 +211,7 @@ class SeqFaultSimulator
         while (t < total) {
             if (diverged_.empty() && !inWindow(t)) {
                 if (t >= wend_)
-                    return SeqRunStatus::SyncedToEnd;
+                    return; // window closed, state reconverged
                 // Quiescent until the window opens: fast-forward.
                 periodsSkipped_ += std::min(wstart_, total) - t;
                 t = wstart_;
@@ -225,10 +220,9 @@ class SeqFaultSimulator
             const std::uint64_t diff = stepFaultPeriod(t);
             ++periodsSimulated_;
             if (diff && !sink(t, diff, outBuf_.data()))
-                return SeqRunStatus::Stopped;
+                return;
             ++t;
         }
-        return SeqRunStatus::RanToEnd;
     }
 
     /** @name Work counters (reset per runFault) */
@@ -236,8 +230,6 @@ class SeqFaultSimulator
     long periodsSimulated() const { return periodsSimulated_; }
     long periodsSkipped() const { return periodsSkipped_; }
     /** @} */
-
-    const SeqGoodTrace &trace() const { return trace_; }
 
   private:
     void beginFault(const netlist::Fault &fault, long ws, long we);

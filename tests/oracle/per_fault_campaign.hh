@@ -12,8 +12,9 @@
  *    (exhaustive when 2^numInputs fits under maxPatterns, otherwise
  *    one Rng draw per pattern in pattern order).
  *  - runPerFaultSeqCampaign is the sequential counterpart: the
- *    oracle test_seq_fault_parallel_equiv diffs both routes of
- *    fault/seq_campaign.hh against, and the per-fault arm that
+ *    oracle test_seq_fault_parallel_equiv diffs the lane-batched
+ *    campaign of fault/seq_campaign.hh against at every lane
+ *    width, and the per-fault arm that
  *    bench_seq_fault_sim and bench_ingest_campaign time and check
  *    the campaign against.
  *

@@ -380,7 +380,7 @@ kindCases()
             comb, fault::mergeCampaignPartials(comb, {p}));
     };
 
-    // 64 lanes take the lane-batched route, 512 the per-fault route.
+    // 64 lanes replay 8 faults per lane batch, 512 lanes one.
     const ingest::HardenedCircuit seq = ingest::hardenNetlist(rawSeqChain(3));
     const auto seqRun = [seq](int lanes) {
         return [seq, lanes](int jobs, const engine::CancelToken *cancel,
@@ -417,8 +417,17 @@ kindCases()
     };
     return {{"comb", combRun, combVerdict},
             {"seq batch", seqRun(64), seqVerdict},
-            {"seq per-fault", seqRun(512), seqVerdict},
+            {"seq 512 lanes", seqRun(512), seqVerdict},
             {"system", systemRun, systemVerdict}};
+}
+
+const KindCase &
+findKindCase(const std::vector<KindCase> &cases, const std::string &kind)
+{
+    for (const KindCase &kc : cases)
+        if (kc.kind == kind)
+            return kc;
+    throw std::logic_error("no kind case " + kind);
 }
 
 TEST(Checkpoint, AutoCadenceEmitsBoundedSnapshots)
@@ -559,10 +568,7 @@ TEST(Checkpoint, SnapshotBytesArePinned)
     // and their per-snapshot prefix line up.
     const std::vector<KindCase> cases = kindCases();
     const auto kindCase = [&](const std::string &kind) -> const KindCase & {
-        for (const KindCase &kc : cases)
-            if (kc.kind == kind)
-                return kc;
-        throw std::logic_error("no kind case " + kind);
+        return findKindCase(cases, kind);
     };
     struct Pin
     {
@@ -576,8 +582,8 @@ TEST(Checkpoint, SnapshotBytesArePinned)
     const Pin pins[] = {
         {"seq batch", 1, 0x5cf52be02d5b0e15ULL},
         {"seq batch", -1, 0xa36837e3f85ab453ULL},
-        {"seq per-fault", 1, 0x8538081ac36f8d0dULL},
-        {"seq per-fault", -1, 0xdfe5d87fc35b117cULL},
+        {"seq 512 lanes", 1, 0x020ee63651275043ULL},
+        {"seq 512 lanes", -1, 0x570063803c6a03f0ULL},
         {"system", 1, 0x6aadeecdfbc22191ULL},
         {"system", -1, 0xd1897e23d7115577ULL},
     };
@@ -630,6 +636,40 @@ TEST(Checkpoint, SnapshotBytesArePinned)
         EXPECT_EQ(encodeSeq(fault::shard_detail::decodeSeqPayload(payload,
                                                                   "seq")),
                   payload);
+    }
+}
+
+TEST(Checkpoint, ResumeRefusesPerFaultShapeKey)
+{
+    // A 512-lane checkpoint of the retired per-fault route said fb=0
+    // in its shape key, and its units were classes, not batches, in
+    // another record order. Where the unit counts happen to agree the
+    // shape key alone must refuse it.
+    const std::vector<KindCase> cases = kindCases();
+    const KindCase &kc = findKindCase(cases, "seq 512 lanes");
+    SnapshotLog log;
+    kc.run(1, nullptr, log.options(8));
+    ASSERT_GE(log.boundaries.size(), 1u);
+    std::vector<std::uint8_t> payload;
+    SnapshotHeader hdr =
+        engine::decodeSnapshot(log.boundaries.front(), &payload);
+    const std::size_t fb = hdr.shapeKey.find("fb=");
+    ASSERT_NE(fb, std::string::npos) << hdr.shapeKey;
+    hdr.shapeKey[fb + 3] = '0';
+    const std::vector<std::uint8_t> stale =
+        engine::encodeSnapshot(hdr, payload);
+
+    fault::CheckpointOptions resume;
+    resume.resume = &stale;
+    resume.resumeName = "per-fault.ckpt";
+    try {
+        kc.run(1, nullptr, resume);
+        ADD_FAILURE() << "resumed a per-fault checkpoint";
+    } catch (const SnapshotError &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("per-fault.ckpt: work-shape mismatch"),
+                  std::string::npos)
+            << what;
     }
 }
 

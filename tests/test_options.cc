@@ -375,5 +375,35 @@ TEST(OptionTable, BadValuesNameTheirOption)
               "unknown config key 'seed'");
 }
 
+TEST(OptionTable, ShardsKeyIsBounded)
+{
+    // A daemon started with --shard-exec forks one worker per shard at
+    // once, so `shards` has the CLI's bound on shard counts; 0 and 1
+    // run inline. Nothing is truncated to an int on the way.
+    using server::jsonl::Value;
+    const netlist::Netlist net = machine();
+    for (const char *kind : {"comb", "seq"}) {
+        const auto shards = [&](Value v) {
+            server::jsonl::Object cfg;
+            cfg.emplace_back("shards", std::move(v));
+            try {
+                return std::to_string(
+                    submitted(kind, Value(std::move(cfg)), net).shards);
+            } catch (const std::runtime_error &e) {
+                return std::string(e.what());
+            }
+        };
+        EXPECT_EQ(shards(Value(0)), "0") << kind;
+        EXPECT_EQ(shards(Value(4096)), "4096") << kind;
+        EXPECT_EQ(shards(Value(4097)), "shards must be 0..4096, got 4097")
+            << kind;
+        EXPECT_EQ(shards(Value(4294967298LL)),
+                  "shards must be 0..4096, got 4294967298")
+            << kind;
+        EXPECT_EQ(shards(Value(-3)), "shards must be 0..4096, got -3")
+            << kind;
+    }
+}
+
 } // namespace
 } // namespace scal

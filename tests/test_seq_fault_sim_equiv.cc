@@ -391,7 +391,7 @@ TEST(SeqCampaign, TransientWindowMatchesScalarOracle)
 
 TEST(SeqCampaign, BitIdenticalAcrossJobs)
 {
-    // 64 lanes take the lane-batched route, 512 the per-fault route.
+    // 64 lanes replay 8 faults per lane batch, 512 lanes one.
     // Verdicts and the work counters must not depend on the chunk
     // plan, which changes with the jobs count.
     for (const int lanes : {64, 512}) {
@@ -409,7 +409,6 @@ TEST(SeqCampaign, BitIdenticalAcrossJobs)
                     fault::runSequentialCampaign(c.net, c.spec, opts));
             }
             const auto &ref = results[0];
-            EXPECT_EQ(ref.faultBatch, lanes == 64);
             for (std::size_t r = 1; r < results.size(); ++r) {
                 const auto &res = results[r];
                 EXPECT_EQ(res.periodsSimulated, ref.periodsSimulated);

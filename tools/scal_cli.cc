@@ -43,9 +43,9 @@
  * auto: the SCAL_SIMD env var, else the widest the CPU supports).
  * The combinational campaign always runs the fault-parallel pipeline
  * (FFR flip batching, critical-path tracing, dominance pruning). The
- * sequential campaign multiplexes several faults into disjoint lane
- * groups of one wide replay up to --lanes 256 and replays one fault
- * per pass above that; its one work-saving knob, --seq-dominance,
+ * sequential campaign gives each fault one lane group of a 512-lane
+ * replay batch (8, 2 or 1 faults per pass at up to --lanes 64, 256
+ * or 512); its one work-saving knob, --seq-dominance,
  * forces sequential constant propagation and time-frame Dff
  * equivalences into collapsing, even on hardened realizations where
  * the campaign skips them by default. Verdicts are bit-identical
@@ -1139,8 +1139,9 @@ cmdShardRun(const CommonArgs &common, const char *argv0)
         else
             fwd.push_back(arg);
     }
-    if (shards < 1 || shards > 4096)
-        throw std::runtime_error("shard-run needs --shards N (1..4096)");
+    if (shards < 1 || shards > engine::kMaxShards)
+        throw std::runtime_error("shard-run needs --shards N (1.." +
+                                 std::to_string(engine::kMaxShards) + ")");
     if (kind != "comb" && kind != "seq")
         throw std::runtime_error("--kind needs comb|seq, got '" + kind +
                                  "'");

@@ -30,6 +30,7 @@
 #include <iostream>
 #include <string>
 
+#include "fault/options.hh"
 #include "server/server.hh"
 
 namespace
@@ -69,48 +70,48 @@ main(int argc, char **argv)
     opts.scheduler.progressInterval = std::chrono::milliseconds(500);
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        const auto value = [&](const char *name) {
+        const auto value = [&] {
             if (i + 1 >= argc) {
-                std::cerr << name << " needs a value\n";
+                std::cerr << arg << " needs a value\n";
                 usage(argv[0]);
             }
             return std::string(argv[++i]);
         };
+        // Numbers go through the CLI's checked parser: trailing
+        // garbage and a negative count are refused, not truncated or
+        // wrapped.
+        const auto number = [&]<class N>(N &field) {
+            field = scal::fault::checkedNumber<N>(arg, value());
+        };
+        auto &sched = opts.scheduler;
         try {
             if (arg == "--socket")
-                opts.socketPath = value("--socket");
+                opts.socketPath = value();
             else if (arg == "--max-inflight")
-                opts.scheduler.maxInflight =
-                    std::stoi(value("--max-inflight"));
+                number(sched.maxInflight);
             else if (arg == "--max-queued")
-                opts.scheduler.maxQueued =
-                    std::stoul(value("--max-queued"));
+                number(sched.maxQueued);
             else if (arg == "--jobs")
-                opts.scheduler.jobsPerCampaign =
-                    std::stoi(value("--jobs"));
+                number(sched.jobsPerCampaign);
             else if (arg == "--cache-entries")
-                opts.scheduler.cache.maxEntries =
-                    std::stoul(value("--cache-entries"));
+                number(sched.cache.maxEntries);
             else if (arg == "--cache-bytes")
-                opts.scheduler.cache.maxBytes =
-                    std::stoull(value("--cache-bytes"));
+                number(sched.cache.maxBytes);
             else if (arg == "--cache-dir")
-                opts.scheduler.cache.spillDir = value("--cache-dir");
+                sched.cache.spillDir = value();
             else if (arg == "--progress-ms")
-                opts.scheduler.progressInterval =
-                    std::chrono::milliseconds(
-                        std::stol(value("--progress-ms")));
+                sched.progressInterval = std::chrono::milliseconds(
+                    scal::fault::checkedNumber<long>(arg, value()));
             else if (arg == "--shard-exec")
-                opts.scheduler.shardExec = value("--shard-exec");
+                sched.shardExec = value();
             else if (arg == "--shard-dir")
-                opts.scheduler.shardWorkDir = value("--shard-dir");
+                sched.shardWorkDir = value();
             else if (arg == "--shard-checkpoint-every")
-                opts.scheduler.shardCheckpointEvery =
-                    std::stoi(value("--shard-checkpoint-every"));
+                number(sched.shardCheckpointEvery);
             else
                 usage(argv[0]);
-        } catch (const std::exception &) {
-            std::cerr << "bad value for " << arg << "\n";
+        } catch (const std::exception &e) {
+            std::cerr << "scal_serverd: " << e.what() << "\n";
             usage(argv[0]);
         }
     }
