@@ -9,12 +9,21 @@
  * width scaling shows as flat seconds and Wx gate-word throughput.
  * Line values are digest-checked before timing: word 0 across every
  * (width, target) pair, and every word across targets at each width.
+ *
+ * A second, ungated row times the replayEvents kernel the fault
+ * simulators run: every line is seeded and every primary input forced
+ * to its complement, so each gate is recomputed once per call and most
+ * of them diverge. It reports ns per recomputed gate, a kernel-level
+ * number steadier than end-to-end campaign timings; the faulty lines
+ * are digest-checked across targets at each width first.
+ *
  * Emits machine-readable JSON (stdout and a file) for the CI
  * bench-results artifact.
  *
  * Usage: bench_gate_eval [--blocks N] [--reps N] [--out FILE]
  */
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -86,6 +95,79 @@ struct Cell
     int lanes = 0;
     bench::TimingStats stats;
     double gateWordsPerSec = 0;
+};
+
+/** One fault-replay call over a compiled scenario: every line seeded,
+ *  every primary input forced to the complement of its good line. */
+struct Replay
+{
+    const sim::FlatNetlist &flat;
+    const sim::detail::WideKernels &k;
+    std::size_t W;
+    sim::WordVec good, faulty;
+    std::vector<std::uint32_t> stamp, forced;
+    std::vector<std::uint64_t> events;
+    std::vector<const std::uint64_t *> ptrs;
+    std::vector<netlist::GateId> seeds, inputGates;
+    std::uint32_t epoch = 0;
+
+    Replay(const sim::FlatNetlist &f, const sim::detail::WideKernels &kern,
+           const std::vector<std::uint64_t> &inputs)
+        : flat(f), k(kern), W(static_cast<std::size_t>(kern.laneWords))
+    {
+        const std::size_t n = static_cast<std::size_t>(flat.numGates());
+        good.resize(n * W);
+        faulty.resize(n * W);
+        stamp.assign(n, 0);
+        forced.assign(n, 0);
+        events.assign(sim::detail::eventWords(flat), 0);
+        ptrs.resize(static_cast<std::size_t>(std::max(1, flat.maxArity())));
+        seeds = flat.topoOrder();
+        for (const netlist::GateId g : seeds)
+            if (flat.kind(g) == netlist::GateKind::Input)
+                inputGates.push_back(g);
+        k.evalLines(flat, inputs.data(), nullptr, -1, 0, good.data());
+    }
+
+    /** Replay once; returns the number of gates recomputed. */
+    std::size_t
+    run()
+    {
+        ++epoch;
+        for (const netlist::GateId g : inputGates) {
+            const std::size_t at = static_cast<std::size_t>(g) * W;
+            for (std::size_t w = 0; w < W; ++w)
+                faulty[at + w] = ~good[at + w];
+            forced[g] = stamp[g] = epoch;
+        }
+        return k.replayEvents(flat, good.data(), faulty.data(),
+                              stamp.data(), forced.data(), epoch,
+                              seeds.data(), seeds.size(), nullptr, 0,
+                              nullptr, 0, events.data(), ptrs.data());
+    }
+
+    /** Digest of every word of every line as the replay left it. */
+    std::uint64_t
+    digest() const
+    {
+        std::uint64_t d = 0;
+        for (std::size_t g = 0; g < stamp.size(); ++g)
+            for (std::size_t w = 0; w < W; ++w) {
+                d ^= (stamp[g] == epoch ? faulty : good)[g * W + w] *
+                     0x9e3779b97f4a7c15ULL;
+                d = (d << 7) | (d >> 57);
+            }
+        return d;
+    }
+};
+
+struct ReplayCell
+{
+    sim::SimdTarget target = sim::SimdTarget::Portable;
+    int lanes = 0;
+    bench::TimingStats stats;
+    std::size_t recomputed = 0;
+    double nsPerGate = 0;
 };
 
 } // namespace
@@ -191,6 +273,53 @@ main(int argc, char **argv)
             }
         }
 
+        // Replay: the faulty lines must agree across targets at each
+        // width before the kernel is timed.
+        std::vector<ReplayCell> replays;
+        for (int lw : width_list) {
+            const auto in = buildInputs(ni, lw, 0x5eed);
+            std::uint64_t want = 0;
+            std::size_t wantCount = 0;
+            for (const sim::SimdTarget t : targets) {
+                Replay r(flat, sim::wideKernels(lw, t), in);
+                const std::size_t count = r.run();
+                const std::uint64_t d = r.digest();
+                if (t == targets[0]) {
+                    want = d;
+                    wantCount = count;
+                }
+                if (d != want || count != wantCount) {
+                    std::cerr << "FATAL: replay digest mismatch on "
+                              << sc.name << " at " << 64 * lw
+                              << " lanes, "
+                              << sim::simdTargetName(r.k.target)
+                              << " kernels\n";
+                    return 1;
+                }
+            }
+        }
+        for (const sim::SimdTarget t : targets) {
+            for (int lw : width_list) {
+                const auto &k = sim::wideKernels(lw, t);
+                if (k.target != t)
+                    continue; // build compiled out / not native
+                Replay r(flat, k, buildInputs(ni, lw, 0x5eed));
+                ReplayCell c;
+                c.target = t;
+                c.lanes = 64 * lw;
+                c.stats = bench::timeStats(
+                    [&] {
+                        for (long b = 0; b < blocks; ++b)
+                            c.recomputed = r.run();
+                    },
+                    reps);
+                c.nsPerGate = 1e9 * c.stats.best /
+                              (static_cast<double>(blocks) *
+                               static_cast<double>(c.recomputed));
+                replays.push_back(c);
+            }
+        }
+
         body << (first_scenario ? "" : ",\n") << "    {\"name\": \""
              << sc.name << "\", \"gates\": " << n << ", \"rows\": [";
         for (std::size_t i = 0; i < cells.size(); ++i) {
@@ -202,11 +331,21 @@ main(int argc, char **argv)
             body << ", \"gate_words_per_s\": " << c.gateWordsPerSec
                  << "}";
         }
+        body << "],\n     \"replay_rows\": [";
+        for (std::size_t i = 0; i < replays.size(); ++i) {
+            const ReplayCell &c = replays[i];
+            body << (i ? ", " : "") << "\n       {\"simd\": \""
+                 << sim::simdTargetName(c.target)
+                 << "\", \"lanes\": " << c.lanes << ", ";
+            bench::emitStatsFields(body, "replay", c.stats);
+            body << ", \"recomputed\": " << c.recomputed
+                 << ", \"ns_per_gate\": " << c.nsPerGate << "}";
+        }
         body << "]}";
         first_scenario = false;
 
-        std::cerr << sc.name << ": " << cells.size()
-                  << " (simd, lanes) cells timed\n";
+        std::cerr << sc.name << ": " << cells.size() << " eval and "
+                  << replays.size() << " replay (simd, lanes) cells timed\n";
     }
     body << "\n  ]\n}\n";
 

@@ -199,8 +199,11 @@ decodeResumeSnapshot(const std::vector<std::uint8_t> &bytes,
         throw SnapshotError(name + ": snapshot is shard " + h.shard.str() +
                             ", not " + run.shard.str());
     if (h.shapeKey != run.shapeKey || h.units != run.units)
-        throw SnapshotError(name +
-                            ": work-shape mismatch; rerun without --resume");
+        throw SnapshotError(
+            name + ": work-shape mismatch (snapshot '" + h.shapeKey +
+            "', " + std::to_string(h.units) + " units; run '" +
+            run.shapeKey + "', " + std::to_string(run.units) +
+            " units); rerun without --resume");
     return h;
 }
 

@@ -342,6 +342,45 @@ evalGateWords(netlist::GateKind kind, GetIn in, int arity,
     }
 }
 
+/**
+ * True when the W-word blocks @p a and @p b differ in any bit: one
+ * block XOR and one any-bit test of the result, with no branch per
+ * word. The replay kernels compare each recomputed gate with its
+ * good line this way.
+ */
+template <int W>
+SCAL_SIM_ALWAYS_INLINE bool
+blocksDiffer(const std::uint64_t *a, const std::uint64_t *b)
+{
+#if SCAL_SIM_HAVE_LANE_VECTORS
+    using V = typename LaneBlock<W>::type;
+    const V x = *reinterpret_cast<const V *>(a) ^
+                *reinterpret_cast<const V *>(b);
+    if constexpr (W == 1) {
+        return x != 0;
+    } else {
+        // OR the block's halves together down to two words: a few
+        // vector ORs instead of one extract per word.
+        typedef std::uint64_t V2 __attribute__((vector_size(16)));
+        typedef std::uint64_t V4 __attribute__((vector_size(32)));
+        V4 y;
+        if constexpr (W == 8)
+            y = __builtin_shufflevector(x, x, 0, 1, 2, 3) |
+                __builtin_shufflevector(x, x, 4, 5, 6, 7);
+        else
+            y = x;
+        const V2 z = __builtin_shufflevector(y, y, 0, 1) |
+                     __builtin_shufflevector(y, y, 2, 3);
+        return (z[0] | z[1]) != 0;
+    }
+#else
+    std::uint64_t any = 0;
+    for (int w = 0; w < W; ++w)
+        any |= a[w] ^ b[w];
+    return any != 0;
+#endif
+}
+
 } // namespace scal::sim::detail
 
 #endif // SCAL_SIM_GATE_EVAL_HH

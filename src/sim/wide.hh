@@ -125,8 +125,16 @@ struct WideKernels
      *  stamped marks its combinational consumers. Consumer edges
      *  exclude D pins and point forward in topological order, so one
      *  sweep reaches exactly the gates a fault effect can change.
-     *  Returns with @p pending all zero and the number of gates
-     *  recomputed. @p ptr_scratch must hold at least maxArity
+     *  Per recomputed gate the cost is the gate evaluation plus
+     *  constant work: injection targets are looked up through a
+     *  64-bit mask of their GateIds mod 64, built once per call, so
+     *  a gate that is no target pays one test (a target, or a gate
+     *  sharing its residue, scans @p binj and @p sinj; the last stem
+     *  entry for a gate wins), and the recomputed block is compared
+     *  with good[] as one vector and stored to faulty[] only when it
+     *  differs. An injection whose target no event reaches is not
+     *  applied. Returns with @p pending all zero and the number of
+     *  gates recomputed. @p ptr_scratch must hold at least maxArity
      *  pointers. */
     std::size_t (*replayEvents)(
         const FlatNetlist &flat, const std::uint64_t *good,

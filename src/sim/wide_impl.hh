@@ -110,6 +110,16 @@ replayEventsImpl(const FlatNetlist &flat, const std::uint64_t *good,
     // most one entry per multiplexed lane group.
     constexpr int kMaxMix = static_cast<int>(kMaxLaneWords);
     std::uint64_t mix[kMaxMix][W];
+    // Injection targets by GateId mod 64: a gate whose bit is clear is
+    // no target, so it skips both injection scans after one test.
+    const auto residue = [](GateId g) {
+        return std::uint64_t{1} << (static_cast<std::uint32_t>(g) % 64);
+    };
+    std::uint64_t targets = 0;
+    for (std::size_t b = 0; b < nbinj; ++b)
+        targets |= residue(binj[b].consumer);
+    for (std::size_t s = 0; s < nsinj; ++s)
+        targets |= residue(sinj[s].gate);
     std::size_t recomputed = 0;
     for (std::size_t word = lo; word <= hi; ++word) {
         // The word being drained lives in a register. Consumers sit
@@ -129,14 +139,16 @@ replayEventsImpl(const FlatNetlist &flat, const std::uint64_t *good,
                 const GateId *fi = flat.fanins(g);
                 const int a = flat.arity(g);
                 bool is_branch_target = false;
-                for (std::size_t b = 0; b < nbinj; ++b) {
-                    if (binj[b].consumer == g)
-                        is_branch_target = true;
-                }
                 const WideStemInj *stem = nullptr;
-                for (std::size_t s = 0; s < nsinj; ++s) {
-                    if (sinj[s].gate == g)
-                        stem = &sinj[s];
+                if (targets & residue(g)) {
+                    for (std::size_t b = 0; b < nbinj; ++b) {
+                        if (binj[b].consumer == g)
+                            is_branch_target = true;
+                    }
+                    for (std::size_t s = 0; s < nsinj; ++s) {
+                        if (sinj[s].gate == g)
+                            stem = &sinj[s];
+                    }
                 }
                 std::uint64_t v[W];
                 if (is_branch_target) {
@@ -179,16 +191,10 @@ replayEventsImpl(const FlatNetlist &flat, const std::uint64_t *good,
                         v[w] = (v[w] & ~stem->mask[w]) |
                                (stem->value[w] & stem->mask[w]);
                 }
-                const std::uint64_t *gd =
-                    good + static_cast<std::size_t>(g) * W;
-                bool diff = false;
-                for (int w = 0; w < W; ++w)
-                    diff |= v[w] != gd[w];
-                if (diff) {
-                    std::uint64_t *fv =
-                        faulty + static_cast<std::size_t>(g) * W;
+                const std::size_t at = static_cast<std::size_t>(g) * W;
+                if (blocksDiffer<W>(v, good + at)) {
                     for (int w = 0; w < W; ++w)
-                        fv[w] = v[w];
+                        faulty[at + static_cast<std::size_t>(w)] = v[w];
                     stamp[g] = epoch;
                 }
             }
@@ -319,12 +325,7 @@ latchAndTrackImpl(const FlatNetlist &flat, const std::uint8_t *elig,
             for (int w = 0; w < W; ++w)
                 fs[w] = src[w];
         }
-        const std::uint64_t *gn =
-            good_next + static_cast<std::size_t>(i) * W;
-        bool diff = false;
-        for (int w = 0; w < W; ++w)
-            diff |= fs[w] != gn[w];
-        if (diff)
+        if (blocksDiffer<W>(fs, good_next + static_cast<std::size_t>(i) * W))
             diverged_out[ndiv++] = static_cast<std::int32_t>(i);
     }
     return ndiv;

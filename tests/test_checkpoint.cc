@@ -670,6 +670,12 @@ TEST(Checkpoint, ResumeRefusesPerFaultShapeKey)
         EXPECT_NE(what.find("per-fault.ckpt: work-shape mismatch"),
                   std::string::npos)
             << what;
+        // The refusal names both shape keys, so the one differing
+        // field can be read off the message.
+        EXPECT_NE(what.find("fb=0"), std::string::npos) << what;
+        EXPECT_NE(what.find("fb=1"), std::string::npos) << what;
+        const std::string units = std::to_string(hdr.units) + " units";
+        EXPECT_NE(what.find(units), std::string::npos) << what;
     }
 }
 

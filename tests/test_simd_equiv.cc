@@ -27,6 +27,7 @@
 #include "seq/registers.hh"
 #include "sim/fault_sim.hh"
 #include "sim/flat.hh"
+#include "sim/gate_eval.hh"
 #include "sim/seq_fault_sim.hh"
 #include "sim/simd.hh"
 #include "sim/wide.hh"
@@ -264,6 +265,169 @@ TEST(SimdKernels, ReplayEventsRecomputesOnlyEventGates)
             force(z, ~std::uint64_t{0});
             EXPECT_EQ(replay({z}), static_cast<std::size_t>(kChain));
             EXPECT_EQ(stamp[chain.back()], epoch);
+        }
+    }
+}
+
+/** Branch and stem injections, called directly on the replay kernel:
+ *  they apply exactly at their target gates, only in their masked
+ *  lanes and only when an event reaches the target. The kernel looks
+ *  targets up by GateId mod 64, so two targets and one non-target
+ *  share a residue, and one stem target has a residue of its own.
+ *  Every line and the recompute count must match a plain per-gate
+ *  evaluation of the same events. */
+TEST(SimdKernels, ReplayEventsAppliesInjectionsOnlyAtTargets)
+{
+    Netlist net;
+    const GateId a = net.addInput("a");
+    const GateId b = net.addInput("b");
+    const GateId c = net.addInput("c");
+    const GateId d = net.addInput("d");
+    const GateId e = net.addInput("e");
+    const auto padTo = [&](GateId residue_of) {
+        GateId last = e;
+        while (net.numGates() % 64 != residue_of % 64)
+            last = net.addBuf(last);
+        return last;
+    };
+    const GateId stemTarget = net.addAnd({a, b}, "stem_target");
+    padTo(stemTarget);
+    const GateId branchTarget =
+        net.addOr({stemTarget, c}, "branch_target");
+    const GateId pad = padTo(stemTarget);
+    const GateId shared = net.addXor({branchTarget, d}, "shared");
+    const GateId both = net.addNand({shared, c}, "both");
+    const GateId unreached = net.addNor({d, e}, "unreached");
+    const GateId lone = net.addNot(a, "lone_stem");
+    net.addOutput(both, "o1");
+    net.addOutput(unreached, "o2");
+    net.addOutput(pad, "o3");
+    net.addOutput(lone, "o4");
+    ASSERT_EQ(branchTarget % 64, stemTarget % 64);
+    ASSERT_EQ(shared % 64, stemTarget % 64);
+    ASSERT_NE(lone % 64, stemTarget % 64);
+    ASSERT_NE(lone % 64, both % 64);
+    const sim::FlatNetlist flat(net);
+    const std::size_t n = static_cast<std::size_t>(flat.numGates());
+
+    for (const int W : kWidths) {
+        for (const sim::SimdTarget target : kTargets) {
+            const sim::detail::WideKernels &k = sim::wideKernels(W, target);
+            SCOPED_TRACE(caseName(W, k.target));
+            const std::size_t Ws = static_cast<std::size_t>(W);
+            util::Rng rng(0x1a7e5 + static_cast<std::uint64_t>(W));
+            const auto block = [&] {
+                std::vector<std::uint64_t> v(Ws);
+                for (auto &x : v)
+                    x = rng.next();
+                return v;
+            };
+            const auto in = block(), in2 = block(), in3 = block(),
+                       in4 = block(), in5 = block();
+            std::vector<std::uint64_t> inputs(5 * Ws);
+            for (std::size_t w = 0; w < Ws; ++w) {
+                inputs[0 * Ws + w] = in[w];
+                inputs[1 * Ws + w] = in2[w];
+                inputs[2 * Ws + w] = in3[w];
+                inputs[3 * Ws + w] = in4[w];
+                inputs[4 * Ws + w] = in5[w];
+            }
+            sim::WordVec good(n * Ws), faulty(n * Ws);
+            k.evalLines(flat, inputs.data(), nullptr, -1, 0, good.data());
+            std::vector<std::uint32_t> stamp(n, 0), forced(n, 0);
+            std::vector<std::uint64_t> events(sim::detail::eventWords(flat),
+                                              0);
+            std::vector<const std::uint64_t *> ptrs(
+                static_cast<std::size_t>(flat.maxArity()));
+            const std::uint32_t epoch = 1;
+
+            // Input a flips in the lanes of one random mask.
+            const auto flip = block();
+            forced[a] = stamp[a] = epoch;
+            for (std::size_t w = 0; w < Ws; ++w)
+                faulty[static_cast<std::size_t>(a) * Ws + w] =
+                    good[static_cast<std::size_t>(a) * Ws + w] ^ flip[w];
+
+            // Lane-masked injections: a stem on stem_target, a branch
+            // on branch_target's pin 0, a branch and a stem on both, a
+            // stem on unreached, which no event reaches, and a stem on
+            // lone_stem, the only target with its residue.
+            const auto v1 = block(), m1 = block(), v2 = block(),
+                       m2 = block(), v3 = block(), m3 = block(),
+                       v4 = block(), m4 = block(), v5 = block(),
+                       m5 = block(), v6 = block(), m6 = block();
+            const std::vector<sim::detail::WideBranchInj> binj = {
+                {branchTarget, stemTarget, 0, v2.data(), m2.data()},
+                {both, c, 1, v3.data(), m3.data()}};
+            const std::vector<sim::detail::WideStemInj> sinj = {
+                {stemTarget, v1.data(), m1.data()},
+                {both, v4.data(), m4.data()},
+                {unreached, v5.data(), m5.data()},
+                {lone, v6.data(), m6.data()}};
+            const std::vector<GateId> seeds = {a, branchTarget, both};
+
+            // Reference: one gate at a time in topological order. A
+            // gate is recomputed when it is a seed or reads a changed
+            // fan-in, word by word with its injections applied.
+            std::vector<std::uint64_t> ref(good.begin(), good.end());
+            std::vector<char> changed(n, 0), seeded(n, 0);
+            for (const GateId s : seeds)
+                seeded[static_cast<std::size_t>(s)] = 1;
+            std::size_t want = 0;
+            std::vector<std::uint64_t> pins(
+                static_cast<std::size_t>(flat.maxArity()));
+            for (const GateId g : flat.topoOrder()) {
+                const std::size_t at = static_cast<std::size_t>(g) * Ws;
+                if (forced[g] == epoch) {
+                    for (std::size_t w = 0; w < Ws; ++w) {
+                        ref[at + w] = faulty[at + w];
+                        changed[g] |= ref[at + w] != good[at + w];
+                    }
+                    continue;
+                }
+                const GateId *fi = flat.fanins(g);
+                const int ar = flat.arity(g);
+                bool reached = seeded[g] != 0;
+                for (int p = 0; p < ar; ++p)
+                    reached |= changed[fi[p]] != 0;
+                if (!reached)
+                    continue;
+                ++want;
+                for (std::size_t w = 0; w < Ws; ++w) {
+                    for (int p = 0; p < ar; ++p)
+                        pins[p] = ref[static_cast<std::size_t>(fi[p]) * Ws +
+                                      w];
+                    for (const auto &bi : binj)
+                        if (bi.consumer == g)
+                            pins[bi.pin] = (pins[bi.pin] & ~bi.mask[w]) |
+                                           (bi.value[w] & bi.mask[w]);
+                    std::uint64_t v = sim::detail::evalGateWord(
+                        flat.kind(g), pins.data(), ar);
+                    for (const auto &si : sinj)
+                        if (si.gate == g)
+                            v = (v & ~si.mask[w]) |
+                                (si.value[w] & si.mask[w]);
+                    ref[at + w] = v;
+                    changed[g] |= v != good[at + w];
+                }
+            }
+            ASSERT_TRUE(changed[static_cast<std::size_t>(shared)]);
+            ASSERT_FALSE(seeded[static_cast<std::size_t>(unreached)]);
+
+            const std::size_t got = k.replayEvents(
+                flat, good.data(), faulty.data(), stamp.data(),
+                forced.data(), epoch, seeds.data(), seeds.size(),
+                binj.data(), binj.size(), sinj.data(), sinj.size(),
+                events.data(), ptrs.data());
+            EXPECT_EQ(got, want);
+            for (const std::uint64_t ev : events)
+                EXPECT_EQ(ev, 0u);
+            for (std::size_t g = 0; g < n; ++g)
+                for (std::size_t w = 0; w < Ws; ++w)
+                    ASSERT_EQ(
+                        (stamp[g] == epoch ? faulty : good)[g * Ws + w],
+                        ref[g * Ws + w])
+                        << "gate " << g << " word " << w;
         }
     }
 }
