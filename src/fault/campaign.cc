@@ -1,5 +1,6 @@
 #include "fault/campaign.hh"
 
+#include <limits>
 #include <stdexcept>
 
 #include "engine/campaign_engine.hh"
@@ -11,7 +12,6 @@
 #include "sim/batch_sim.hh"
 #include "sim/fault_sim.hh"
 #include "sim/flat.hh"
-#include "util/rng.hh"
 
 namespace scal::fault
 {
@@ -41,8 +41,9 @@ struct Verdict
 struct PatternBlock
 {
     std::vector<std::uint64_t> in; ///< per-input lane blocks (ni * W)
-    /** Raw per-lane pattern words (sampled mode only; exhaustive
-     *  patterns are first + lane). */
+    /** Each lane's first pattern word, inputs 0-63 (sampled mode
+     *  only; exhaustive patterns are first + lane). A kept unsafe
+     *  example records these inputs only. */
     std::vector<std::uint64_t> base;
     std::uint64_t first = 0;
     int lanes = 64;
@@ -66,15 +67,14 @@ struct PatternBlock
     }
 };
 
-/** Serial pre-pass: the packed pattern stream. The Rng is drawn once
- *  per sampled pattern, in pattern order, independent of lane_words;
- *  the fault-free values are cached per worker by
- *  FaultSimulator::setAlternatingBlock. */
+/** Serial pre-pass: the packed pattern stream (sim::PatternStream:
+ *  pattern order, independent of lane_words); the fault-free values
+ *  are cached per worker by FaultSimulator::setAlternatingBlock. */
 std::vector<PatternBlock>
 buildBlocks(int ni, bool exhaustive, std::uint64_t num_patterns,
             std::uint64_t seed, int lane_words)
 {
-    util::Rng rng(seed);
+    sim::PatternStream stream(ni, exhaustive, seed);
 
     const std::uint64_t block_lanes =
         static_cast<std::uint64_t>(64) * lane_words;
@@ -87,21 +87,11 @@ buildBlocks(int ni, bool exhaustive, std::uint64_t num_patterns,
         blk.first = base;
         blk.lanes = static_cast<int>(
             std::min<std::uint64_t>(block_lanes, num_patterns - base));
-        blk.in.assign(static_cast<std::size_t>(ni) * lane_words, 0);
+        blk.in.resize(static_cast<std::size_t>(ni) * lane_words);
         if (!exhaustive)
             blk.base.resize(blk.lanes);
-        for (int lane = 0; lane < blk.lanes; ++lane) {
-            const std::uint64_t pat =
-                exhaustive ? base + lane : rng.next();
-            if (!exhaustive)
-                blk.base[lane] = pat;
-            const std::size_t word = static_cast<std::size_t>(lane) / 64;
-            const std::uint64_t bit = std::uint64_t{1} << (lane % 64);
-            for (int i = 0; i < ni; ++i)
-                if ((pat >> i) & 1)
-                    blk.in[static_cast<std::size_t>(i) * lane_words +
-                           word] |= bit;
-        }
+        stream.next(blk.lanes, lane_words, blk.in.data(),
+                    exhaustive ? nullptr : blk.base.data());
         blocks.push_back(std::move(blk));
     }
     return blocks;
@@ -147,22 +137,32 @@ outcomeOf(const Verdict &v)
     return v.tested ? Outcome::Detected : Outcome::Untestable;
 }
 
-/** The campaign preconditions, checked before any work is done;
- *  returns the target's fault universe. */
+/** The campaign preconditions on the netlist and options, checked
+ *  before any work is done; returns the target's fault universe. */
 std::vector<Fault>
 checkedFaults(const Netlist &net, const CampaignOptions &opts)
 {
     if (!net.isCombinational())
         throw std::invalid_argument("campaign needs combinational netlist");
-    if (opts.checkAlternating && net.numInputs() <= 20 &&
-        !sim::isAlternatingNetwork(net))
-        throw std::invalid_argument(
-            "campaign target is not an alternating network "
-            "(some output is not self-dual)");
     if (opts.lanes != 0 && opts.lanes != 64 && opts.lanes != 256 &&
         opts.lanes != 512)
         throw std::invalid_argument("lanes must be 0 (auto), 64, 256 or 512");
     return net.allFaults();
+}
+
+/** The compiled target, checked for Theorem 2.1's precondition that
+ *  every output is self-dual: exhaustively, up to 20 inputs. */
+sim::FlatNetlist
+checkedFlat(const Netlist &net, const CampaignOptions &opts)
+{
+    sim::FlatNetlist flat(net);
+    if (opts.checkAlternating && net.numInputs() <= 20 &&
+        !sim::isAlternatingNetwork(
+            flat, std::numeric_limits<std::uint64_t>::max(), 1))
+        throw std::invalid_argument(
+            "campaign target is not an alternating network "
+            "(some output is not self-dual)");
+    return flat;
 }
 
 /**
@@ -189,7 +189,7 @@ struct CombSetup
                          opts.maxPatterns),
           numPatterns(exhaustive ? std::uint64_t{1} << net.numInputs()
                                  : opts.maxPatterns),
-          flat(net),
+          flat(checkedFlat(net, opts)),
           blocks(buildBlocks(net.numInputs(), exhaustive, numPatterns,
                              opts.seed, laneWords)),
           col(collapseFaults(net, {.constRefine = true, .dominance = true})),

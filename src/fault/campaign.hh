@@ -38,16 +38,24 @@ struct CampaignOptions
 {
     /**
      * Pattern cap: campaigns are exhaustive when 2^numInputs fits,
-     * otherwise this many uniformly random patterns are used.
+     * otherwise this many uniformly random patterns are used
+     * (sim::PatternStream: one Rng word per pattern and per 64
+     * inputs).
      */
     std::uint64_t maxPatterns = std::uint64_t{1} << 20;
     std::uint64_t seed = 1;
-    /** Keep at most this many unsafe example patterns per fault. */
+    /** Keep at most this many unsafe example patterns per fault
+     *  (each records inputs 0-63 only; see FaultResult). */
     int keepUnsafeExamples = 4;
     /**
-     * Verify the precondition that every output is self-dual
-     * (exhaustive, serial). Disable for large nets already known to
-     * be alternating, e.g. in benchmarks.
+     * Verify the precondition that every output is self-dual,
+     * exhaustively, on targets of at most 20 inputs: 2^(n-1) patterns
+     * through the wide good-value kernel (sim::isAlternatingNetwork),
+     * 1,024 blocks of 512 lanes at 20 inputs. It stays an option
+     * although its cost no longer calls for turning it off: it is a
+     * column of the comb config key (canonicalCampaignConfig), so
+     * dropping it changes every cache key and snapshot header and
+     * belongs with a versioned format change.
      */
     bool checkAlternating = true;
     /**

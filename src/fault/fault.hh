@@ -43,7 +43,9 @@ struct FaultResult
 {
     netlist::Fault fault;
     Outcome outcome = Outcome::Untestable;
-    /** Input patterns (minterm indices) producing an unsafe word. */
+    /** Input patterns (minterm indices) producing an unsafe word.
+     *  A pattern is one 64-bit word, so on a circuit of more than 64
+     *  inputs it records inputs 0-63 only. */
     std::vector<std::uint64_t> unsafePatterns;
 };
 

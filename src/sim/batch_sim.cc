@@ -169,69 +169,46 @@ FaultBatchPlan::FaultBatchPlan(const FlatNetlist &flat,
 
     // Fanout cones (unordered gate sets, for batch coloring and
     // costs) and owned outputs per Sim class; root cones and
-    // reachable outputs per Flip/Cpt group.
-    std::vector<std::uint8_t> seen(static_cast<std::size_t>(n), 0);
-    std::vector<GateId> stack, cone;
-    auto build_cone = [&](GateId seed) {
-        cone.clear();
-        stack.clear();
-        stack.push_back(seed);
-        seen[seed] = 1;
-        while (!stack.empty()) {
-            const GateId g = stack.back();
-            stack.pop_back();
-            cone.push_back(g);
-            const GateId *cs = flat.consumers(g);
-            for (int k = 0; k < flat.fanoutDegree(g); ++k) {
-                if (!seen[cs[k]]) {
-                    seen[cs[k]] = 1;
-                    stack.push_back(cs[k]);
-                }
-            }
-        }
-        for (GateId g : cone)
-            seen[g] = 0;
-    };
-
-    coneOff_.assign(static_cast<std::size_t>(nc) + 1, 0);
-    ownOff_.assign(static_cast<std::size_t>(nc) + 1, 0);
+    // reachable outputs per Flip/Cpt group. One bitset pass gathers
+    // every cone: the Sim classes' injection gates first, in class
+    // order, then the roots, in group order.
+    std::vector<GateId> seeds;
+    coneOf_.assign(static_cast<std::size_t>(nc), -1);
     for (int c = 0; c < nc; ++c) {
         if (route_[c] == ClassRoute::Sim) {
             const Fault &f = simFault_[c];
-            const GateId seed =
-                f.site.isStem() ? f.site.driver : f.site.consumer;
-            build_cone(seed);
-            coneData_.insert(coneData_.end(), cone.begin(), cone.end());
-            for (GateId g : cone) {
-                const std::int32_t *taps = flat.taps(g);
-                for (int t = 0; t < flat.numTaps(g); ++t)
-                    ownData_.push_back(taps[t]);
-            }
+            coneOf_[c] = static_cast<std::int32_t>(seeds.size());
+            seeds.push_back(f.site.isStem() ? f.site.driver
+                                            : f.site.consumer);
         }
-        coneOff_[static_cast<std::size_t>(c) + 1] =
-            static_cast<std::int32_t>(coneData_.size());
+    }
+    rootConeOf_.assign(static_cast<std::size_t>(ng), -1);
+    for (int g = 0; g < ng; ++g) {
+        if (flipNeed_[g] || groupCpt_[g]) {
+            rootConeOf_[g] = static_cast<std::int32_t>(seeds.size());
+            seeds.push_back(groupRoots_[g]);
+        }
+    }
+    cones_ = fanoutCones(flat, seeds);
+    auto append_taps = [&](std::int32_t cone,
+                           std::vector<std::int32_t> &taps) {
+        if (cone < 0)
+            return;
+        for (const GateId g : cones_.cone(static_cast<std::size_t>(cone)))
+            for (int t = 0; t < flat.numTaps(g); ++t)
+                taps.push_back(flat.taps(g)[t]);
+    };
+    ownOff_.assign(static_cast<std::size_t>(nc) + 1, 0);
+    for (int c = 0; c < nc; ++c) {
+        append_taps(coneOf_[c], ownData_);
         ownOff_[static_cast<std::size_t>(c) + 1] =
             static_cast<std::int32_t>(ownData_.size());
     }
-
     rootTapOff_.assign(static_cast<std::size_t>(ng) + 1, 0);
-    groupConeOff_.assign(static_cast<std::size_t>(ng) + 1, 0);
     for (int g = 0; g < ng; ++g) {
-        if (flipNeed_[g] || groupCpt_[g]) {
-            build_cone(groupRoots_[g]);
-            if (flipNeed_[g])
-                groupConeData_.insert(groupConeData_.end(), cone.begin(),
-                                      cone.end());
-            for (GateId cg : cone) {
-                const std::int32_t *taps = flat.taps(cg);
-                for (int t = 0; t < flat.numTaps(cg); ++t)
-                    rootTapData_.push_back(taps[t]);
-            }
-        }
+        append_taps(rootConeOf_[g], rootTapData_);
         rootTapOff_[static_cast<std::size_t>(g) + 1] =
             static_cast<std::int32_t>(rootTapData_.size());
-        groupConeOff_[static_cast<std::size_t>(g) + 1] =
-            static_cast<std::int32_t>(groupConeData_.size());
     }
 
     // FFR gate lists (topo-ascending) for Cpt groups, via one pass
@@ -264,15 +241,10 @@ FaultBatchPlan::FaultBatchPlan(const FlatNetlist &flat,
     groupCost_.assign(static_cast<std::size_t>(ng), 0);
     for (int c = 0; c < nc; ++c) {
         const int gi = groupOf_[c];
-        const std::uint64_t tapRange = static_cast<std::uint64_t>(
-            rootTapOff_[static_cast<std::size_t>(gi) + 1] -
-            rootTapOff_[static_cast<std::size_t>(gi)]);
+        const std::uint64_t tapRange = rootOutputs(gi).size();
         switch (route_[c]) {
           case ClassRoute::Sim:
-            groupCost_[gi] +=
-                4 + 2 * static_cast<std::uint64_t>(
-                            coneOff_[static_cast<std::size_t>(c) + 1] -
-                            coneOff_[static_cast<std::size_t>(c)]);
+            groupCost_[gi] += 4 + 2 * simCone(c).size();
             break;
           case ClassRoute::Flip:
             groupCost_[gi] += 1 + tapRange;
@@ -289,12 +261,7 @@ FaultBatchPlan::FaultBatchPlan(const FlatNetlist &flat,
     for (int g = 0; g < ng; ++g) {
         if (flipNeed_[g])
             groupCost_[g] +=
-                4 + 2 * static_cast<std::uint64_t>(
-                            groupConeOff_[static_cast<std::size_t>(g) + 1] -
-                            groupConeOff_[static_cast<std::size_t>(g)]) +
-                2 * static_cast<std::uint64_t>(
-                        rootTapOff_[static_cast<std::size_t>(g) + 1] -
-                        rootTapOff_[static_cast<std::size_t>(g)]);
+                4 + 2 * rootCone(g).size() + 2 * rootOutputs(g).size();
         if (groupCpt_[g])
             groupCost_[g] += 2 * static_cast<std::uint64_t>(
                                      ffrOff_[static_cast<std::size_t>(g) + 1] -
@@ -354,21 +321,17 @@ BatchClassifier::setRange(int group_begin, int group_end)
     for (int gi = g0_; gi < g1_; ++gi) {
         if (!plan_.flipNeed_[gi])
             continue;
-        const GateId *cone =
-            plan_.groupConeData_.data() + plan_.groupConeOff_[gi];
-        const std::size_t len = static_cast<std::size_t>(
-            plan_.groupConeOff_[static_cast<std::size_t>(gi) + 1] -
-            plan_.groupConeOff_[gi]);
+        const std::span<const GateId> cone = plan_.rootCone(gi);
         std::int32_t b = 0;
-        for (std::size_t i = 0; i < len; ++i)
-            b = std::max(b, lastBatch_[cone[i]] + 1);
+        for (const GateId g : cone)
+            b = std::max(b, lastBatch_[g] + 1);
         if (static_cast<std::size_t>(b) >= flipBatches_.size())
             flipBatches_.emplace_back();
         FlipBatch &fb = flipBatches_[static_cast<std::size_t>(b)];
         fb.roots.push_back(plan_.groupRoots_[gi]);
         fb.groups.push_back(gi);
-        for (std::size_t i = 0; i < len; ++i)
-            lastBatch_[cone[i]] = b;
+        for (const GateId g : cone)
+            lastBatch_[g] = b;
     }
 
     std::fill(lastBatch_.begin(), lastBatch_.end(), -1);
@@ -378,21 +341,17 @@ BatchClassifier::setRange(int group_begin, int group_end)
         const int c = plan_.classList_[pos];
         if (plan_.route_[c] != ClassRoute::Sim)
             continue;
-        const GateId *cone =
-            plan_.coneData_.data() + plan_.coneOff_[c];
-        const std::size_t len = static_cast<std::size_t>(
-            plan_.coneOff_[static_cast<std::size_t>(c) + 1] -
-            plan_.coneOff_[c]);
+        const std::span<const GateId> cone = plan_.simCone(c);
         std::int32_t b = 0;
-        for (std::size_t i = 0; i < len; ++i)
-            b = std::max(b, lastBatch_[cone[i]] + 1);
+        for (const GateId g : cone)
+            b = std::max(b, lastBatch_[g] + 1);
         if (static_cast<std::size_t>(b) >= batches_.size())
             batches_.emplace_back();
         Batch &bt = batches_[static_cast<std::size_t>(b)];
         bt.faults.push_back(plan_.simFault_[c]);
         bt.members.push_back({c, pos});
-        for (std::size_t i = 0; i < len; ++i)
-            lastBatch_[cone[i]] = b;
+        for (const GateId g : cone)
+            lastBatch_[g] = b;
     }
 }
 

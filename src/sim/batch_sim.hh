@@ -65,6 +65,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "sim/fault_sim.hh"
@@ -136,8 +137,46 @@ class FaultBatchPlan
     ClassRoute routeOf(int cls) const { return route_[cls]; }
     BatchPlanStats stats() const;
 
+    /** @name Fanout cones, each an unordered gate set */
+    /** @{ */
+    netlist::GateId groupRoot(int g) const { return groupRoots_[g]; }
+    /** The cone of Sim class @p cls's injection gate (empty for the
+     *  other routes), and the outputs it drives. */
+    std::span<const netlist::GateId> simCone(int cls) const
+    {
+        return coneOf_[cls] < 0 ? std::span<const netlist::GateId>{}
+                                : cones_.cone(static_cast<std::size_t>(
+                                      coneOf_[cls]));
+    }
+    std::span<const std::int32_t> simOutputs(int cls) const
+    {
+        return range(ownData_, ownOff_, cls);
+    }
+    /** The root cone of group @p g (empty unless it has a Flip class),
+     *  and the outputs the root reaches (empty unless it has a Flip or
+     *  Cpt class). */
+    std::span<const netlist::GateId> rootCone(int g) const
+    {
+        return flipNeed_[g] ? cones_.cone(static_cast<std::size_t>(
+                                  rootConeOf_[g]))
+                            : std::span<const netlist::GateId>{};
+    }
+    std::span<const std::int32_t> rootOutputs(int g) const
+    {
+        return range(rootTapData_, rootTapOff_, g);
+    }
+    /** @} */
+
   private:
     friend class BatchClassifier;
+
+    static std::span<const std::int32_t>
+    range(const std::vector<std::int32_t> &data,
+          const std::vector<std::int32_t> &off, int i)
+    {
+        return {data.data() + off[static_cast<std::size_t>(i)],
+                data.data() + off[static_cast<std::size_t>(i) + 1]};
+    }
 
     const FlatNetlist *flat_;
     bool cpt_;
@@ -155,11 +194,14 @@ class FaultBatchPlan
      *  so the choice is invisible in the masks. */
     std::vector<netlist::Fault> simFault_;
     std::vector<int> groupOf_;
-    std::vector<std::int32_t> coneOff_;     ///< per class + 1 (Sim only)
-    std::vector<netlist::GateId> coneData_; ///< fanout cones, unordered
-    std::vector<std::int32_t> ownOff_;      ///< per class + 1
-    std::vector<std::int32_t> ownData_;     ///< owned output ids
+    std::vector<std::int32_t> coneOf_; ///< index into cones_, Sim only
+    std::vector<std::int32_t> ownOff_; ///< per class + 1
+    std::vector<std::int32_t> ownData_; ///< owned output ids
     /** @} */
+
+    /** The fanout cones of the Sim classes' injection gates and of the
+     *  Flip/Cpt groups' roots. */
+    FanoutCones cones_;
 
     /** @name Per group (one per FFR root owning >= 1 class) */
     /** @{ */
@@ -169,10 +211,9 @@ class FaultBatchPlan
     std::vector<std::uint64_t> groupCost_;
     std::vector<std::uint8_t> groupCpt_;  ///< has >= 1 Cpt class
     std::vector<std::uint8_t> flipNeed_;  ///< has >= 1 Flip class
-    /** Root fanout cones (unordered) of flip-needing groups: the
-     *  flip unit the batcher colors. */
-    std::vector<std::int32_t> groupConeOff_; ///< per group + 1
-    std::vector<netlist::GateId> groupConeData_;
+    /** Index into cones_ of the root cone of a Flip/Cpt group; in a
+     *  flip-needing group it is the flip unit the batcher colors. */
+    std::vector<std::int32_t> rootConeOf_;
     /** Outputs reachable from the root; doubles as the flip-response
      *  slot index space (slot = rootTapOff_[g] + t). A group with Cpt
      *  classes but no Flip class (both root stems dominance-pruned)

@@ -26,6 +26,7 @@
 #define SCAL_SIM_FLAT_HH
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "netlist/netlist.hh"
@@ -145,6 +146,36 @@ class FlatNetlist
     std::vector<std::uint8_t> ffInit_;
     std::vector<netlist::GateId> outputs_;
 };
+
+/**
+ * Fanout cones over the combinational consumer edges (a Dff D-pin ends
+ * a cone): the cone of a gate is the gate plus its consumers' cones.
+ * Both calls below make one bitset pass in reverse topological order,
+ * OR-ing each gate's consumer rows into its own. The columns are
+ * topological positions, cut into tiles so that one tile's table stays
+ * within 1 MiB up to 131,072 gates (one word per gate beyond); a gate
+ * reaches no column before its own position, so a tile's pass starts
+ * at the tile's last column.
+ */
+struct FanoutCones
+{
+    /** Cone i is data[off[i], off[i+1]), in ascending topological
+     *  position. */
+    std::vector<std::int32_t> off;
+    std::vector<netlist::GateId> data;
+
+    std::span<const netlist::GateId> cone(std::size_t i) const
+    {
+        return {data.data() + off[i], data.data() + off[i + 1]};
+    }
+};
+
+/** The fanout cones of @p seeds, one per seed in seed order. */
+FanoutCones fanoutCones(const FlatNetlist &flat,
+                        const std::vector<netlist::GateId> &seeds);
+
+/** The gate count of every gate's fanout cone, indexed by GateId. */
+std::vector<std::int32_t> fanoutConeSizes(const FlatNetlist &flat);
 
 } // namespace scal::sim
 

@@ -47,46 +47,15 @@ std::vector<std::uint64_t>
 seqSiteCosts(const FlatNetlist &flat,
              const std::vector<SeqFaultSite> &sites)
 {
-    const int n = flat.numGates();
-
-    // Fanout-cone sizes, computed lazily (many sites share a root)
-    // with a visit-stamp scratch.
-    std::vector<std::int32_t> coneSize(static_cast<std::size_t>(n), -1);
-    std::vector<std::uint32_t> visit(static_cast<std::size_t>(n), 0);
-    std::uint32_t visitEpoch = 0;
-    std::vector<GateId> stack;
-    const auto coneSizeOf = [&](GateId root) -> std::uint64_t {
-        if (root == kNoGate)
-            return 0;
-        std::int32_t &memo = coneSize[static_cast<std::size_t>(root)];
-        if (memo < 0) {
-            ++visitEpoch;
-            std::int32_t count = 0;
-            stack.clear();
-            stack.push_back(root);
-            visit[static_cast<std::size_t>(root)] = visitEpoch;
-            while (!stack.empty()) {
-                const GateId g = stack.back();
-                stack.pop_back();
-                ++count;
-                const GateId *cs = flat.consumers(g);
-                for (int k = 0; k < flat.fanoutDegree(g); ++k) {
-                    if (visit[static_cast<std::size_t>(cs[k])] !=
-                        visitEpoch) {
-                        visit[static_cast<std::size_t>(cs[k])] =
-                            visitEpoch;
-                        stack.push_back(cs[k]);
-                    }
-                }
-            }
-            memo = count;
-        }
-        return static_cast<std::uint64_t>(memo);
-    };
-
+    const std::vector<std::int32_t> coneSize = fanoutConeSizes(flat);
     std::vector<std::uint64_t> costs(sites.size());
-    for (std::size_t i = 0; i < sites.size(); ++i)
-        costs[i] = 1 + coneSizeOf(injectionRoot(flat, sites[i]));
+    for (std::size_t i = 0; i < sites.size(); ++i) {
+        const GateId root = injectionRoot(flat, sites[i]);
+        costs[i] = 1 + (root == kNoGate
+                            ? 0
+                            : static_cast<std::uint64_t>(
+                                  coneSize[static_cast<std::size_t>(root)]));
+    }
     return costs;
 }
 

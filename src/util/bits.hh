@@ -49,6 +49,24 @@ getBit(std::uint64_t w, unsigned i)
     return (w >> i) & 1;
 }
 
+/**
+ * Transpose the 64x64 bit matrix @p a in place: afterwards bit c of
+ * a[r] is the former bit r of a[c]. Six rounds of block swaps, each
+ * exchanging the off-diagonal j x j blocks of every 2j x 2j block.
+ */
+inline void
+transpose64(std::uint64_t a[64])
+{
+    std::uint64_t m = 0x00000000ffffffffULL;
+    for (int j = 32; j != 0; j >>= 1, m ^= m << j) {
+        for (int k = 0; k < 64; k = ((k | j) + 1) & ~j) {
+            const std::uint64_t t = ((a[k] >> j) ^ a[k | j]) & m;
+            a[k] ^= t << j;
+            a[k | j] ^= t;
+        }
+    }
+}
+
 } // namespace scal::util
 
 #endif // SCAL_UTIL_BITS_HH

@@ -1,9 +1,10 @@
 #include "oracle/per_fault_campaign.hh"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 
-#include "sim/alternating.hh"
+#include "oracle/setup_reference.hh"
 #include "sim/fault_sim.hh"
 #include "sim/flat.hh"
 #include "sim/seq_fault_sim.hh"
@@ -20,7 +21,8 @@ runPerFaultCampaign(const Netlist &net, const fault::CampaignOptions &opts)
     if (!net.isCombinational())
         throw std::invalid_argument("campaign needs combinational netlist");
     if (opts.checkAlternating && net.numInputs() <= 20 &&
-        !sim::isAlternatingNetwork(net))
+        !scalarIsAlternatingNetwork(
+            net, std::numeric_limits<std::uint64_t>::max(), 1))
         throw std::invalid_argument(
             "campaign target is not an alternating network");
 
@@ -48,21 +50,28 @@ runPerFaultCampaign(const Netlist &net, const fault::CampaignOptions &opts)
     util::Rng rng(opts.seed);
     std::vector<std::uint64_t> in(static_cast<std::size_t>(ni) * W);
     std::vector<std::uint64_t> pattern(block_lanes);
+    std::vector<std::uint64_t> words(static_cast<std::size_t>(ni + 63) / 64);
     std::vector<std::uint8_t> tested(faults.size(), 0);
     std::vector<std::uint8_t> unsafe(faults.size(), 0);
 
     // Lane l of a block holds pattern first + l (exhaustive) or the
-    // l-th draw of the block (sampled), at bit l % 64 of word l / 64.
+    // l-th pattern of the block (sampled: one draw per 64 inputs, word
+    // j holding inputs 64j..64j+63), at bit l % 64 of word l / 64. A
+    // kept unsafe example is the pattern's first word.
     for (std::uint64_t first = 0; first < num_patterns;
          first += block_lanes) {
         const int lanes = static_cast<int>(
             std::min(block_lanes, num_patterns - first));
         std::fill(in.begin(), in.end(), 0);
         for (int lane = 0; lane < lanes; ++lane) {
-            const std::uint64_t pat = exhaustive ? first + lane : rng.next();
-            pattern[static_cast<std::size_t>(lane)] = pat;
+            for (std::size_t j = 0; j < words.size(); ++j)
+                words[j] = exhaustive ? (j == 0 ? first + lane : 0)
+                                      : rng.next();
+            pattern[static_cast<std::size_t>(lane)] =
+                words.empty() ? 0 : words[0];
             for (int i = 0; i < ni; ++i)
-                if ((pat >> i) & 1)
+                if ((words[static_cast<std::size_t>(i / 64)] >> (i % 64)) &
+                    1)
                     in[static_cast<std::size_t>(i) * W + lane / 64] |=
                         std::uint64_t{1} << (lane % 64);
         }

@@ -10,7 +10,7 @@
  *    and the `campaign_ref` arm of bench_ingest_campaign. It rebuilds
  *    the pattern stream itself from the campaign's contract
  *    (exhaustive when 2^numInputs fits under maxPatterns, otherwise
- *    one Rng draw per pattern in pattern order).
+ *    one Rng draw per pattern and per 64 inputs, in pattern order).
  *  - runPerFaultSeqCampaign is the sequential counterpart: the
  *    oracle test_seq_fault_parallel_equiv diffs the lane-batched
  *    campaign of fault/seq_campaign.hh against at every lane

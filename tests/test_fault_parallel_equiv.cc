@@ -140,5 +140,42 @@ TEST(FaultParallelEquiv, RawRandomNetlistsFallback)
     }
 }
 
+/** y = AND(a0, NOT(a<k>)) over @p inputs inputs, hardened. */
+Netlist
+andNotOver(int inputs, int k)
+{
+    Netlist raw;
+    std::vector<GateId> in;
+    for (int i = 0; i < inputs; ++i)
+        in.push_back(raw.addInput("a" + std::to_string(i)));
+    const GateId not_k = raw.addNot(in[static_cast<std::size_t>(k)]);
+    raw.addOutput(raw.addAnd({in[0], not_k}), "y");
+    return ingest::hardenNetlist(raw).net;
+}
+
+TEST(FaultParallelEquiv, InputsPast64DrawTheirOwnWords)
+{
+    // A sampled pattern draws one Rng word per 64 inputs, so input 64
+    // is as independent of input 0 as input 63 is: both circuits are
+    // the same AND of two free inputs and get the same verdict counts.
+    // (Reading every input from one word aliased input 64 to input 0,
+    // which pins y to 0 and left 21 of the 170 faults detected
+    // against 32.)
+    const Netlist on63 = andNotOver(70, 63);
+    const Netlist on64 = andNotOver(70, 64);
+    fault::CampaignOptions opts;
+    opts.maxPatterns = 4096;
+    const fault::CampaignResult r63 =
+        fault::runAlternatingCampaign(on63, opts);
+    const fault::CampaignResult r64 =
+        fault::runAlternatingCampaign(on64, opts);
+    ASSERT_EQ(r64.faults.size(), 170u);
+    EXPECT_EQ(r64.numDetected, 32);
+    EXPECT_EQ(r64.numDetected, r63.numDetected);
+    EXPECT_EQ(r64.numUnsafe, r63.numUnsafe);
+    EXPECT_EQ(r64.numUntestable, r63.numUntestable);
+    checkGrid(on64, "a0 & ~a64 over 70 inputs", 4096);
+}
+
 } // namespace
 } // namespace scal

@@ -763,7 +763,6 @@ printSeqCampaignResult(const Netlist &net,
         std::cout << fault::seqCampaignVerdictJson(net, res);
         return res.selfChecking() ? 0 : 2;
     }
-    const auto col = fault::collapseFaults(net);
 
     if (json) {
         // Shared verdict/tail encoders (fault/report.hh); the
@@ -775,6 +774,7 @@ printSeqCampaignResult(const Netlist &net,
         return res.selfChecking() ? 0 : 2;
     }
 
+    const auto col = fault::collapseFaults(net);
     std::cout << "symbols: " << res.symbols << " x " << res.lanes
               << " lanes (" << sim::simdTargetName(res.simd)
               << " kernels)\n"
