@@ -1,6 +1,7 @@
 #include "core/analysis.hh"
 
 #include <stdexcept>
+#include <string>
 
 namespace scal::core
 {
@@ -8,13 +9,18 @@ namespace scal::core
 using namespace netlist;
 using logic::TruthTable;
 
-ScalAnalyzer::ScalAnalyzer(const Netlist &net)
-    : net_(net), lf_(sim::computeLineFunctions(net))
+ScalAnalyzer::ScalAnalyzer(const Netlist &net) : net_(net)
 {
     if (!net.isCombinational())
         throw std::invalid_argument(
             "ScalAnalyzer handles combinational networks; analyze a "
             "sequential machine's combinational core instead");
+    if (net.numInputs() > kMaxAnalyzerInputs)
+        throw std::invalid_argument(
+            "exact analysis takes at most " +
+            std::to_string(kMaxAnalyzerInputs) +
+            " inputs; this network has " + std::to_string(net.numInputs()));
+    lf_ = sim::computeLineFunctions(net);
 }
 
 bool

@@ -55,9 +55,17 @@ enum class Corollary31Form
     Term2,
 };
 
+/**
+ * The most inputs ScalAnalyzer takes: each line's truth table holds
+ * 2^inputs bits, 128 KiB per line at 20.
+ */
+inline constexpr int kMaxAnalyzerInputs = 20;
+
 class ScalAnalyzer
 {
   public:
+    /** Throws std::invalid_argument on a sequential network or one of
+     *  more than kMaxAnalyzerInputs inputs. */
     explicit ScalAnalyzer(const netlist::Netlist &net);
 
     const netlist::Netlist &net() const { return net_; }

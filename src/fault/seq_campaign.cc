@@ -212,17 +212,12 @@ struct SeqSetup
         return sim::wideKernels(rs.laneWords, opts.simd).target;
     }
 
-    /** Lane batches over sites [s0, s1); members are site indices. */
+    /** Lane batches over every site; members are site indices. */
     sim::SeqBatchPlan
-    planBatches(std::size_t s0, std::size_t s1) const
+    planBatches() const
     {
-        sim::SeqBatchPlan plan = sim::planSeqBatches(
-            flat, std::span(sites).subspan(s0, s1 - s0), rs.laneWords,
-            sim::kMaxLaneWords);
-        for (std::vector<int> &batch : plan.batches)
-            for (int &i : batch)
-                i += static_cast<int>(s0);
-        return plan;
+        return sim::planSeqBatches(flat, sites, rs.laneWords,
+                                   sim::kMaxLaneWords);
     }
 
     SeqCampaignOptions opts;
@@ -435,7 +430,7 @@ runSequentialCampaign(const Netlist &net, const SeqCampaignSpec &spec,
 {
     const SeqSetup s(net, spec, opts);
     const std::size_t numClasses = s.col.representatives.size();
-    const sim::SeqBatchPlan plan = s.planBatches(0, s.sites.size());
+    const sim::SeqBatchPlan plan = s.planBatches();
 
     engine::CampaignEngine eng(engineOptions(opts));
     eng.beginCampaign(numClasses);
@@ -492,50 +487,45 @@ runSequentialCampaignShard(const Netlist &net,
                            const CheckpointOptions &ckpt)
 {
     // The shard universe is the collapsed class space under the
-    // effective knobs — a pure function of (netlist, config), so every
-    // process derives the same contiguous split. Each shard re-packs
-    // only its slice; verdicts do not depend on who shares a batch
-    // (tests/test_seq_fault_parallel_equiv.cc), which is what
-    // licenses per-shard re-planning.
+    // effective knobs, a pure function of (netlist, config), so every
+    // process derives the same inline batch plan and deals it: slice
+    // k of N replays plan batches k, k + N, k + 2N, ... exactly as
+    // the inline run does, so the slices' work counters sum to the
+    // inline run's. Adjacent batches have similar replay cones, so
+    // every slice gets an equal share of every region of the
+    // circuit. Pruned class r belongs to slice r mod N.
     const SeqSetup s(net, spec, opts);
     const std::size_t numClasses = s.col.representatives.size();
-
-    // Cost-weighted class slicing, so shards own ~equal simulation
-    // work instead of equal class counts — equal counts leave the
-    // fleet's critical path hostage to wherever the big replay cones
-    // cluster. A class weighs its site's replay cost; pruned classes
-    // weigh only their records. The slice's unpruned classes are the
-    // sites [s0, s1).
-    std::vector<std::uint64_t> classWeights(numClasses, 1);
-    const std::vector<std::uint64_t> siteCosts =
-        sim::seqSiteCosts(s.flat, s.sites);
-    for (std::size_t i = 0; i < s.sites.size(); ++i)
-        classWeights[s.siteRep[i]] = siteCosts[i];
-    const engine::Chunk slice =
-        engine::shardSliceWeighted(classWeights, shard);
-    const std::size_t c0 = slice.begin;
-    const std::size_t c1 = slice.end;
-    const auto firstSite = [&](std::size_t c) {
-        return static_cast<std::size_t>(
-            std::lower_bound(s.siteRep.begin(), s.siteRep.end(), c) -
-            s.siteRep.begin());
-    };
-    const std::size_t s0 = firstSite(c0);
-    const std::size_t s1 = firstSite(c1);
-    const sim::SeqBatchPlan plan = s.planBatches(s0, s1);
+    const auto n = static_cast<std::size_t>(shard.count);
+    const auto k = static_cast<std::size_t>(shard.index);
+    sim::SeqBatchPlan plan = s.planBatches();
+    std::vector<std::vector<int>> dealt;
+    for (std::size_t b = k; b < plan.batches.size(); b += n)
+        dealt.push_back(std::move(plan.batches[b]));
+    plan.batches = std::move(dealt);
 
     // Unit = one batch of the plan, covering its member classes.
     std::vector<std::uint64_t> classes;
-    for (const std::vector<int> &b : plan.batches)
+    std::size_t batchedClasses = 0;
+    for (const std::vector<int> &b : plan.batches) {
         classes.push_back(b.size());
+        batchedClasses += b.size();
+    }
+    std::vector<std::size_t> prunedMine;
+    if (!s.col.pruned.empty())
+        for (std::size_t r = k; r < numClasses; r += n)
+            if (s.col.pruned[r])
+                prunedMine.push_back(r);
 
     ShardOutcome out;
     out.units = classes.size();
-    out.shardClasses = static_cast<int>(c1 - c0);
+    out.shardClasses = static_cast<int>(prunedMine.size() + batchedClasses);
 
     // The run's identity: what a resume snapshot must match, and the
     // header every snapshot of this run carries. fb=1 is the batch
     // unit kind; a snapshot of the retired per-fault units said fb=0.
+    // "dealt" names the partition of a split run, so a snapshot cut
+    // under the older contiguous slices is refused at resume.
     engine::SnapshotHeader id;
     id.kind = "seq";
     id.netHash = netlist::contentHash(net);
@@ -546,6 +536,8 @@ runSequentialCampaignShard(const Netlist &net,
        << ";seqdom=" << (s.opts.seqDominance ? 1 : 0)
        << ";seqtf=" << (s.colOpts.seqTimeFrame ? 1 : 0)
        << ";lanes=" << s.opts.lanes;
+    if (shard.active())
+        sk << ";dealt";
     id.shapeKey = sk.str();
     id.shard = shard;
     id.units = out.units;
@@ -584,9 +576,8 @@ runSequentialCampaignShard(const Netlist &net,
         // Pruned classes never enter the batch plan; their exact
         // default verdict (Untestable, no alarms) is recorded up
         // front, so it is part of every snapshot.
-        for (std::size_t r = c0; r < c1; ++r)
-            if (!s.col.pruned.empty() && s.col.pruned[r])
-                appendClass(r, SeqClassVerdict{});
+        for (const std::size_t r : prunedMine)
+            appendClass(r, SeqClassVerdict{});
     }
     tail.symbols = opts.symbols;
     tail.lanes = s.opts.lanes;
@@ -594,12 +585,12 @@ runSequentialCampaignShard(const Netlist &net,
     tail.classes = static_cast<int>(numClasses);
     tail.prunedClasses = s.col.prunedClasses;
     tail.prunedFaults = s.col.prunedFaults;
-    tail.batchedClasses = static_cast<int>(s1 - s0);
+    tail.batchedClasses = static_cast<int>(batchedClasses);
     tail.batches = static_cast<int>(plan.batches.size());
 
     engine::CampaignEngine eng(engineOptions(opts));
     eng.beginCampaign(static_cast<std::uint64_t>(out.shardClasses));
-    eng.progress().addFaultsDone(c1 - c0 - (s1 - s0));
+    eng.progress().addFaultsDone(prunedMine.size());
     runCheckpointedShard(
         eng, ckpt, opts.cancel, id, classes,
         [&](engine::Chunk c) -> std::function<void()> {

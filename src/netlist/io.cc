@@ -5,6 +5,8 @@
 #include <queue>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
+#include <unordered_set>
 
 namespace scal::netlist
 {
@@ -25,7 +27,7 @@ kindByName()
     return table;
 }
 
-std::string
+const std::string &
 lowerKindName(GateKind kind)
 {
     for (const auto &[name, k] : kindByName())
@@ -156,20 +158,21 @@ readNetlistFromString(const std::string &text)
     return readNetlist(in);
 }
 
-void
-writeNetlist(std::ostream &os, const Netlist &net)
+std::string
+writeNetlistToString(const Netlist &net)
 {
     // Two-pass naming: user names are assigned first so a generated
     // n<id> can never steal an identifier the user declared later in
     // gate order, and the suffix loop guarantees uniqueness even when
     // the user's own names look like n<id> or n<id>_<k>.
     std::vector<std::string> names(net.numGates());
-    std::map<std::string, int> used;
+    std::unordered_set<std::string> used;
+    used.reserve(static_cast<std::size_t>(net.numGates()));
     auto unique = [&](const std::string &base) {
         std::string name = base;
         for (int k = 2; used.count(name); ++k)
             name = base + "_" + std::to_string(k);
-        used[name] = 1;
+        used.insert(name);
         return name;
     };
     for (GateId g = 0; g < net.numGates(); ++g)
@@ -177,29 +180,35 @@ writeNetlist(std::ostream &os, const Netlist &net)
             names[g] = unique(net.gate(g).name);
     for (GateId g = 0; g < net.numGates(); ++g)
         if (net.gate(g).name.empty())
-            names[g] = unique("n" + std::to_string(g));
+            names[g] = unique(std::string("n").append(std::to_string(g)));
+
+    std::string out;
+    const auto put = [&out](std::initializer_list<std::string_view> parts) {
+        for (const std::string_view p : parts)
+            out += p;
+    };
 
     // Inputs first, in port order (their indices are the simulator
     // input order and must survive the round trip).
     for (GateId g : net.inputs())
-        os << "input " << names[g] << "\n";
+        put({"input ", names[g], "\n"});
 
     for (GateId g : net.flipFlops()) {
         const Gate &gate = net.gate(g);
-        os << "dff " << names[g] << ' ' << names[gate.fanin[0]];
+        put({"dff ", names[g], " ", names[gate.fanin[0]]});
         switch (gate.latch) {
           case LatchMode::EveryPeriod:
             break;
           case LatchMode::PhiRise:
-            os << " phirise";
+            out += " phirise";
             break;
           case LatchMode::PhiFall:
-            os << " phifall";
+            out += " phifall";
             break;
         }
         if (gate.init)
-            os << " init1";
-        os << "\n";
+            out += " init1";
+        out += '\n';
     }
 
     // Canonical emission order: Kahn's algorithm taking the smallest
@@ -240,34 +249,31 @@ writeNetlist(std::ostream &os, const Netlist &net)
           case GateKind::Input:
             break; // already emitted in port order
           case GateKind::Const0:
-            os << "const " << names[g] << " 0\n";
+            put({"const ", names[g], " 0\n"});
             break;
           case GateKind::Const1:
-            os << "const " << names[g] << " 1\n";
+            put({"const ", names[g], " 1\n"});
             break;
           case GateKind::Dff:
             break; // emitted after combinational gates
           default:
-            os << "gate " << names[g] << ' '
-               << lowerKindName(gate.kind);
+            put({"gate ", names[g], " ", lowerKindName(gate.kind)});
             for (GateId f : gate.fanin)
-                os << ' ' << names[f];
-            os << "\n";
+                put({" ", names[f]});
+            out += '\n';
             break;
         }
     }
-    for (int j = 0; j < net.numOutputs(); ++j) {
-        os << "output " << net.outputName(j) << ' '
-           << names[net.outputs()[j]] << "\n";
-    }
+    for (int j = 0; j < net.numOutputs(); ++j)
+        put({"output ", net.outputName(j), " ", names[net.outputs()[j]],
+             "\n"});
+    return out;
 }
 
-std::string
-writeNetlistToString(const Netlist &net)
+void
+writeNetlist(std::ostream &os, const Netlist &net)
 {
-    std::ostringstream os;
-    writeNetlist(os, net);
-    return os.str();
+    os << writeNetlistToString(net);
 }
 
 std::uint64_t

@@ -43,22 +43,6 @@ injectionRoot(const FlatNetlist &flat, const SeqFaultSite &s)
 
 } // namespace
 
-std::vector<std::uint64_t>
-seqSiteCosts(const FlatNetlist &flat,
-             const std::vector<SeqFaultSite> &sites)
-{
-    const std::vector<std::int32_t> coneSize = fanoutConeSizes(flat);
-    std::vector<std::uint64_t> costs(sites.size());
-    for (std::size_t i = 0; i < sites.size(); ++i) {
-        const GateId root = injectionRoot(flat, sites[i]);
-        costs[i] = 1 + (root == kNoGate
-                            ? 0
-                            : static_cast<std::uint64_t>(
-                                  coneSize[static_cast<std::size_t>(root)]));
-    }
-    return costs;
-}
-
 SeqBatchPlan
 planSeqBatches(const FlatNetlist &flat, std::span<const SeqFaultSite> sites,
                int group_words, int batch_words)
@@ -74,22 +58,20 @@ planSeqBatches(const FlatNetlist &flat, std::span<const SeqFaultSite> sites,
     // Lane-masked injections make any pairing sound (see the header
     // file comment), so packing is pure locality: sites sorted by the
     // topological position of their injection root share most of
-    // their union replay cone with their batch-mates.
-    std::vector<int> order(sites.size());
-    for (std::size_t i = 0; i < order.size(); ++i)
-        order[i] = static_cast<int>(i);
-    const auto keyOf = [&](int i) {
-        const GateId r =
-            injectionRoot(flat, sites[static_cast<std::size_t>(i)]);
-        return r == kNoGate ? n : flat.topoPos(r);
-    };
-    std::stable_sort(order.begin(), order.end(),
-                     [&](int a, int b) { return keyOf(a) < keyOf(b); });
+    // their union replay cone with their batch-mates. Ties keep the
+    // site order.
+    std::vector<std::pair<int, int>> keyed(sites.size());
+    for (std::size_t i = 0; i < keyed.size(); ++i) {
+        const GateId r = injectionRoot(flat, sites[i]);
+        keyed[i] = {r == kNoGate ? n : flat.topoPos(r),
+                    static_cast<int>(i)};
+    }
+    std::sort(keyed.begin(), keyed.end());
 
-    for (std::size_t k = 0; k < order.size(); ++k) {
+    for (std::size_t k = 0; k < keyed.size(); ++k) {
         if (k % static_cast<std::size_t>(F) == 0)
             plan.batches.emplace_back();
-        plan.batches.back().push_back(order[k]);
+        plan.batches.back().push_back(keyed[k].second);
     }
     return plan;
 }
@@ -105,23 +87,26 @@ SeqFaultBatchSimulator::SeqFaultBatchSimulator(const SeqGoodTrace &trace,
             "group words must divide the trace width");
     const std::size_t n = static_cast<std::size_t>(flat_.numGates());
     const std::size_t W = static_cast<std::size_t>(Wb_);
+    const std::size_t F = static_cast<std::size_t>(F_);
     const std::size_t nff =
         static_cast<std::size_t>(flat_.numFlipFlops());
     const std::size_t no = static_cast<std::size_t>(flat_.numOutputs());
-    sites_.assign(static_cast<std::size_t>(F_), SeqFaultSite{});
-    retired_.assign(static_cast<std::size_t>(F_), 1);
+    sites_.assign(F, SeqFaultSite{});
+    retired_.assign(F, 1);
     faultyState_.assign(nff * W, 0);
     faulty_.assign(n * W, 0);
     stamp_.assign(n, 0);
     forced_.assign(n, 0);
-    injVals_.assign(static_cast<std::size_t>(F_) * W, 0);
-    injMasks_.assign(static_cast<std::size_t>(F_) * W, 0);
-    binj_.reserve(static_cast<std::size_t>(F_));
-    stemVals_.assign(static_cast<std::size_t>(F_) * W, 0);
-    stemMasks_.assign(static_cast<std::size_t>(F_) * W, 0);
-    sinj_.reserve(static_cast<std::size_t>(F_));
-    stemFresh_.reserve(static_cast<std::size_t>(F_));
-    patchedFfs_.reserve(static_cast<std::size_t>(F_));
+    injVals_.assign(F * W, 0);
+    injMasks_.assign(F * W, 0);
+    binj_.reserve(F);
+    stemVals_.assign(F * W, 0);
+    stemMasks_.assign(F * W, 0);
+    stemPins_.reserve(F);
+    sinj_.reserve(F);
+    taps_.reserve(F);
+    dffPins_.reserve(F);
+    patchedFfs_.reserve(F);
     ptrScratch_.assign(
         static_cast<std::size_t>(std::max(1, flat_.maxArity())),
         nullptr);
@@ -129,7 +114,7 @@ SeqFaultBatchSimulator::SeqFaultBatchSimulator(const SeqGoodTrace &trace,
     buf0_.assign(no * W, 0);
     alarmBuf_.assign(W, 0);
     wrongBuf_.assign(W, 0);
-    seeds_.reserve(nff + static_cast<std::size_t>(2 * F_));
+    seeds_.reserve(nff + 2 * F);
     events_.assign(detail::eventWords(flat_), 0);
     diverged_.reserve(nff);
     divergedNext_.reserve(nff);
@@ -180,15 +165,108 @@ SeqFaultBatchSimulator::beginBatch(const SeqFaultSite *sites, int nf,
         if (!dead)
             ++live_;
     }
-    const std::uint64_t *init = trace_.state(0);
-    faultyState_.assign(
-        init, init + static_cast<std::size_t>(flat_.numFlipFlops()) *
-                         Wb_);
+    // The faulty machine powers on in the trace's state: nothing has
+    // diverged, so no faultyState_ row is valid yet.
     diverged_.clear();
     t_ = 0;
     pending_ = -1;
     have0_ = false;
     periodsSimulated_ = periodsSkipped_ = 0;
+    rebuildInjections();
+}
+
+void
+SeqFaultBatchSimulator::rebuildInjections()
+{
+    const std::size_t W = static_cast<std::size_t>(Wb_);
+    stemPins_.clear();
+    sinj_.clear();
+    binj_.clear();
+    taps_.clear();
+    dffPins_.clear();
+    const auto pinGroup = [&](std::uint64_t *val, std::uint64_t *msk,
+                              int f, bool value) {
+        for (int w = f * Wg_; w < (f + 1) * Wg_; ++w) {
+            val[static_cast<std::size_t>(w)] = value ? kAllOnes : 0;
+            msk[static_cast<std::size_t>(w)] = kAllOnes;
+        }
+    };
+    for (int f = 0; f < nf_; ++f) {
+        if (retired_[static_cast<std::size_t>(f)])
+            continue;
+        const SeqFaultSite &s = sites_[static_cast<std::size_t>(f)];
+        switch (s.kind) {
+          case SeqFaultSite::Kind::Stem: {
+            const GateId d = s.driver;
+            auto it = std::find_if(
+                stemPins_.begin(), stemPins_.end(),
+                [d](const StemPin &p) { return p.gate == d; });
+            if (it == stemPins_.end()) {
+                const std::size_t slot = stemPins_.size() * W;
+                std::fill_n(stemMasks_.data() + slot, W, 0);
+                // Dffs are state sources replay never recomputes, a
+                // fanin-less gate (input, constant) has no
+                // combinational evaluation and can receive no
+                // batch-mate divergence, and a fault whose lane group
+                // is the whole block has no batch-mate: all three
+                // keep the forced whole-block pin. Every other driver
+                // becomes a lane-masked dynamic injection: replay
+                // recomputes the gate and re-applies only the pinned
+                // lane groups, so batch-mates' divergence propagates
+                // through the pinned line.
+                const bool whole = flat_.kind(d) == GateKind::Dff ||
+                                   flat_.arity(d) == 0 || Wg_ == Wb_;
+                stemPins_.push_back({d, whole, slot});
+                if (!whole)
+                    sinj_.push_back({d, stemVals_.data() + slot,
+                                     stemMasks_.data() + slot});
+                it = stemPins_.end() - 1;
+            }
+            pinGroup(stemVals_.data() + it->slot,
+                     stemMasks_.data() + it->slot, f, s.value);
+            break;
+          }
+          case SeqFaultSite::Kind::Branch: {
+            // Merged branch injections, one per (consumer, pin), each
+            // masked to its member faults' lane groups: unmasked
+            // lanes read the live (possibly diverged) driver block.
+            const GateId c = s.consumer;
+            if (s.pin < 0 || s.pin >= flat_.arity(c) ||
+                flat_.fanins(c)[s.pin] != s.driver)
+                break; // kernel-inert combination, as per fault
+            const auto it = std::find_if(
+                binj_.begin(), binj_.end(),
+                [&](const detail::WideBranchInj &bi) {
+                    return bi.consumer == c && bi.pin == s.pin;
+                });
+            const std::size_t slot =
+                static_cast<std::size_t>(it - binj_.begin()) * W;
+            if (it == binj_.end()) {
+                std::fill_n(injMasks_.data() + slot, W, 0);
+                binj_.push_back({c, s.driver, s.pin,
+                                 injVals_.data() + slot,
+                                 injMasks_.data() + slot});
+            }
+            pinGroup(injVals_.data() + slot, injMasks_.data() + slot, f,
+                     s.value);
+            break;
+          }
+          case SeqFaultSite::Kind::DffBranch:
+            dffPins_.push_back({s.ff, f, s.value});
+            break;
+          case SeqFaultSite::Kind::Tap:
+            taps_.push_back({s.tap, f, s.value});
+            break;
+          case SeqFaultSite::Kind::Inert:
+            break;
+        }
+    }
+    // By flip-flop or output: the pins of one line are adjacent.
+    const auto byIndex = [](const GroupPin &a, const GroupPin &b) {
+        return a.index < b.index;
+    };
+    std::sort(taps_.begin(), taps_.end(), byIndex);
+    std::sort(dffPins_.begin(), dffPins_.end(), byIndex);
 }
 
 bool
@@ -231,6 +309,15 @@ SeqFaultBatchSimulator::anyLiveExcited(long t) const
     return false;
 }
 
+void
+SeqFaultBatchSimulator::setGroup(std::uint64_t *block,
+                                 const GroupPin &p) const
+{
+    const std::uint64_t bc = p.value ? kAllOnes : 0;
+    for (int w = p.group * Wg_; w < (p.group + 1) * Wg_; ++w)
+        block[static_cast<std::size_t>(w)] = bc;
+}
+
 std::uint64_t
 SeqFaultBatchSimulator::stepBatchPeriod(long t)
 {
@@ -239,226 +326,166 @@ SeqFaultBatchSimulator::stepBatchPeriod(long t)
     const std::uint64_t *good_out = trace_.outputs(t);
     const std::uint64_t *good_next = trace_.state(t + 1);
     const bool active = inWindow(t);
-    const bool phase = trace_.phaseAt(t);
+    const std::uint8_t *elig =
+        trace_.latchEligibleTable(trace_.phaseAt(t));
     const int no = flat_.numOutputs();
     const int nff = flat_.numFlipFlops();
 
-    if (diverged_.empty()) {
-        // Converged periods are skipped without maintaining
-        // faultyState_; resync it before simulating (the latch loop
-        // reads it for ineligible flip-flops).
-        const std::uint64_t *st = trace_.state(t);
-        std::copy(st, st + static_cast<std::size_t>(nff) * W,
-                  faultyState_.begin());
-    }
-
     bumpEpoch();
     seeds_.clear();
-    binj_.clear();
-    sinj_.clear();
-    stemFresh_.clear();
 
     // (1) Diverged flip-flop seeds first: faulty state overrides the
     // trace line of each diverged Dff for every lane at once.
     for (const std::int32_t ffi : diverged_) {
         const GateId g = flat_.ffGate(ffi);
         forced_[g] = epoch_;
-        std::uint64_t *fv =
-            faulty_.data() + static_cast<std::size_t>(g) * W;
-        const std::uint64_t *fs =
-            faultyState_.data() + static_cast<std::size_t>(ffi) * W;
-        for (std::size_t w = 0; w < W; ++w)
-            fv[w] = fs[w];
+        std::copy_n(faultyState_.data() + static_cast<std::size_t>(ffi) * W,
+                    W, faulty_.data() + static_cast<std::size_t>(g) * W);
         stamp_[g] = epoch_;
         seeds_.push_back(g);
     }
 
     if (active) {
-        // (2) Stem injections. Where no batch-mate can see through
-        // the pin, the driver keeps the whole-block force of a
-        // one-fault replay; a Dff's non-own lanes already carry the
-        // exact per-group seeded state (or good values). Any other
-        // driver becomes a lane-masked WideStemInj: replay recomputes
-        // the gate and re-applies only the fault's own lane group, so
-        // batch-mates' divergence propagates through the pinned line.
-        for (int f = 0; f < nf_; ++f) {
-            if (retired_[static_cast<std::size_t>(f)])
-                continue;
-            const SeqFaultSite &s = sites_[static_cast<std::size_t>(f)];
-            if (s.kind != SeqFaultSite::Kind::Stem)
-                continue;
-            const GateId d = s.driver;
-            std::uint64_t *fv =
-                faulty_.data() + static_cast<std::size_t>(d) * W;
-            const std::uint64_t bc = s.value ? kAllOnes : 0;
-            // Dffs are state sources replay never recomputes, a
-            // fanin-less gate (input, constant) has no combinational
-            // evaluation and can receive no batch-mate divergence, and
-            // a fault whose lane group is the whole block has no
-            // batch-mate: all three keep the forced whole-block pin.
-            // Everything else becomes a lane-masked dynamic injection.
-            if (flat_.kind(d) == GateKind::Dff || flat_.arity(d) == 0 ||
-                Wg_ == Wb_) {
-                if (forced_[d] != epoch_) {
-                    forced_[d] = epoch_;
-                    const std::uint64_t *gd =
-                        good + static_cast<std::size_t>(d) * W;
-                    for (std::size_t w = 0; w < W; ++w)
-                        fv[w] = gd[w];
-                    stemFresh_.push_back(d);
-                }
-            } else {
-                int ei = -1;
-                for (std::size_t k = 0; k < sinj_.size(); ++k)
-                    if (sinj_[k].gate == d)
-                        ei = static_cast<int>(k);
-                if (ei < 0) {
-                    ei = static_cast<int>(sinj_.size());
-                    const std::size_t slot =
-                        static_cast<std::size_t>(ei) * W;
-                    std::fill_n(stemMasks_.data() + slot, W, 0);
-                    sinj_.push_back({d, stemVals_.data() + slot,
-                                     stemMasks_.data() + slot});
-                    const std::uint64_t *gd =
-                        good + static_cast<std::size_t>(d) * W;
-                    for (std::size_t w = 0; w < W; ++w)
-                        fv[w] = gd[w];
-                    stemFresh_.push_back(d);
-                }
-                const std::size_t slot =
-                    static_cast<std::size_t>(ei) * W;
-                std::uint64_t *sval = stemVals_.data() + slot;
-                std::uint64_t *smask = stemMasks_.data() + slot;
-                for (int w = f * Wg_; w < (f + 1) * Wg_; ++w) {
-                    sval[static_cast<std::size_t>(w)] = bc;
-                    smask[static_cast<std::size_t>(w)] = kAllOnes;
-                }
-            }
-            // Seed the pin over the block so consumers (and the
-            // latch pass) see it even before/without a replay.
-            for (int w = f * Wg_; w < (f + 1) * Wg_; ++w)
-                fv[static_cast<std::size_t>(w)] = bc;
-        }
-        for (const GateId d : stemFresh_) {
-            if (!blocksEqual(faulty_.data() +
-                                 static_cast<std::size_t>(d) * W,
-                             good + static_cast<std::size_t>(d) * W,
-                             Wb_))
-                stamp_[d] = epoch_;
-            seeds_.push_back(d);
-        }
-
-        // (3) Merged branch injections, one per (consumer, pin), each
-        // masked to its member faults' lane groups: unmasked lanes
-        // read the live (possibly diverged) driver block.
-        for (int f = 0; f < nf_; ++f) {
-            if (retired_[static_cast<std::size_t>(f)])
-                continue;
-            const SeqFaultSite &s = sites_[static_cast<std::size_t>(f)];
-            if (s.kind != SeqFaultSite::Kind::Branch)
-                continue;
-            const GateId c = s.consumer;
-            if (s.pin < 0 || s.pin >= flat_.arity(c) ||
-                flat_.fanins(c)[s.pin] != s.driver)
-                continue; // kernel-inert combination, as per fault
-            std::uint64_t *val = nullptr, *msk = nullptr;
-            for (std::size_t k = 0; k < binj_.size(); ++k) {
-                const detail::WideBranchInj &bi = binj_[k];
-                if (bi.consumer == c && bi.pin == s.pin) {
-                    val = injVals_.data() + k * W;
-                    msk = injMasks_.data() + k * W;
-                }
-            }
-            if (!val) {
-                const std::size_t slot = binj_.size() * W;
-                val = injVals_.data() + slot;
-                msk = injMasks_.data() + slot;
-                std::fill_n(msk, W, 0);
-                binj_.push_back({c, s.driver, s.pin, val, msk});
-                seeds_.push_back(c);
-            }
-            const std::uint64_t bc = s.value ? kAllOnes : 0;
-            for (int w = f * Wg_; w < (f + 1) * Wg_; ++w) {
-                val[static_cast<std::size_t>(w)] = bc;
-                msk[static_cast<std::size_t>(w)] = kAllOnes;
+        // (2) Stem pins, seeded over the block so consumers (and the
+        // latch) see them even before or without a replay. A whole-
+        // block pin forces its driver; a diverged Dff seeded above
+        // keeps its faulty state under the pinned groups. Replay
+        // recomputes a lane-masked driver and re-applies its pins.
+        for (const StemPin &p : stemPins_) {
+            const GateId d = p.gate;
+            const std::size_t at = static_cast<std::size_t>(d) * W;
+            std::uint64_t *fv = faulty_.data() + at;
+            const std::uint64_t *val = stemVals_.data() + p.slot;
+            const std::uint64_t *msk = stemMasks_.data() + p.slot;
+            const bool fresh = !p.whole || forced_[d] != epoch_;
+            const std::uint64_t *base = fresh ? good + at : fv;
+            for (std::size_t w = 0; w < W; ++w)
+                fv[w] = (base[w] & ~msk[w]) | (val[w] & msk[w]);
+            if (p.whole)
+                forced_[d] = epoch_;
+            if (fresh) {
+                if (!blocksEqual(fv, good + at, Wb_))
+                    stamp_[d] = epoch_;
+                seeds_.push_back(d);
             }
         }
+        // (3) Branch injections seed their consumers.
+        for (const detail::WideBranchInj &bi : binj_)
+            seeds_.push_back(bi.consumer);
     }
 
     kernels_->replayEvents(flat_, good, faulty_.data(), stamp_.data(),
                            forced_.data(), epoch_, seeds_.data(),
-                           seeds_.size(), binj_.data(), binj_.size(),
-                           sinj_.data(), sinj_.size(), events_.data(),
+                           seeds_.size(), binj_.data(),
+                           active ? binj_.size() : 0, sinj_.data(),
+                           active ? sinj_.size() : 0, events_.data(),
                            ptrScratch_.data());
 
-    // Output assembly; active tap faults override their own lane
-    // group only (every other group keeps the assembled value).
-    std::uint64_t *out = outBuf_.data();
-    kernels_->assembleOutputs(flat_, good, faulty_.data(), stamp_.data(),
-                              epoch_, out);
-    if (active) {
-        for (int f = 0; f < nf_; ++f) {
-            if (retired_[static_cast<std::size_t>(f)])
-                continue;
-            const SeqFaultSite &s = sites_[static_cast<std::size_t>(f)];
-            if (s.kind != SeqFaultSite::Kind::Tap)
-                continue;
-            std::uint64_t *dst =
-                out + static_cast<std::size_t>(s.tap) * W;
-            const std::uint64_t bc = s.value ? kAllOnes : 0;
-            for (int w = f * Wg_; w < (f + 1) * Wg_; ++w)
-                dst[static_cast<std::size_t>(w)] = bc;
+    // (4) Output diff. An output gate the replay did not stamp reads
+    // the trace, so only stamped gates and active taps can differ; a
+    // tap overrides its own lane group of the output only.
+    const bool tapping = active && !taps_.empty();
+    const auto tapped = [&](int j) {
+        return tapping &&
+               std::any_of(taps_.begin(), taps_.end(),
+                           [j](const GroupPin &p) { return p.index == j; });
+    };
+    std::uint64_t diff = 0;
+    for (int j = 0; j < no; ++j) {
+        const GateId g = flat_.output(j);
+        if (stamp_[g] != epoch_ || tapped(j))
+            continue;
+        const std::uint64_t *fv =
+            faulty_.data() + static_cast<std::size_t>(g) * W;
+        const std::uint64_t *gv =
+            good_out + static_cast<std::size_t>(j) * W;
+        for (std::size_t w = 0; w < W; ++w)
+            diff |= fv[w] ^ gv[w];
+    }
+    if (tapping) {
+        std::uint64_t row[kMaxLaneWords];
+        for (std::size_t k = 0; k < taps_.size();) {
+            const int j = taps_[k].index;
+            const GateId g = flat_.output(j);
+            const std::size_t at = static_cast<std::size_t>(g) * W;
+            std::copy_n((stamp_[g] == epoch_ ? faulty_.data() : good) + at,
+                        W, row);
+            for (; k < taps_.size() && taps_[k].index == j; ++k)
+                setGroup(row, taps_[k]);
+            const std::uint64_t *gv =
+                good_out + static_cast<std::size_t>(j) * W;
+            for (std::size_t w = 0; w < W; ++w)
+                diff |= row[w] ^ gv[w];
         }
     }
-    const std::uint64_t diff =
-        kernels_->diffOr(out, good_out, static_cast<std::size_t>(no) * W);
+    // Only the fold reads the output row.
+    if (diff) {
+        kernels_->assembleOutputs(flat_, good, faulty_.data(),
+                                  stamp_.data(), epoch_, outBuf_.data());
+        if (tapping)
+            for (const GroupPin &p : taps_)
+                setGroup(outBuf_.data() +
+                             static_cast<std::size_t>(p.index) * W,
+                         p);
+    }
 
-    // Latch all flip-flops, then apply Dff D-pin branch faults as
-    // per-group patches (the kernel's single branch_ff slot cannot
-    // carry several lane-group-local injections).
-    divergedNext_.resize(static_cast<std::size_t>(nff));
-    const int ndiv = kernels_->latchAndTrack(
-        flat_, trace_.latchEligibleTable(phase), good, faulty_.data(),
-        stamp_.data(), epoch_, /*branch_ff=*/-1,
-        detail::kZeroGroup.data(), faultyState_.data(), good_next,
-        divergedNext_.data());
-    divergedNext_.resize(static_cast<std::size_t>(ndiv));
-    if (active) {
-        patchedFfs_.clear();
-        for (int f = 0; f < nf_; ++f) {
-            if (retired_[static_cast<std::size_t>(f)])
+    // (5) Latch. An eligible flip-flop whose D driver the replay did
+    // not stamp latches the good value, and an ineligible one that
+    // was not diverged holds it: only stamped drivers and diverged
+    // rows are copied and compared.
+    divergedNext_.clear();
+    std::size_t k = 0;
+    for (int i = 0; i < nff; ++i) {
+        const bool was = k < diverged_.size() && diverged_[k] == i;
+        k += was ? 1 : 0;
+        std::uint64_t *fs =
+            faultyState_.data() + static_cast<std::size_t>(i) * W;
+        if (elig[i]) {
+            const GateId d = flat_.ffDriver(i);
+            if (stamp_[d] != epoch_)
                 continue;
-            const SeqFaultSite &s = sites_[static_cast<std::size_t>(f)];
-            if (s.kind != SeqFaultSite::Kind::DffBranch ||
-                !trace_.latchEligible(s.ff, phase))
-                continue;
-            std::uint64_t *fs =
-                faultyState_.data() + static_cast<std::size_t>(s.ff) * W;
-            const std::uint64_t bc = s.value ? kAllOnes : 0;
-            for (int w = f * Wg_; w < (f + 1) * Wg_; ++w)
-                fs[static_cast<std::size_t>(w)] = bc;
-            patchedFfs_.push_back(s.ff);
+            std::copy_n(faulty_.data() + static_cast<std::size_t>(d) * W,
+                        W, fs);
+        } else if (!was) {
+            continue;
         }
-        if (!patchedFfs_.empty()) {
-            std::sort(patchedFfs_.begin(), patchedFfs_.end());
-            patchedFfs_.erase(
-                std::unique(patchedFfs_.begin(), patchedFfs_.end()),
-                patchedFfs_.end());
-            for (const int ffi : patchedFfs_) {
-                const bool div = !blocksEqual(
-                    faultyState_.data() +
-                        static_cast<std::size_t>(ffi) * W,
-                    good_next + static_cast<std::size_t>(ffi) * W, Wb_);
-                const auto it =
-                    std::lower_bound(divergedNext_.begin(),
-                                     divergedNext_.end(), ffi);
-                const bool listed =
-                    it != divergedNext_.end() && *it == ffi;
-                if (div && !listed)
-                    divergedNext_.insert(it, ffi);
-                else if (!div && listed)
-                    divergedNext_.erase(it);
-            }
+        if (!blocksEqual(fs, good_next + static_cast<std::size_t>(i) * W,
+                         Wb_))
+            divergedNext_.push_back(i);
+    }
+
+    // (6) Dff D-pin branch faults patch their own lane group of the
+    // latched row. A row off the diverged list is not kept: it
+    // starts from the good next state.
+    if (active && !dffPins_.empty()) {
+        patchedFfs_.clear();
+        for (const GroupPin &p : dffPins_)
+            if (elig[p.index] &&
+                (patchedFfs_.empty() || patchedFfs_.back() != p.index))
+                patchedFfs_.push_back(p.index);
+        for (const int ffi : patchedFfs_)
+            if (!std::binary_search(divergedNext_.begin(),
+                                    divergedNext_.end(), ffi))
+                std::copy_n(good_next + static_cast<std::size_t>(ffi) * W,
+                            W,
+                            faultyState_.data() +
+                                static_cast<std::size_t>(ffi) * W);
+        for (const GroupPin &p : dffPins_)
+            if (elig[p.index])
+                setGroup(faultyState_.data() +
+                             static_cast<std::size_t>(p.index) * W,
+                         p);
+        for (const int ffi : patchedFfs_) {
+            const bool div = !blocksEqual(
+                faultyState_.data() + static_cast<std::size_t>(ffi) * W,
+                good_next + static_cast<std::size_t>(ffi) * W, Wb_);
+            const auto it = std::lower_bound(divergedNext_.begin(),
+                                             divergedNext_.end(), ffi);
+            const bool listed = it != divergedNext_.end() && *it == ffi;
+            if (div && !listed)
+                divergedNext_.insert(it, ffi);
+            else if (!div && listed)
+                divergedNext_.erase(it);
         }
     }
     diverged_.swap(divergedNext_);
@@ -471,29 +498,22 @@ SeqFaultBatchSimulator::retireGroup(int f, long state_row)
     retired_[static_cast<std::size_t>(f)] = 1;
     --live_;
     // Re-sync the group's lanes with the good machine so it never
-    // contributes another diff: patch its state words and drop any
-    // flip-flop whose full block now matches the trace.
+    // contributes another diff: patch its words of every diverged
+    // row (the rest read the trace already) and drop any row whose
+    // full block now matches the trace.
     const std::size_t W = static_cast<std::size_t>(Wb_);
     const std::uint64_t *st = trace_.state(state_row);
-    const int nff = flat_.numFlipFlops();
-    for (int i = 0; i < nff; ++i) {
+    std::size_t kept = 0;
+    for (const std::int32_t ffi : diverged_) {
         std::uint64_t *fs =
-            faultyState_.data() + static_cast<std::size_t>(i) * W;
-        const std::uint64_t *gs = st + static_cast<std::size_t>(i) * W;
-        for (int w = f * Wg_; w < (f + 1) * Wg_; ++w)
-            fs[static_cast<std::size_t>(w)] =
-                gs[static_cast<std::size_t>(w)];
+            faultyState_.data() + static_cast<std::size_t>(ffi) * W;
+        const std::uint64_t *gs = st + static_cast<std::size_t>(ffi) * W;
+        std::copy(gs + f * Wg_, gs + (f + 1) * Wg_, fs + f * Wg_);
+        if (!blocksEqual(fs, gs, Wb_))
+            diverged_[kept++] = ffi;
     }
-    diverged_.erase(
-        std::remove_if(
-            diverged_.begin(), diverged_.end(),
-            [&](std::int32_t ffi) {
-                return blocksEqual(
-                    faultyState_.data() +
-                        static_cast<std::size_t>(ffi) * W,
-                    st + static_cast<std::size_t>(ffi) * W, Wb_);
-            }),
-        diverged_.end());
+    diverged_.resize(kept);
+    rebuildInjections();
 }
 
 bool

@@ -30,6 +30,15 @@
  * group is the whole block: with no batch-mate, recomputing the
  * pinned gate would be wasted work.)
  *
+ * Per period the batch pays only for what the replay touched. A
+ * flip-flop's faulty state is kept only while it differs from the
+ * trace (every other flip-flop reads the trace), and only flip-flops
+ * whose D driver the replay stamped, or that had diverged, are
+ * latched and compared. The output diff covers the stamped output
+ * gates and the active tap sites, and the output row is assembled
+ * only for a fold. The merged injection lists are built when a batch
+ * begins and rebuilt when a group retires.
+ *
  * Verdict folds are delivered per group through a SymbolSink with
  * exactly the pending/stash discipline of a one-fault replay (the
  * per-fault reference campaign in tests/oracle/ folds SeqFaultSimulator
@@ -41,6 +50,7 @@
 #ifndef SCAL_SIM_SEQ_BATCH_SIM_HH
 #define SCAL_SIM_SEQ_BATCH_SIM_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <span>
@@ -57,17 +67,6 @@ struct SeqBatchPlan
     /** batches[b] = indices into the planner's site array. */
     std::vector<std::vector<int>> batches;
 };
-
-/**
- * Per-site replay-cost estimate: 1 + the fanout-cone gate count of
- * the site's injection root (1 for inert sites). It feeds only the
- * cost-balanced --shard slices of the class space; in-process chunks
- * are equal counts. Deterministic — a pure function of the netlist
- * and site list.
- */
-std::vector<std::uint64_t>
-seqSiteCosts(const FlatNetlist &flat,
-             const std::vector<SeqFaultSite> &sites);
 
 /**
  * Pack @p sites into full lane batches of
@@ -137,10 +136,30 @@ class SeqFaultBatchSimulator
     /** @} */
 
   private:
+    /** The stem pins of one driver gate: W-word value and mask blocks
+     *  at stemVals_ / stemMasks_ + slot. */
+    struct StemPin
+    {
+        netlist::GateId gate;
+        bool whole; ///< forced whole block, not a lane-masked injection
+        std::size_t slot;
+    };
+    /** A tap (output @p index) or Dff D-pin (flip-flop @p index) pin
+     *  of lane group @p group. */
+    struct GroupPin
+    {
+        int index;
+        int group;
+        bool value;
+    };
+
     bool inWindow(long t) const { return t >= wstart_ && t < wend_; }
     bool groupSliceIs(const std::uint64_t *block, int f,
                       std::uint64_t broadcast) const;
     bool anyLiveExcited(long t) const;
+    /** Merge the live sites' pins into the injection lists. */
+    void rebuildInjections();
+    void setGroup(std::uint64_t *block, const GroupPin &p) const;
     std::uint64_t stepBatchPeriod(long t);
     void fold(long t, const FoldSpec &spec, const SymbolSink &sink);
     bool flushSymbol(long s, const std::uint64_t *p1row,
@@ -162,7 +181,10 @@ class SeqFaultBatchSimulator
     int live_ = 0;
     long t_ = 0;
 
-    /** Faulty machine state and its divergence from the trace. */
+    /** Faulty machine state and its divergence from the trace, in
+     *  ascending flip-flop order. Row i of faultyState_ is valid only
+     *  while i is in diverged_; every other flip-flop is in the
+     *  trace's state. */
     WordVec faultyState_;
     std::vector<std::int32_t> diverged_, divergedNext_;
 
@@ -172,12 +194,14 @@ class SeqFaultBatchSimulator
     std::vector<std::uint32_t> forced_;
     std::uint32_t epoch_ = 0;
 
-    /** Per-period merged injection blocks (rebuilt from live sites). */
+    /** Merged injections of the live sites, rebuilt when the batch
+     *  begins and when a group retires; applied in active periods. */
     WordVec injVals_, injMasks_;
     std::vector<detail::WideBranchInj> binj_;
     WordVec stemVals_, stemMasks_;
+    std::vector<StemPin> stemPins_;
     std::vector<detail::WideStemInj> sinj_;
-    std::vector<netlist::GateId> stemFresh_;
+    std::vector<GroupPin> taps_, dffPins_; ///< by index
     std::vector<int> patchedFfs_;
 
     std::vector<const std::uint64_t *> ptrScratch_;

@@ -679,6 +679,51 @@ TEST(Checkpoint, ResumeRefusesPerFaultShapeKey)
     }
 }
 
+TEST(Checkpoint, ResumeRefusesContiguousSliceShapeKey)
+{
+    // A split sequential run deals the inline plan's batches, and its
+    // shape key says so. A 2/4 snapshot cut under the older contiguous
+    // class slices owns other batches: rewritten to that run's key it
+    // must be refused, and the message names both keys.
+    const ingest::HardenedCircuit seq = ingest::hardenNetlist(rawSeqChain(3));
+    const auto run = [&seq](const fault::CheckpointOptions &c) {
+        fault::SeqCampaignOptions opts;
+        opts.symbols = 16;
+        opts.simd = sim::SimdTarget::Portable;
+        opts.jobs = 1;
+        return fault::runSequentialCampaignShard(
+            seq.net, seq.campaignSpec(), opts, {1, 4}, c);
+    };
+    SnapshotLog log;
+    run(log.options(1));
+    ASSERT_GE(log.boundaries.size(), 1u);
+    std::vector<std::uint8_t> payload;
+    SnapshotHeader hdr =
+        engine::decodeSnapshot(log.boundaries.front(), &payload);
+    const std::string dealt = hdr.shapeKey;
+    const std::size_t at = dealt.find(";dealt");
+    ASSERT_NE(at, std::string::npos) << dealt;
+    hdr.shapeKey = dealt.substr(0, at) + dealt.substr(at + 6);
+    const std::vector<std::uint8_t> stale =
+        engine::encodeSnapshot(hdr, payload);
+
+    fault::CheckpointOptions resume;
+    resume.resume = &stale;
+    resume.resumeName = "contiguous.ckpt";
+    try {
+        run(resume);
+        ADD_FAILURE() << "resumed a contiguous-slice checkpoint";
+    } catch (const SnapshotError &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("contiguous.ckpt: work-shape mismatch"),
+                  std::string::npos)
+            << what;
+        EXPECT_NE(what.find("'" + hdr.shapeKey + "'"), std::string::npos)
+            << what;
+        EXPECT_NE(what.find("'" + dealt + "'"), std::string::npos) << what;
+    }
+}
+
 /**
  * One campaign kind's shard runner for the resume-rejection table.
  * Variant 0 is the checkpointed run; variant 1 changes only the

@@ -8,6 +8,9 @@
 #ifndef SCAL_TESTS_TEST_HELPERS_HH
 #define SCAL_TESTS_TEST_HELPERS_HH
 
+#include <fstream>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "netlist/netlist.hh"
@@ -16,6 +19,21 @@
 
 namespace scal::testing
 {
+
+/**
+ * The path of the bundled circuits/@p file, from the repository root
+ * or a build tree's test directory; throws when it is not there.
+ */
+inline std::string
+bundledCircuitPath(const std::string &file)
+{
+    for (const char *dir : {"circuits", "../circuits", "../../circuits"}) {
+        const std::string p = std::string(dir) + "/" + file;
+        if (std::ifstream(p))
+            return p;
+    }
+    throw std::runtime_error("cannot locate circuits/" + file);
+}
 
 /**
  * A random combinational netlist over @p num_inputs inputs with

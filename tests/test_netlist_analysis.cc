@@ -7,7 +7,6 @@
  * report, and DOT export escaping/highlighting.
  */
 
-#include <fstream>
 #include <gtest/gtest.h>
 #include <sstream>
 
@@ -21,6 +20,7 @@
 #include "netlist/io.hh"
 #include "netlist/structure.hh"
 #include "server/jsonl.hh"
+#include "test_helpers.hh"
 
 namespace scal
 {
@@ -28,19 +28,6 @@ namespace
 {
 
 using namespace netlist;
-
-std::string
-circuitPath(const std::string &file)
-{
-    for (const char *dir :
-         {"circuits", "../circuits", "../../circuits"}) {
-        const std::string p = std::string(dir) + "/" + file;
-        if (std::ifstream(p))
-            return p;
-    }
-    ADD_FAILURE() << "cannot locate circuits/" << file;
-    return file;
-}
 
 /** c17 with named gates: the standard 6-NAND benchmark. */
 Netlist
@@ -212,7 +199,7 @@ TEST(CycleDetector, ZeroLoopsOnEveryBundledCircuit)
          {"c17.bench", "c432.bench", "c499.bench", "c880.bench",
           "c1908.bench", "s27.bench", "s298.bench", "s344.bench",
           "s386.bench", "add4.v", "lfsr8.v"}) {
-        const std::string path = circuitPath(file);
+        const std::string path = testing::bundledCircuitPath(file);
         const auto circ = ingest::importCircuit(path);
         EXPECT_TRUE(analysis::findCombLoops(circ.net).empty())
             << file;

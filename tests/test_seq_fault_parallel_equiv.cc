@@ -4,12 +4,14 @@
  * (tests/oracle/): bit-identity of verdicts, first-alarm/escape
  * periods, latency histograms and lane counters at lane widths that
  * pack 8, 2 and 1 faults per lane batch, across jobs counts, SIMD
- * targets, transient windows and hold inputs; the raw (non-hardened)
- * fallback spec; invariance of the verdict under the
- * sequential-dominance toggle; and the fault window check both
- * runners share.
+ * targets, transient windows and hold inputs; a 30-flip-flop
+ * hardened machine with D-pin sites, whose work counters are pinned;
+ * the raw (non-hardened) fallback spec; invariance of the verdict
+ * under the sequential-dominance toggle; and the fault window check
+ * both runners share.
  */
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -18,11 +20,16 @@
 
 #include "fault/seq_campaign.hh"
 #include "fault/shard.hh"
+#include "ingest/harden.hh"
+#include "ingest/import.hh"
 #include "netlist/netlist.hh"
 #include "oracle/per_fault_campaign.hh"
 #include "seq/dual_flipflop.hh"
 #include "seq/kohavi.hh"
 #include "seq/registers.hh"
+#include "sim/flat.hh"
+#include "sim/seq_fault_sim.hh"
+#include "test_helpers.hh"
 
 using namespace scal;
 using namespace scal::netlist;
@@ -220,6 +227,55 @@ TEST(SeqFaultParallelEquiv, Lanes512RunsOneFaultPerBatch)
     EXPECT_GT(res.batches, 0);
     EXPECT_EQ(res.batches, res.batchedClasses);
     EXPECT_EQ(res.batchedClasses, res.classes - res.prunedClasses);
+}
+
+TEST(SeqFaultParallelEquiv, ManyFlipFlopsMatchOracleAndPinnedCounters)
+{
+    // Hardened s344 has 30 flip-flops and D-pin branch sites. A batch
+    // copies and compares only flip-flops whose D driver the replay
+    // stamped or that had diverged; the verdicts must match the
+    // per-fault oracle, and the work counters the values measured
+    // when every flip-flop was copied each period, for a window that
+    // spans the stream and one that ends before it does.
+    const std::string path = scal::testing::bundledCircuitPath("s344.bench");
+    const ingest::HardenedCircuit hard =
+        ingest::hardenNetlist(ingest::importCircuit(path).net);
+    ASSERT_EQ(hard.net.flipFlops().size(), 30u);
+    const sim::FlatNetlist flat(hard.net);
+    const std::vector<Fault> faults = hard.net.allFaults();
+    ASSERT_TRUE(
+        std::any_of(faults.begin(), faults.end(), [&](const Fault &f) {
+            return sim::decodeSeqFaultSite(flat, f).kind ==
+                   sim::SeqFaultSite::Kind::DffBranch;
+        }));
+    const Case c{"s344", hard.net, hard.campaignSpec()};
+    const struct
+    {
+        int lanes;
+        bool windowed;
+        long simulated, skipped, retired;
+    } pins[] = {
+        {64, false, 5542, 0, 322},     {300, false, 40136, 0, 302},
+        {512, false, 40406, 0, 280},   {64, true, 4178, 522, 241},
+        {300, true, 29605, 4170, 206}, {512, true, 29813, 4170, 174},
+    };
+    for (const auto &pin : pins) {
+        SCOPED_TRACE("lanes=" + std::to_string(pin.lanes) +
+                     (pin.windowed ? " window 3:25" : ""));
+        fault::SeqCampaignOptions opts;
+        opts.symbols = 16;
+        opts.lanes = pin.lanes;
+        opts.seed = 7;
+        opts.jobs = 2;
+        if (pin.windowed) {
+            opts.faultStart = 3;
+            opts.faultEnd = 25; // the stream has 32 periods
+        }
+        const fault::SeqCampaignResult got = checkedRun(c, opts);
+        EXPECT_EQ(got.periodsSimulated, pin.simulated);
+        EXPECT_EQ(got.periodsSkipped, pin.skipped);
+        EXPECT_EQ(got.retiredEarly, pin.retired);
+    }
 }
 
 TEST(SeqFaultParallelEquiv, SeqDominanceKnobInvariant)

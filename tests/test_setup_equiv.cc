@@ -9,7 +9,9 @@
  *    netlists with constants and flip-flops;
  *  - sim::fanoutCones / sim::fanoutConeSizes (one tiled bitset pass)
  *    give the depth-first cones, and so do the FaultBatchPlan cone
- *    and reachable-output sets and sim::seqSiteCosts built on them;
+ *    and reachable-output sets built on them;
+ *  - sim::planSeqBatches (sorted precomputed keys) packs the sites in
+ *    the order of a stable sort by injection root;
  *  - sim::isAlternatingNetwork (the wide good-value kernel) agrees
  *    with the scalar loop, exhaustive and budgeted, on self-dual and
  *    non-self-dual networks, and sim::PatternStream packs the stream
@@ -19,7 +21,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <fstream>
 #include <limits>
 #include <string>
 
@@ -48,19 +49,6 @@ const char *const kBundled[] = {
     "s5378-class.bench",
 };
 
-/** The bundled circuit directory, wherever ctest runs from. */
-std::string
-circuitPath(const std::string &file)
-{
-    for (const char *dir : {"circuits", "../circuits", "../../circuits"}) {
-        const std::string p = std::string(dir) + "/" + file;
-        if (std::ifstream(p))
-            return p;
-    }
-    ADD_FAILURE() << "cannot locate circuits/" << file;
-    return file;
-}
-
 struct Case
 {
     std::string label;
@@ -74,7 +62,8 @@ bundledCases()
     static const std::vector<Case> cases = [] {
         std::vector<Case> out;
         for (const char *file : kBundled) {
-            Netlist raw = ingest::importCircuit(circuitPath(file)).net;
+            Netlist raw =
+                ingest::importCircuit(testing::bundledCircuitPath(file)).net;
             Netlist hard = ingest::hardenNetlist(raw).net;
             out.push_back({std::string(file) + " raw", std::move(raw)});
             out.push_back({std::string(file) + " hardened", std::move(hard)});
@@ -292,46 +281,48 @@ TEST(SetupEquiv, BatchPlanConesMatchDepthFirstSearch)
     }
 }
 
-TEST(SetupEquiv, SeqSiteCostsMatchDepthFirstSearch)
+TEST(SetupEquiv, SeqBatchPlanMatchesStableSortReference)
 {
+    // planSeqBatches sorts precomputed (root position, site index)
+    // keys; the reference stable-sorts site indices by a comparator
+    // that finds each site's injection root on every call, so ties
+    // must keep the site order.
     for (const Case &c : bundledCases()) {
         const sim::FlatNetlist flat(c.net);
         std::vector<sim::SeqFaultSite> sites;
         for (const Fault &f : c.net.allFaults())
             sites.push_back(sim::decodeSeqFaultSite(flat, f));
-        const std::vector<std::uint64_t> costs =
-            sim::seqSiteCosts(flat, sites);
-        ASSERT_EQ(costs.size(), sites.size()) << c.label;
-        std::vector<std::uint64_t> coneSize(
-            static_cast<std::size_t>(flat.numGates()), 0);
-        const auto sizeOf = [&](GateId root) {
-            std::uint64_t &memo = coneSize[static_cast<std::size_t>(root)];
-            if (memo == 0)
-                memo = oracle::dfsFanoutCone(flat, root).size();
-            return memo;
-        };
-        for (std::size_t i = 0; i < sites.size(); ++i) {
-            const sim::SeqFaultSite &s = sites[i];
-            GateId root = kNoGate;
+        const auto keyOf = [&](int i) {
+            const sim::SeqFaultSite &s = sites[static_cast<std::size_t>(i)];
             switch (s.kind) {
               case sim::SeqFaultSite::Kind::Stem:
-                root = s.driver;
-                break;
+                return flat.topoPos(s.driver);
               case sim::SeqFaultSite::Kind::Branch:
-                root = s.consumer;
-                break;
+                return flat.topoPos(s.consumer);
               case sim::SeqFaultSite::Kind::DffBranch:
-                root = flat.ffGate(s.ff);
-                break;
+                return flat.topoPos(flat.ffGate(s.ff));
               case sim::SeqFaultSite::Kind::Tap:
-                root = flat.output(s.tap);
-                break;
+                return flat.topoPos(flat.output(s.tap));
               case sim::SeqFaultSite::Kind::Inert:
                 break;
             }
-            const std::uint64_t want =
-                1 + (root == kNoGate ? 0 : sizeOf(root));
-            ASSERT_EQ(costs[i], want) << c.label << " site " << i;
+            return flat.numGates();
+        };
+        std::vector<int> order(sites.size());
+        for (std::size_t i = 0; i < order.size(); ++i)
+            order[i] = static_cast<int>(i);
+        std::stable_sort(order.begin(), order.end(),
+                         [&](int a, int b) { return keyOf(a) < keyOf(b); });
+        for (const int groupWords : {1, 4, 8}) {
+            const std::size_t F = static_cast<std::size_t>(8 / groupWords);
+            const sim::SeqBatchPlan plan =
+                sim::planSeqBatches(flat, sites, groupWords, 8);
+            ASSERT_EQ(plan.batches.size(), (order.size() + F - 1) / F)
+                << c.label;
+            for (std::size_t k = 0; k < order.size(); ++k)
+                ASSERT_EQ(plan.batches[k / F][k % F], order[k])
+                    << c.label << " group words " << groupWords
+                    << " position " << k;
         }
     }
 }
@@ -475,7 +466,8 @@ TEST(SetupEquiv, WideAlternatingCheckMatchesScalarLoop)
 
     for (const char *file : {"c17.bench", "add4.v", "c432.bench"}) {
         const Netlist hard =
-            ingest::hardenNetlist(ingest::importCircuit(circuitPath(file)).net)
+            ingest::hardenNetlist(
+                ingest::importCircuit(testing::bundledCircuitPath(file)).net)
                 .net;
         expectSameCheck(hard, 4096, 3, file);
     }

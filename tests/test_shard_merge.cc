@@ -4,7 +4,8 @@
  * merged, must reproduce the single-process verdict byte-for-byte at
  * every point of the shards x jobs x lanes grid — the contract
  * `scal_cli merge` and the server's orchestrated big-job path rest
- * on. Plus merge-time validation (foreign, duplicate, missing and
+ * on; the merged sequential work counters equal the inline run's.
+ * Plus merge-time validation (foreign, duplicate, missing and
  * incomplete partials are rejected with diagnostics), the system-
  * campaign shard path, the worker-argv serialization, and the
  * hardened-realization auto-skip of sequential dominance.
@@ -21,6 +22,7 @@
 #include "fault/report.hh"
 #include "fault/shard.hh"
 #include "ingest/harden.hh"
+#include "ingest/import.hh"
 #include "netlist/circuits.hh"
 #include "netlist/structure.hh"
 #include "system/campaign.hh"
@@ -52,18 +54,27 @@ mergedCombVerdict(const netlist::Netlist &net,
         net, fault::mergeCampaignPartials(net, partials, names));
 }
 
-std::string
-mergedSeqVerdict(const netlist::Netlist &net,
-                 const fault::SeqCampaignSpec &spec,
-                 const fault::SeqCampaignOptions &opts, int shards)
+/** Run every shard of an N-way sequential split and merge. */
+fault::SeqCampaignResult
+mergedSeqResult(const netlist::Netlist &net,
+                const fault::SeqCampaignSpec &spec,
+                const fault::SeqCampaignOptions &opts, int shards)
 {
     std::vector<std::vector<std::uint8_t>> partials;
     for (int k = 0; k < shards; ++k)
         partials.push_back(fault::runSequentialCampaignShard(
                                net, spec, opts, {k, shards})
                                .partial);
+    return fault::mergeSeqCampaignPartials(net, partials);
+}
+
+std::string
+mergedSeqVerdict(const netlist::Netlist &net,
+                 const fault::SeqCampaignSpec &spec,
+                 const fault::SeqCampaignOptions &opts, int shards)
+{
     return fault::seqCampaignVerdictJson(
-        net, fault::mergeSeqCampaignPartials(net, partials));
+        net, mergedSeqResult(net, spec, opts, shards));
 }
 
 /** A small raw sequential machine for hardening. */
@@ -172,6 +183,88 @@ TEST(ShardMerge, SeqBitIdenticalAcrossGrid)
                     << "shards=" << shards << " jobs=" << jobs
                     << " lanes=" << lanes;
             }
+    }
+}
+
+/**
+ * A raw (unhardened) machine whose dangling constant is unobservable,
+ * so the collapse prunes classes; only buf(a) alternates fault-free.
+ */
+netlist::Netlist
+rawPrunedMachine(fault::SeqCampaignSpec *spec)
+{
+    netlist::Netlist net;
+    const netlist::GateId a = net.addInput("a");
+    const netlist::GateId b = net.addInput("b");
+    net.addInput("phi");
+    const netlist::GateId placeholder = net.addConst(false);
+    const netlist::GateId rise = net.addDff(
+        placeholder, "rise", netlist::LatchMode::PhiRise, false);
+    const netlist::GateId fall =
+        net.addDff(rise, "fall", netlist::LatchMode::PhiFall, true);
+    const netlist::GateId x = net.addXor({a, fall}, "x");
+    net.replaceFanin(rise, 0, x);
+    net.addOutput(net.addOr({x, b}, "o"), "o");
+    net.addOutput(rise, "q");
+    net.addOutput(net.addBuf(a, "alt"), "alt");
+    spec->phiInput = 2;
+    spec->holdInputs = {1};
+    spec->altOutputs = {2};
+    return net;
+}
+
+TEST(ShardMerge, SeqMergedCountersEqualInline)
+{
+    // Every slice replays its share of the inline run's lane batches,
+    // so the merged tail counts the inline run's work, not only its
+    // verdict.
+    const ingest::HardenedCircuit s386 = ingest::hardenNetlist(
+        ingest::importCircuit(testing::bundledCircuitPath("s386.bench"))
+            .net);
+    fault::SeqCampaignSpec rawSpec;
+    const netlist::Netlist raw = rawPrunedMachine(&rawSpec);
+    const struct
+    {
+        const char *name;
+        const netlist::Netlist &net;
+        fault::SeqCampaignSpec spec;
+        bool pruned;
+    } cases[] = {{"hardened s386", s386.net, s386.campaignSpec(), false},
+                 {"raw pruned", raw, rawSpec, true}};
+
+    for (const auto &c : cases) {
+        for (const int lanes : {64, 512}) {
+            fault::SeqCampaignOptions opts;
+            opts.symbols = 16;
+            opts.seed = 5;
+            opts.lanes = lanes;
+            opts.jobs = 1;
+            const fault::SeqCampaignResult want =
+                fault::runSequentialCampaign(c.net, c.spec, opts);
+            if (c.pruned) {
+                ASSERT_GT(want.prunedClasses, 0) << c.name;
+            }
+            for (const int shards : {2, 3, 4}) {
+                for (const int jobs : {1, 4}) {
+                    SCOPED_TRACE(std::string(c.name) +
+                                 " lanes=" + std::to_string(lanes) +
+                                 " shards=" + std::to_string(shards) +
+                                 " jobs=" + std::to_string(jobs));
+                    opts.jobs = jobs;
+                    const fault::SeqCampaignResult got =
+                        mergedSeqResult(c.net, c.spec, opts, shards);
+                    EXPECT_EQ(got.batches, want.batches);
+                    EXPECT_EQ(got.batchedClasses, want.batchedClasses);
+                    EXPECT_EQ(got.periodsSimulated, want.periodsSimulated);
+                    EXPECT_EQ(got.periodsSkipped, want.periodsSkipped);
+                    EXPECT_EQ(got.retiredEarly, want.retiredEarly);
+                    EXPECT_EQ(got.classes, want.classes);
+                    EXPECT_EQ(got.prunedClasses, want.prunedClasses);
+                    EXPECT_EQ(fault::seqCampaignVerdictJson(c.net, got),
+                              fault::seqCampaignVerdictJson(c.net, want));
+                }
+            }
+        }
     }
 }
 

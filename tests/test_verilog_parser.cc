@@ -9,7 +9,6 @@
  * campaign verdicts bit-identical across jobs {1,8} × lanes {64,512}.
  */
 
-#include <fstream>
 #include <gtest/gtest.h>
 #include <map>
 #include <sstream>
@@ -26,6 +25,7 @@
 #include "netlist/io.hh"
 #include "sim/evaluator.hh"
 #include "sim/sequential.hh"
+#include "test_helpers.hh"
 
 namespace scal
 {
@@ -33,20 +33,7 @@ namespace
 {
 
 using namespace netlist;
-
-/** The bundled circuit directory, wherever ctest runs from. */
-std::string
-circuitPath(const std::string &file)
-{
-    for (const char *dir :
-         {"circuits", "../circuits", "../../circuits"}) {
-        const std::string p = std::string(dir) + "/" + file;
-        if (std::ifstream(p))
-            return p;
-    }
-    ADD_FAILURE() << "cannot locate circuits/" << file;
-    return file;
-}
+using testing::bundledCircuitPath;
 
 TEST(VerilogParser, AnsiPortsVectorsAndGates)
 {
@@ -303,7 +290,7 @@ TEST(VerilogParser, ImportRoutesBySniffAndExtension)
     EXPECT_EQ(sniffed.format, ingest::Format::Verilog);
     EXPECT_EQ(sniffed.net.numInputs(), 1);
 
-    const auto byPath = ingest::importCircuit(circuitPath("add4.v"));
+    const auto byPath = ingest::importCircuit(bundledCircuitPath("add4.v"));
     EXPECT_EQ(byPath.format, ingest::Format::Verilog);
     EXPECT_EQ(byPath.name, "add4");
 
@@ -324,7 +311,7 @@ TEST(VerilogParser, ImportRoutesBySniffAndExtension)
 
 TEST(VerilogParser, BundledAdderComputesSums)
 {
-    const auto circ = ingest::importCircuit(circuitPath("add4.v"));
+    const auto circ = ingest::importCircuit(bundledCircuitPath("add4.v"));
     ASSERT_EQ(circ.net.numInputs(), 9);
     ASSERT_EQ(circ.net.numOutputs(), 5);
     EXPECT_TRUE(circ.net.isCombinational());
@@ -354,7 +341,7 @@ TEST(VerilogParser, BundledAdderComputesSums)
 
 TEST(VerilogParser, BundledLfsrShiftsAndFeedsBack)
 {
-    const auto circ = ingest::importCircuit(circuitPath("lfsr8.v"));
+    const auto circ = ingest::importCircuit(bundledCircuitPath("lfsr8.v"));
     ASSERT_EQ(circ.net.numInputs(), 2);
     ASSERT_EQ(circ.net.flipFlops().size(), 8u);
 
@@ -378,7 +365,7 @@ TEST(VerilogParser, BundledLfsrShiftsAndFeedsBack)
 TEST(VerilogParser, BundledCircuitsRoundTripAsFixedPoint)
 {
     for (const char *file : {"add4.v", "lfsr8.v"}) {
-        const auto circ = ingest::importCircuit(circuitPath(file));
+        const auto circ = ingest::importCircuit(bundledCircuitPath(file));
         const std::string s1 = writeNetlistToString(circ.net);
         const Netlist n1 = readNetlistFromString(s1);
         const std::string s2 = writeNetlistToString(n1);
@@ -390,7 +377,7 @@ TEST(VerilogParser, BundledCircuitsRoundTripAsFixedPoint)
 TEST(VerilogParser, BundledCircuitsHardenAndVerify)
 {
     for (const char *file : {"add4.v", "lfsr8.v"}) {
-        const auto circ = ingest::importCircuit(circuitPath(file));
+        const auto circ = ingest::importCircuit(bundledCircuitPath(file));
         const ingest::HardenedCircuit hard =
             ingest::hardenNetlist(circ.net);
         EXPECT_TRUE(ingest::verifyAlternatingOperation(
@@ -428,7 +415,7 @@ stripLaneFields(const std::string &verdict)
 
 TEST(VerilogParser, AdderCampaignVerdictBitIdenticalAcrossJobsLanes)
 {
-    const auto circ = ingest::importCircuit(circuitPath("add4.v"));
+    const auto circ = ingest::importCircuit(bundledCircuitPath("add4.v"));
     const ingest::HardenedCircuit hard =
         ingest::hardenNetlist(circ.net);
 
@@ -461,7 +448,7 @@ TEST(VerilogParser, AdderCampaignVerdictBitIdenticalAcrossJobsLanes)
 
 TEST(VerilogParser, LfsrSeqCampaignVerdictBitIdenticalAcrossJobsLanes)
 {
-    const auto circ = ingest::importCircuit(circuitPath("lfsr8.v"));
+    const auto circ = ingest::importCircuit(bundledCircuitPath("lfsr8.v"));
     const ingest::HardenedCircuit hard =
         ingest::hardenNetlist(circ.net);
     const fault::SeqCampaignSpec spec = hard.campaignSpec();

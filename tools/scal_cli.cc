@@ -149,7 +149,6 @@
 #include "netlist/structure.hh"
 #include "server/client.hh"
 #include "server/protocol.hh"
-#include "sim/alternating.hh"
 #include "sim/simd.hh"
 #include "system/alu.hh"
 #include "system/campaign.hh"
@@ -598,13 +597,12 @@ byName(const Netlist &net, const std::string &name)
 int
 cmdAnalyze(const Netlist &net)
 {
+    const auto report = core::runAlgorithm31(net);
     std::cout << "network: " << net.numInputs() << " inputs, "
               << net.cost().gates << " gates, " << net.numOutputs()
               << " outputs\n"
               << "alternating network (all outputs self-dual): "
-              << (sim::isAlternatingNetwork(net) ? "yes" : "NO")
-              << "\n\n";
-    const auto report = core::runAlgorithm31(net);
+              << (report.alternatingNetwork ? "yes" : "NO") << "\n\n";
     core::printReport(std::cout, net, report);
     return report.selfChecking() ? 0 : 2;
 }
