@@ -206,7 +206,10 @@ runWideKernel(const sim::FlatNetlist &flat,
  * pruning + disjoint-cone batching + flip passes + CPT over the
  * collapsed classes, expanded back to per-fault masks through
  * classOf. Bit-identity of every class's masks with the per-fault
- * kernels makes the digest directly comparable.
+ * kernels makes the digest directly comparable. The arm passes no
+ * tested flags, so by classifyBlock's contract every class it does
+ * not emit on a block has all-zero masks there, and the digest still
+ * equals the reference's.
  */
 std::uint64_t
 runFaultParallelKernel(const sim::FlatNetlist &flat,

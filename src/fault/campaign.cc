@@ -240,15 +240,20 @@ classifyGroupChunk(const CombSetup &s, int gbegin, int gend,
     out.batches = classifier.numBatches();
     const std::size_t base = s.plan.classOffset(gbegin);
     out.verdicts.resize(s.plan.classOffset(gend) - base);
+    // The Detected classes, which the classifier may drop on a block
+    // that cannot make them Unsafe.
+    std::vector<std::uint8_t> tested(out.verdicts.size(), 0);
     for (const PatternBlock &blk : s.blocks) {
         if (opts.cancel && opts.cancel->stopRequested())
             throw engine::CampaignCancelled();
         fs.setAlternatingBlock(blk.in);
         classifier.classifyBlock(
             [&](std::size_t pos, const sim::WideMasks &m) {
-                accumulateVerdict(m, blk, s.laneWords, opts, progress,
-                                  out.verdicts[pos - base]);
-            });
+                Verdict &v = out.verdicts[pos - base];
+                accumulateVerdict(m, blk, s.laneWords, opts, progress, v);
+                tested[pos - base] = v.tested;
+            },
+            tested);
         progress.addPatterns(static_cast<std::uint64_t>(blk.lanes));
     }
     progress.addFaultsDone(out.verdicts.size());

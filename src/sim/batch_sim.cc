@@ -40,6 +40,107 @@ cptSupported(GateKind kind, int arity)
 
 } // namespace
 
+std::vector<std::uint8_t>
+narrowLines(const FlatNetlist &flat)
+{
+    // Per gate, the one input its cone holds (kNoGate for none); a
+    // gate is wide once a fan-in is wide or two fan-ins hold
+    // different inputs.
+    const std::size_t n = static_cast<std::size_t>(flat.numGates());
+    std::vector<std::uint8_t> narrow(n, 1);
+    std::vector<GateId> source(n, kNoGate);
+    for (const GateId g : flat.topoOrder()) {
+        if (flat.kind(g) == GateKind::Input || flat.kind(g) == GateKind::Dff) {
+            source[g] = g;
+            continue;
+        }
+        const GateId *in = flat.fanins(g);
+        for (int k = 0; k < flat.arity(g) && narrow[g]; ++k) {
+            const GateId s = source[in[k]];
+            if (!narrow[in[k]] ||
+                (s != kNoGate && source[g] != kNoGate && s != source[g]))
+                narrow[g] = 0;
+            else if (s != kNoGate)
+                source[g] = s;
+        }
+    }
+    return narrow;
+}
+
+namespace
+{
+
+/** observabilityBound at a fixed width, so every row operation is a
+ *  straight run of W words. */
+template <std::size_t W>
+void
+boundPass(const FlatNetlist &flat, const std::uint8_t *narrow,
+          const std::uint64_t *lines, std::uint64_t *bound)
+{
+    // Pushed form of the recurrence: a gate's row is final once every
+    // consumer (later in topological order) has OR-ed its pass lanes
+    // U & ~B into it. Narrow rows stay every lane, and no wide line
+    // is a narrow gate's fan-in.
+    for (GateId g = 0; g < flat.numGates(); ++g) {
+        const std::uint64_t v =
+            narrow[g] || flat.numTaps(g) > 0 ? ~std::uint64_t{0} : 0;
+        std::uint64_t *row = bound + static_cast<std::size_t>(g) * W;
+        for (std::size_t w = 0; w < W; ++w)
+            row[w] = v;
+    }
+    const std::vector<GateId> &topo = flat.topoOrder();
+    for (std::size_t i = topo.size(); i-- > 0;) {
+        const GateId c = topo[i];
+        if (narrow[c])
+            continue;
+        std::uint64_t pass[W];
+        const std::uint64_t *u = bound + static_cast<std::size_t>(c) * W;
+        for (std::size_t w = 0; w < W; ++w)
+            pass[w] = u[w];
+        // B: a narrow fan-in at the controlling value, 0 for AND/NAND
+        // and 1 for OR/NOR; pass = U & ~B.
+        const GateKind kind = flat.kind(c);
+        const bool orLike = kind == GateKind::Or || kind == GateKind::Nor;
+        const int ar = flat.arity(c);
+        const GateId *in = flat.fanins(c);
+        if (orLike || kind == GateKind::And || kind == GateKind::Nand) {
+            const std::uint64_t flip = orLike ? ~std::uint64_t{0} : 0;
+            for (int k = 0; k < ar; ++k) {
+                if (!narrow[in[k]])
+                    continue;
+                const std::uint64_t *v =
+                    lines + static_cast<std::size_t>(in[k]) * W;
+                for (std::size_t w = 0; w < W; ++w)
+                    pass[w] &= v[w] ^ flip;
+            }
+        }
+        for (int k = 0; k < ar; ++k) {
+            if (narrow[in[k]])
+                continue;
+            std::uint64_t *d = bound + static_cast<std::size_t>(in[k]) * W;
+            for (std::size_t w = 0; w < W; ++w)
+                d[w] |= pass[w];
+        }
+    }
+}
+
+} // namespace
+
+void
+observabilityBound(const FlatNetlist &flat,
+                   const std::vector<std::uint8_t> &narrow,
+                   const std::uint64_t *lines, int lane_words,
+                   std::uint64_t *bound)
+{
+    switch (lane_words) {
+      case 1: boundPass<1>(flat, narrow.data(), lines, bound); break;
+      case 4: boundPass<4>(flat, narrow.data(), lines, bound); break;
+      case 8: boundPass<8>(flat, narrow.data(), lines, bound); break;
+      default:
+        throw std::invalid_argument("lane_words must be 1, 4 or 8");
+    }
+}
+
 FaultBatchPlan::FaultBatchPlan(const FlatNetlist &flat,
                                const std::vector<Fault> &all_faults,
                                const std::vector<int> &class_of,
@@ -66,6 +167,8 @@ FaultBatchPlan::FaultBatchPlan(const FlatNetlist &flat,
             !(flat.fanoutDegree(g) == 1 && flat.numTaps(g) == 0);
         rootOf_[g] = root ? g : rootOf_[flat.consumers(g)[0]];
     }
+
+    narrow_ = narrowLines(flat);
 
     std::vector<std::uint8_t> cptOk(static_cast<std::size_t>(n), 1);
     for (GateId g = 0; g < n; ++g)
@@ -294,8 +397,10 @@ BatchClassifier::BatchClassifier(FaultSimulator &sim,
     const std::size_t n = static_cast<std::size_t>(flat.numGates());
     const std::size_t W = static_cast<std::size_t>(sim.laneWords());
     lastBatch_.assign(n, -1);
-    for (int p = 0; p < 2; ++p)
+    for (int p = 0; p < 2; ++p) {
         crit_[p].assign(n * W, 0);
+        bound_[p].assign(n * W, 0);
+    }
     errFlip_.assign(
         static_cast<std::size_t>(plan.rootTapOff_.back()) * 2 * W, 0);
     sensScratch_.assign(
@@ -333,6 +438,20 @@ BatchClassifier::setRange(int group_begin, int group_end)
         for (const GateId g : cone)
             lastBatch_[g] = b;
     }
+
+    // Per-batch scratch: a need flag per group and the root errors of
+    // its groups' classes.
+    std::size_t maxGroups = 0, maxClasses = 0;
+    for (const FlipBatch &fb : flipBatches_) {
+        std::size_t classes = 0;
+        for (const int gi : fb.groups)
+            classes += plan_.classOffset(gi + 1) - plan_.classOffset(gi);
+        maxGroups = std::max(maxGroups, fb.groups.size());
+        maxClasses = std::max(maxClasses, classes);
+    }
+    groupNeed_.assign(maxGroups, 0);
+    rootErr_.assign(
+        maxClasses * 2 * static_cast<std::size_t>(sim_.laneWords()), 0);
 
     std::fill(lastBatch_.begin(), lastBatch_.end(), -1);
     const std::size_t b0 = plan_.classOffset(g0_);
@@ -528,41 +647,34 @@ BatchClassifier::foldAgg(const std::uint64_t *a, const std::uint64_t *b,
 }
 
 void
-BatchClassifier::foldFlip(int cls, const FlipAgg &agg, WideMasks &m)
+BatchClassifier::rootError(int cls, std::uint64_t *err)
 {
     // A root stem stuck-at-v is lane-wise identical to the flip
-    // wherever the good root value is ~v and a no-op elsewhere, so
-    // its error at every output is excitation_v & flip response.
+    // wherever the good root value is ~v and a no-op elsewhere, so a
+    // Flip class's root error is its excitation; a Cpt class's is
+    // its site's excitation gated by the site's criticality.
     const std::size_t W = static_cast<std::size_t>(sim_.laneWords());
     const Fault &f = plan_.simFault_[cls];
-    std::uint64_t exc[2][kMaxLaneWords];
-    for (int p = 0; p < 2; ++p) {
-        const std::uint64_t *gl = sim_.goodLines(p).data() +
-                                  static_cast<std::size_t>(f.site.driver) * W;
-        for (std::size_t w = 0; w < W; ++w)
-            exc[p][w] = f.value ? ~gl[w] : gl[w];
-    }
-    foldAgg(exc[0], exc[1], agg, m);
-}
-
-void
-BatchClassifier::foldCpt(int cls, const FlipAgg &agg, WideMasks &m)
-{
-    const std::size_t W = static_cast<std::size_t>(sim_.laneWords());
-    const Fault &f = plan_.simFault_[cls];
-    std::uint64_t root_err[2][kMaxLaneWords];
+    const bool cpt = plan_.route_[cls] == ClassRoute::Cpt;
     for (int p = 0; p < 2; ++p) {
         const std::uint64_t *lines = sim_.goodLines(p).data();
+        const std::uint64_t *gl =
+            lines + static_cast<std::size_t>(f.site.driver) * W;
+        std::uint64_t *e = err + static_cast<std::size_t>(p) * W;
+        for (std::size_t w = 0; w < W; ++w)
+            e[w] = f.value ? ~gl[w] : gl[w];
+        if (!cpt)
+            continue;
         const std::uint64_t *crit = crit_[p].data();
-        const std::uint64_t *cw;
-        std::uint64_t pin_crit[kMaxLaneWords];
         if (f.site.isStem() ||
-            plan_.rootOf_[f.site.driver] ==
-                plan_.rootOf_[f.site.consumer]) {
+            plan_.rootOf_[f.site.driver] == plan_.rootOf_[f.site.consumer]) {
             // Interior driver: inside the FFR the line has exactly one
             // consumer edge, so the branch criticality IS the driver's
             // line criticality the backtrace already produced.
-            cw = crit + static_cast<std::size_t>(f.site.driver) * W;
+            const std::uint64_t *cw =
+                crit + static_cast<std::size_t>(f.site.driver) * W;
+            for (std::size_t w = 0; w < W; ++w)
+                e[w] &= cw[w];
         } else {
             computeSens(f.site.consumer, lines, sensScratch_.data());
             const std::uint64_t *base =
@@ -571,21 +683,49 @@ BatchClassifier::foldCpt(int cls, const FlipAgg &agg, WideMasks &m)
                 sensScratch_.data() +
                 static_cast<std::size_t>(f.site.pin) * W;
             for (std::size_t w = 0; w < W; ++w)
-                pin_crit[w] = base[w] & sens[w];
-            cw = pin_crit;
-        }
-        const std::uint64_t *gl =
-            lines + static_cast<std::size_t>(f.site.driver) * W;
-        for (std::size_t w = 0; w < W; ++w) {
-            const std::uint64_t exc = f.value ? ~gl[w] : gl[w];
-            root_err[p][w] = exc & cw[w];
+                e[w] &= base[w] & sens[w];
         }
     }
-    foldAgg(root_err[0], root_err[1], agg, m);
+}
+
+bool
+BatchClassifier::groupNeeded(int group, std::span<const std::uint8_t> tested,
+                             std::uint64_t *err)
+{
+    // The dropping rule (file comment), on the root errors of the
+    // group's Flip/Cpt classes, which it leaves in err (2 * W words
+    // per position of the group) for the folds.
+    const std::size_t W = static_cast<std::size_t>(sim_.laneWords());
+    const std::size_t root =
+        static_cast<std::size_t>(plan_.groupRoots_[group]) * W;
+    const std::uint64_t *u0 = bound_[0].data() + root;
+    const std::uint64_t *u1 = bound_[1].data() + root;
+    const std::size_t b0 = plan_.classOffset(g0_);
+    const std::size_t lo = plan_.classOffset(group);
+    bool need = false;
+    for (std::size_t pos = lo; pos < plan_.classOffset(group + 1); ++pos) {
+        const int c = plan_.classList_[pos];
+        if (plan_.route_[c] != ClassRoute::Flip &&
+            plan_.route_[c] != ClassRoute::Cpt)
+            continue;
+        std::uint64_t *e = err + (pos - lo) * 2 * W;
+        rootError(c, e);
+        const bool detected = !tested.empty() && tested[pos - b0];
+        std::uint64_t unsafe = 0, observed = 0;
+        for (std::size_t w = 0; w < W; ++w) {
+            const std::uint64_t a = e[w] & u0[w];
+            const std::uint64_t b = e[W + w] & u1[w];
+            unsafe |= a & b;
+            observed |= a | b;
+        }
+        need |= unsafe != 0 || (!detected && observed != 0);
+    }
+    return need;
 }
 
 void
-BatchClassifier::classifyBlock(const Emit &emit)
+BatchClassifier::classifyBlock(const Emit &emit,
+                               std::span<const std::uint8_t> tested)
 {
     const FlatNetlist &flat = plan_.flat();
     const std::size_t W = static_cast<std::size_t>(sim_.laneWords());
@@ -609,19 +749,45 @@ BatchClassifier::classifyBlock(const Emit &emit)
         return;
     }
 
-    // Flip passes: one replay per batch per phase carries BOTH
-    // stuck-at polarities of every member root. No output assembly —
-    // the flip responses are read straight off the replayed lines of
-    // each root's reachable outputs into the per-tap slots the
-    // analytic folds consume below. Slots of groups with no Flip
-    // class are never written and stay all-zero (exact: both root
-    // stems are dominance-pruned, so the flip response is null).
+    // Flip passes, one batch at a time: the dropping rule on the
+    // batch's groups (criticality first, which reads good values
+    // only), then one replay per phase carrying BOTH stuck-at
+    // polarities of every needed member root, then the folds of the
+    // needed groups. No output assembly — the flip responses are read
+    // straight off the replayed lines of each root's reachable
+    // outputs into the per-tap slots the folds consume. A group with
+    // no Flip class has no flip unit: both root stems are
+    // dominance-pruned, so its flip response is null and its Cpt
+    // classes, like Pruned ones, emit nothing.
     const std::uint64_t *gl[2] = {sim_.goodLines(0).data(),
                                   sim_.goodLines(1).data()};
+    if (!flipBatches_.empty())
+        for (int p = 0; p < 2; ++p)
+            observabilityBound(flat, plan_.narrow_, gl[p], sim_.laneWords(),
+                               bound_[p].data());
+    FlipAgg agg;
     for (const FlipBatch &fb : flipBatches_) {
+        replayRoots_.clear();
+        std::size_t at = 0; // class offset of the group within rootErr_
+        for (std::size_t k = 0; k < fb.groups.size(); ++k) {
+            const int gi = fb.groups[k];
+            if (plan_.groupCpt_[gi])
+                computeCrit(gi);
+            groupNeed_[k] =
+                groupNeeded(gi, tested, rootErr_.data() + at * 2 * W);
+            if (groupNeed_[k])
+                replayRoots_.push_back(fb.roots[k]);
+            at += plan_.classOffset(gi + 1) - plan_.classOffset(gi);
+        }
+        if (replayRoots_.empty())
+            continue;
+        rootReplays_ += replayRoots_.size();
         for (int p = 0; p < 2; ++p) {
-            sim_.replayFlips(fb.roots.data(), fb.roots.size(), p);
-            for (const int gi : fb.groups) {
+            sim_.replayFlips(replayRoots_.data(), replayRoots_.size(), p);
+            for (std::size_t k = 0; k < fb.groups.size(); ++k) {
+                if (!groupNeed_[k])
+                    continue;
+                const int gi = fb.groups[k];
                 const std::int32_t t0 = plan_.rootTapOff_[gi];
                 const std::int32_t t1 =
                     plan_.rootTapOff_[static_cast<std::size_t>(gi) + 1];
@@ -639,6 +805,26 @@ BatchClassifier::classifyBlock(const Emit &emit)
                         flip[w] = fv[w] ^ gv[w];
                 }
             }
+        }
+        at = 0;
+        for (std::size_t k = 0; k < fb.groups.size(); ++k) {
+            const int gi = fb.groups[k];
+            const std::size_t lo = plan_.classOffset(gi);
+            const std::size_t hi = plan_.classOffset(gi + 1);
+            if (groupNeed_[k]) {
+                computeAgg(gi, agg);
+                for (std::size_t pos = lo; pos < hi; ++pos) {
+                    const ClassRoute r = plan_.route_[plan_.classList_[pos]];
+                    if (r != ClassRoute::Flip && r != ClassRoute::Cpt)
+                        continue;
+                    const std::uint64_t *e =
+                        rootErr_.data() + (at + pos - lo) * 2 * W;
+                    WideMasks m;
+                    foldAgg(e, e + W, agg, m);
+                    emit(pos, m);
+                }
+            }
+            at += hi - lo;
         }
     }
 
@@ -670,48 +856,26 @@ BatchClassifier::classifyBlock(const Emit &emit)
         }
     }
 
-    // Analytic routes: output-tap classes fold directly against the
-    // good outputs; Flip classes fold excitation against the root
-    // flip responses gathered above, CPT classes additionally gate on
-    // the in-FFR criticality backtrace.
-    FlipAgg agg;
-    for (int gi = g0_; gi < g1_; ++gi) {
-        if (plan_.groupCpt_[gi])
-            computeCrit(gi);
-        if (plan_.flipNeed_[gi] || plan_.groupCpt_[gi])
-            computeAgg(gi, agg);
-        const std::size_t lo = plan_.classOffset(gi);
-        const std::size_t hi = plan_.classOffset(gi + 1);
-        for (std::size_t pos = lo; pos < hi; ++pos) {
-            const int c = plan_.classList_[pos];
-            if (plan_.route_[c] == ClassRoute::Tap) {
-                const Fault &f = plan_.simFault_[c];
-                WideMasks m;
-                if (f.site.pin >= 0 && f.site.pin < flat.numOutputs() &&
-                    flat.output(f.site.pin) == f.site.driver) {
-                    const std::uint64_t v =
-                        f.value ? ~std::uint64_t{0} : 0;
-                    const std::size_t j =
-                        static_cast<std::size_t>(f.site.pin) * W;
-                    for (std::size_t w = 0; w < W; ++w) {
-                        const std::uint64_t e1 = v ^ g0[j + w];
-                        const std::uint64_t e2 = v ^ g1[j + w];
-                        m.anyErr[w] |= e1 | e2;
-                        m.nonAlt[w] |= e1 ^ e2;
-                        m.incorrect[w] |= e1 & e2;
-                    }
-                }
-                emit(pos, m);
-            } else if (plan_.route_[c] == ClassRoute::Flip) {
-                WideMasks m;
-                foldFlip(c, agg, m);
-                emit(pos, m);
-            } else if (plan_.route_[c] == ClassRoute::Cpt) {
-                WideMasks m;
-                foldCpt(c, agg, m);
-                emit(pos, m);
+    // Output-tap classes fold directly against the good outputs.
+    for (std::size_t pos = b0; pos < b1; ++pos) {
+        const int c = plan_.classList_[pos];
+        if (plan_.route_[c] != ClassRoute::Tap)
+            continue;
+        const Fault &f = plan_.simFault_[c];
+        WideMasks m;
+        if (f.site.pin >= 0 && f.site.pin < flat.numOutputs() &&
+            flat.output(f.site.pin) == f.site.driver) {
+            const std::uint64_t v = f.value ? ~std::uint64_t{0} : 0;
+            const std::size_t j = static_cast<std::size_t>(f.site.pin) * W;
+            for (std::size_t w = 0; w < W; ++w) {
+                const std::uint64_t e1 = v ^ g0[j + w];
+                const std::uint64_t e2 = v ^ g1[j + w];
+                m.anyErr[w] |= e1 | e2;
+                m.nonAlt[w] |= e1 ^ e2;
+                m.incorrect[w] |= e1 & e2;
             }
         }
+        emit(pos, m);
     }
 }
 

@@ -1,14 +1,15 @@
 /**
  * @file
  * Fault-parallel classification over a FlatNetlist: fanout-free-region
- * (FFR) routing, disjoint-cone fault batching, and a
- * critical-path-tracing (CPT) fast path.
+ * (FFR) routing, disjoint-cone fault batching, a
+ * critical-path-tracing (CPT) fast path, and dropping of what a block
+ * cannot change.
  *
  * The per-fault campaign kernel pays one two-phase cone replay plus a
  * full-output fold for every collapsed class x pattern block. This
- * layer cuts that cost on three axes while keeping verdict masks
+ * layer cuts that cost on four axes while keeping verdict masks
  * bit-identical to FaultSimulator::classifyAlternatingWide for every
- * class:
+ * class it emits:
  *
  *  - **Routing.** Every collapsed class is assigned to the FFR whose
  *    tree contains its fault sites (equivalence chains never cross an
@@ -44,6 +45,36 @@
  *    path. Beyond the root, err at each output is err_root & the flip
  *    response the flip pass already produced. One backtrace per FFR
  *    therefore classifies every interior fault with zero replays.
+ *  - **Dropping.** A Flip or Cpt class's masks on a block are folds
+ *    of its root error e_p in phase p (the excitation; for Cpt, times
+ *    the criticality) against the root's flip responses, and a flip
+ *    response lies inside the root's observability bound U_p.
+ *    - *Rule.* A block can make the class Unsafe only where
+ *      e_0 & e_1 & U_0 & U_1 is set (an output wrong in both periods
+ *      of a lane), and Detected only where (e_0 & U_0) | (e_1 & U_1)
+ *      is set. A group is replayed, folded and emitted on a block only
+ *      when one of its Flip/Cpt classes has the first set non-empty,
+ *      or is not yet Detected and has the second non-empty. The
+ *      caller says which classes are Detected.
+ *    - *Bound.* U_p(g) is every lane when g drives an output, and
+ *      otherwise the OR over g's consumers c of U_p(c) & ~B_p(c).
+ *      B_p(c) holds the lanes in which a *narrow* fan-in of c holds
+ *      c's controlling value: 0 for AND/NAND, 1 for OR/NOR; no other
+ *      kind blocks. A line is narrow when its fan-in cone holds at
+ *      most one primary input: the inputs, φ, φ̄ and the constants.
+ *    - *Soundness.* A root with two or more inputs in its fan-in cone
+ *      is in no narrow line's fan-in cone. Under its flip every
+ *      narrow line keeps its good value and still controls its
+ *      consumer, so a path that carries the error to an output passes
+ *      only gates that no narrow fan-in blocks. A narrow root's bound
+ *      is every lane.
+ *    - *Why it pays.* This is Chapter 3's argument made lane-wise. An
+ *      incorrectly alternating output needs the error at an output in
+ *      both periods of (X, X̄). The hardening's Yamamoto mux
+ *      φ̄·F ∨ φ·F^d lets each line of F and F^d reach the outputs in
+ *      only one period of each pair: φ̄ blocks F where φ = 1, and φ
+ *      blocks F^d where φ = 0. So once such a class is Detected, no
+ *      block replays it again.
  *
  * Exactness guard: the campaign fold treats the fault-free phase-2
  * output as the complement of phase 1, so on a block where the good
@@ -84,6 +115,27 @@ enum class ClassRoute : std::uint8_t
     Tap,
     Cpt,
 };
+
+/**
+ * The narrow lines of @p flat, indexed by GateId: 1 where the line's
+ * fan-in cone holds at most one primary input (the inputs, the
+ * constants, and gates fed by one input's lines only, such as φ̄).
+ * One pass in topological order; a flip-flop counts as an input.
+ */
+std::vector<std::uint8_t> narrowLines(const FlatNetlist &flat);
+
+/**
+ * The observability bound U_p of every line of the combinational
+ * @p flat for one phase (see the file comment): @p lines are the
+ * phase's good values (numGates() rows of @p lane_words words) and
+ * @p bound receives numGates() rows. A narrow line's row is every
+ * lane. Complementing any line that is not @p narrow changes an
+ * output only in lanes of its row. One reverse-topological pass.
+ */
+void observabilityBound(const FlatNetlist &flat,
+                        const std::vector<std::uint8_t> &narrow,
+                        const std::uint64_t *lines, int lane_words,
+                        std::uint64_t *bound);
 
 struct BatchPlanStats
 {
@@ -183,6 +235,8 @@ class FaultBatchPlan
 
     /** FFR root of every gate. */
     std::vector<netlist::GateId> rootOf_;
+    /** narrowLines() of the netlist, for the observability bound. */
+    std::vector<std::uint8_t> narrow_;
 
     /** @name Per class (index = collapsed class id) */
     /** @{ */
@@ -216,10 +270,9 @@ class FaultBatchPlan
     std::vector<std::int32_t> rootConeOf_;
     /** Outputs reachable from the root; doubles as the flip-response
      *  slot index space (slot = rootTapOff_[g] + t). A group with Cpt
-     *  classes but no Flip class (both root stems dominance-pruned)
-     *  keeps its slots all-zero, which is exact: the flip response is
-     *  the union of the two pruned — hence everywhere-null — stem
-     *  error masks. */
+     *  classes but no Flip class (both root stems dominance-pruned) is
+     *  never folded, which is exact: the flip response is the union of
+     *  the two pruned — hence everywhere-null — stem error masks. */
     std::vector<std::int32_t> rootTapOff_; ///< per group + 1
     std::vector<std::int32_t> rootTapData_;
     std::vector<std::int32_t> ffrOff_; ///< per group + 1 (Cpt groups)
@@ -252,13 +305,28 @@ class BatchClassifier
     }
 
     /**
-     * Classify every class of the current range against the block
+     * Classify the classes of the current range against the block
      * cached by FaultSimulator::setAlternatingBlock, emitting masks
      * bit-identical to classifyAlternatingWide of each class's
-     * representative. Pruned classes emit nothing on self-dual blocks
-     * (their masks are all-zero by construction).
+     * representative. @p tested holds one flag per position of the
+     * range (position - classOffset(group_begin)); set means the
+     * class is already Detected. Empty means none is.
+     *
+     * On a self-dual block, Flip and Cpt classes of a group the block
+     * cannot change are dropped (file comment). Pruned classes, and
+     * the Cpt classes of a group with no Flip class, emit nothing
+     * (their masks are all-zero by construction). The
+     * contract: a class that is not emitted has a zero `incorrect`
+     * mask on this block, and zero `anyErr` and `nonAlt` masks too
+     * unless it was passed as tested. So a caller that passes no
+     * tested flags still receives every non-zero mask.
      */
-    void classifyBlock(const Emit &emit);
+    void classifyBlock(const Emit &emit,
+                       std::span<const std::uint8_t> tested = {});
+
+    /** Roots replayed by the flip passes, summed over the blocks
+     *  classified so far (each root counted once per block). */
+    std::uint64_t rootReplays() const { return rootReplays_; }
 
   private:
     struct Member
@@ -295,8 +363,9 @@ class BatchClassifier
     void computeAgg(int group, FlipAgg &agg);
     void foldAgg(const std::uint64_t *a, const std::uint64_t *b,
                  const FlipAgg &agg, WideMasks &m);
-    void foldFlip(int cls, const FlipAgg &agg, WideMasks &m);
-    void foldCpt(int cls, const FlipAgg &agg, WideMasks &m);
+    void rootError(int cls, std::uint64_t *err);
+    bool groupNeeded(int group, std::span<const std::uint8_t> tested,
+                     std::uint64_t *err);
 
     FaultSimulator &sim_;
     const FaultBatchPlan &plan_;
@@ -308,6 +377,19 @@ class BatchClassifier
 
     /** Per-phase in-FFR criticality blocks, indexed by gate. */
     WordVec crit_[2];
+    /** Per-phase observability bound blocks, indexed by gate. */
+    WordVec bound_[2];
+    /** @name One flip batch's scratch */
+    /** @{ */
+    /** Per group: the block can change it. */
+    std::vector<std::uint8_t> groupNeed_;
+    /** Root errors of its groups' classes: (class * 2 + phase) * W,
+     *  classes numbered through the groups in batch order. */
+    WordVec rootErr_;
+    /** The needed roots. */
+    std::vector<netlist::GateId> replayRoots_;
+    /** @} */
+    std::uint64_t rootReplays_ = 0;
     /** Root flip responses: slot-major, (slot * 2 + phase) * W. */
     WordVec errFlip_;
     /** Sensitivity scratch: (3 * maxArity + 2) * W words. */

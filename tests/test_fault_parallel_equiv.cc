@@ -50,11 +50,13 @@ expectSameVerdicts(const fault::CampaignResult &a,
 
 void
 checkGrid(const Netlist &net, const char *label,
-          std::uint64_t max_patterns, bool check_alternating = true)
+          std::uint64_t max_patterns, bool check_alternating = true,
+          int keep_unsafe_examples = 4)
 {
     // Per-fault oracle at the narrowest portable width.
     fault::CampaignOptions ref;
     ref.maxPatterns = max_patterns;
+    ref.keepUnsafeExamples = keep_unsafe_examples;
     ref.lanes = 64;
     ref.simd = sim::SimdTarget::Portable;
     ref.checkAlternating = check_alternating;
@@ -66,6 +68,7 @@ checkGrid(const Netlist &net, const char *label,
                  {sim::SimdTarget::Portable, sim::SimdTarget::Auto}) {
                 fault::CampaignOptions opts;
                 opts.maxPatterns = max_patterns;
+                opts.keepUnsafeExamples = keep_unsafe_examples;
                 opts.jobs = jobs;
                 opts.lanes = lanes;
                 opts.simd = simd;
@@ -103,6 +106,24 @@ TEST(FaultParallelEquiv, PaperCircuits)
               "section 3.6 repaired", std::uint64_t{1} << 16);
     checkGrid(circuits::rippleCarryAdder(4), "rca4",
               std::uint64_t{1} << 16);
+}
+
+TEST(FaultParallelEquiv, UnsafeClassesAcrossManyBlocks)
+{
+    // The section 3.6 network has 3 inputs, so its campaigns above run
+    // one block. Five copies have 15 inputs and twenty Unsafe faults,
+    // and 1,000 sampled patterns make 16 blocks at 64 lanes, the last
+    // one partial. Keeping every unsafe example makes each block's
+    // unsafe lanes part of the verdict, so a Detected class that a
+    // block could still make Unsafe must not be dropped.
+    const Netlist five =
+        testing::disjointCopies(circuits::section36Network(), 5);
+    ASSERT_EQ(five.numInputs(), 15);
+    fault::CampaignOptions opts;
+    opts.maxPatterns = 1000;
+    EXPECT_EQ(fault::runAlternatingCampaign(five, opts).numUnsafe, 20);
+    checkGrid(five, "five section 3.6 copies", 1000,
+              /*check_alternating=*/true, /*keep_unsafe_examples=*/1000);
 }
 
 TEST(FaultParallelEquiv, AluSlice)

@@ -88,6 +88,35 @@ randomNetlist(int num_inputs, int num_gates, util::Rng &rng,
     return net;
 }
 
+/** @p copies disjoint copies of the combinational @p net side by side,
+ *  each with its own inputs and outputs (names suffixed _k). */
+inline netlist::Netlist
+disjointCopies(const netlist::Netlist &net, int copies)
+{
+    using namespace netlist;
+    Netlist out;
+    for (int k = 0; k < copies; ++k) {
+        const std::string tag = "_" + std::to_string(k);
+        std::vector<GateId> map(static_cast<std::size_t>(net.numGates()),
+                                kNoGate);
+        for (const GateId g : net.topoOrder()) {
+            const Gate &gate = net.gate(g);
+            if (gate.kind == GateKind::Input) {
+                map[g] = out.addInput(gate.name + tag);
+                continue;
+            }
+            std::vector<GateId> fanin;
+            for (const GateId d : gate.fanin)
+                fanin.push_back(map[d]);
+            map[g] = out.addGate(gate.kind, std::move(fanin),
+                                 gate.name.empty() ? "" : gate.name + tag);
+        }
+        for (int j = 0; j < net.numOutputs(); ++j)
+            out.addOutput(map[net.outputs()[j]], net.outputName(j) + tag);
+    }
+    return out;
+}
+
 /** A random NAND+NOT network (for the Chapter 6 conversion sweeps). */
 inline netlist::Netlist
 randomNandNetwork(int num_inputs, int num_gates, util::Rng &rng)
