@@ -13,12 +13,13 @@
  *
  * Scenarios cover the paper's built-in circuits plus the bundled
  * `-class` netlists (c432/c880/c1908) run through the real
- * import-and-harden pipeline. Verdict mask digests are cross-checked
- * between all kernels, lane widths and dispatch targets before any
- * timing; the full resimulation reference is skipped on the hardened
- * circuits where it would take minutes per repetition (`cone` is the
- * oracle there — itself digest-checked against `ref` on every
- * scenario that affords it). Results are emitted as machine-readable
+ * import-and-harden pipeline. Digests of the per-fault outcomes
+ * (tested, unsafe) are cross-checked between all kernels, lane widths
+ * and dispatch targets before any timing; the full resimulation
+ * reference is skipped on the hardened circuits where it would take
+ * minutes per repetition (`cone` is the oracle there — itself
+ * digest-checked against `ref` on every scenario that affords it).
+ * Results are emitted as machine-readable
  * JSON (stdout and a file) so CI can archive the numbers. Every
  * timing is a warmed-up best/median/stddev over --reps repetitions
  * (bench_stats.hh).
@@ -40,10 +41,10 @@
 #include "ingest/harden.hh"
 #include "ingest/import.hh"
 #include "netlist/circuits.hh"
+#include "oracle/packed_evaluator.hh"
 #include "sim/batch_sim.hh"
 #include "sim/fault_sim.hh"
 #include "sim/flat.hh"
-#include "sim/packed.hh"
 #include "sim/simd.hh"
 #include "system/alu.hh"
 #include "util/rng.hh"
@@ -117,47 +118,57 @@ buildBlocks(int ni, std::uint64_t max_patterns, int lane_words,
     return blocks;
 }
 
-/** Fold one fault's per-output words into the alternating masks,
- *  restricted to the @p lane_mask of populated lanes (padding lanes
- *  in a partial final block must not contribute to the digest). */
-void
-foldMasks(const std::vector<std::uint64_t> &f1,
-          const std::vector<std::uint64_t> &f2,
-          const std::vector<std::uint64_t> &good, std::uint64_t lane_mask,
-          sim::AlternatingMasks &m)
+/**
+ * Per-fault outcomes as the campaign derives them from each block's
+ * masks (accumulateVerdict in fault/campaign.cc): tested once an
+ * active lane of some block errs, unsafe once an active lane of some
+ * block alternates incorrectly. The fault-parallel arm drops classes a
+ * block cannot change, which leaves their masks partial by contract,
+ * so the arms are compared on outcomes, not masks.
+ */
+struct Outcomes
 {
-    for (std::size_t j = 0; j < f1.size(); ++j) {
-        const std::uint64_t err1 = f1[j] ^ good[j];
-        const std::uint64_t err2 = f2[j] ^ ~good[j];
-        m.anyErr |= (err1 | err2) & lane_mask;
-        m.nonAlt |= ~(f1[j] ^ f2[j]) & lane_mask;
-        m.incorrect |= err1 & err2 & lane_mask;
-    }
-}
+    explicit Outcomes(std::size_t n) : tested(n, 0), unsafe(n, 0) {}
 
-/** Digest of all verdict masks, for kernel cross-checking. */
-std::uint64_t
-maskDigest(const std::vector<sim::AlternatingMasks> &verdict)
-{
-    std::uint64_t digest = 0;
-    for (const auto &m : verdict) {
-        digest ^= m.anyErr * 0x9e3779b97f4a7c15ULL;
-        digest ^= m.nonAlt * 0xc2b2ae3d27d4eb4fULL;
-        digest ^= m.incorrect * 0x165667b19e3779f9ULL;
-        digest = (digest << 7) | (digest >> 57);
+    /** Fold one block's masks of @p k, over the active lanes only. */
+    void
+    add(std::size_t k, const sim::WideMasks &m, const WideBlock &blk,
+        int lane_words)
+    {
+        for (int w = 0; w < lane_words; ++w) {
+            const std::uint64_t lm = blk.laneMask(w);
+            tested[k] |= (m.anyErr[static_cast<std::size_t>(w)] & lm) != 0;
+            unsafe[k] |= (m.unsafeWord(w) & lm) != 0;
+        }
     }
-    return digest;
-}
+
+    /** Digest of the outcomes of the faults, each fault reading the
+     *  entry @p index_of maps it to (identity when empty). */
+    std::uint64_t
+    digest(std::size_t faults, const std::vector<int> &index_of = {}) const
+    {
+        std::uint64_t d = 0;
+        for (std::size_t i = 0; i < faults; ++i) {
+            const std::size_t k =
+                index_of.empty() ? i : static_cast<std::size_t>(index_of[i]);
+            d ^= (tested[k] + 2u * unsafe[k] + 1u) * 0x9e3779b97f4a7c15ULL;
+            d = (d << 7) | (d >> 57);
+        }
+        return d;
+    }
+
+    std::vector<std::uint8_t> tested, unsafe;
+};
 
 /** The campaign inner loop as it was before the cone kernel: full
  *  packed resimulation of the whole netlist, twice per fault per
- *  64-lane block. Returns a digest of all verdict masks. */
+ *  64-lane block. Returns a digest of the per-fault outcomes. */
 std::uint64_t
 runReferenceKernel(const Netlist &net, const std::vector<Fault> &faults,
                    const std::vector<WideBlock> &blocks)
 {
-    const sim::PackedEvaluator pe(net);
-    std::vector<sim::AlternatingMasks> verdict(faults.size());
+    const oracle::PackedEvaluator pe(net);
+    Outcomes out(faults.size());
     for (const WideBlock &blk : blocks) {
         const auto &in = blk.in; // one word per input at lane_words == 1
         std::vector<std::uint64_t> inbar(in.size());
@@ -167,16 +178,24 @@ runReferenceKernel(const Netlist &net, const std::vector<Fault> &faults,
         for (std::size_t k = 0; k < faults.size(); ++k) {
             const auto f1 = pe.evalOutputs(in, &faults[k]);
             const auto f2 = pe.evalOutputs(inbar, &faults[k]);
-            foldMasks(f1, f2, good, blk.laneMask(0), verdict[k]);
+            sim::WideMasks m;
+            for (std::size_t j = 0; j < f1.size(); ++j) {
+                const std::uint64_t err1 = f1[j] ^ good[j];
+                const std::uint64_t err2 = f2[j] ^ ~good[j];
+                m.anyErr[0] |= err1 | err2;
+                m.nonAlt[0] |= ~(f1[j] ^ f2[j]);
+                m.incorrect[0] |= err1 & err2;
+            }
+            out.add(k, m, blk, 1);
         }
     }
-    return maskDigest(verdict);
+    return out.digest(faults.size());
 }
 
-/** The cone-restricted kernel the campaign runs now, at any lane
- *  width and dispatch target. Per-fault masks are accumulated over
- *  the active lanes only, so the digest is identical at every
- *  (width, target) pair. */
+/** The cone-restricted kernel, one replay per fault, at any lane
+ *  width and dispatch target. Outcomes are folded over the active
+ *  lanes only, so the digest is identical at every (width, target)
+ *  pair. */
 std::uint64_t
 runWideKernel(const sim::FlatNetlist &flat,
               const std::vector<Fault> &faults,
@@ -184,32 +203,24 @@ runWideKernel(const sim::FlatNetlist &flat,
               sim::SimdTarget target)
 {
     sim::FaultSimulator fs(flat, lane_words, target);
-    std::vector<sim::AlternatingMasks> verdict(faults.size());
+    Outcomes out(faults.size());
     for (const WideBlock &blk : blocks) {
         fs.setAlternatingBlock(blk.in);
-        for (std::size_t k = 0; k < faults.size(); ++k) {
-            const sim::WideMasks m =
-                fs.classifyAlternatingWide(faults[k]);
-            for (int w = 0; w < lane_words; ++w) {
-                const std::uint64_t lm = blk.laneMask(w);
-                verdict[k].anyErr |= m.anyErr[w] & lm;
-                verdict[k].nonAlt |= m.nonAlt[w] & lm;
-                verdict[k].incorrect |= m.incorrect[w] & lm;
-            }
-        }
+        for (std::size_t k = 0; k < faults.size(); ++k)
+            out.add(k, fs.classifyAlternatingWide(faults[k]), blk,
+                    lane_words);
     }
-    return maskDigest(verdict);
+    return out.digest(faults.size());
 }
 
 /**
- * The fault-parallel path the campaign runs by default: dominance
- * pruning + disjoint-cone batching + flip passes + CPT over the
- * collapsed classes, expanded back to per-fault masks through
- * classOf. Bit-identity of every class's masks with the per-fault
- * kernels makes the digest directly comparable. The arm passes no
- * tested flags, so by classifyBlock's contract every class it does
- * not emit on a block has all-zero masks there, and the digest still
- * equals the reference's.
+ * The campaign's classify loop (classifyGroupChunk in
+ * fault/campaign.cc) over one range of every group: dominance pruning
+ * + disjoint-cone batching + flip passes + CPT over the collapsed
+ * classes, with the Detected classes passed back as tested flags so
+ * the classifier drops what a block cannot change. Class outcomes are
+ * expanded to faults through classOf, so the digest is directly
+ * comparable with the per-fault kernels'.
  */
 std::uint64_t
 runFaultParallelKernel(const sim::FlatNetlist &flat,
@@ -222,25 +233,20 @@ runFaultParallelKernel(const sim::FlatNetlist &flat,
     sim::FaultSimulator fs(flat, lane_words, target);
     sim::BatchClassifier bc(fs, plan);
     bc.setRange(0, plan.numGroups());
-    std::vector<sim::AlternatingMasks> cls(col.representatives.size());
+    Outcomes cls(col.representatives.size());
+    std::vector<std::uint8_t> tested(plan.classOffset(plan.numGroups()), 0);
     for (const WideBlock &blk : blocks) {
         fs.setAlternatingBlock(blk.in);
         bc.classifyBlock(
             [&](std::size_t pos, const sim::WideMasks &m) {
-                const int c = plan.classList()[pos];
-                auto &v = cls[static_cast<std::size_t>(c)];
-                for (int w = 0; w < lane_words; ++w) {
-                    const std::uint64_t lm = blk.laneMask(w);
-                    v.anyErr |= m.anyErr[w] & lm;
-                    v.nonAlt |= m.nonAlt[w] & lm;
-                    v.incorrect |= m.incorrect[w] & lm;
-                }
-            });
+                const auto c =
+                    static_cast<std::size_t>(plan.classList()[pos]);
+                cls.add(c, m, blk, lane_words);
+                tested[pos] = cls.tested[c];
+            },
+            tested);
     }
-    std::vector<sim::AlternatingMasks> verdict(faults.size());
-    for (std::size_t i = 0; i < faults.size(); ++i)
-        verdict[i] = cls[static_cast<std::size_t>(col.classOf[i])];
-    return maskDigest(verdict);
+    return cls.digest(faults.size(), col.classOf);
 }
 
 /** Timing for one kernel at one lane width (native dispatch). */

@@ -141,7 +141,7 @@ struct Replay
             forced[g] = stamp[g] = epoch;
         }
         return k.replayEvents(flat, good.data(), faulty.data(),
-                              stamp.data(), forced.data(), epoch,
+                              stamp.data(), forced.data(), epoch, nullptr,
                               seeds.data(), seeds.size(), nullptr, 0,
                               nullptr, 0, events.data(), ptrs.data());
     }

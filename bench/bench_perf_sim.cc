@@ -10,8 +10,8 @@
 #include "core/algorithm31.hh"
 #include "fault/campaign.hh"
 #include "netlist/circuits.hh"
+#include "oracle/packed_evaluator.hh"
 #include "sim/evaluator.hh"
-#include "sim/packed.hh"
 #include "system/alu.hh"
 
 using namespace scal;
@@ -43,7 +43,7 @@ BM_PackedEval(benchmark::State &state)
 {
     const Netlist net =
         circuits::rippleCarryAdder(static_cast<int>(state.range(0)));
-    sim::PackedEvaluator pe(net);
+    oracle::PackedEvaluator pe(net);
     std::vector<std::uint64_t> in(net.numInputs(), 0);
     std::uint64_t pattern = 0x9e3779b97f4a7c15ULL;
     for (auto _ : state) {

@@ -170,9 +170,9 @@ seqCollapseOptions(const SeqCampaignOptions &opts)
 /**
  * Everything a sequential campaign derives before it classifies: the
  * checked and resolved options, the spec, the compiled netlist, the
- * collapse, the fault-free trace and the decoded sites of the
- * unpruned classes. The inline and the shard runner both build one,
- * so they classify the identical class space.
+ * collapse, the fault-free trace, its dead-line masks and the decoded
+ * sites of the unpruned classes. The inline and the shard runner both
+ * build one, so they classify the identical class space.
  * Everything here is immutable and shared read-only by the workers.
  * Not copyable: the trace points into flat.
  *
@@ -191,7 +191,8 @@ struct SeqSetup
           colOpts(seqCollapseOptions(opts)),
           flat(net),
           col(collapseFaults(net, colOpts)),
-          trace(flat, spec.phiInput, sim::kMaxLaneWords, opts.simd)
+          trace(flat, spec.phiInput, sim::kMaxLaneWords, opts.simd),
+          dead(sim::seqDeadLines(trace))
     {
         buildTrace(net.numInputs(), spec.phiInput);
         for (std::size_t r = 0; r < col.representatives.size(); ++r) {
@@ -226,6 +227,8 @@ struct SeqSetup
     sim::FlatNetlist flat;
     CollapseResult col;
     sim::SeqGoodTrace trace;
+    /** The lines each phase's replay skips (sim/seq_batch_sim.hh). */
+    sim::SeqDeadLines dead;
     /** Decoded representative per unpruned class, in class order. */
     std::vector<sim::SeqFaultSite> sites;
     std::vector<std::size_t> siteRep; ///< site index -> class
@@ -298,7 +301,7 @@ classifySeqBatchChunk(const SeqSetup &s, const sim::SeqBatchPlan &plan,
     const SeqCampaignOptions &opts = s.opts;
     const ResolvedSpec &rs = s.rs;
     const int Wg = rs.laneWords;
-    sim::SeqFaultBatchSimulator bsim(s.trace, Wg);
+    sim::SeqFaultBatchSimulator bsim(s.trace, Wg, s.dead);
     const int F = bsim.groupsPerBatch();
 
     sim::SeqFaultBatchSimulator::FoldSpec fold;

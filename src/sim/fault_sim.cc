@@ -137,7 +137,7 @@ FaultSimulator::simulate(int phase, const Fault *faults,
         }
     }
     kernels_->replayEvents(flat_, good, faulty_.data(), stamp_.data(),
-                           forced_.data(), epoch_, seeds_.data(),
+                           forced_.data(), epoch_, nullptr, seeds_.data(),
                            seeds_.size(), branchInj_.data(),
                            branchInj_.size(), nullptr, 0, events_.data(),
                            ptrScratch_.data());
@@ -174,8 +174,8 @@ FaultSimulator::replayFlips(const GateId *lines, std::size_t num_lines,
         stamp_[g] = epoch_;
     }
     kernels_->replayEvents(flat_, good, faulty_.data(), stamp_.data(),
-                           forced_.data(), epoch_, lines, num_lines,
-                           nullptr, 0, nullptr, 0, events_.data(),
+                           forced_.data(), epoch_, nullptr, lines,
+                           num_lines, nullptr, 0, nullptr, 0, events_.data(),
                            ptrScratch_.data());
 }
 

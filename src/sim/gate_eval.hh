@@ -2,8 +2,8 @@
  * @file
  * Word-parallel gate evaluation shared by the packed simulation
  * kernels (FaultSimulator, SeqGoodTrace/SeqFaultSimulator). One copy
- * of the gate semantics, bit-identical to PackedEvaluator, so the
- * kernels cannot drift apart.
+ * of the gate semantics, bit-identical to the PackedEvaluator oracle
+ * in tests/oracle/, so the kernels cannot drift apart.
  *
  * Two entry points:
  *  - evalGateWord: the original scalar 64-lane form (one word).
@@ -20,14 +20,31 @@
 
 #include <cstdint>
 
+#include <cstddef>
+
 #include "netlist/netlist.hh"
-#include "sim/packed.hh"
 
 #if defined(__GNUC__)
 #define SCAL_SIM_ALWAYS_INLINE inline __attribute__((always_inline))
 #else
 #define SCAL_SIM_ALWAYS_INLINE inline
 #endif
+
+namespace scal::sim
+{
+
+/**
+ * Bit-sliced counter threshold: given @p n per-input 64-lane words,
+ * return a word whose lane bit is 1 iff the number of 1 inputs in
+ * that lane satisfies the MAJ (>) or MIN (<) comparison against
+ * n/2. Shared by every word-parallel evaluator so the Maj/Min
+ * semantics cannot drift between kernels. Out of line
+ * (sim/gate_eval.cc), so no ISA-targeted unit compiles a copy.
+ */
+std::uint64_t thresholdWord(const std::uint64_t *in, std::size_t n,
+                            bool majority);
+
+} // namespace scal::sim
 
 namespace scal::sim::detail
 {
@@ -141,7 +158,7 @@ struct LaneBlock<8>
 #endif
 
 /**
- * thresholdWord (sim/packed.cc) applied independently to each of the
+ * thresholdWord (sim/gate_eval.cc) applied independently to each of the
  * W words of a lane block. @p in is an accessor: in(i) returns the
  * W-word block of fan-in i.
  */

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "sim/gate_eval.hh"
+
 namespace scal::sim
 {
 
@@ -41,7 +43,123 @@ injectionRoot(const FlatNetlist &flat, const SeqFaultSite &s)
     return kNoGate;
 }
 
+/** True when pin @p k of @p c is in @p pins. */
+bool
+pinListed(const std::vector<std::pair<GateId, int>> &pins, GateId c, int k)
+{
+    return std::find(pins.begin(), pins.end(), std::make_pair(c, k)) !=
+           pins.end();
+}
+
 } // namespace
+
+bool
+SeqDeadLines::taints(const SeqFaultSite &site) const
+{
+    return (site.kind == SeqFaultSite::Kind::Stem ||
+            site.kind == SeqFaultSite::Kind::Branch) &&
+           clock[static_cast<std::size_t>(site.driver)] != 0;
+}
+
+SeqDeadLines
+seqDeadLines(const SeqGoodTrace &trace, std::span<const SeqFaultSite> faults)
+{
+    const FlatNetlist &flat = trace.flat();
+    const std::size_t n = static_cast<std::size_t>(flat.numGates());
+    const std::vector<GateId> &topo = flat.topoOrder();
+    SeqDeadLines d;
+    d.clock.assign(n, 0);
+
+    // Clock values, bit p holding the value at φ = p: evalGateWord
+    // works lane-wise, so lanes 0 and 1 are the two phases.
+    std::vector<std::uint8_t> val(n, 0);
+    std::vector<std::uint64_t> in(
+        static_cast<std::size_t>(std::max(1, flat.maxArity())));
+    for (const GateId g : topo) {
+        const GateKind kind = flat.kind(g);
+        const int a = flat.arity(g);
+        if (kind == GateKind::Input) {
+            if (flat.inputIndex(g) == trace.phiInput()) {
+                d.clock[g] = 1;
+                val[g] = 2;
+            }
+        } else if (kind == GateKind::Const0 || kind == GateKind::Const1) {
+            d.clock[g] = 1;
+            val[g] = kind == GateKind::Const1 ? 3 : 0;
+        } else if (kind != GateKind::Dff && a > 0) {
+            const GateId *fi = flat.fanins(g);
+            bool all = true;
+            for (int k = 0; k < a && all; ++k) {
+                all = d.clock[fi[k]] != 0;
+                in[static_cast<std::size_t>(k)] = val[fi[k]];
+            }
+            if (all) {
+                d.clock[g] = 1;
+                val[g] = static_cast<std::uint8_t>(
+                    detail::evalGateWord(kind, in.data(), a) & 3);
+            }
+        }
+    }
+
+    // What the faults can make faulty: clock lines (with every clock
+    // line they feed) and consumer pins of clock drivers.
+    std::vector<std::uint8_t> tainted(n, 0);
+    std::vector<std::pair<GateId, int>> pins;
+    for (const SeqFaultSite &s : faults) {
+        if (!d.taints(s))
+            continue;
+        if (s.kind == SeqFaultSite::Kind::Stem) {
+            tainted[s.driver] = 1;
+        } else {
+            pins.emplace_back(s.consumer, s.pin);
+            if (d.clock[s.consumer])
+                tainted[s.consumer] = 1;
+        }
+    }
+    for (const GateId g : topo) {
+        if (!d.clock[g] || tainted[g])
+            continue;
+        for (int k = 0; k < flat.arity(g); ++k)
+            tainted[g] |= tainted[flat.fanins(g)[k]];
+    }
+
+    // Live lines, pushed from each live gate to its fan-ins unless a
+    // clean clock fan-in holds the gate's controlling value.
+    for (int p = 0; p < 2; ++p) {
+        std::vector<std::uint8_t> &dead = d.dead[static_cast<std::size_t>(p)];
+        dead.assign(n, 1);
+        for (GateId g = 0; g < static_cast<GateId>(n); ++g)
+            if (flat.numTaps(g) > 0)
+                dead[g] = 0;
+        const std::uint8_t *elig = trace.latchEligibleTable(p != 0);
+        for (int i = 0; i < flat.numFlipFlops(); ++i)
+            if (elig[i])
+                dead[flat.ffDriver(i)] = 0;
+        for (std::size_t i = topo.size(); i-- > 0;) {
+            const GateId c = topo[i];
+            const GateKind kind = flat.kind(c);
+            if (dead[c] || kind == GateKind::Dff)
+                continue;
+            const int a = flat.arity(c);
+            const GateId *fi = flat.fanins(c);
+            const bool andLike =
+                kind == GateKind::And || kind == GateKind::Nand;
+            const bool orLike = kind == GateKind::Or || kind == GateKind::Nor;
+            bool blocked = false;
+            for (int k = 0; k < a && (andLike || orLike) && !blocked; ++k) {
+                const GateId x = fi[k];
+                blocked = d.clock[x] && !tainted[x] &&
+                          ((val[x] >> p) & 1) == (orLike ? 1 : 0) &&
+                          !pinListed(pins, c, k);
+            }
+            if (blocked)
+                continue;
+            for (int k = 0; k < a; ++k)
+                dead[fi[k]] = 0;
+        }
+    }
+    return d;
+}
 
 SeqBatchPlan
 planSeqBatches(const FlatNetlist &flat, std::span<const SeqFaultSite> sites,
@@ -77,10 +195,12 @@ planSeqBatches(const FlatNetlist &flat, std::span<const SeqFaultSite> sites,
 }
 
 SeqFaultBatchSimulator::SeqFaultBatchSimulator(const SeqGoodTrace &trace,
-                                               int group_words)
+                                               int group_words,
+                                               const SeqDeadLines &dead)
     : trace_(trace), flat_(trace.flat()), kernels_(&trace.kernels()),
       Wb_(trace.laneWords()), Wg_(group_words),
-      F_(group_words > 0 ? trace.laneWords() / group_words : 0)
+      F_(group_words > 0 ? trace.laneWords() / group_words : 0),
+      sharedDead_(&dead), dead_(&dead)
 {
     if (Wg_ < 1 || F_ < 1 || Wg_ * F_ != Wb_)
         throw std::invalid_argument(
@@ -164,6 +284,19 @@ SeqFaultBatchSimulator::beginBatch(const SeqFaultSite *sites, int nf,
         retired_[static_cast<std::size_t>(f)] = dead ? 1 : 0;
         if (!dead)
             ++live_;
+    }
+    // The shared masks hold only while every clock line keeps its
+    // netlist value; a batch with a member that can break that builds
+    // its own pair.
+    const std::span<const SeqFaultSite> members(sites_.data(),
+                                                static_cast<std::size_t>(nf));
+    dead_ = sharedDead_;
+    if (std::any_of(members.begin(), members.end(),
+                    [this](const SeqFaultSite &s) {
+                        return sharedDead_->taints(s);
+                    })) {
+        ownDead_ = seqDeadLines(trace_, members);
+        dead_ = &ownDead_;
     }
     // The faulty machine powers on in the trace's state: nothing has
     // diverged, so no faultyState_ row is valid yet.
@@ -375,7 +508,8 @@ SeqFaultBatchSimulator::stepBatchPeriod(long t)
     }
 
     kernels_->replayEvents(flat_, good, faulty_.data(), stamp_.data(),
-                           forced_.data(), epoch_, seeds_.data(),
+                           forced_.data(), epoch_,
+                           dead_->mask(trace_.phaseAt(t)), seeds_.data(),
                            seeds_.size(), binj_.data(),
                            active ? binj_.size() : 0, sinj_.data(),
                            active ? sinj_.size() : 0, events_.data(),

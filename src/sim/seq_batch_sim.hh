@@ -30,14 +30,20 @@
  * group is the whole block: with no batch-mate, recomputing the
  * pinned gate would be wasted work.)
  *
- * Per period the batch pays only for what the replay touched. A
- * flip-flop's faulty state is kept only while it differs from the
- * trace (every other flip-flop reads the trace), and only flip-flops
- * whose D driver the replay stamped, or that had diverged, are
- * latched and compared. The output diff covers the stamped output
+ * Per period the batch pays only for what the replay touched, and the
+ * replay touches only what the period can show. It skips the lines
+ * that are dead in the period's phase (SeqDeadLines below): lines
+ * that the Yamamoto mux's φ-gated AND/OR switches off from every
+ * output and every flip-flop that latches, about half of a hardened
+ * machine. A flip-flop's faulty state is kept only while it differs
+ * from the trace (every other flip-flop reads the trace), and only
+ * flip-flops whose D driver the replay stamped, or that had diverged,
+ * are latched and compared. The output diff covers the stamped output
  * gates and the active tap sites, and the output row is assembled
  * only for a fold. The merged injection lists are built when a batch
- * begins and rebuilt when a group retires.
+ * begins and rebuilt when a group retires; a batch with a member that
+ * can make a clock line faulty also builds its own dead-line masks
+ * then.
  *
  * Verdict folds are delivered per group through a SymbolSink with
  * exactly the pending/stash discipline of a one-fault replay (the
@@ -50,6 +56,7 @@
 #ifndef SCAL_SIM_SEQ_BATCH_SIM_HH
 #define SCAL_SIM_SEQ_BATCH_SIM_HH
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -60,6 +67,53 @@
 
 namespace scal::sim
 {
+
+/**
+ * The lines of a sequential netlist that no period of each phase of φ
+ * can show. A clock line is one fed only by φ and constants, so in
+ * phase p it holds the value the netlist gives it at φ = p, in every
+ * lane and period. A line is dead in phase p when every path from it
+ * to a primary output, or to the D pin of a flip-flop that latches
+ * after a phase-p period, passes an AND/NAND (OR/NOR) gate with a
+ * clock fan-in at 0 (1) in phase p. The Yamamoto mux of a hardened
+ * machine, φ̄·F(X) ∨ φ·F̄(X̄), switches one copy of F off this way in
+ * each period. A dead line's value reaches no output row and no
+ * latched state, so a replay may leave it unevaluated.
+ *
+ * The masks assume that every clock line holds its netlist value. A
+ * fault can break that: a stem on a clock line makes that line and
+ * the clock lines it feeds faulty, and a branch from a clock driver
+ * makes its consumer pin faulty (and the consumer line, when it is a
+ * clock line). Such a line or pin blocks nothing, and the masks of a
+ * batch that holds such a fault must be built with it. Under the
+ * premise a clock line never changes, so a clock line at its
+ * controlling value counts as blocking itself.
+ */
+struct SeqDeadLines
+{
+    /** clock[g] = 1 when line g is fed only by φ and constants. */
+    std::vector<std::uint8_t> clock;
+    /** dead[p][g] = 1 when line g is dead in phase p. */
+    std::array<std::vector<std::uint8_t>, 2> dead;
+
+    /** The skip mask of a phase, a byte per GateId. */
+    const std::uint8_t *mask(bool phase) const
+    {
+        return dead[phase ? 1 : 0].data();
+    }
+    /** True when @p site can make a clock line or pin faulty. */
+    bool taints(const SeqFaultSite &site) const;
+};
+
+/**
+ * The dead-line masks of @p trace's netlist, for the φ input and latch
+ * eligibility of the trace (the trace's rows are not read), with the
+ * clock lines and pins that @p faults can make faulty blocking
+ * nothing. One pass in topological order values the clock lines, one
+ * reverse pass per phase marks the live lines.
+ */
+SeqDeadLines seqDeadLines(const SeqGoodTrace &trace,
+                          std::span<const SeqFaultSite> faults = {});
 
 /** Lane-batch assignment of decoded fault sites. */
 struct SeqBatchPlan
@@ -108,8 +162,11 @@ class SeqFaultBatchSimulator
      * @param trace full-width good trace (laneWords() must be a
      *        multiple of @p group_words)
      * @param group_words Wg words per fault lane group
+     * @param dead seqDeadLines(trace) with no faults, shared read-only
+     *        (must outlive the simulator)
      */
-    SeqFaultBatchSimulator(const SeqGoodTrace &trace, int group_words);
+    SeqFaultBatchSimulator(const SeqGoodTrace &trace, int group_words,
+                           const SeqDeadLines &dead);
 
     int groupWords() const { return Wg_; }
     int groupsPerBatch() const { return F_; }
@@ -173,6 +230,12 @@ class SeqFaultBatchSimulator
     int Wb_; ///< trace lane words
     int Wg_; ///< words per fault group
     int F_;  ///< groups per batch
+
+    /** The campaign's masks, and the batch's own pair when a member
+     *  can make a clock line or pin faulty; dead_ is the one in use. */
+    const SeqDeadLines *sharedDead_;
+    SeqDeadLines ownDead_;
+    const SeqDeadLines *dead_;
 
     std::vector<SeqFaultSite> sites_;
     int nf_ = 0;

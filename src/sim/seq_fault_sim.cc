@@ -286,7 +286,7 @@ SeqFaultSimulator::stepFaultPeriod(long t)
         seeds_.push_back(g);
     }
     kernels_->replayEvents(flat_, good, faulty_.data(), stamp_.data(),
-                           forced_.data(), epoch_, seeds_.data(),
+                           forced_.data(), epoch_, nullptr, seeds_.data(),
                            seeds_.size(), &branchInj_, have_branch ? 1 : 0,
                            nullptr, 0, events_.data(), ptrScratch_.data());
 

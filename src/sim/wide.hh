@@ -117,14 +117,21 @@ struct WideKernels
      *  the caller forced or stamped and every injection target. The
      *  seeds are marked in @p pending, a bitset over topoOrder()
      *  positions (eventWords(flat) words, all zero on entry), which
-     *  is swept upward once. Each marked gate that is neither forced
-     *  (forced[g]==epoch) nor a flip-flop is recomputed from its
-     *  fan-ins (faulty[] where stamp[g]==epoch, good[] elsewhere)
-     *  with branch and lane-masked stem injections applied, and
-     *  stamped when it differs from good[]; every gate that ends
-     *  stamped marks its combinational consumers. Consumer edges
-     *  exclude D pins and point forward in topological order, so one
-     *  sweep reaches exactly the gates a fault effect can change.
+     *  is swept upward once. A marked gate g with a nonzero
+     *  @p skip[g] (a byte per GateId; null skips nothing) is dropped:
+     *  it is neither recomputed nor stamped by the kernel, and it
+     *  marks no consumer even when the caller stamped it. The caller
+     *  passes a mask only over lines whose value nothing it reads can
+     *  see, so every consumer of a skipped line is itself skipped or
+     *  blocks that pin (sim/seq_batch_sim.hh). Each other marked gate
+     *  that is neither forced (forced[g]==epoch) nor a flip-flop is
+     *  recomputed from its fan-ins (faulty[] where stamp[g]==epoch,
+     *  good[] elsewhere) with branch and lane-masked stem injections
+     *  applied, and stamped when it differs from good[]; every gate
+     *  that ends stamped marks its combinational consumers. Consumer
+     *  edges exclude D pins and point forward in topological order,
+     *  so one sweep reaches exactly the gates a fault effect can
+     *  change.
      *  Per recomputed gate the cost is the gate evaluation plus
      *  constant work: injection targets are looked up through a
      *  64-bit mask of their GateIds mod 64, built once per call, so
@@ -140,7 +147,8 @@ struct WideKernels
         const FlatNetlist &flat, const std::uint64_t *good,
         std::uint64_t *faulty, std::uint32_t *stamp,
         const std::uint32_t *forced, std::uint32_t epoch,
-        const netlist::GateId *seeds, std::size_t nseeds,
+        const std::uint8_t *skip, const netlist::GateId *seeds,
+        std::size_t nseeds,
         const WideBranchInj *binj, std::size_t nbinj,
         const WideStemInj *sinj, std::size_t nsinj, std::uint64_t *pending,
         const std::uint64_t **ptr_scratch);

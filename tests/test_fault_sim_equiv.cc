@@ -15,10 +15,10 @@
 #include "logic/function_gen.hh"
 #include "netlist/circuits.hh"
 #include "netlist/structure.hh"
+#include "oracle/packed_evaluator.hh"
 #include "sim/evaluator.hh"
 #include "sim/fault_sim.hh"
 #include "sim/flat.hh"
-#include "sim/packed.hh"
 #include "system/alu.hh"
 #include "util/rng.hh"
 
@@ -77,7 +77,7 @@ expectOracleEquivalence(const Netlist &net,
 {
     const sim::FlatNetlist flat(net);
     sim::FaultSimulator fs(flat);
-    const sim::PackedEvaluator pe(net);
+    const oracle::PackedEvaluator pe(net);
     const std::vector<Fault> faults = net.allFaults();
     ASSERT_FALSE(faults.empty()) << label;
 
@@ -191,7 +191,7 @@ TEST(FaultSimEquiv, SequentialDffState)
 
     const sim::FlatNetlist flat(net);
     sim::FaultSimulator fs(flat);
-    const sim::PackedEvaluator pe(net);
+    const oracle::PackedEvaluator pe(net);
     const std::vector<Fault> faults = net.allFaults();
 
     util::Rng rng(3);

@@ -88,6 +88,59 @@ randomNetlist(int num_inputs, int num_gates, util::Rng &rng,
     return net;
 }
 
+/**
+ * A random sequential netlist whose fan-ins may be structural
+ * constants or flip-flops, so const refinement, dominance and the seq
+ * options all have something to act on: 2-5 inputs, two flip-flops,
+ * 6-25 gates and 1-3 outputs. With @p mixed_latches each flip-flop
+ * draws its latch mode (every period, φ rise or φ fall); without, both
+ * latch every period and no draw is made for them.
+ */
+inline netlist::Netlist
+randomSeqNetlist(util::Rng &rng, bool mixed_latches = false)
+{
+    using namespace netlist;
+    Netlist net;
+    std::vector<GateId> pool;
+    const int ni = 2 + static_cast<int>(rng.below(4));
+    for (int i = 0; i < ni; ++i)
+        pool.push_back(net.addInput("x" + std::to_string(i)));
+    pool.push_back(net.addConst(false));
+    pool.push_back(net.addConst(true));
+    const LatchMode modes[] = {LatchMode::EveryPeriod, LatchMode::PhiRise,
+                               LatchMode::PhiFall};
+    std::vector<GateId> ffs;
+    for (int k = 0; k < 2; ++k) {
+        const LatchMode mode =
+            mixed_latches ? modes[rng.below(3)] : LatchMode::EveryPeriod;
+        ffs.push_back(net.addDeferredDff("q" + std::to_string(k), mode,
+                                         rng.below(2) != 0));
+        pool.push_back(ffs.back());
+    }
+    const GateKind kinds[] = {GateKind::And, GateKind::Or,  GateKind::Nand,
+                              GateKind::Nor, GateKind::Not, GateKind::Buf,
+                              GateKind::Xor, GateKind::Xnor, GateKind::Maj};
+    const int ng = 6 + static_cast<int>(rng.below(20));
+    for (int g = 0; g < ng; ++g) {
+        const GateKind kind = kinds[rng.below(9)];
+        const int arity = kind == GateKind::Not || kind == GateKind::Buf ? 1
+                          : kind == GateKind::Maj
+                              ? 3
+                              : 2 + static_cast<int>(rng.below(2));
+        std::vector<GateId> fanin;
+        for (int k = 0; k < arity; ++k)
+            fanin.push_back(pool[rng.below(pool.size())]);
+        pool.push_back(net.addGate(kind, std::move(fanin)));
+    }
+    for (const GateId ff : ffs)
+        net.replaceFanin(ff, 0, pool[rng.below(pool.size())]);
+    const int no = 1 + static_cast<int>(rng.below(3));
+    for (int j = 0; j < no; ++j)
+        net.addOutput(pool[pool.size() - 1 - rng.below(3)],
+                      "f" + std::to_string(j));
+    return net;
+}
+
 /** @p copies disjoint copies of the combinational @p net side by side,
  *  each with its own inputs and outputs (names suffixed _k). */
 inline netlist::Netlist

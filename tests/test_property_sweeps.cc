@@ -24,7 +24,6 @@
 #include "seq/dual_flipflop.hh"
 #include "sim/alternating.hh"
 #include "sim/line_functions.hh"
-#include "sim/packed.hh"
 #include "test_helpers.hh"
 
 namespace scal

@@ -73,50 +73,6 @@ bundledCases()
     return cases;
 }
 
-/** A random netlist whose fan-ins may be structural constants or
- *  flip-flops, so const refinement, dominance and the seq options
- *  all have something to act on. */
-Netlist
-randomSeqNetlist(util::Rng &rng)
-{
-    Netlist net;
-    std::vector<GateId> pool;
-    const int ni = 2 + static_cast<int>(rng.below(4));
-    for (int i = 0; i < ni; ++i)
-        pool.push_back(net.addInput("x" + std::to_string(i)));
-    pool.push_back(net.addConst(false));
-    pool.push_back(net.addConst(true));
-    std::vector<GateId> ffs;
-    for (int k = 0; k < 2; ++k) {
-        ffs.push_back(net.addDeferredDff("q" + std::to_string(k),
-                                         LatchMode::EveryPeriod,
-                                         rng.below(2) != 0));
-        pool.push_back(ffs.back());
-    }
-    const GateKind kinds[] = {GateKind::And, GateKind::Or,  GateKind::Nand,
-                              GateKind::Nor, GateKind::Not, GateKind::Buf,
-                              GateKind::Xor, GateKind::Xnor, GateKind::Maj};
-    const int ng = 6 + static_cast<int>(rng.below(20));
-    for (int g = 0; g < ng; ++g) {
-        const GateKind kind = kinds[rng.below(9)];
-        const int arity = kind == GateKind::Not || kind == GateKind::Buf ? 1
-                          : kind == GateKind::Maj
-                              ? 3
-                              : 2 + static_cast<int>(rng.below(2));
-        std::vector<GateId> fanin;
-        for (int k = 0; k < arity; ++k)
-            fanin.push_back(pool[rng.below(pool.size())]);
-        pool.push_back(net.addGate(kind, std::move(fanin)));
-    }
-    for (const GateId ff : ffs)
-        net.replaceFanin(ff, 0, pool[rng.below(pool.size())]);
-    const int no = 1 + static_cast<int>(rng.below(3));
-    for (int j = 0; j < no; ++j)
-        net.addOutput(pool[pool.size() - 1 - rng.below(3)],
-                      "f" + std::to_string(j));
-    return net;
-}
-
 const fault::CollapseOptions kSettings[] = {
     {.constRefine = false, .dominance = false},
     {.constRefine = true, .dominance = false},
@@ -168,7 +124,7 @@ TEST(SetupEquiv, CollapseMatchesMapIndexOnRandomNetlists)
     }
     util::Rng rng(0x5e9lu);
     for (int it = 0; it < 40; ++it) {
-        const Netlist net = randomSeqNetlist(rng);
+        const Netlist net = testing::randomSeqNetlist(rng);
         expectSameCollapse(net, "random seq " + std::to_string(it));
         if (net.numInputs() > 0)
             expectSameCollapse(ingest::hardenNetlist(net).net,

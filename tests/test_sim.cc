@@ -1,9 +1,9 @@
 #include <gtest/gtest.h>
 
 #include "netlist/circuits.hh"
+#include "oracle/packed_evaluator.hh"
 #include "sim/evaluator.hh"
 #include "sim/line_functions.hh"
-#include "sim/packed.hh"
 #include "test_helpers.hh"
 
 namespace scal
@@ -129,7 +129,7 @@ TEST(Packed, MatchesScalarOnRandomNetlists)
     for (int trial = 0; trial < 25; ++trial) {
         const Netlist net = testing::randomNetlist(5, 14, rng);
         sim::Evaluator ev(net);
-        sim::PackedEvaluator pe(net);
+        oracle::PackedEvaluator pe(net);
 
         // All 32 patterns in one packed call.
         std::vector<std::uint64_t> packed(5, 0);
@@ -156,7 +156,7 @@ TEST(Packed, MatchesScalarUnderFaults)
     for (int trial = 0; trial < 10; ++trial) {
         const Netlist net = testing::randomNetlist(4, 10, rng);
         sim::Evaluator ev(net);
-        sim::PackedEvaluator pe(net);
+        oracle::PackedEvaluator pe(net);
         const auto faults = net.allFaults();
         const Fault &fault = faults[rng.below(faults.size())];
 
@@ -187,7 +187,7 @@ TEST(Packed, WideThresholdGates)
     net.addOutput(net.addMaj(ins), "M");
 
     sim::Evaluator ev(net);
-    sim::PackedEvaluator pe(net);
+    oracle::PackedEvaluator pe(net);
     util::Rng rng(33);
     for (int block = 0; block < 4; ++block) {
         std::vector<std::uint64_t> packed(9);

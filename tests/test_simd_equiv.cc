@@ -213,8 +213,9 @@ TEST(SimdKernels, ReplayEventsRecomputesOnlyEventGates)
             const auto replay = [&](const std::vector<GateId> &seeds) {
                 const std::size_t r = k.replayEvents(
                     flat, good.data(), faulty.data(), stamp.data(),
-                    forced.data(), epoch, seeds.data(), seeds.size(),
-                    nullptr, 0, nullptr, 0, events.data(), ptrs.data());
+                    forced.data(), epoch, nullptr, seeds.data(),
+                    seeds.size(), nullptr, 0, nullptr, 0, events.data(),
+                    ptrs.data());
                 for (const std::uint64_t e : events)
                     EXPECT_EQ(e, 0u);
                 return r;
@@ -265,6 +266,108 @@ TEST(SimdKernels, ReplayEventsRecomputesOnlyEventGates)
             force(z, ~std::uint64_t{0});
             EXPECT_EQ(replay({z}), static_cast<std::size_t>(kChain));
             EXPECT_EQ(stamp[chain.back()], epoch);
+        }
+    }
+}
+
+/** The skip mask, called directly on the replay kernel: a masked
+ *  gate is neither recomputed nor stamped, and it marks no consumer,
+ *  also when it is a seed the caller stamped or sits where the sweep
+ *  crosses bitset words; the pending bitset comes back all zero and
+ *  a null mask skips nothing. */
+TEST(SimdKernels, ReplayEventsSkipsMaskedGates)
+{
+    Netlist net;
+    const GateId a = net.addInput("a");
+    const GateId x = net.addInput("x");
+    const GateId z = net.addInput("z");
+    const GateId u = net.addBuf(x, "u");
+    const GateId m = net.addAnd({u, a}, "m"); // the masked gate
+    const GateId o = net.addBuf(m, "o");
+    net.addOutput(o, "o1");
+    constexpr int kChain = 150;
+    constexpr int kMaskedLink = 100;
+    std::vector<GateId> chain{z};
+    for (int i = 0; i < kChain; ++i)
+        chain.push_back(net.addBuf(chain.back()));
+    net.addOutput(chain.back(), "o2");
+    const sim::FlatNetlist flat(net);
+    const std::size_t n = static_cast<std::size_t>(flat.numGates());
+    ASSERT_NE(flat.topoPos(chain[kMaskedLink]) / 64,
+              flat.topoPos(chain.back()) / 64);
+    std::vector<std::uint8_t> skip(n, 0);
+    skip[static_cast<std::size_t>(m)] = 1;
+    skip[static_cast<std::size_t>(chain[kMaskedLink])] = 1;
+
+    for (const int W : kWidths) {
+        for (const sim::SimdTarget target : kTargets) {
+            const sim::detail::WideKernels &k = sim::wideKernels(W, target);
+            SCOPED_TRACE(caseName(W, k.target));
+            const std::size_t Ws = static_cast<std::size_t>(W);
+            // a = 1 so that m follows u; x = z = 0.
+            std::vector<std::uint64_t> in(3 * Ws, 0);
+            for (std::size_t w = 0; w < Ws; ++w)
+                in[w] = ~std::uint64_t{0};
+            sim::WordVec good(n * Ws), faulty(n * Ws);
+            k.evalLines(flat, in.data(), nullptr, -1, 0, good.data());
+            std::vector<std::uint32_t> stamp(n, 0), forced(n, 0);
+            std::vector<std::uint64_t> events(sim::detail::eventWords(flat),
+                                              0);
+            std::vector<const std::uint64_t *> ptrs(
+                static_cast<std::size_t>(flat.maxArity()));
+            std::uint32_t epoch = 0;
+            const auto flip = [&](GateId g) {
+                forced[g] = stamp[g] = epoch;
+                for (std::size_t w = 0; w < Ws; ++w)
+                    faulty[static_cast<std::size_t>(g) * Ws + w] =
+                        ~good[static_cast<std::size_t>(g) * Ws + w];
+            };
+            const auto replay = [&](const std::vector<GateId> &seeds,
+                                    const std::uint8_t *mask) {
+                const std::size_t r = k.replayEvents(
+                    flat, good.data(), faulty.data(), stamp.data(),
+                    forced.data(), epoch, mask, seeds.data(), seeds.size(),
+                    nullptr, 0, nullptr, 0, events.data(), ptrs.data());
+                for (const std::uint64_t e : events)
+                    EXPECT_EQ(e, 0u);
+                return r;
+            };
+
+            // Unmasked, a flip of x reaches u, m and o.
+            ++epoch;
+            flip(x);
+            EXPECT_EQ(replay({x}, nullptr), 3u);
+            EXPECT_EQ(stamp[o], epoch);
+
+            // Masked, it stops at m: only u is recomputed.
+            ++epoch;
+            flip(x);
+            EXPECT_EQ(replay({x}, skip.data()), 1u);
+            EXPECT_EQ(stamp[u], epoch);
+            EXPECT_NE(stamp[m], epoch);
+            EXPECT_NE(stamp[o], epoch);
+
+            // A masked seed the caller stamped marks no consumer.
+            ++epoch;
+            flip(m);
+            EXPECT_EQ(replay({m}, skip.data()), 0u);
+            EXPECT_EQ(stamp[m], epoch);
+            EXPECT_NE(stamp[o], epoch);
+
+            // A masked link of a chain that spans bitset words: the
+            // links before it are recomputed, none after it.
+            ++epoch;
+            flip(z);
+            EXPECT_EQ(replay({z}, skip.data()),
+                      static_cast<std::size_t>(kMaskedLink - 1));
+            EXPECT_EQ(stamp[chain[kMaskedLink - 1]], epoch);
+            for (int i = kMaskedLink; i <= kChain; ++i)
+                EXPECT_NE(stamp[chain[static_cast<std::size_t>(i)]], epoch)
+                    << "link " << i;
+            ++epoch;
+            flip(z);
+            EXPECT_EQ(replay({z}, nullptr),
+                      static_cast<std::size_t>(kChain));
         }
     }
 }
@@ -416,7 +519,7 @@ TEST(SimdKernels, ReplayEventsAppliesInjectionsOnlyAtTargets)
 
             const std::size_t got = k.replayEvents(
                 flat, good.data(), faulty.data(), stamp.data(),
-                forced.data(), epoch, seeds.data(), seeds.size(),
+                forced.data(), epoch, nullptr, seeds.data(), seeds.size(),
                 binj.data(), binj.size(), sinj.data(), sinj.size(),
                 events.data(), ptrs.data());
             EXPECT_EQ(got, want);
