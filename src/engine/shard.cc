@@ -1,7 +1,9 @@
 #include "engine/shard.hh"
 
-#include <cstdlib>
 #include <stdexcept>
+#include <string_view>
+
+#include "util/number.hh"
 
 namespace scal::engine
 {
@@ -20,13 +22,11 @@ parseShardSpec(const std::string &text)
         slash + 1 >= text.size())
         throw std::invalid_argument("bad shard spec '" + text +
                                     "' (want K/N)");
-    char *end = nullptr;
-    const long k = std::strtol(text.c_str(), &end, 10);
-    if (end != text.c_str() + slash)
+    const std::string_view spec = text;
+    long k = 0, n = 0;
+    if (util::parseNumber(spec.substr(0, slash), &k) != std::errc())
         throw std::invalid_argument("bad shard index in '" + text + "'");
-    const char *nstart = text.c_str() + slash + 1;
-    const long n = std::strtol(nstart, &end, 10);
-    if (*end != '\0')
+    if (util::parseNumber(spec.substr(slash + 1), &n) != std::errc())
         throw std::invalid_argument("bad shard count in '" + text + "'");
     if (n < 1 || n > kMaxShards)
         throw std::invalid_argument("shard count must be 1.." +

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "sim/simd.hh"
+#include "util/number.hh"
 
 namespace scal::fault
 {
@@ -122,8 +123,8 @@ setOption(const OptionRow &row, const std::string &text,
                 const std::size_t colon = text.find(':');
                 if (colon == std::string::npos)
                     throw needs("START:END in periods");
-                *f.first = checkedNumber<long>(label, text.substr(0, colon));
-                *f.second = checkedNumber<long>(label, text.substr(colon + 1));
+                *f.first = util::checkedNumber<long>(label, text.substr(0, colon));
+                *f.second = util::checkedNumber<long>(label, text.substr(colon + 1));
             } else if constexpr (std::is_same_v<F,
                                                 std::pair<bool *, bool *>>) {
                 *f.first = *f.second = text == "1";
@@ -137,7 +138,7 @@ setOption(const OptionRow &row, const std::string &text,
                 for (std::size_t pos = 0; pos < text.size();) {
                     const std::size_t comma =
                         std::min(text.find(',', pos), text.size());
-                    f->push_back(checkedNumber<int>(
+                    f->push_back(util::checkedNumber<int>(
                         label, text.substr(pos, comma - pos)));
                     pos = comma + 1;
                 }
@@ -149,8 +150,8 @@ setOption(const OptionRow &row, const std::string &text,
                 *f = static_cast<V>(index);
             } else {
                 if (row.kind == OptionKind::Unsigned)
-                    checkedNumber<std::uint64_t>(label, text); // no sign
-                *f = checkedNumber<V>(label, text);
+                    util::checkedNumber<std::uint64_t>(label, text); // no sign
+                *f = util::checkedNumber<V>(label, text);
             }
         },
         row.field);

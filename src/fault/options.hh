@@ -15,12 +15,9 @@
 #ifndef SCAL_FAULT_OPTIONS_HH
 #define SCAL_FAULT_OPTIONS_HH
 
-#include <charconv>
 #include <cstdint>
 #include <optional>
-#include <stdexcept>
 #include <string>
-#include <type_traits>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -104,25 +101,6 @@ std::string optionKey(const char *tag, const std::vector<OptionRow> &rows);
 /** Sequential defaults on @p net: φ is the input named "phi", when
  *  there is one. */
 SeqCampaignConfig defaultSeqConfig(const netlist::Netlist &net);
-
-/** Parse all of @p v as an N; otherwise throw std::runtime_error
- *  "LABEL needs a number, got 'V'" (or "LABEL is out of range: V"). */
-template <class N>
-N
-checkedNumber(const std::string &label, const std::string &v)
-{
-    N n{};
-    const char *end = v.data() + v.size();
-    const auto [stop, ec] = std::from_chars(v.data(), end, n);
-    if (ec == std::errc::result_out_of_range)
-        throw std::runtime_error(label + " is out of range: " + v);
-    if (ec != std::errc() || stop != end)
-        throw std::runtime_error(
-            label + " needs a " +
-            (std::is_signed_v<N> ? "number" : "non-negative number") +
-            ", got '" + v + "'");
-    return n;
-}
 
 } // namespace scal::fault
 

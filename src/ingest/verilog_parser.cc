@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <cctype>
-#include <charconv>
 #include <istream>
 #include <map>
 #include <sstream>
 #include <vector>
 
 #include "ingest/netbuild.hh"
+#include "util/number.hh"
 
 namespace scal::ingest
 {
@@ -162,11 +162,10 @@ checkedInt(const std::string &text, int line)
         if (c != '_')
             digits += c;
     int v = 0;
-    const char *end = digits.data() + digits.size();
-    const auto [stop, ec] = std::from_chars(digits.data(), end, v);
+    const std::errc ec = util::parseNumber(digits, &v);
     if (ec == std::errc::result_out_of_range)
         throw ParseError(line, "number '" + text + "' is out of range");
-    if (ec != std::errc() || stop != end)
+    if (ec != std::errc())
         throw ParseError(line, "bad number '" + text + "'");
     return v;
 }

@@ -9,6 +9,7 @@
 #include "ingest/harden.hh"
 #include "ingest/import.hh"
 #include "netlist/io.hh"
+#include "server/circuit_memo.hh"
 
 namespace scal::server
 {
@@ -55,8 +56,11 @@ optBool(const jsonl::Value &req, const char *key, bool dflt)
     }
 }
 
-netlist::Netlist
-loadCircuit(const jsonl::Value &req)
+/** The submit's circuit and its content hash, into @p job. An inline
+ *  text is taken from @p memo when it holds the text's decode, and
+ *  entered there when it decodes; a circuit_path is always read. */
+void
+loadCircuit(const jsonl::Value &req, CircuitMemo *memo, JobConfig *job)
 {
     ingest::Format format = ingest::Format::Auto;
     const std::string fmt = optString(req, "format");
@@ -71,13 +75,21 @@ loadCircuit(const jsonl::Value &req)
         throw std::runtime_error(
             "submit needs exactly one of circuit (inline text) or "
             "circuit_path");
+    const bool harden = optBool(req, "harden", false);
+    if (inlineText.empty())
+        memo = nullptr;
+    if (memo && memo->find(inlineText, format, harden, &job->net,
+                           &job->netHash))
+        return;
     ingest::ImportedCircuit circ =
         inlineText.empty()
             ? ingest::importCircuit(path, format)
             : ingest::importCircuitFromString(inlineText, format);
-    if (!optBool(req, "harden", false))
-        return std::move(circ.net);
-    return ingest::hardenNetlist(circ.net).net;
+    job->net = harden ? ingest::hardenNetlist(circ.net).net
+                      : std::move(circ.net);
+    job->netHash = netlist::contentHash(job->net);
+    if (memo)
+        memo->insert(inlineText, format, harden, job->net, job->netHash);
 }
 
 const jsonl::Value &
@@ -213,6 +225,12 @@ configJson(const std::vector<fault::OptionRow> &rows)
 JobConfig
 buildJobConfig(const jsonl::Value &req)
 {
+    return buildJobConfig(req, nullptr);
+}
+
+JobConfig
+buildJobConfig(const jsonl::Value &req, CircuitMemo *memo)
+{
     if (!req.isObject())
         throw std::runtime_error("request must be a JSON object");
     JobConfig job;
@@ -222,8 +240,7 @@ buildJobConfig(const jsonl::Value &req)
     job.kind = optString(req, "kind");
     const jsonl::Value &cfg = configOf(req);
     if (job.kind == "comb" || job.kind == "seq") {
-        job.net = loadCircuit(req);
-        job.netHash = netlist::contentHash(job.net);
+        loadCircuit(req, memo, &job);
         fault::SeqCampaignConfig seq = fault::defaultSeqConfig(job.net);
         const bool comb = job.kind == "comb";
         applyConfig(cfg,
@@ -343,6 +360,17 @@ statsResponse(const SchedulerStats &sched, const CacheStats &cache)
     o.emplace_back("scheduler", jsonl::Value(std::move(s)));
     o.emplace_back("cache", jsonl::Value(std::move(c)));
     return jsonl::Value(std::move(o));
+}
+
+jsonl::Value
+circuitStatsJson(const CircuitMemo::Stats &stats)
+{
+    jsonl::Object c;
+    c.emplace_back("hits", jsonl::Value(stats.hits));
+    c.emplace_back("misses", jsonl::Value(stats.misses));
+    c.emplace_back("entries", jsonl::Value(stats.entries));
+    c.emplace_back("resident_bytes", jsonl::Value(stats.residentBytes));
+    return jsonl::Value(std::move(c));
 }
 
 } // namespace scal::server

@@ -9,7 +9,8 @@
  *   {"op":"cancel","id":N}        cooperative cancellation
  *   {"op":"subscribe","id":N}     ack, then stream progress events
  *   {"op":"list"}                 all jobs this daemon knows
- *   {"op":"stats"}                scheduler + verdict-cache counters
+ *   {"op":"stats"}                scheduler, verdict-cache and
+ *                                 circuit-memo counters
  *   {"op":"shutdown"}             stop the daemon
  *
  * submit carries the circuit either inline (`circuit`: netlist/bench/
@@ -23,6 +24,11 @@
  * (ADD, SUB, AND, OR, XOR, SHL, SHR or PASSB; default ADD) and
  * `checked` (default true: the SCAL CPU). An unknown config key,
  * workload or op is an error.
+ *
+ * A server::Server decodes an inline circuit through its memo
+ * (server/circuit_memo.hh): a resubmit of the same text, format and
+ * harden flag skips the import, the hardening and the content hash.
+ * A `circuit_path` is read again on every submit.
  *
  * Every response carries `ok`; failures carry `error` and the
  * 1-based request line number on this connection.

@@ -77,6 +77,8 @@ Scheduler::submit(JobConfig cfg)
 
     CachedVerdict hit;
     const bool cached = cache_.lookup(key, &hit);
+    if (cached)
+        cfg.net = netlist::Netlist(); // nothing will run on it
 
     std::vector<EventFn> subs; // always empty here; kept for symmetry
     {
@@ -122,6 +124,7 @@ Scheduler::cancel(std::uint64_t id)
 {
     std::shared_ptr<Job> terminal;
     std::vector<EventFn> subs;
+    netlist::Netlist spent; // freed outside the lock
     {
         std::lock_guard<std::mutex> lock(mu_);
         const auto it = jobs_.find(id);
@@ -134,6 +137,7 @@ Scheduler::cancel(std::uint64_t id)
                 std::find(queue_.begin(), queue_.end(), id);
             if (qit != queue_.end())
                 queue_.erase(qit);
+            std::swap(spent, job.cfg.net);
             job.state = JobState::Cancelled;
             ++stats_.cancelled;
             subs = std::move(job.subscribers);
@@ -214,6 +218,16 @@ Scheduler::subscribe(std::uint64_t id, EventFn fn)
     }
     fn(terminalEvent(*terminal));
     return true;
+}
+
+std::size_t
+Scheduler::heldNetlists() const
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    return static_cast<std::size_t>(
+        std::count_if(jobs_.begin(), jobs_.end(), [](const auto &kv) {
+            return kv.second->cfg.net.numGates() > 0;
+        }));
 }
 
 SchedulerStats
@@ -485,8 +499,11 @@ Scheduler::finishJob(const std::shared_ptr<Job> &job, JobState state,
                      std::string error)
 {
     std::vector<EventFn> subs;
+    netlist::Netlist spent; // freed outside the lock
     {
         std::lock_guard<std::mutex> lock(mu_);
+        // Nothing reads the netlist once the campaign has returned.
+        std::swap(spent, job->cfg.net);
         job->state = state;
         job->verdict = std::move(verdict);
         job->tail = std::move(tail);

@@ -67,7 +67,7 @@ struct JobConfig
     int priority = 0;
     std::string kind; ///< "comb" | "seq" | "system"
 
-    netlist::Netlist net;       ///< comb/seq circuit under campaign
+    netlist::Netlist net;       ///< comb/seq circuit (dropped at the end)
     std::uint64_t netHash = 0;  ///< netlist::contentHash(net)
     std::string configKey;      ///< canonical config encoding
 
@@ -181,6 +181,14 @@ class Scheduler
 
     CacheStats cacheStats() const { return cache_.stats(); }
     SchedulerStats stats() const;
+
+    /**
+     * Job records that still hold a netlist. Only queued and running
+     * comb and seq jobs keep one: a cache hit never stores it, and a
+     * job drops it when it ends, so a long-running daemon does not
+     * grow by one netlist per request.
+     */
+    std::size_t heldNetlists() const;
 
     /** Cancel everything and join the workers (idempotent). */
     void stop();

@@ -8,6 +8,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include "server/circuit_memo.hh"
 #include "server/jsonl.hh"
 #include "server/protocol.hh"
 
@@ -16,7 +17,8 @@ namespace scal::server
 
 Server::Server(Options opts)
     : opts_(std::move(opts)),
-      scheduler_(std::make_unique<Scheduler>(opts_.scheduler))
+      scheduler_(std::make_unique<Scheduler>(opts_.scheduler)),
+      circuits_(std::make_unique<CircuitMemo>())
 {
 }
 
@@ -210,7 +212,7 @@ Server::handleLine(const std::shared_ptr<Conn> &conn,
     try {
         if (op == "submit") {
             const SubmitOutcome out =
-                scheduler_->submit(buildJobConfig(req));
+                scheduler_->submit(buildJobConfig(req, circuits_.get()));
             sendLine(conn, submitResponse(out).dump());
             return true;
         }
@@ -267,9 +269,10 @@ Server::handleLine(const std::shared_ptr<Conn> &conn,
             return true;
         }
         if (op == "stats") {
-            sendLine(conn, statsResponse(scheduler_->stats(),
-                                         scheduler_->cacheStats())
-                               .dump());
+            jsonl::Value stats = statsResponse(scheduler_->stats(),
+                                               scheduler_->cacheStats());
+            stats.set("circuits", circuitStatsJson(circuits_->stats()));
+            sendLine(conn, stats.dump());
             return true;
         }
         if (op == "shutdown") {

@@ -6,6 +6,10 @@
  * order, except `subscribe`, whose event lines are interleaved by the
  * scheduler's worker threads under a per-connection write lock.
  *
+ * Each Server owns a bounded memo of decoded inline circuits
+ * (server/circuit_memo.hh, forward-declared here), so a fresh daemon
+ * starts empty and a resubmitted circuit text is decoded once.
+ *
  * Usable in-process (tests spin one up on a temp socket path and talk
  * to it through server::Client) and as the backing of the
  * `scal_serverd` binary.
@@ -26,6 +30,8 @@
 
 namespace scal::server
 {
+
+class CircuitMemo;
 
 class Server
 {
@@ -81,6 +87,8 @@ class Server
     bool shutdownRequested_ = false;
     bool stopped_ = false;
     std::vector<std::shared_ptr<Conn>> conns_;
+    /** Decoded inline circuits (server/circuit_memo.hh). */
+    std::unique_ptr<CircuitMemo> circuits_;
 };
 
 } // namespace scal::server

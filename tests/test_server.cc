@@ -17,6 +17,7 @@
 #include <algorithm>
 #include <condition_variable>
 #include <cstring>
+#include <fstream>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -528,6 +529,47 @@ TEST(Scheduler, CancelMidCampaignAndCancelQueued)
     EXPECT_EQ(sched.stats().cancelled, 2u);
 }
 
+TEST(Scheduler, FinishedJobsKeepNoNetlist)
+{
+    Scheduler sched(schedOpts(1));
+    const netlist::Netlist net =
+        roundTripped(netlist::circuits::section36NetworkRepaired());
+    fault::CampaignOptions opts;
+    opts.seed = 5;
+    const auto cold = sched.submit(combJob(net, "a", 0, opts));
+    JobInfo coldInfo;
+    ASSERT_TRUE(sched.wait(cold.id, &coldInfo));
+    ASSERT_EQ(coldInfo.state, JobState::Done);
+    EXPECT_EQ(sched.heldNetlists(), 0u);
+
+    // A cache hit never stores its netlist, and its record still
+    // answers info, list and result as before.
+    const auto warm = sched.submit(combJob(net, "b", 3, opts));
+    ASSERT_TRUE(warm.cacheHit);
+    EXPECT_EQ(sched.heldNetlists(), 0u);
+    JobInfo warmInfo;
+    ASSERT_TRUE(sched.info(warm.id, &warmInfo));
+    EXPECT_EQ(warmInfo.client, "b");
+    EXPECT_EQ(warmInfo.kind, "comb");
+    EXPECT_EQ(warmInfo.priority, 3);
+    EXPECT_EQ(warmInfo.verdict, coldInfo.verdict);
+    EXPECT_EQ(sched.list().size(), 2u);
+
+    // Queued and running jobs hold theirs until they end, however
+    // they end.
+    const auto running = sched.submit(blockerJob("c", 9, 200000));
+    const auto queued = sched.submit(blockerJob("c", 10, 200000));
+    waitRunning(sched, running.id);
+    EXPECT_EQ(sched.heldNetlists(), 2u);
+    ASSERT_TRUE(sched.cancel(queued.id));
+    EXPECT_EQ(sched.heldNetlists(), 1u);
+    ASSERT_TRUE(sched.cancel(running.id));
+    JobInfo info;
+    ASSERT_TRUE(sched.wait(running.id, &info));
+    EXPECT_EQ(info.state, JobState::Cancelled);
+    EXPECT_EQ(sched.heldNetlists(), 0u);
+}
+
 TEST(Scheduler, SubscribeStreamsProgressThenExactlyOneTerminal)
 {
     Scheduler::Options o = schedOpts(1);
@@ -944,6 +986,166 @@ TEST_F(ServerTest, MalformedRequestsGetLineNumberedErrors)
                   "unknown config key 'max_pattern'"),
               std::string::npos)
         << responses[5].find("error")->asString();
+}
+
+jsonl::Value
+statsOf(Client &client)
+{
+    return client.request(
+        jsonl::Value(jsonl::Object{{"op", jsonl::Value("stats")}}));
+}
+
+std::uint64_t
+circuitStat(const jsonl::Value &stats, const char *key)
+{
+    return stats.find("circuits")->find(key)->asUint64();
+}
+
+TEST_F(ServerTest, InlineResubmitIsAMemoHitWithTheSameVerdict)
+{
+    const netlist::Netlist net =
+        roundTripped(netlist::circuits::rippleCarryAdder(3));
+    Client client(path_);
+    const jsonl::Value first = client.submitAndWait(combSubmit(net, 6));
+    ASSERT_EQ(first.find("state")->asString(), "done");
+    jsonl::Value stats = statsOf(client);
+    EXPECT_EQ(circuitStat(stats, "misses"), 1u);
+    EXPECT_EQ(circuitStat(stats, "hits"), 0u);
+    EXPECT_EQ(circuitStat(stats, "entries"), 1u);
+    EXPECT_GT(circuitStat(stats, "resident_bytes"), 0u);
+
+    // Another seed: a memo hit, a verdict-cache miss, and the verdict
+    // of the inline run.
+    const jsonl::Value second = client.submitAndWait(combSubmit(net, 7));
+    ASSERT_EQ(second.find("state")->asString(), "done");
+    EXPECT_FALSE(second.find("cache_hit")->asBool());
+    fault::CampaignOptions opts;
+    opts.seed = 7;
+    opts.jobs = 1;
+    EXPECT_EQ(second.find("verdict")->asString(),
+              fault::campaignVerdictJson(
+                  net, fault::runAlternatingCampaign(net, opts)));
+    stats = statsOf(client);
+    EXPECT_EQ(circuitStat(stats, "hits"), 1u);
+    EXPECT_EQ(circuitStat(stats, "misses"), 1u);
+    EXPECT_EQ(circuitStat(stats, "entries"), 1u);
+    // The verdict cache's object keeps its keys.
+    EXPECT_EQ(stats.find("cache")->find("misses")->asUint64(), 2u);
+    EXPECT_EQ(stats.find("scheduler")->find("completed")->asUint64(), 2u);
+}
+
+TEST_F(ServerTest, CommentByteIsAMemoMissButAVerdictCacheHit)
+{
+    const std::string text =
+        netlist::writeNetlistToString(netlist::circuits::rippleCarryAdder(2));
+    const auto request = [](const std::string &circuit) {
+        jsonl::Object req;
+        req.emplace_back("op", jsonl::Value("submit"));
+        req.emplace_back("kind", jsonl::Value("comb"));
+        req.emplace_back("circuit", jsonl::Value(circuit));
+        req.emplace_back("format", jsonl::Value("scal"));
+        req.emplace_back("harden", jsonl::Value(true));
+        return jsonl::Value(std::move(req));
+    };
+    Client client(path_);
+    const jsonl::Value cold = client.submitAndWait(request(text));
+    const jsonl::Value warm = client.submitAndWait(request(text + "#"));
+    ASSERT_EQ(warm.find("state")->asString(), "done");
+    EXPECT_TRUE(warm.find("cache_hit")->asBool());
+    EXPECT_EQ(warm.find("verdict")->asString(),
+              cold.find("verdict")->asString());
+    const jsonl::Value stats = statsOf(client);
+    EXPECT_EQ(circuitStat(stats, "misses"), 2u);
+    EXPECT_EQ(circuitStat(stats, "hits"), 0u);
+    EXPECT_EQ(circuitStat(stats, "entries"), 2u);
+}
+
+TEST_F(ServerTest, MalformedInlineTextFailsAlikeEveryTime)
+{
+    jsonl::Object req;
+    req.emplace_back("op", jsonl::Value("submit"));
+    req.emplace_back("kind", jsonl::Value("comb"));
+    req.emplace_back("circuit",
+                     jsonl::Value("INPUT(a)\nOUTPUT(f)\nf = FROB(a)\n"));
+    req.emplace_back("format", jsonl::Value("bench"));
+    const jsonl::Value bad(std::move(req));
+    Client client(path_);
+    const jsonl::Value first = client.request(bad);
+    const jsonl::Value second = client.request(bad);
+    ASSERT_FALSE(first.find("ok")->asBool());
+    ASSERT_FALSE(second.find("ok")->asBool());
+    const std::string error = first.find("error")->asString();
+    EXPECT_EQ(second.find("error")->asString(), error);
+    EXPECT_NE(error.find("line 3"), std::string::npos) << error;
+    EXPECT_EQ(first.find("line")->asUint64(), 1u);
+    EXPECT_EQ(second.find("line")->asUint64(), 2u);
+    const jsonl::Value stats = statsOf(client);
+    EXPECT_EQ(circuitStat(stats, "entries"), 0u);
+    EXPECT_EQ(circuitStat(stats, "misses"), 2u);
+}
+
+TEST_F(ServerTest, CircuitPathIsReadOnEverySubmit)
+{
+    const std::string file = path_ + ".bench";
+    const auto writeFile = [&](const netlist::Netlist &net) {
+        std::ofstream(file) << netlist::writeNetlistToString(net);
+    };
+    jsonl::Object req;
+    req.emplace_back("op", jsonl::Value("submit"));
+    req.emplace_back("kind", jsonl::Value("comb"));
+    req.emplace_back("circuit_path", jsonl::Value(file));
+    req.emplace_back("format", jsonl::Value("scal"));
+    const jsonl::Value submit(std::move(req));
+    Client client(path_);
+    std::vector<std::string> verdicts;
+    for (const netlist::Netlist &net :
+         {roundTripped(netlist::circuits::rippleCarryAdder(2)),
+          roundTripped(netlist::circuits::section36NetworkRepaired())}) {
+        writeFile(net);
+        const jsonl::Value res = client.submitAndWait(submit);
+        ASSERT_EQ(res.find("state")->asString(), "done");
+        EXPECT_FALSE(res.find("cache_hit")->asBool());
+        fault::CampaignOptions opts;
+        opts.jobs = 1;
+        EXPECT_EQ(res.find("verdict")->asString(),
+                  fault::campaignVerdictJson(
+                      net, fault::runAlternatingCampaign(net, opts)));
+        verdicts.push_back(res.find("verdict")->asString());
+    }
+    ::unlink(file.c_str());
+    EXPECT_NE(verdicts[0], verdicts[1]);
+    const jsonl::Value stats = statsOf(client);
+    EXPECT_EQ(circuitStat(stats, "hits"), 0u);
+    EXPECT_EQ(circuitStat(stats, "misses"), 0u);
+    EXPECT_EQ(circuitStat(stats, "entries"), 0u);
+}
+
+TEST_F(ServerTest, FourConnectionsSubmittingOneNewCircuitAllGetItsVerdict)
+{
+    const netlist::Netlist net =
+        roundTripped(netlist::circuits::rippleCarryAdder(4));
+    fault::CampaignOptions opts;
+    opts.seed = 11;
+    opts.jobs = 1;
+    const std::string inlineVerdict = fault::campaignVerdictJson(
+        net, fault::runAlternatingCampaign(net, opts));
+    std::vector<std::string> verdicts(4);
+    std::vector<std::thread> threads;
+    for (std::size_t k = 0; k < verdicts.size(); ++k)
+        threads.emplace_back([&, k] {
+            Client client(path_);
+            const jsonl::Value res = client.submitAndWait(combSubmit(net, 11));
+            const jsonl::Value *v = res.find("verdict");
+            verdicts[k] = v ? v->asString() : res.dump();
+        });
+    for (std::thread &t : threads)
+        t.join();
+    for (const std::string &v : verdicts)
+        EXPECT_EQ(v, inlineVerdict);
+    Client client(path_);
+    const jsonl::Value stats = statsOf(client);
+    EXPECT_EQ(circuitStat(stats, "hits") + circuitStat(stats, "misses"), 4u);
+    EXPECT_EQ(circuitStat(stats, "entries"), 1u);
 }
 
 /** A raw client socket connected to @p path. */

@@ -152,6 +152,7 @@
 #include "sim/simd.hh"
 #include "system/alu.hh"
 #include "system/campaign.hh"
+#include "util/number.hh"
 
 using namespace scal;
 using namespace scal::netlist;
@@ -303,7 +304,7 @@ parseCommonArgs(int argc, char **argv)
             common.client = value("--client");
         } else if (arg == "--priority") {
             common.priority =
-                fault::checkedNumber<int>("--priority", value("--priority"));
+                util::checkedNumber<int>("--priority", value("--priority"));
         } else if (arg == "--format") {
             const std::string v = value("--format");
             if (!ingest::parseFormatName(v, &common.format))
@@ -459,7 +460,7 @@ cmdPaths(const Netlist &net, const std::vector<std::string> &args)
             all = true;
         else if (arg == "--max")
             maxPaths =
-                fault::checkedNumber<std::size_t>("--max", value("--max"));
+                util::checkedNumber<std::size_t>("--max", value("--max"));
         else
             throw std::runtime_error("unknown paths flag " + arg);
     }
@@ -558,7 +559,7 @@ cmdHarden(const CommonArgs &common)
         } else if (arg == "--budget") {
             if (++i >= common.rest.size())
                 throw std::runtime_error("--budget needs a value");
-            budget = fault::checkedNumber<std::uint64_t>("--budget",
+            budget = util::checkedNumber<std::uint64_t>("--budget",
                                                          common.rest[i]);
         } else {
             throw std::runtime_error("unknown harden flag " + arg);
@@ -656,7 +657,7 @@ parseCampaignArgs(const std::string &cmd,
             return args[i];
         };
         const auto number = [&](const char *name) {
-            return fault::checkedNumber<int>(name, value(name));
+            return util::checkedNumber<int>(name, value(name));
         };
         if (arg == "--jobs")
             optsOf(a.cfg).jobs = number("--jobs");
@@ -1112,20 +1113,20 @@ cmdShardRun(const CommonArgs &common, const char *argv0)
             return common.rest[i];
         };
         if (arg == "--shards")
-            shards = fault::checkedNumber<int>("--shards", value("--shards"));
+            shards = util::checkedNumber<int>("--shards", value("--shards"));
         else if (arg == "--kind")
             kind = value("--kind");
         else if (arg == "--workdir")
             workdir = value("--workdir");
         else if (arg == "--checkpoint-every")
-            checkpointEvery = fault::checkedNumber<int>(
+            checkpointEvery = util::checkedNumber<int>(
                 "--checkpoint-every", value("--checkpoint-every"));
         else if (arg == "--max-restarts")
-            maxRestarts = fault::checkedNumber<int>("--max-restarts",
+            maxRestarts = util::checkedNumber<int>("--max-restarts",
                                                     value("--max-restarts"));
         else if (arg == "--test-kill")
             testKill =
-                fault::checkedNumber<int>("--test-kill", value("--test-kill"));
+                util::checkedNumber<int>("--test-kill", value("--test-kill"));
         else if (arg == "--json")
             json = true;
         else if (arg == "--verdict-only")
@@ -1357,7 +1358,7 @@ main(int argc, char **argv)
             return cmdRepair(
                 net, rest[0],
                 rest.size() > 1
-                    ? fault::checkedNumber<int>("repair depth", rest[1])
+                    ? util::checkedNumber<int>("repair depth", rest[1])
                     : 4);
         if (common.cmd == "convert-minority")
             return cmdConvertMinority(net);

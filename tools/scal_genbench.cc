@@ -25,8 +25,10 @@
 #include <string>
 #include <vector>
 
+#include "util/number.hh"
 #include "util/rng.hh"
 
+using scal::util::checkedNumber;
 using scal::util::Rng;
 
 namespace
@@ -73,20 +75,21 @@ main(int argc, char **argv)
             if (arg == "--name")
                 opt.name = val;
             else if (arg == "--inputs")
-                opt.inputs = std::stoi(val);
+                opt.inputs = checkedNumber<int>(arg, val);
             else if (arg == "--outputs")
-                opt.outputs = std::stoi(val);
+                opt.outputs = checkedNumber<int>(arg, val);
             else if (arg == "--dffs")
-                opt.dffs = std::stoi(val);
+                opt.dffs = checkedNumber<int>(arg, val);
             else if (arg == "--gates")
-                opt.gates = std::stoi(val);
+                opt.gates = checkedNumber<int>(arg, val);
             else if (arg == "--seed")
-                opt.seed = std::stoull(val);
+                opt.seed = checkedNumber<std::uint64_t>(arg, val);
             else if (arg == "--out")
                 opt.out = val;
             else
                 return usage();
-        } catch (const std::exception &) {
+        } catch (const std::exception &e) {
+            std::cerr << "scal_genbench: " << e.what() << "\n";
             return usage();
         }
     }

@@ -30,8 +30,8 @@
 #include <iostream>
 #include <string>
 
-#include "fault/options.hh"
 #include "server/server.hh"
+#include "util/number.hh"
 
 namespace
 {
@@ -81,7 +81,7 @@ main(int argc, char **argv)
         // garbage and a negative count are refused, not truncated or
         // wrapped.
         const auto number = [&]<class N>(N &field) {
-            field = scal::fault::checkedNumber<N>(arg, value());
+            field = scal::util::checkedNumber<N>(arg, value());
         };
         auto &sched = opts.scheduler;
         try {
@@ -101,7 +101,7 @@ main(int argc, char **argv)
                 sched.cache.spillDir = value();
             else if (arg == "--progress-ms")
                 sched.progressInterval = std::chrono::milliseconds(
-                    scal::fault::checkedNumber<long>(arg, value()));
+                    scal::util::checkedNumber<long>(arg, value()));
             else if (arg == "--shard-exec")
                 sched.shardExec = value();
             else if (arg == "--shard-dir")
