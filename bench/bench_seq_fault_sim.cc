@@ -158,7 +158,7 @@ runScalarOracle(const Netlist &net, const fault::SeqCampaignSpec &spec,
             sims[l]->setFault(fl);
             sims[l]->setFaultWindow(opts.faultStart, opts.faultEnd);
         }
-        fault::SeqVerdictAccumulator acc(lane_mask, opts.dropDetected);
+        fault::SeqVerdictAccumulator acc(&lane_mask, 1, opts.dropDetected);
         for (long s = 0; s < symbols; ++s) {
             std::uint64_t alarm = 0, wrong = 0;
             for (int l = 0; l < lanes; ++l) {
@@ -183,7 +183,7 @@ runScalarOracle(const Netlist &net, const fault::SeqCampaignSpec &spec,
                 if (w)
                     wrong |= std::uint64_t{1} << l;
             }
-            if (!acc.addSymbol(s, alarm, wrong))
+            if (!acc.addSymbol(s, &alarm, &wrong))
                 break;
         }
         ScalarVerdict v;

@@ -24,29 +24,6 @@ enum class TrialOutcome
     Unsafe,
 };
 
-/** The exhaustive pattern space packed into 64-lane blocks (lane ℓ of
- *  block b carries pattern 64·b + ℓ), shared read-only by workers. */
-std::vector<std::vector<std::uint64_t>>
-packPatternBlocks(int ni)
-{
-    const std::uint64_t patterns = std::uint64_t{1} << ni;
-    std::vector<std::vector<std::uint64_t>> blocks;
-    blocks.reserve(static_cast<std::size_t>((patterns + 63) / 64));
-    for (std::uint64_t base = 0; base < patterns; base += 64) {
-        const int lanes = static_cast<int>(
-            std::min<std::uint64_t>(64, patterns - base));
-        std::vector<std::uint64_t> in(ni, 0);
-        for (int lane = 0; lane < lanes; ++lane) {
-            const std::uint64_t pat = base + lane;
-            for (int i = 0; i < ni; ++i)
-                if ((pat >> i) & 1)
-                    in[i] |= std::uint64_t{1} << lane;
-        }
-        blocks.push_back(std::move(in));
-    }
-    return blocks;
-}
-
 /**
  * Word-parallel version of the scalar trial loop: 64 alternating
  * pairs per cone-restricted simulation instead of one pair per full
@@ -68,11 +45,11 @@ classifyTrial(sim::FaultSimulator &fs,
             lanes == 64 ? ~std::uint64_t{0}
                         : ((std::uint64_t{1} << lanes) - 1);
         fs.setAlternatingBlock(in);
-        const sim::AlternatingMasks m =
-            fs.classifyAlternating(mf.data(), mf.size());
-        if (m.unsafe() & lane_mask)
+        const sim::WideMasks m =
+            fs.classifyAlternatingWide(mf.data(), mf.size());
+        if (m.unsafeWord(0) & lane_mask)
             return TrialOutcome::Unsafe;
-        any_err |= (m.anyErr & lane_mask) != 0;
+        any_err |= (m.anyErr[0] & lane_mask) != 0;
         base += 64;
     }
     return any_err ? TrialOutcome::Detected : TrialOutcome::Masked;
@@ -116,10 +93,15 @@ runMultiFaultCampaign(const Netlist &net, int multiplicity,
     const int ni = net.numInputs();
     const std::uint64_t patterns = std::uint64_t{1} << ni;
 
-    // Compile once; blocks and the flat image are shared read-only.
+    // Compile once; the exhaustive pattern blocks (lane l of block b
+    // carries pattern 64b + l) and the flat image are shared read-only.
     const sim::FlatNetlist flat(net);
-    const std::vector<std::vector<std::uint64_t>> blocks =
-        packPatternBlocks(ni);
+    std::vector<std::vector<std::uint64_t>> blocks;
+    sim::PatternStream stream(ni, /*exhaustive=*/true, /*seed=*/0);
+    for (std::uint64_t base = 0; base < patterns; base += 64)
+        stream.next(
+            static_cast<int>(std::min<std::uint64_t>(64, patterns - base)),
+            1, blocks.emplace_back(ni).data());
 
     // Draw every trial's fault set up front from one Rng stream, so
     // the sampled fault space is independent of the jobs count.

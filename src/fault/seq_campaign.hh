@@ -19,7 +19,8 @@
  * triple yields a bit-identical SeqCampaignResult at any jobs count
  * (tests/test_seq_fault_sim_equiv.cc asserts this and the scalar
  * SeqSimulator oracle equality; tests/test_seq_fault_parallel_equiv.cc
- * diffs the campaign against the per-fault oracle in tests/oracle/).
+ * diffs the campaign against the per-fault oracle in tests/oracle/,
+ * which replays each fault alone with oracle::SeqFaultSimulator).
  *
  * On top of the verdicts the campaign reports detection latency: for
  * every (fault, lane) the period of the first non-code symptom,
@@ -31,6 +32,7 @@
 #define SCAL_FAULT_SEQ_CAMPAIGN_HH
 
 #include <array>
+#include <bit>
 #include <chrono>
 #include <cstdint>
 #include <limits>
@@ -250,8 +252,9 @@ void foldSeqVerdicts(const std::vector<netlist::Fault> &faults,
 
 /**
  * The shared verdict state machine, fed one symbol at a time with the
- * packed per-lane alarm and wrong-data masks. Both the packed
- * campaign and the scalar SeqSimulator oracle (tests, benchmarks)
+ * packed per-lane alarm and wrong-data masks. The lane-batched
+ * campaign, the per-fault oracle campaign (tests/oracle/) and the
+ * scalar SeqSimulator oracles of the tests and bench_seq_fault_sim all
  * fold through this one implementation, so their outcome semantics
  * cannot drift apart.
  *
@@ -268,9 +271,8 @@ class SeqVerdictAccumulator
 {
   public:
     /**
-     * Multi-word form: @p lane_mask holds @p lane_words packed mask
-     * words (lane l at bit l % 64 of word l / 64, the sim/wide.hh
-     * layout).
+     * @p lane_mask holds @p lane_words packed mask words (lane l at
+     * bit l % 64 of word l / 64, the sim/wide.hh layout).
      */
     SeqVerdictAccumulator(const std::uint64_t *lane_mask, int lane_words,
                           bool drop_detected)
@@ -279,12 +281,6 @@ class SeqVerdictAccumulator
         for (int w = 0; w < lane_words; ++w)
             laneMask_[static_cast<std::size_t>(w)] = lane_mask[w];
         laneAlarm_.fill(-1);
-    }
-
-    /** Legacy 64-lane form (lane_words == 1). */
-    SeqVerdictAccumulator(std::uint64_t lane_mask, bool drop_detected)
-        : SeqVerdictAccumulator(&lane_mask, 1, drop_detected)
-    {
     }
 
     /**
@@ -306,7 +302,7 @@ class SeqVerdictAccumulator
                 if (firstAlarm_ < 0)
                     firstAlarm_ = p;
                 while (fresh) {
-                    const int lane = 64 * w + countrZero(fresh);
+                    const int lane = 64 * w + std::countr_zero(fresh);
                     laneAlarm_[static_cast<std::size_t>(lane)] = p;
                     fresh &= fresh - 1;
                 }
@@ -325,14 +321,6 @@ class SeqVerdictAccumulator
         return !(drop_ && all_alarmed);
     }
 
-    /** Legacy single-word form. */
-    bool
-    addSymbol(long symbol, std::uint64_t alarm_mask,
-              std::uint64_t wrong_mask)
-    {
-        return addSymbol(symbol, &alarm_mask, &wrong_mask);
-    }
-
     Outcome
     outcome() const
     {
@@ -346,8 +334,6 @@ class SeqVerdictAccumulator
     int laneWords() const { return laneWords_; }
     long firstAlarmPeriod() const { return firstAlarm_; }
     long firstEscapePeriod() const { return firstEscape_; }
-    /** Alarmed-lane word 0 (all lanes when laneWords() == 1). */
-    std::uint64_t alarmedLanes() const { return alarmed_[0]; }
     /** Alarmed-lane word @p w. */
     std::uint64_t alarmedWord(int w) const
     {
@@ -360,17 +346,6 @@ class SeqVerdictAccumulator
     }
 
   private:
-    static int
-    countrZero(std::uint64_t v)
-    {
-        int n = 0;
-        while (!(v & 1)) {
-            v >>= 1;
-            ++n;
-        }
-        return n;
-    }
-
     int laneWords_;
     bool drop_;
     std::array<std::uint64_t, sim::kMaxLaneWords> laneMask_{};

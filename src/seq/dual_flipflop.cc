@@ -1,10 +1,7 @@
 #include "seq/dual_flipflop.hh"
 
-#include <algorithm>
-#include <cstdint>
-
 #include "netlist/circuits.hh"
-#include "sim/seq_fault_sim.hh"
+#include "sim/sequential.hh"
 
 namespace scal::seq
 {
@@ -67,73 +64,44 @@ AlternatingRun
 runAlternating(const SynthesizedMachine &sm, const std::vector<int> &symbols,
                const Fault *fault)
 {
-    // Drive the packed kernel with every lane carrying the same
-    // stream; lane 0 is read back. The fault-free trace is evaluated
-    // once and the fault (if any) replayed over it cone-restricted —
-    // the scalar SeqSimulator semantics, word at a time.
-    const sim::FlatNetlist flat(sm.net);
-    sim::SeqGoodTrace trace(flat, sm.phiInput);
-    const long nsym = static_cast<long>(symbols.size());
-    trace.reservePeriods(2 * nsym);
-
-    std::vector<std::uint64_t> in(sm.net.numInputs(), 0);
-    for (int sym : symbols) {
-        for (int i = 0; i < sm.dataInputs; ++i)
-            in[i] = ((sym >> i) & 1) ? ~std::uint64_t{0} : 0;
-        trace.stepPeriod(in.data());
-        for (int i = 0; i < sm.dataInputs; ++i)
-            in[i] = ~in[i];
-        trace.stepPeriod(in.data());
-    }
-
-    // Faulty outputs default to the trace; the sink only fires on
-    // periods that actually diverge.
-    const int no = sm.net.numOutputs();
-    std::vector<std::uint64_t> fout(
-        static_cast<std::size_t>(2 * nsym) * no);
-    for (long t = 0; t < 2 * nsym; ++t) {
-        std::copy(trace.outputs(t), trace.outputs(t) + no,
-                  fout.begin() + static_cast<std::size_t>(t) * no);
-    }
-    if (fault) {
-        sim::SeqFaultSimulator fsim(trace);
-        fsim.runFault(*fault,
-                      [&](long t, std::uint64_t, const std::uint64_t *o) {
-                          std::copy(o, o + no,
-                                    fout.begin() +
-                                        static_cast<std::size_t>(t) * no);
-                          return true;
-                      });
-    }
+    // The scalar SeqSimulator applies each symbol as (X, φ=0) then
+    // (X̄, φ=1), with the fault (if any) active in every period.
+    sim::SeqSimulator simulator(sm.net, sm.phiInput);
+    if (fault)
+        simulator.setFault(*fault);
 
     AlternatingRun run;
-    const auto bit = [&](long t, int j) {
-        return (fout[static_cast<std::size_t>(t) * no + j] & 1) != 0;
-    };
-    for (long s = 0; s < nsym; ++s) {
-        const long t1 = 2 * s, t2 = 2 * s + 1;
+    run.outputs.reserve(symbols.size());
+    std::vector<bool> in(static_cast<std::size_t>(sm.net.numInputs()));
+    std::vector<bool> y1;
+    for (std::size_t s = 0; s < symbols.size(); ++s) {
+        for (int i = 0; i < sm.dataInputs; ++i)
+            in[i] = ((symbols[s] >> i) & 1) != 0;
+        y1 = simulator.stepPeriod(in); // the next step reuses the buffer
+        for (int i = 0; i < sm.dataInputs; ++i)
+            in[i] = !in[i];
+        const std::vector<bool> &y2 = simulator.stepPeriod(in);
+
         unsigned z = 0;
         for (std::size_t j = 0; j < sm.zOutputs.size(); ++j)
-            if (bit(t1, sm.zOutputs[j]))
+            if (y1[sm.zOutputs[j]])
                 z |= 1u << j;
         run.outputs.push_back(z);
 
         bool ok = true;
         for (int j : sm.zOutputs)
-            ok &= bit(t1, j) != bit(t2, j);
+            ok &= y1[j] != y2[j];
         for (int j : sm.yOutputs)
-            ok &= bit(t1, j) != bit(t2, j);
+            ok &= y1[j] != y2[j];
         // Checker code outputs come in (p, q) pairs; each period must
         // carry a 1-out-of-2 word.
         for (std::size_t c = 0; c + 1 < sm.checkOutputs.size(); c += 2) {
-            ok &= bit(t1, sm.checkOutputs[c]) !=
-                  bit(t1, sm.checkOutputs[c + 1]);
-            ok &= bit(t2, sm.checkOutputs[c]) !=
-                  bit(t2, sm.checkOutputs[c + 1]);
+            ok &= y1[sm.checkOutputs[c]] != y1[sm.checkOutputs[c + 1]];
+            ok &= y2[sm.checkOutputs[c]] != y2[sm.checkOutputs[c + 1]];
         }
         if (!ok && run.allAlternated) {
             run.allAlternated = false;
-            run.firstErrorSymbol = s;
+            run.firstErrorSymbol = static_cast<long>(s);
         }
     }
     return run;

@@ -25,9 +25,10 @@ SynthesizedMachine synthesizeDualFlipFlop(const StateTable &table);
 
 /**
  * Drive a dual flip-flop (or code-conversion) machine over a symbol
- * stream: each symbol is applied as the alternating pair. Returns the
- * first-period Z outputs (the machine's data results) and verifies or
- * records per-period raw outputs via @p raw (optional).
+ * stream on the scalar sim::SeqSimulator: each symbol is applied as
+ * the alternating pair, under @p fault (optional) in every period.
+ * Returns the first-period Z outputs (the machine's data results) and
+ * whether every checked output alternated.
  */
 struct AlternatingRun
 {

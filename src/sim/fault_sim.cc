@@ -179,18 +179,6 @@ FaultSimulator::replayFlips(const GateId *lines, std::size_t num_lines,
                            ptrScratch_.data());
 }
 
-AlternatingMasks
-FaultSimulator::classifyAlternating(const Fault *faults,
-                                    std::size_t num_faults)
-{
-    if (laneWords_ != 1)
-        throw std::logic_error(
-            "classifyAlternating needs lane_words == 1; "
-            "use classifyAlternatingWide");
-    const WideMasks m = classifyAlternatingWide(faults, num_faults);
-    return AlternatingMasks{m.anyErr[0], m.nonAlt[0], m.incorrect[0]};
-}
-
 WideMasks
 FaultSimulator::classifyAlternatingWide(const Fault *faults,
                                         std::size_t num_faults)

@@ -29,11 +29,11 @@
  *
  * All scratch buffers are preallocated in the constructor; the
  * per-fault hot path performs no heap allocation. Results are
- * bit-identical to PackedEvaluator, which stays in the tree as the
- * 64-lane reference oracle (tests/test_fault_sim_equiv.cc
- * cross-checks every fault of every covered circuit;
- * tests/test_simd_equiv.cc extends the identity across widths and
- * dispatch targets).
+ * bit-identical to the 64-lane full-resimulation oracle
+ * oracle::PackedEvaluator in tests/oracle/
+ * (tests/test_fault_sim_equiv.cc cross-checks every fault of every
+ * covered circuit; tests/test_simd_equiv.cc extends the identity
+ * across widths and dispatch targets).
  *
  * One FlatNetlist may be shared read-only by many FaultSimulators
  * (one per worker thread); the simulator itself is not thread-safe.
@@ -50,23 +50,6 @@
 
 namespace scal::sim
 {
-
-/**
- * Per-lane verdict masks of one alternating pair (X, X̄) under one
- * fault, before lane masking: a lane bit is set in anyErr when either
- * period's outputs deviate from the fault-free pair, in nonAlt when
- * some output fails to alternate (the checkable symptom), and in
- * incorrect when some output is wrong in both periods.
- */
-struct AlternatingMasks
-{
-    std::uint64_t anyErr = 0;
-    std::uint64_t nonAlt = 0;
-    std::uint64_t incorrect = 0;
-
-    /** Lanes where the wrong answer still alternates: the escapes. */
-    std::uint64_t unsafe() const { return incorrect & ~nonAlt; }
-};
 
 class FaultSimulator
 {
@@ -166,21 +149,11 @@ class FaultSimulator
     }
 
     /**
-     * The campaign kernel: simulate @p fault against both cached
-     * phases and fold the outputs into per-lane verdict masks.
+     * Simulate @p fault (or the simultaneous @p faults) against both
+     * cached phases and fold the outputs into per-lane verdict masks;
+     * word w covers lanes [64w, 64w+64) of the block.
      * @pre setAlternatingBlock() was called for the current block.
-     * Single-word (64-lane) simulators only; wider simulators use
-     * classifyAlternatingWide().
      */
-    AlternatingMasks classifyAlternating(const netlist::Fault &fault)
-    {
-        return classifyAlternating(&fault, 1);
-    }
-    AlternatingMasks classifyAlternating(const netlist::Fault *faults,
-                                         std::size_t num_faults);
-
-    /** Width-generic classification: word w covers lanes
-     *  [64w, 64w+64) of the block. */
     WideMasks classifyAlternatingWide(const netlist::Fault &fault)
     {
         return classifyAlternatingWide(&fault, 1);

@@ -1,9 +1,9 @@
 /**
  * @file
  * Word-parallel gate evaluation shared by the packed simulation
- * kernels (FaultSimulator, SeqGoodTrace/SeqFaultSimulator). One copy
- * of the gate semantics, bit-identical to the PackedEvaluator oracle
- * in tests/oracle/, so the kernels cannot drift apart.
+ * kernels (FaultSimulator, SeqGoodTrace, SeqFaultBatchSimulator). One
+ * copy of the gate semantics, bit-identical to the PackedEvaluator
+ * oracle in tests/oracle/, so the kernels cannot drift apart.
  *
  * Two entry points:
  *  - evalGateWord: the original scalar 64-lane form (one word).

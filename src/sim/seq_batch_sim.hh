@@ -5,15 +5,15 @@
  * different patterns. The trace is built at the full kernel width
  * (kMaxLaneWords words per line) with the campaign's input stream
  * replicated into every lane *group* of groupWords() words, so group
- * f of every trace row is bit-identical to the narrow trace a
- * one-fault replay (SeqFaultSimulator) would build — the layout
- * guarantee of sim/wide.hh (word w of a wide block evolves exactly as
- * word w of a narrow one) is what makes the whole scheme sound. One
- * event-driven replay pass then advances up to groupsPerBatch()
- * faults simultaneously (one, when a group fills the block); per-group
- * convergence/retire masks let individual faults drop out (verdict
- * settled) while the batch keeps running, and SeqFaultSimulator's
- * converged-state + window fast-forward fast paths apply batch-wide.
+ * f of every trace row is bit-identical to a groupWords()-word trace
+ * of the same stream — the layout guarantee of sim/wide.hh (word w
+ * of a wide block evolves exactly as word w of a narrow one) is what
+ * makes the whole scheme sound. One event-driven replay pass then
+ * advances up to groupsPerBatch() faults simultaneously (one, when a
+ * group fills the block); per-group convergence/retire masks let
+ * individual faults drop out (verdict settled) while the batch keeps
+ * running, and the converged-state and window fast-forward paths apply
+ * batch-wide. This is the library's one sequential fault replay.
  *
  * Injections are *lane-masked* (detail::WideStemInj and the mask
  * field of detail::WideBranchInj): a pinned stem gate is still
@@ -47,10 +47,10 @@
  *
  * Verdict folds are delivered per group through a SymbolSink with
  * exactly the pending/stash discipline of a one-fault replay (the
- * per-fault reference campaign in tests/oracle/ folds SeqFaultSimulator
- * that way), so campaign verdicts, first-alarm periods and latency
- * histograms stay bit-identical to replaying each fault on its own
- * (tests/test_seq_fault_parallel_equiv.cc).
+ * per-fault reference campaign in tests/oracle/ folds the one-fault
+ * oracle replay that way), so campaign verdicts, first-alarm periods
+ * and latency histograms stay bit-identical to replaying each fault on
+ * its own (tests/test_seq_fault_parallel_equiv.cc).
  */
 
 #ifndef SCAL_SIM_SEQ_BATCH_SIM_HH
@@ -60,6 +60,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -135,7 +136,7 @@ SeqBatchPlan planSeqBatches(const FlatNetlist &flat,
 class SeqFaultBatchSimulator
 {
   public:
-    static constexpr long kForever = SeqFaultSimulator::kForever;
+    static constexpr long kForever = std::numeric_limits<long>::max();
 
     /** Verdict-fold outputs/pairs, resolved once per campaign. */
     struct FoldSpec

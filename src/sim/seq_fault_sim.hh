@@ -1,57 +1,42 @@
 /**
  * @file
- * Packed, event-driven sequential fault simulation (Chapter 4/5
- * machines): 64 x laneWords() independent input sequences per lane
- * block, the fault-free machine evaluated once per period, and each
- * fault resimulated only over the gates its effect can reach.
- *
- * Two pieces:
+ * The fault-free side of packed sequential fault simulation (Chapter
+ * 4/5 machines), shared by every sequential replay:
  *
  *  - SeqGoodTrace evaluates the fault-free machine period by period
- *    over a FlatNetlist and records every line, output and flip-flop
+ *    over a FlatNetlist, 64 x laneWords() independent input sequences
+ *    per lane block, and records every line, output and flip-flop
  *    lane block. The trace is immutable after construction of the
  *    stream and is shared read-only by all workers of a campaign.
  *
- *  - SeqFaultSimulator replays one fault against a trace. Per period
- *    it seeds the event-driven replay kernel of sim/wide.hh with (a)
- *    the fault site, when the period is inside the fault's activity
- *    window, and (b) every flip-flop whose faulty state block diverged
- *    from the good machine; only gates with a changed fan-in are
- *    recomputed, all other lines are read from the trace, and no cone
- *    is built or sorted. Two early exits keep the common case cheap:
- *    an unexcited site with fully converged state is a single block
- *    compare, and once the activity window is behind and the state
- *    blocks reconverge the remaining periods are skipped outright
- *    (they are bit-identical to the good machine). Campaigns replay
- *    lane batches instead (sim/seq_batch_sim.hh); this one-fault
- *    replay serves seq::runAlternating and the per-fault reference
- *    campaign in tests/oracle/.
+ *  - SeqFaultSite decodes a netlist::Fault into the site category a
+ *    replay acts on.
+ *
+ * Campaigns replay faults against the trace in lane batches
+ * (sim/seq_batch_sim.hh). The one-fault replay that the batches are
+ * checked against is a test oracle (tests/oracle/seq_fault_simulator).
  *
  * Each line carries laneWords() uint64 words (1, 4 or 8 → 64, 256 or
- * 512 packed sequences); the per-period gate loops run through the
+ * 512 packed sequences); the per-period gate loop runs through the
  * runtime-dispatched SIMD kernels of sim/wide.hh. Every block-valued
  * buffer uses the layout of sim/wide.hh: line i at words
  * [i*W, i*W+W), lane l at bit (l % 64) of word (l / 64) — so word w
  * of a wide trace evolves exactly as an independent 64-lane trace fed
  * with word w of every input (tests/test_simd_equiv.cc asserts this).
  *
- * Fault semantics are exactly SeqSimulator's, which stays in the tree
- * as the scalar reference oracle (tests/test_seq_fault_sim_equiv.cc
- * cross-checks every fault, window and latch mode): stem faults force
- * the driver's line, branch faults override one consumer pin, a Dff
- * D-pin branch fault acts only at latch time, and output-tap faults
- * override output assembly — all gated by the [start, end) period
- * window.
- *
- * A SeqFaultSimulator is single-threaded scratch; one SeqGoodTrace
- * may be shared by many of them.
+ * Period, phase and latch semantics are exactly those of the scalar
+ * SeqSimulator (sim/sequential.hh), and the site rules are its fault
+ * semantics (tests/test_seq_fault_sim_equiv.cc cross-checks every
+ * fault, window and latch mode): stem faults force the driver's line,
+ * branch faults override one consumer pin, a Dff D-pin branch fault
+ * acts only at latch time, and output-tap faults override output
+ * assembly — all gated by the [start, end) period window.
  */
 
 #ifndef SCAL_SIM_SEQ_FAULT_SIM_HH
 #define SCAL_SIM_SEQ_FAULT_SIM_HH
 
 #include <cstdint>
-#include <limits>
 #include <vector>
 
 #include "sim/flat.hh"
@@ -154,11 +139,11 @@ class SeqGoodTrace
 
 /**
  * A netlist::Fault decoded against a FlatNetlist into the site
- * category the sequential replay kernels act on. Shared by the
- * per-fault SeqFaultSimulator and the lane-multiplexed
- * SeqFaultBatchSimulator (sim/seq_batch_sim.hh) so both interpret
- * every site — including malformed ones (Inert) — identically to the
- * scalar oracle.
+ * category the sequential replay kernels act on. The lane-multiplexed
+ * SeqFaultBatchSimulator (sim/seq_batch_sim.hh) and the one-fault test
+ * oracle both decode through it, so both interpret every site —
+ * including malformed ones (Inert) — identically to the scalar
+ * SeqSimulator.
  */
 struct SeqFaultSite
 {
@@ -182,96 +167,6 @@ struct SeqFaultSite
 /** Decode @p fault against @p flat (oracle-exact site rules). */
 SeqFaultSite decodeSeqFaultSite(const FlatNetlist &flat,
                                 const netlist::Fault &fault);
-
-class SeqFaultSimulator
-{
-  public:
-    static constexpr long kForever = std::numeric_limits<long>::max();
-
-    explicit SeqFaultSimulator(const SeqGoodTrace &trace);
-
-    /**
-     * Replay @p fault over the whole trace, active during periods
-     * [window_start, window_end). @p sink is invoked as
-     * `bool sink(long period, std::uint64_t diffMask, const
-     * std::uint64_t *outputs)` for every period whose faulty outputs
-     * differ from the trace (diffMask ORs the per-output XOR words of
-     * every lane word; @p outputs is numOutputs()*laneWords() words);
-     * returning false retires the fault immediately. Periods without a
-     * sink call are bit-identical to the good machine.
-     */
-    template <typename Sink>
-    void
-    runFault(const netlist::Fault &fault, Sink &&sink,
-             long window_start = 0, long window_end = kForever)
-    {
-        beginFault(fault, window_start, window_end);
-        const long total = trace_.numPeriods();
-        long t = 0;
-        while (t < total) {
-            if (diverged_.empty() && !inWindow(t)) {
-                if (t >= wend_)
-                    return; // window closed, state reconverged
-                // Quiescent until the window opens: fast-forward.
-                periodsSkipped_ += std::min(wstart_, total) - t;
-                t = wstart_;
-                continue;
-            }
-            const std::uint64_t diff = stepFaultPeriod(t);
-            ++periodsSimulated_;
-            if (diff && !sink(t, diff, outBuf_.data()))
-                return;
-            ++t;
-        }
-    }
-
-    /** @name Work counters (reset per runFault) */
-    /** @{ */
-    long periodsSimulated() const { return periodsSimulated_; }
-    long periodsSkipped() const { return periodsSkipped_; }
-    /** @} */
-
-  private:
-    void beginFault(const netlist::Fault &fault, long ws, long we);
-    bool inWindow(long t) const { return t >= wstart_ && t < wend_; }
-    /** Simulate period @p t; returns the OR of output diff words. */
-    std::uint64_t stepFaultPeriod(long t);
-    void bumpEpoch();
-    /** True iff all W words of @p block equal the broadcast fault value. */
-    bool blockIsFaultValue(const std::uint64_t *block) const;
-
-    const SeqGoodTrace &trace_;
-    const FlatNetlist &flat_;
-    const detail::WideKernels *kernels_;
-    int laneWords_;
-
-    /** Decomposed fault being replayed. */
-    SeqFaultSite site_;
-    /** Broadcast stuck-at block (kOnesGroup/kZeroGroup). */
-    const std::uint64_t *faultGroup_ = nullptr;
-    long wstart_ = 0, wend_ = 0;
-
-    /** Faulty machine state and its divergence from the trace. */
-    WordVec faultyState_;
-    std::vector<std::int32_t> diverged_, divergedNext_;
-
-    /** Copy-on-write faulty line blocks: valid iff stamp == epoch. */
-    WordVec faulty_;
-    std::vector<std::uint32_t> stamp_;
-    std::vector<std::uint32_t> forced_;
-    std::uint32_t epoch_ = 0;
-
-    /** Replay seeds and the kernel's event bitset (all zero
-     *  between calls). */
-    std::vector<netlist::GateId> seeds_;
-    std::vector<std::uint64_t> events_;
-
-    std::vector<const std::uint64_t *> ptrScratch_;
-    std::vector<std::uint64_t> outBuf_;
-    detail::WideBranchInj branchInj_;
-
-    long periodsSimulated_ = 0, periodsSkipped_ = 0;
-};
 
 } // namespace scal::sim
 

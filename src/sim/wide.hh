@@ -36,8 +36,12 @@ using WordVec = std::vector<std::uint64_t,
                             util::AlignedAllocator<std::uint64_t, 64>>;
 
 /**
- * AlternatingMasks generalized to W words (see sim/fault_sim.hh for
- * the single-word semantics). Words beyond the active width are 0.
+ * Per-lane verdict masks of one alternating pair (X, X̄) under one
+ * fault, before lane masking; word w covers lanes [64w, 64w+64). A
+ * lane bit is set in anyErr when either period's outputs deviate from
+ * the fault-free pair, in nonAlt when some output fails to alternate
+ * (the checkable symptom), and in incorrect when some output is wrong
+ * in both periods. Words beyond the active width are 0.
  */
 struct WideMasks
 {
@@ -166,10 +170,6 @@ struct WideKernels
                             const std::uint64_t *f2,
                             const std::uint64_t *good, WideMasks *m);
 
-    /** OR of (a[i] ^ b[i]) over @p nwords words. */
-    std::uint64_t (*diffOr)(const std::uint64_t *a, const std::uint64_t *b,
-                            std::size_t nwords);
-
     /** Fold one symbol's alarm and wrong-data words from its two
      *  output-block rows @p p0 / @p p1 (num-outputs lines of W words
      *  each) against the fault-free phase-0 row @p good0. Alarm lanes
@@ -182,20 +182,6 @@ struct WideKernels
                           int nalt, const int *pairs, int npairs,
                           const int *data, int ndata, std::uint64_t *alarm,
                           std::uint64_t *wrong);
-
-    /** Latch faulty next-state: for each flip-flop i with elig[i],
-     *  capture its D driver (faulty[] where stamped, @p branch_value
-     *  for @p branch_ff); then compare against @p good_next and
-     *  append diverged flip-flop indices to @p diverged_out,
-     *  returning the count. */
-    int (*latchAndTrack)(const FlatNetlist &flat, const std::uint8_t *elig,
-                         const std::uint64_t *good_lines,
-                         const std::uint64_t *faulty,
-                         const std::uint32_t *stamp, std::uint32_t epoch,
-                         int branch_ff, const std::uint64_t *branch_value,
-                         std::uint64_t *faulty_state,
-                         const std::uint64_t *good_next,
-                         std::int32_t *diverged_out);
 };
 
 /** Per-build tables; null when lane_words is unsupported or the

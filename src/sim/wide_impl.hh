@@ -261,17 +261,6 @@ foldAlternatingImpl(int num_outputs, const std::uint64_t *f1,
 }
 
 template <int W>
-std::uint64_t
-diffOrImpl(const std::uint64_t *a, const std::uint64_t *b,
-           std::size_t nwords)
-{
-    std::uint64_t d = 0;
-    for (std::size_t i = 0; i < nwords; ++i)
-        d |= a[i] ^ b[i];
-    return d;
-}
-
-template <int W>
 void
 seqAlarmWrongImpl(const std::uint64_t *p0, const std::uint64_t *p1,
                   const std::uint64_t *good0, const int *alt, int nalt,
@@ -306,37 +295,6 @@ seqAlarmWrongImpl(const std::uint64_t *p0, const std::uint64_t *p1,
     }
 }
 
-template <int W>
-int
-latchAndTrackImpl(const FlatNetlist &flat, const std::uint8_t *elig,
-                  const std::uint64_t *good_lines,
-                  const std::uint64_t *faulty, const std::uint32_t *stamp,
-                  std::uint32_t epoch, int branch_ff,
-                  const std::uint64_t *branch_value,
-                  std::uint64_t *faulty_state,
-                  const std::uint64_t *good_next,
-                  std::int32_t *diverged_out)
-{
-    const int nff = flat.numFlipFlops();
-    int ndiv = 0;
-    for (int i = 0; i < nff; ++i) {
-        std::uint64_t *fs = faulty_state + static_cast<std::size_t>(i) * W;
-        if (elig[i]) {
-            const netlist::GateId d = flat.ffDriver(i);
-            const std::uint64_t *src =
-                (stamp[d] == epoch ? faulty : good_lines) +
-                static_cast<std::size_t>(d) * W;
-            if (i == branch_ff)
-                src = branch_value;
-            for (int w = 0; w < W; ++w)
-                fs[w] = src[w];
-        }
-        if (blocksDiffer<W>(fs, good_next + static_cast<std::size_t>(i) * W))
-            diverged_out[ndiv++] = static_cast<std::int32_t>(i);
-    }
-    return ndiv;
-}
-
 // Pin code generation inside the active target region (see the file
 // comment). One set per supported width.
 #define SCAL_WIDE_INSTANTIATE(W)                                            \
@@ -355,17 +313,10 @@ latchAndTrackImpl(const FlatNetlist &flat, const std::uint8_t *elig,
     template void foldAlternatingImpl<W>(                                   \
         int, const std::uint64_t *, const std::uint64_t *,                  \
         const std::uint64_t *, WideMasks *);                                \
-    template std::uint64_t diffOrImpl<W>(                                   \
-        const std::uint64_t *, const std::uint64_t *, std::size_t);         \
     template void seqAlarmWrongImpl<W>(                                     \
         const std::uint64_t *, const std::uint64_t *,                       \
         const std::uint64_t *, const int *, int, const int *, int,          \
-        const int *, int, std::uint64_t *, std::uint64_t *);                \
-    template int latchAndTrackImpl<W>(                                      \
-        const FlatNetlist &, const std::uint8_t *, const std::uint64_t *,   \
-        const std::uint64_t *, const std::uint32_t *, std::uint32_t, int,   \
-        const std::uint64_t *, std::uint64_t *, const std::uint64_t *,      \
-        std::int32_t *);
+        const int *, int, std::uint64_t *, std::uint64_t *);
 
 SCAL_WIDE_INSTANTIATE(1)
 SCAL_WIDE_INSTANTIATE(4)
@@ -386,9 +337,7 @@ makeKernels(SimdTarget target)
     k.replayEvents = &replayEventsImpl<W>;
     k.assembleOutputs = &assembleOutputsImpl<W>;
     k.foldAlternating = &foldAlternatingImpl<W>;
-    k.diffOr = &diffOrImpl<W>;
     k.seqAlarmWrong = &seqAlarmWrongImpl<W>;
-    k.latchAndTrack = &latchAndTrackImpl<W>;
     return k;
 }
 

@@ -4,6 +4,7 @@
 #include <limits>
 #include <stdexcept>
 
+#include "oracle/seq_fault_simulator.hh"
 #include "oracle/setup_reference.hh"
 #include "sim/fault_sim.hh"
 #include "sim/flat.hh"
@@ -185,7 +186,7 @@ runPerFaultSeqCampaign(const Netlist &net, const fault::SeqCampaignSpec &spec,
     result.lanes = lanes;
     result.simd = trace.simdTarget();
 
-    sim::SeqFaultSimulator fsim(trace);
+    SeqFaultSimulator fsim(trace);
     const sim::detail::WideKernels &kernels = trace.kernels();
     const std::size_t row = static_cast<std::size_t>(no) * W;
     const int npairs = static_cast<int>(spec.codePairs.size()) / 2;

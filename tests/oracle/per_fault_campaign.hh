@@ -11,10 +11,11 @@
  *    the pattern stream itself from the campaign's contract
  *    (exhaustive when 2^numInputs fits under maxPatterns, otherwise
  *    one Rng draw per pattern and per 64 inputs, in pattern order).
- *  - runPerFaultSeqCampaign is the sequential counterpart: the
- *    oracle test_seq_fault_parallel_equiv diffs the lane-batched
- *    campaign of fault/seq_campaign.hh against at every lane
- *    width, and the per-fault arm that
+ *  - runPerFaultSeqCampaign is the sequential counterpart, folding
+ *    one SeqFaultSimulator replay (oracle/seq_fault_simulator.hh)
+ *    per fault: the oracle test_seq_fault_parallel_equiv diffs the
+ *    lane-batched campaign of fault/seq_campaign.hh against at every
+ *    lane width, and the per-fault arm that
  *    bench_seq_fault_sim and bench_ingest_campaign time and check
  *    the campaign against.
  *

@@ -101,18 +101,18 @@ expectOracleEquivalence(const Netlist &net,
                 << label << " " << faultToString(net, f) << " phase 1";
 
             // Rebuild the alternating masks from the oracle's words.
-            sim::AlternatingMasks want;
+            sim::WideMasks want;
             for (std::size_t j = 0; j < ref1.size(); ++j) {
                 const std::uint64_t err1 = ref1[j] ^ good1[j];
                 const std::uint64_t err2 = ref2[j] ^ ~good1[j];
-                want.anyErr |= err1 | err2;
-                want.nonAlt |= ~(ref1[j] ^ ref2[j]);
-                want.incorrect |= err1 & err2;
+                want.anyErr[0] |= err1 | err2;
+                want.nonAlt[0] |= ~(ref1[j] ^ ref2[j]);
+                want.incorrect[0] |= err1 & err2;
             }
-            const sim::AlternatingMasks got = fs.classifyAlternating(f);
-            EXPECT_EQ(got.anyErr, want.anyErr) << label;
-            EXPECT_EQ(got.nonAlt, want.nonAlt) << label;
-            EXPECT_EQ(got.incorrect, want.incorrect) << label;
+            const sim::WideMasks got = fs.classifyAlternatingWide(f);
+            EXPECT_EQ(got.anyErr[0], want.anyErr[0]) << label;
+            EXPECT_EQ(got.nonAlt[0], want.nonAlt[0]) << label;
+            EXPECT_EQ(got.incorrect[0], want.incorrect[0]) << label;
         }
     }
 }

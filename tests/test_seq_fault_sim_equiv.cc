@@ -17,6 +17,7 @@
 
 #include "fault/seq_campaign.hh"
 #include "netlist/structure.hh"
+#include "oracle/seq_fault_simulator.hh"
 #include "seq/dual_flipflop.hh"
 #include "seq/kohavi.hh"
 #include "seq/registers.hh"
@@ -141,9 +142,9 @@ TEST(SeqGoodTrace, MatchesScalarSimulator)
 TEST(SeqFaultSimulator, EveryFaultEveryWindowMatchesScalar)
 {
     const std::vector<std::pair<long, long>> windows = {
-        {0, sim::SeqFaultSimulator::kForever}, // permanent
-        {3, 7},                                // transient burst
-        {5, 6},                                // single period
+        {0, oracle::SeqFaultSimulator::kForever}, // permanent
+        {3, 7},                                   // transient burst
+        {5, 6},                                   // single period
     };
     for (const Machine &m : machines()) {
         SCOPED_TRACE(m.name);
@@ -155,7 +156,7 @@ TEST(SeqFaultSimulator, EveryFaultEveryWindowMatchesScalar)
             trace.stepPeriod(words[t].data());
 
         const int no = m.net.numOutputs();
-        sim::SeqFaultSimulator fsim(trace);
+        oracle::SeqFaultSimulator fsim(trace);
         for (const Fault &fault : m.net.allFaults()) {
             for (const auto &[ws, we] : windows) {
                 SCOPED_TRACE(faultToString(m.net, fault) + " window [" +
@@ -266,7 +267,7 @@ scalarOracle(const Netlist &net, const fault::SeqCampaignSpec &spec,
             sims[l]->setFault(fault);
             sims[l]->setFaultWindow(opts.faultStart, opts.faultEnd);
         }
-        fault::SeqVerdictAccumulator acc(lane_mask, opts.dropDetected);
+        fault::SeqVerdictAccumulator acc(&lane_mask, 1, opts.dropDetected);
         for (long s = 0; s < opts.symbols; ++s) {
             std::uint64_t alarm = 0, wrong = 0;
             for (int l = 0; l < opts.lanes; ++l) {
@@ -290,7 +291,7 @@ scalarOracle(const Netlist &net, const fault::SeqCampaignSpec &spec,
                 if (w)
                     wrong |= std::uint64_t{1} << l;
             }
-            if (!acc.addSymbol(s, alarm, wrong))
+            if (!acc.addSymbol(s, &alarm, &wrong))
                 break;
         }
         OracleVerdict v{acc.outcome(), acc.firstAlarmPeriod(),

@@ -22,6 +22,7 @@
 #include "fault/seq_campaign.hh"
 #include "netlist/circuits.hh"
 #include "netlist/structure.hh"
+#include "oracle/seq_fault_simulator.hh"
 #include "seq/dual_flipflop.hh"
 #include "seq/kohavi.hh"
 #include "seq/registers.hh"
@@ -600,11 +601,11 @@ TEST(SimdKernels, AlternatingMasksIdenticalAcrossWidthsAndTargets)
         const std::vector<Fault> faults = net.allFaults();
 
         sim::FaultSimulator ref(flat, 1, sim::SimdTarget::Portable);
-        std::vector<std::vector<sim::AlternatingMasks>> refMasks(8);
+        std::vector<std::vector<sim::WideMasks>> refMasks(8);
         for (int w = 0; w < 8; ++w) {
             ref.setAlternatingBlock(narrowBlock(wide, ni, 8, w));
             for (const Fault &f : faults)
-                refMasks[w].push_back(ref.classifyAlternating(f));
+                refMasks[w].push_back(ref.classifyAlternatingWide(f));
         }
 
         for (const int W : kWidths) {
@@ -622,11 +623,11 @@ TEST(SimdKernels, AlternatingMasksIdenticalAcrossWidthsAndTargets)
                     const sim::WideMasks m =
                         fs.classifyAlternatingWide(faults[k]);
                     for (int w = 0; w < W; ++w) {
-                        const sim::AlternatingMasks &r = refMasks[w][k];
-                        ASSERT_EQ(m.anyErr[w], r.anyErr);
-                        ASSERT_EQ(m.nonAlt[w], r.nonAlt);
-                        ASSERT_EQ(m.incorrect[w], r.incorrect);
-                        ASSERT_EQ(m.unsafeWord(w), r.unsafe());
+                        const sim::WideMasks &r = refMasks[w][k];
+                        ASSERT_EQ(m.anyErr[w], r.anyErr[0]);
+                        ASSERT_EQ(m.nonAlt[w], r.nonAlt[0]);
+                        ASSERT_EQ(m.incorrect[w], r.incorrect[0]);
+                        ASSERT_EQ(m.unsafeWord(w), r.unsafeWord(0));
                     }
                     // Inactive words must stay zero.
                     for (int w = W; w < sim::kMaxLaneWords; ++w) {
@@ -637,14 +638,6 @@ TEST(SimdKernels, AlternatingMasksIdenticalAcrossWidthsAndTargets)
             }
         }
     }
-
-    // classifyAlternating is the 64-lane API: wider sims must refuse.
-    const Netlist net = circuits::xorTree(5);
-    const sim::FlatNetlist flat(net);
-    sim::FaultSimulator fs(flat, 4);
-    fs.setAlternatingBlock(randomBlock(net.numInputs(), 4, 1));
-    EXPECT_THROW(fs.classifyAlternating(net.allFaults()[0]),
-                 std::logic_error);
 }
 
 /** Full combinational campaigns must be bit-identical across lanes,
@@ -709,7 +702,7 @@ faultyMatrix(const sim::SeqGoodTrace &trace, const Fault &f)
     for (long t = 0; t < T; ++t)
         std::copy(trace.outputs(t), trace.outputs(t) + row,
                   m.begin() + static_cast<std::size_t>(t) * row);
-    sim::SeqFaultSimulator fs(trace);
+    oracle::SeqFaultSimulator fs(trace);
     fs.runFault(f, [&](long t, std::uint64_t,
                        const std::uint64_t *outs) {
         std::copy(outs, outs + row,
@@ -892,7 +885,7 @@ TEST(SeqSimd, WideAccumulatorMatchesNarrowAccumulators)
                                           /*drop_detected=*/true);
         std::vector<fault::SeqVerdictAccumulator> narrow;
         for (int w = 0; w < W; ++w)
-            narrow.emplace_back(mask[w], true);
+            narrow.emplace_back(&mask[w], 1, true);
 
         for (long s = 0; s < 40; ++s) {
             std::uint64_t alarm[W], wrong[W];
@@ -904,7 +897,7 @@ TEST(SeqSimd, WideAccumulatorMatchesNarrowAccumulators)
             }
             bool narrow_any = false;
             for (int w = 0; w < W; ++w)
-                if (narrow[w].addSymbol(s, alarm[w], wrong[w]))
+                if (narrow[w].addSymbol(s, &alarm[w], &wrong[w]))
                     narrow_any = true;
             const bool wide_more = wide.addSymbol(s, alarm, wrong);
             bool narrow_escape = false;
@@ -920,7 +913,7 @@ TEST(SeqSimd, WideAccumulatorMatchesNarrowAccumulators)
             }
             EXPECT_EQ(wide_more, narrow_any);
             for (int w = 0; w < W; ++w) {
-                ASSERT_EQ(wide.alarmedWord(w), narrow[w].alarmedLanes())
+                ASSERT_EQ(wide.alarmedWord(w), narrow[w].alarmedWord(0))
                     << "s=" << s << " w=" << w;
                 for (int l = 0; l < 64; ++l)
                     ASSERT_EQ(wide.laneFirstAlarm(64 * w + l),
